@@ -13,8 +13,12 @@ lexicographic order, 1-based sites) the amplitude ``G * f`` where ``f``
 sums ``exp(i k_pi . l)`` over all permutations pi of the m wavenumbers
 and G normalises the table.  ``f`` is the permanent of the m x m phase
 matrix ``exp(i k_a l_b)``: it is evaluated by direct permutation sum
-for small m and by inclusion-exclusion with Gray-code row-sum updates
-beyond, trading m! m for 2^m m cost.
+for small m and by Ryser's inclusion-exclusion beyond.  Ryser's subsets
+are grouped by how many copies x_i of each distinct index with
+multiplicity mu_i they hold, weighted by prod_i C(mu_i, x_i), and walked
+in Gray-code order with one row-sum update per step, trading m! m for
+prod_i (mu_i + 1) m cost: m + 1 terms for a single-mode state, 2^m when
+every index differs.
 
 Tables are immutable after construction; everything here is pure and
 safe to call concurrently.
@@ -23,6 +27,7 @@ safe to call concurrently.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations
 
@@ -188,14 +193,54 @@ def momentum_grid(N: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(N) / N
 
 
+def _gray_steps(counts):
+    """Walk every copy-count vector 0 <= x_i <= counts[i] in reflected
+    mixed-radix Gray order, starting from x = 0 (Knuth, TAOCP 7.2.1.1,
+    Algorithm H).
+
+    Yields ``(j, delta, weight)`` per step: digit j moved by delta = +-1
+    and the new vector carries ``weight = prod_i C(counts[i], x_i)``,
+    kept as an exact integer by one ratio update per step.  With every
+    count equal to 1 the walk is the binary reflected Gray code and the
+    weight stays 1.
+    """
+    n = len(counts)
+    x = [0] * n
+    direction = [1] * n
+    focus = list(range(n + 1))
+    weight = 1
+    while True:
+        j = focus[0]
+        focus[0] = 0
+        if j == n:
+            return
+        mu, old = counts[j], x[j]
+        delta = direction[j]
+        x[j] = old + delta
+        if delta > 0:
+            weight = weight * (mu - old) // (old + 1)
+        else:
+            weight = weight * old // (mu - old + 1)
+        yield j, delta, weight
+        if x[j] == 0 or x[j] == mu:
+            direction[j] = -delta
+            focus[j] = focus[j + 1]
+            focus[j + 1] = j + 1
+
+
 def _phase_permanents(indices, N: int, sites: np.ndarray, force: str | None = None) -> np.ndarray:
     """Permanent of [exp(2 pi i idx_a s_b / N)] for every row of site lists.
 
     Phases are reduced modulo N in integer arithmetic before
     exponentiation, so the result does not degrade on long chains.
-    ``force`` pins the evaluation route to "direct" or "ryser" for
-    cross-checks; left alone, small m uses the permutation sum.
+    Left alone, small m uses the permutation sum and larger m Ryser's
+    inclusion-exclusion over copy counts of the distinct indices.
+    ``force`` pins the route for cross-checks: "direct" is the
+    permutation sum, "ryser" the expanded inclusion-exclusion over all
+    2^m index subsets, with repeated indices treated as distinct.
     """
+    if force not in (None, "direct", "ryser"):
+        raise DomainError(f"permanent route must be 'direct' or 'ryser', got {force!r}")
     rows, m = sites.shape
     if m == 0:
         return np.ones(rows, dtype=np.complex128)
@@ -212,22 +257,29 @@ def _phase_permanents(indices, N: int, sites: np.ndarray, force: str | None = No
             dots = (chunk @ kperm.T) % N
             out[lo:lo + len(chunk)] = np.exp(unit * dots).sum(axis=1)
         return out
+    if force is None:
+        # first-seen order, so distinct indices walk the expanded route's steps
+        groups = Counter(idx.tolist())
+        idx, counts = np.array(list(groups), dtype=np.int64), list(groups.values())
+    else:
+        counts = [1] * m
     for lo in range(0, rows, _CHUNK_ROWS):
         chunk = sites[lo:lo + _CHUNK_ROWS]
-        phase = (chunk[:, :, None] * idx[None, None, :]) % N
-        a = np.exp(unit * phase)
-        rowsum = np.zeros((len(chunk), m), dtype=np.complex128)
+        # (distinct index, site, row): each step adds one contiguous
+        # (site, row) slab and multiplies rowsum down its site axis.
+        a = np.exp(unit * ((idx[:, None, None] * chunk.T[None, :, :]) % N))
+        rowsum = np.zeros((m, len(chunk)), dtype=np.complex128)
         acc = np.zeros(len(chunk), dtype=np.complex128)
-        gray = 0
-        for step in range(1, 1 << m):
-            bit = (step & -step).bit_length() - 1
-            gray ^= 1 << bit
-            if (gray >> bit) & 1:
-                rowsum += a[:, :, bit]
+        for step, (j, delta, weight) in enumerate(_gray_steps(counts), 1):
+            if delta > 0:
+                rowsum += a[j]
             else:
-                rowsum -= a[:, :, bit]
-            term = rowsum.prod(axis=1)
-            if gray.bit_count() & 1:
+                rowsum -= a[j]
+            term = rowsum.prod(axis=0)
+            if weight != 1:
+                term *= weight
+            # each step moves sum(x) by one, so the sign alternates
+            if step & 1:
                 acc -= term
             else:
                 acc += term

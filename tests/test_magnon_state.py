@@ -20,7 +20,28 @@ from magcoh import (
     rank_combination,
     single_mode_state,
 )
-from magcoh.magnon_state import FULL_VECTOR_BUDGET, FullStateVector
+from magcoh.magnon_state import (
+    FULL_VECTOR_BUDGET,
+    FullStateVector,
+    _combination_array,
+    _gray_steps,
+    _phase_permanents,
+)
+
+# Forced Ryser amplitudes (N, k, sites, re, im) of the expanded 2^m
+# subset sum; this cross-check route must keep these exact bits.
+FORCED_RYSER_PINS = [
+    (11, (1, 1, 2, 5, 5, 5, 9), (1, 3, 4, 6, 8, 10, 11), "0x1.0c6e68708e838p+5", "-0x1.72c8d93cd75dfp+7"),
+    (16, (3,) * 8, (2, 3, 5, 7, 11, 13, 14, 16), "-0x1.e22e5e3190971p+13", "0x1.2305a53f99729p+15"),
+    (13, (0, 2, 2, 7, 7, 11, 11, 12, 4), (1, 2, 4, 5, 7, 8, 10, 12, 13), "-0x1.432b25f0196eap+9", "-0x1.312cc4052bf3ep+8"),
+    (12, (6, 6, 6, 1, 1, 0, 0, 9, 9, 9), (1, 2, 3, 4, 6, 7, 8, 9, 11, 12), "0x1.0cb529158de74p+10", "-0x1.0cb529158dce2p+10"),
+]
+
+
+def gamma(T):
+    """Higham's gamma_T = T u / (1 - T u), u the float64 unit roundoff."""
+    u = 2.0 ** -53
+    return T * u / (1.0 - T * u)
 
 
 def brute_phase_sum(k_values, sites):
@@ -134,6 +155,51 @@ class TestAmplitude:
             r = amplitude_f(k, sites, force="ryser")
             assert abs(d - r) <= 1e-10 * math.factorial(m)
 
+    @pytest.mark.parametrize("m", [7, 8, 9])
+    def test_grouped_route_matches_expanded_routes(self, m):
+        # few distinct indices, so every multiset repeats one
+        rng = np.random.default_rng(31 * m)
+        N = 11
+        for _ in range(3):
+            k = MomentumVector(N, tuple(int(x) for x in rng.integers(0, 4, size=m)))
+            sites = tuple(sorted(int(s) + 1 for s in rng.choice(N, size=m, replace=False)))
+            grouped = amplitude_f(k, sites)
+            for route in ("ryser", "direct"):
+                assert abs(grouped - amplitude_f(k, sites, force=route)) <= 1e-10 * math.factorial(m)
+
+    @pytest.mark.parametrize("m", [7, 8, 9])
+    def test_grouped_route_is_expanded_route_for_distinct_indices(self, m):
+        rng = np.random.default_rng(43 * m)
+        N = 12
+        idx = tuple(int(x) for x in rng.choice(N, size=m, replace=False))
+        sites = _combination_array(N, m, math.comb(N, m))
+        assert np.array_equal(_phase_permanents(idx, N, sites), _phase_permanents(idx, N, sites, force="ryser"))
+        k = MomentumVector(N, idx)
+        assert amplitude_f(k, tuple(sites[7])) == amplitude_f(k, tuple(sites[7]), force="ryser")
+
+    @pytest.mark.parametrize("N, idx, sites, re, im", FORCED_RYSER_PINS)
+    def test_forced_ryser_keeps_its_bits(self, N, idx, sites, re, im):
+        got = amplitude_f(MomentumVector(N, idx), sites, force="ryser")
+        assert got == complex(float.fromhex(re), float.fromhex(im))
+
+    @pytest.mark.parametrize("m", [8, 14, 20])
+    def test_single_mode_at_the_ceiling(self, m):
+        # m + 1 grouped terms; the alternating sum cancels terms of size
+        # C(m, x) x^m down to m!, so the bound scales with their total
+        N, j = 23, 5
+        rng = np.random.default_rng(m)
+        sites = tuple(sorted(int(s) + 1 for s in rng.choice(N, size=m, replace=False)))
+        got = amplitude_f(MomentumVector.constant(N, j, m), sites)
+        want = math.factorial(m) * np.exp(2j * math.pi * (j * sum(sites) % N) / N)
+        scale = sum(math.comb(m, x) * float(x) ** m for x in range(m + 1))
+        assert abs(got - want) <= gamma(m * (m + 1)) * scale
+
+    def test_unknown_route_rejected(self):
+        k = MomentumVector(8, (1, 2, 3))
+        for route in ("glynn", "", "Ryser"):
+            with pytest.raises(DomainError):
+                amplitude_f(k, (1, 2, 3), force=route)
+
     def test_sitelist_must_match_mode_count(self):
         with pytest.raises(DomainError):
             amplitude_f(MomentumVector(6, (1, 2)), (1,))
@@ -142,6 +208,29 @@ class TestAmplitude:
         k = MomentumVector(64, tuple(range(21)))
         with pytest.raises(InfeasibilityError):
             amplitude_f(k, tuple(range(1, 22)))
+
+
+@pytest.mark.parametrize("counts", [[1], [1] * 6, [3], [2, 1, 3], [1, 4, 2, 1], [5, 5], [20]])
+def test_gray_steps_visit_each_count_vector_once(counts):
+    x = [0] * len(counts)
+    seen = {tuple(x)}
+    total = 1
+    for j, delta, weight in _gray_steps(counts):
+        assert delta in (1, -1)
+        x[j] += delta
+        assert 0 <= x[j] <= counts[j]
+        assert tuple(x) not in seen
+        seen.add(tuple(x))
+        assert weight == math.prod(math.comb(c, v) for c, v in zip(counts, x))
+        total += weight
+    assert len(seen) == math.prod(c + 1 for c in counts)
+    assert total == 2 ** sum(counts)
+
+
+def test_gray_steps_with_unit_counts_is_the_reflected_binary_code():
+    m = 7
+    steps = [j for j, _, _ in _gray_steps([1] * m)]
+    assert steps == [(s & -s).bit_length() - 1 for s in range(1, 1 << m)]
 
 
 class TestBuildState:
