@@ -13,12 +13,13 @@ treated as exact zeros inside x ln x.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .combinat import binomial, hypergeometric_pmf, log_binomial, admissible_q
-from .errors import DomainError
+from .errors import DomainError, InfeasibilityError
 from .reduced_density import BlockDensityMatrix, eigenvalues_hermitian
 
 __all__ = [
@@ -129,6 +130,8 @@ def averaged_coherence_single_mode(N: int, n: int, m: int, k: float, measure: st
 
     The wavenumber k only rotates phases inside each sector and drops
     out of every measure; it is accepted to mirror the direct route.
+    The l1 average raises InfeasibilityError once some C(n, q) leaves
+    the float range.
     """
     del k
     if measure not in ("r", "l1", "ln"):
@@ -137,7 +140,13 @@ def averaged_coherence_single_mode(N: int, n: int, m: int, k: float, measure: st
     for q in admissible_q(N, n, m):
         p = hypergeometric_pmf(N, n, m, q)
         if measure == "l1":
-            total += p * (float(binomial(n, q)) - 1.0)
+            try:
+                dim = float(binomial(n, q))
+            except OverflowError:
+                raise InfeasibilityError(
+                    f"C({n}, {q}) exceeds the float range (max {sys.float_info.max:.6g}), so the l1 average is not representable"
+                ) from None
+            total += p * (dim - 1.0)
         else:
             total += p * log_binomial(n, q)
     return total

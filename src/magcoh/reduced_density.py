@@ -81,13 +81,16 @@ class BlockDensityMatrix:
     q-flip site lists of the subsystem, stored in ``labels[q]``.  For
     operators obtained from the dense oracle, ``off_block_residual``
     records the largest matrix element found between different flip
-    sectors (structurally zero for magnon states).
+    sectors (structurally zero for magnon states).  A constructor that
+    knows a sector's eigenvalues in closed form hands them over in
+    ``spectra[q]``; every other sector is diagonalised when asked.
     """
 
     n: int
     blocks: dict[int, np.ndarray]
     labels: dict[int, list[SiteList]] = field(repr=False)
     off_block_residual: float | None = None
+    spectra: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
     @property
     def q_values(self) -> tuple[int, ...]:
@@ -108,9 +111,15 @@ class BlockDensityMatrix:
         """Populations in the canonical basis, blocks in ascending q."""
         return np.concatenate([np.diag(self.blocks[q]).real for q in self.q_values])
 
+    def block_spectrum(self, q: int) -> np.ndarray:
+        """Eigenvalues of sector q, ascending: the supplied closed form,
+        else a fresh ``eigvalsh`` of the dense block."""
+        supplied = self.spectra.get(q)
+        return np.linalg.eigvalsh(self.blocks[q]) if supplied is None else supplied
+
     def spectrum(self) -> np.ndarray:
         """All eigenvalues across blocks, sorted descending."""
-        parts = [np.linalg.eigvalsh(self.blocks[q]) for q in self.q_values]
+        parts = [self.block_spectrum(q) for q in self.q_values]
         return np.sort(np.concatenate(parts))[::-1]
 
     def purity(self) -> float:
@@ -133,7 +142,7 @@ class BlockDensityMatrix:
             if herm > hermiticity_tol:
                 raise InternalConsistencyError(f"block q={q} departs from Hermiticity by {herm:.3e}")
             if b.size:
-                lowest = float(np.linalg.eigvalsh(b).min())
+                lowest = float(self.block_spectrum(q).min())
                 if lowest < eigenvalue_floor:
                     raise InternalConsistencyError(f"block q={q} has eigenvalue {lowest:.3e} below the floor")
         off = abs(self.total_trace() - 1.0)
@@ -183,12 +192,14 @@ def reduce_single_mode(N: int, n: int, m: int, k: float, budget: int | None = No
     Each admissible sector is the pure equal-weight phase state on q
     flips, carrying the hypergeometric weight; no amplitude table is
     ever built, so this route scales to chains far beyond the general
-    one.
+    one.  Being rank one, a sector of dimension d has the spectrum
+    (0, ..., 0, trace), which is supplied rather than diagonalised.
     """
     budget = AMPLITUDE_BUDGET if budget is None else budget
     sector = admissible_q(N, n, m)
     blocks: dict[int, np.ndarray] = {}
     labels: dict[int, list[SiteList]] = {}
+    spectra: dict[int, np.ndarray] = {}
     for q in sector:
         dim = math.comb(n, q)
         if dim * dim > budget:
@@ -198,7 +209,9 @@ def reduce_single_mode(N: int, n: int, m: int, k: float, budget: int | None = No
         phases = np.exp(1j * k * sums)
         blocks[q] = (hypergeometric_pmf(N, n, m, q) / dim) * np.outer(phases, phases.conj())
         labels[q] = members
-    return BlockDensityMatrix(n, blocks, labels).validate()
+        spectra[q] = np.zeros(dim)
+        spectra[q][-1] = np.trace(blocks[q]).real
+    return BlockDensityMatrix(n, blocks, labels, spectra=spectra).validate()
 
 
 def pure_density(state: AmplitudeTable, budget: int | None = None) -> BlockDensityMatrix:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinat import admissible_q, binary_entropy, hypergeometric_pmf, log_binomial
+from .combinat import admissible_q, binary_entropy, sector_law
 from .errors import DivergenceError, DomainError
 
 __all__ = [
@@ -140,13 +140,6 @@ def heat_capacity(beta: float, epsilon0: float) -> float:
     return x * x * e / (r * r)
 
 
-def _scaled_heat_capacity(x: float) -> float:
-    # heat_capacity at eps0 = 1, used so the peak search is scale-free
-    e = math.exp(-abs(x))
-    r = 1.0 + e
-    return x * x * e / (r * r)
-
-
 def schottky_peak(epsilon0: float) -> tuple[float, float]:
     """Locate the heat-capacity maximum; returns (beta_peak, peak_value).
 
@@ -158,18 +151,18 @@ def schottky_peak(epsilon0: float) -> tuple[float, float]:
     a, b = 0.5, 8.0
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    gc, gd = _scaled_heat_capacity(c), _scaled_heat_capacity(d)
+    gc, gd = heat_capacity(c, 1.0), heat_capacity(d, 1.0)
     while b - a > 1e-10:
         if gc > gd:
             b, d, gd = d, c, gc
             c = b - _GOLDEN * (b - a)
-            gc = _scaled_heat_capacity(c)
+            gc = heat_capacity(c, 1.0)
         else:
             a, c, gc = c, d, gd
             d = a + _GOLDEN * (b - a)
-            gd = _scaled_heat_capacity(d)
+            gd = heat_capacity(d, 1.0)
     x = 0.5 * (a + b)
-    return x / epsilon0, _scaled_heat_capacity(x)
+    return x / epsilon0, heat_capacity(x, 1.0)
 
 
 def finite_size_coherence_density(N: int, n: int, m: int) -> float:
@@ -178,24 +171,14 @@ def finite_size_coherence_density(N: int, n: int, m: int) -> float:
     Averages ln C(n, q) over the sector law and divides by n; converges
     to the binary entropy s(m / N) as the chain grows at fixed filling.
     """
-    total = 0.0
-    for q in admissible_q(N, n, m):
-        p = hypergeometric_pmf(N, n, m, q)
-        if p > 0.0:
-            total += p * log_binomial(n, q)
-    return total / n
+    law = sector_law(N, n, m)
+    return float(law.p @ law.log_dim) / n
 
 
 def _sector_entropies(N: int, n: int, m: int) -> tuple[float, float]:
     # (block entropy, block coherence) of the single-mode reduction
-    entropy = 0.0
-    avg_log = 0.0
-    for q in admissible_q(N, n, m):
-        p = hypergeometric_pmf(N, n, m, q)
-        if p > 0.0:
-            entropy -= p * math.log(p)
-            avg_log += p * log_binomial(n, q)
-    return entropy, avg_log
+    law = sector_law(N, n, m)
+    return -float(law.p @ law.log_p), float(law.p @ law.log_dim)
 
 
 def beta_decomposition(N: int, n: int, m: int, epsilon0: float, dm: int = 1) -> BetaDecomposition:

@@ -5,6 +5,7 @@ import pytest
 
 from magcoh import (
     DomainError,
+    InfeasibilityError,
     MagnonStateSpec,
     MomentumVector,
     NullStateError,
@@ -206,6 +207,14 @@ class TestAveragedClosedForm:
     def test_measure_name_checked(self):
         with pytest.raises(DomainError):
             averaged_coherence_single_mode(8, 3, 2, 0.0, "l2")
+
+    def test_l1_average_beyond_the_float_range_is_infeasible(self):
+        # C(1200, 600) ~ 1e359 has no float; the entropic averages stay finite
+        with pytest.raises(InfeasibilityError, match="float range") as err:
+            averaged_coherence_single_mode(3000, 1200, 600, 0.4, "l1")
+        assert err.value.exit_code == 3
+        for measure in ("r", "ln"):
+            assert math.isfinite(averaged_coherence_single_mode(3000, 1200, 600, 0.4, measure))
 
 
 class TestReport:

@@ -1,10 +1,16 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+import error_model as model
 from magcoh import (
     DomainError,
+    InfeasibilityError,
     admissible_q,
     binary_entropy,
     binomial,
@@ -12,6 +18,7 @@ from magcoh import (
     hypergeometric_pmf,
     log_binomial,
     rank_combination,
+    sector_law,
     unrank_combination,
 )
 
@@ -165,6 +172,61 @@ class TestHypergeometric:
             hypergeometric_pmf(4, 2, 2, 3)
         with pytest.raises(DomainError):
             hypergeometric_pmf(10, 2, 9, 0)
+
+
+class TestSectorLaw:
+    @pytest.mark.parametrize("N,n,m", [(1000, 500, 300), (100_000, 50_000, 31_259)])
+    def test_matches_exact_integers_around_the_mode_and_in_the_tails(self, N, n, m):
+        law = sector_law(N, n, m)
+        rel_p, abs_log_p, abs_log_dim = model.sector_law_bounds(N, n, m, law)
+        a = model.anchor(N, n, m)
+        last = len(law.q) - 1
+        picks = {0, last, *(min(max(a + d, 0), last) for d in (-400, -120, -30, -4, 0, 3, 25, 110, 380))}
+        for i in sorted(picks):
+            q = int(law.q[i])
+            count, total = math.comb(N - n, m - q) * math.comb(n, q), math.comb(N, m)
+            exact = count / total
+            # the oracle is correctly rounded, so it adds u on its side
+            assert abs(law.p[i] - exact) <= (rel_p[i] + model.U) * exact, q
+            if exact >= sys.float_info.min:
+                log_exact, oracle = math.log(exact), 2.0 * model.U * (1.0 + abs(math.log(exact)))
+            else:
+                # tail below the normal range: ln p from the two integers, each log within 2 ulps
+                log_count, log_total = math.log(count), math.log(total)
+                log_exact, oracle = log_count - log_total, 2.0 * model.U * (1.0 + log_count + log_total)
+            assert abs(law.log_p[i] - log_exact) <= abs_log_p[i] + oracle, q
+            log_dim = math.log(math.comb(n, q))
+            assert abs(law.log_dim[i] - log_dim) <= abs_log_dim[i] + 2.0 * model.U * log_dim, q
+
+    @seed(1401)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.integers(1, 80).flatmap(lambda N: st.tuples(st.just(N), st.integers(1, N), st.integers(0, N))))
+    def test_matches_fractions_on_small_chains(self, triple):
+        N, n, m = triple
+        law = sector_law(N, n, m)
+        assert list(law.q) == list(admissible_q(N, n, m))
+        rel_p, abs_log_p, abs_log_dim = model.sector_law_bounds(N, n, m, law)
+        total = math.comb(N, m)
+        for i, q in enumerate(law.q.tolist()):
+            exact = Fraction(math.comb(N - n, m - q) * math.comb(n, q), total)
+            assert abs(Fraction(law.p[i]) - exact) <= Fraction(rel_p[i]) * exact
+            log_exact = math.log(float(exact))
+            assert abs(law.log_p[i] - log_exact) <= abs_log_p[i] + 2.0 * model.U * (1.0 + abs(log_exact))
+            log_dim = math.log(math.comb(n, q))
+            assert abs(law.log_dim[i] - log_dim) <= abs_log_dim[i] + 2.0 * model.U * log_dim
+        assert abs(math.fsum(law.p) - 1.0) <= float(law.p @ rel_p)
+
+    def test_single_sector(self):
+        law = sector_law(10, 10, 4)
+        assert law.q.tolist() == [4]
+        assert law.p.tolist() == [1.0] and law.log_p.tolist() == [0.0]
+        assert law.log_dim.tolist() == [math.log(210)]
+
+    def test_domain_and_ceiling(self):
+        with pytest.raises(DomainError):
+            sector_law(4, 2, 5)
+        with pytest.raises(InfeasibilityError, match="2\\^63"):
+            sector_law(2 ** 32, 3, 2)
 
 
 class TestBinaryEntropy:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from error_model import gamma
 from magcoh import (
     BlockDensityMatrix,
     DomainError,
@@ -18,6 +19,7 @@ from magcoh import (
     enumerate_combinations,
     hypergeometric_pmf,
     admissible_q,
+    coherence_report,
     oracle_partial_trace,
     pure_density,
     reduce,
@@ -157,6 +159,40 @@ class TestSingleModeClosedForm:
         for q, w in weights.items():
             assert abs(w - hypergeometric_pmf(N, n, m, q)) < 1e-10
 
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_supplied_spectra_match_the_dense_eigensolve(self, n):
+        # eigvalsh is backward stable: by Weyl each eigenvalue moves by at
+        # most gamma(4d) ||B|| <= gamma(4d) w.  The stored block is within
+        # gamma(d + 8) w of the exact rank-one operator whose spectrum
+        # (0, ..., 0, trace) is supplied: phase products and the weight
+        # scaling round each entry, and the trace sums d of them.
+        reduced = reduce_single_mode(2 * n + 1, n, n, 0.9)
+        for q in reduced.q_values:
+            d, w = reduced.blocks[q].shape[0], reduced.block_weights[q]
+            supplied = reduced.block_spectrum(q)
+            assert supplied.tolist() == [0.0] * (d - 1) + [w]
+            dense = np.linalg.eigvalsh(reduced.blocks[q])
+            assert np.abs(supplied - dense).max() <= (gamma(4 * d) + gamma(d + 8)) * w
+
+    def test_no_eigensolve_on_the_closed_form_route(self, monkeypatch):
+        reduced = reduce_single_mode(20, 8, 9, 0.3)
+        dense = coherence_report(BlockDensityMatrix(reduced.n, reduced.blocks, reduced.labels))
+
+        def refuse(a):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        closed = coherence_report(reduce_single_mode(20, 8, 9, 0.3))
+        assert closed.c_l1 == dense.c_l1
+        # with the Weyl bound delta of the test above, -x ln x moves by at most
+        # (|ln w| + 1) delta at the top eigenvalue and delta |ln delta| at each zero
+        tol = 0.0
+        for q in reduced.q_values:
+            d, w = reduced.blocks[q].shape[0], reduced.block_weights[q]
+            delta = (gamma(4 * d) + gamma(d + 8)) * w
+            tol += (abs(math.log(w)) + 1.0) * delta + (d - 1) * delta * abs(math.log(delta))
+        assert abs(closed.c_r - dense.c_r) <= tol
+
     def test_empty_band(self):
         reduced = reduce_single_mode(6, 3, 0, 0.7)
         assert reduced.q_values == (0,)
@@ -227,6 +263,17 @@ class TestBlockDensityMatrix:
         blocks = {1: np.array([[0.9, 0.8], [0.8, 0.1]], dtype=complex)}
         with pytest.raises(InternalConsistencyError):
             BlockDensityMatrix(2, blocks, labels).validate()
+
+    def test_supplied_spectra_are_checked_and_used(self):
+        labels = {1: enumerate_combinations(2, 1)}
+        skewed = {1: np.array([[0.5, 0.5], [0.1, 0.5]], dtype=complex)}
+        with pytest.raises(InternalConsistencyError, match="Hermiticity"):
+            BlockDensityMatrix(2, skewed, labels, spectra={1: np.array([0.0, 1.0])}).validate()
+        flat = {1: np.full((2, 2), 0.5, dtype=complex)}
+        with pytest.raises(InternalConsistencyError, match="below the floor"):
+            BlockDensityMatrix(2, flat, labels, spectra={1: np.array([-0.5, 1.5])}).validate()
+        rho = BlockDensityMatrix(2, flat, labels, spectra={1: np.array([0.0, 1.0])}).validate()
+        assert rho.spectrum().tolist() == [1.0, 0.0]
 
 
 class TestEigenvaluesHermitian:

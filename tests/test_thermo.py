@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import error_model as model
+from magcoh import thermo
 from magcoh import (
     DivergenceError,
     DomainError,
@@ -17,6 +19,7 @@ from magcoh import (
     hypergeometric_pmf,
     internal_energy,
     schottky_peak,
+    sector_law,
     sweep,
 )
 
@@ -168,6 +171,49 @@ class TestFiniteSizeDensity:
         a = abs(finite_size_coherence_density(40, 16, 6) - limit)
         b = abs(finite_size_coherence_density(80, 32, 12) - limit)
         assert b < a
+
+
+class TestSectorSumsAgainstExactIntegers:
+    """The sector-law dot products at N = 1e5 against fsum over exact p.
+
+    Each tolerance is the sector-law error model propagated through a
+    p-weighted sum of Q nonnegative terms (one dot product, gamma(Q)),
+    plus the oracle's own rounding: correctly rounded p and logs within
+    2 ulps, summed exactly by fsum.
+    """
+
+    N, n, m = 100_000, 50_000, 31_259
+
+    @pytest.fixture(scope="class")
+    def exact(self):
+        return model.exact_law(self.N, self.n, self.m)
+
+    @pytest.fixture(scope="class")
+    def bounds(self):
+        law = sector_law(self.N, self.n, self.m)
+        return law, model.sector_law_bounds(self.N, self.n, self.m, law)
+
+    def test_finite_size_density(self, exact, bounds):
+        p, _, log_dim = exact
+        law, (rel_p, _, abs_log_dim) = bounds
+        avg_log = math.fsum(p * log_dim)
+        # one more rounding for the division by n, 4u for the oracle
+        tol = (float(law.p @ (rel_p * law.log_dim + abs_log_dim)) + (model.gamma(len(p)) + 5.0 * model.U) * avg_log) / self.n
+        got = finite_size_coherence_density(self.N, self.n, self.m)
+        assert abs(got - avg_log / self.n) <= tol
+
+    def test_block_entropy_and_coherence(self, exact, bounds):
+        p, log_p, log_dim = exact
+        law, (rel_p, abs_log_p, abs_log_dim) = bounds
+        entropy, avg_log = -math.fsum(p * log_p), math.fsum(p * log_dim)
+        got_entropy, got_avg_log = thermo._sector_entropies(self.N, self.n, self.m)
+        Q = len(p)
+        tol_entropy = float(law.p @ (rel_p * np.abs(law.log_p) + abs_log_p)) + model.gamma(Q) * entropy
+        tol_entropy += 3.0 * model.U * (entropy + 1.0)
+        tol_avg_log = float(law.p @ (rel_p * law.log_dim + abs_log_dim)) + model.gamma(Q) * avg_log
+        tol_avg_log += 4.0 * model.U * avg_log
+        assert abs(got_entropy - entropy) <= tol_entropy
+        assert abs(got_avg_log - avg_log) <= tol_avg_log
 
 
 class TestBetaDecomposition:
