@@ -135,16 +135,18 @@ def enumerate_combinations(n: int, m: int) -> list[SiteList]:
 
 
 def rank_combination(sites, n: int) -> int:
-    """Zero-based lexicographic rank of a site list among C(n, m) peers."""
+    """Zero-based lexicographic rank of a site list among C(n, m) peers.
+
+    Counts the lists that come after t = (s_1, ..., s_m) rather than
+    those before it: a later list first differs at some slot i with a
+    larger entry, and its entries from slot i on are any (m - i + 1)-subset
+    of {s_i + 1, ..., n}.  So rank = C(n, m) - 1 - sum_i C(n - s_i,
+    m - i + 1), in exact integers: O(m), at m + 1 ``math.comb`` calls
+    whatever the site values.
+    """
     t = validate_sitelist(sites, n)
     m = len(t)
-    rank = 0
-    prev = 0
-    for i, s in enumerate(t, start=1):
-        for c in range(prev + 1, s):
-            rank += math.comb(n - c, m - i)
-        prev = s
-    return rank
+    return math.comb(n, m) - 1 - sum(math.comb(n - s, m - i) for i, s in enumerate(t))
 
 
 def unrank_combination(rank: int, n: int, m: int) -> SiteList:

@@ -232,7 +232,9 @@ def _phase_permanents(indices, N: int, sites: np.ndarray, force: str | None = No
     """Permanent of [exp(2 pi i idx_a s_b / N)] for every row of site lists.
 
     Phases are reduced modulo N in integer arithmetic before
-    exponentiation, so the result does not degrade on long chains.
+    exponentiation, so the result does not degrade on long chains; the
+    direct route gathers them from a table of the N roots of unity,
+    bit for bit the exponentials it would otherwise evaluate per term.
     Left alone, small m uses the permutation sum and larger m Ryser's
     inclusion-exclusion over copy counts of the distinct indices.
     ``force`` pins the route for cross-checks: "direct" is the
@@ -252,10 +254,12 @@ def _phase_permanents(indices, N: int, sites: np.ndarray, force: str | None = No
     unit = 2j * np.pi / N
     if method == "direct":
         kperm = idx[np.array(list(permutations(range(m))), dtype=np.int64)]
+        # every reduced exponent is one of N values: exponentiate those once
+        roots = np.exp(unit * np.arange(N))
         for lo in range(0, rows, _CHUNK_ROWS):
             chunk = sites[lo:lo + _CHUNK_ROWS]
             dots = (chunk @ kperm.T) % N
-            out[lo:lo + len(chunk)] = np.exp(unit * dots).sum(axis=1)
+            out[lo:lo + len(chunk)] = roots[dots].sum(axis=1)
         return out
     if force is None:
         # first-seen order, so distinct indices walk the expanded route's steps

@@ -83,7 +83,11 @@ class BlockDensityMatrix:
     records the largest matrix element found between different flip
     sectors (structurally zero for magnon states).  A constructor that
     knows a sector's eigenvalues in closed form hands them over in
-    ``spectra[q]``; every other sector is diagonalised when asked.
+    ``spectra[q]``; every other sector is diagonalised when asked.  A
+    constructor that builds a sector as a Gram matrix may hand over its
+    factor: ``factors[q]`` is the db x da matrix V with
+    ``blocks[q] = V.T @ V.conj()``, which ``validate`` uses to check
+    positivity from the smaller side.
     """
 
     n: int
@@ -91,6 +95,7 @@ class BlockDensityMatrix:
     labels: dict[int, list[SiteList]] = field(repr=False)
     off_block_residual: float | None = None
     spectra: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    factors: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
     @property
     def q_values(self) -> tuple[int, ...]:
@@ -125,13 +130,28 @@ class BlockDensityMatrix:
     def purity(self) -> float:
         return sum(float(np.vdot(b, b).real) for b in self.blocks.values())
 
+    def _lowest_eigenvalue(self, q: int) -> float:
+        v = self.factors.get(q)
+        if q not in self.spectra and v is not None and v.shape[0] < v.shape[1]:
+            return min(0.0, float(np.linalg.eigvalsh(v @ v.conj().T).min()))
+        return float(self.block_spectrum(q).min())
+
     def validate(
         self,
         trace_tol: float = 1e-10,
         hermiticity_tol: float = 1e-12,
         eigenvalue_floor: float = -1e-10,
     ) -> "BlockDensityMatrix":
-        """Check Hermiticity, positivity and unit trace; returns self."""
+        """Check Hermiticity, positivity and unit trace; returns self.
+
+        Hermiticity and trace are read off the dense blocks.  The lowest
+        eigenvalue of a sector comes from its supplied spectrum if there
+        is one.  Failing that, a Gram factor V with fewer rows than
+        columns gives it as min(0, lowest eigenvalue of V V^H): by the
+        Schmidt decomposition V V^H carries the block's nonzero spectrum,
+        and the block has da - db zeros besides.  Otherwise the dense
+        block is diagonalised.
+        """
         for q in self.q_values:
             b = self.blocks[q]
             if b.ndim != 2 or b.shape[0] != b.shape[1]:
@@ -142,7 +162,7 @@ class BlockDensityMatrix:
             if herm > hermiticity_tol:
                 raise InternalConsistencyError(f"block q={q} departs from Hermiticity by {herm:.3e}")
             if b.size:
-                lowest = float(self.block_spectrum(q).min())
+                lowest = self._lowest_eigenvalue(q)
                 if lowest < eigenvalue_floor:
                     raise InternalConsistencyError(f"block q={q} has eigenvalue {lowest:.3e} below the floor")
         off = abs(self.total_trace() - 1.0)
@@ -155,9 +175,13 @@ def reduce(state: AmplitudeTable, sub: SubsystemSpec, budget: int | None = None)
     """Reduced density operator of a subsystem, by direct coefficient sums.
 
     Groups the state amplitudes as a (complement rank) x (subsystem
-    rank) matrix per flip sector q; each block is then the Gram matrix
-    of the columns, which keeps the cost at one pass over the table
-    plus one small matrix product per sector.
+    rank) matrix V per flip sector q; each block is then the Gram matrix
+    V^T conj(V) of the columns, which keeps the cost at one pass over the
+    table plus one small matrix product per sector.  Each site list is
+    split through 0-filled position tables and both halves are ranked
+    by ``rank_combination`` at O(m) each.  The factors V go along with
+    the blocks, so ``validate`` checks positivity on the smaller side of
+    each sector (the complement side whenever db < da).
     """
     budget = AMPLITUDE_BUDGET if budget is None else budget
     N, m = state.N, state.m
@@ -173,17 +197,21 @@ def reduce(state: AmplitudeTable, sub: SubsystemSpec, budget: int | None = None)
         if max(da * da, da * db) > budget:
             raise InfeasibilityError(f"sector q={q} needs a {db} x {da} buffer, budget is {budget}")
 
-    pos_a = {s: i + 1 for i, s in enumerate(sub.sites)}
-    pos_b = {s: i + 1 for i, s in enumerate(sub.complement)}
+    # 1-based position of each chain site within its side, 0 on the other
+    pos_a, pos_b = [0] * (N + 1), [0] * (N + 1)
+    for i, s in enumerate(sub.sites, 1):
+        pos_a[s] = i
+    for i, s in enumerate(sub.complement, 1):
+        pos_b[s] = i
     buffers = {q: np.zeros((math.comb(nb, m - q), math.comb(n, q)), dtype=np.complex128) for q in sector}
     for rank_full, l in enumerate(enumerate_combinations(N, m)):
-        inside = tuple(pos_a[s] for s in l if s in pos_a)
-        outside = tuple(pos_b[s] for s in l if s not in pos_a)
+        inside = tuple(filter(None, map(pos_a.__getitem__, l)))
+        outside = tuple(filter(None, map(pos_b.__getitem__, l)))
         buffers[len(inside)][rank_combination(outside, nb), rank_combination(inside, n)] = state.amplitudes[rank_full]
 
     blocks = {q: v.T @ v.conj() for q, v in buffers.items()}
     labels = {q: enumerate_combinations(n, q) for q in sector}
-    return BlockDensityMatrix(n, blocks, labels).validate()
+    return BlockDensityMatrix(n, blocks, labels, factors=buffers).validate()
 
 
 def reduce_single_mode(N: int, n: int, m: int, k: float, budget: int | None = None) -> BlockDensityMatrix:

@@ -23,6 +23,16 @@ from magcoh import (
 )
 
 
+def per_slot_rank(sites, n):
+    """Exact-integer oracle: count the lists before sites, slot by slot."""
+    m, rank, prev = len(sites), 0, 0
+    for i, s in enumerate(sites, start=1):
+        for c in range(prev + 1, s):
+            rank += math.comb(n - c, m - i)
+        prev = s
+    return rank
+
+
 class TestBinomial:
     @pytest.mark.parametrize("n,k,value", [(0, 0, 1), (4, 2, 6), (6, 0, 1), (6, 6, 1), (10, 3, 120)])
     def test_small_exact(self, n, k, value):
@@ -88,6 +98,22 @@ class TestCombinations:
                 assert rank_combination(l, n) == r
                 assert unrank_combination(r, n, m) == l
 
+    def test_rank_unrank_round_trip_is_exhaustive_to_twelve_sites(self):
+        for n in range(13):
+            for m in range(n + 1):
+                for r, l in enumerate(enumerate_combinations(n, m)):
+                    assert rank_combination(l, n) == r
+                    assert unrank_combination(r, n, m) == l
+
+    @seed(2207)
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(st.integers(0, 60).flatmap(lambda n: st.tuples(st.just(n), st.sets(st.integers(1, n), max_size=n) if n else st.just(set()))))
+    def test_rank_matches_the_per_slot_count(self, case):
+        n, chosen = case
+        sites = tuple(sorted(chosen))
+        assert rank_combination(sites, n) == per_slot_rank(sites, n)
+        assert unrank_combination(per_slot_rank(sites, n), n, len(sites)) == sites
+
     def test_bad_sitelists_rejected(self):
         with pytest.raises(DomainError):
             rank_combination((2, 2), 5)
@@ -97,6 +123,8 @@ class TestCombinations:
             rank_combination((0, 1), 5)
         with pytest.raises(DomainError):
             rank_combination((1, 6), 5)
+        with pytest.raises(DomainError):
+            rank_combination((1, 2.5), 5)
 
     def test_unrank_domain(self):
         with pytest.raises(DomainError):

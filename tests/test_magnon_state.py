@@ -37,6 +37,15 @@ FORCED_RYSER_PINS = [
     (12, (6, 6, 6, 1, 1, 0, 0, 9, 9, 9), (1, 2, 3, 4, 6, 7, 8, 9, 11, 12), "0x1.0cb529158de74p+10", "-0x1.0cb529158dce2p+10"),
 ]
 
+# Forced direct amplitudes (N, k, sites, re, im) of the permutation sum;
+# the root-table gather must reproduce the per-term exponentials bit for bit.
+FORCED_DIRECT_PINS = [
+    (11, (1, 4, 9), (2, 5, 10), "-0x1.59c97795bb2cfp-2", "-0x1.9620fde4b0498p-4"),
+    (13, (0, 2, 2, 7, 11), (1, 3, 4, 9, 12), "0x1.e4bbacee243b8p-1", "-0x1.c147c1ef493d8p-1"),
+    (16, (3, 5, 6, 8, 13, 15), (2, 3, 7, 11, 13, 16), "0x1.555ea869383a4p+4", "-0x1.e6ce3b9cfb2b2p+3"),
+    (12, (1, 1, 2, 5, 5, 9, 9), (1, 3, 4, 6, 8, 10, 11), "-0x1.2000000000048p+5", "-0x1.f2d4a45635640p+5"),
+]
+
 
 def gamma(T):
     """Higham's gamma_T = T u / (1 - T u), u the float64 unit roundoff."""
@@ -181,6 +190,23 @@ class TestAmplitude:
     def test_forced_ryser_keeps_its_bits(self, N, idx, sites, re, im):
         got = amplitude_f(MomentumVector(N, idx), sites, force="ryser")
         assert got == complex(float.fromhex(re), float.fromhex(im))
+
+    @pytest.mark.parametrize("N, idx, sites, re, im", FORCED_DIRECT_PINS)
+    def test_forced_direct_keeps_its_bits(self, N, idx, sites, re, im):
+        got = amplitude_f(MomentumVector(N, idx), sites, force="direct")
+        assert got == complex(float.fromhex(re), float.fromhex(im))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+    def test_direct_route_phases_are_the_per_term_exponentials(self, m):
+        # repeated and distinct indices alike; at m = 5 the table spans two row chunks
+        rng = np.random.default_rng(500 + m)
+        N = {1: 13, 2: 13, 3: 13, 4: 16, 5: 18, 6: 12}[m]
+        sites = _combination_array(N, m, math.comb(N, m))
+        for idx in (tuple(int(x) for x in rng.integers(0, N, size=m)), tuple(range(1, m + 1))):
+            kperm = np.array(idx, dtype=np.int64)[np.array(list(permutations(range(m))), dtype=np.int64)]
+            want = np.exp(2j * np.pi / N * ((sites @ kperm.T) % N)).sum(axis=1)
+            assert np.array_equal(_phase_permanents(idx, N, sites), want)
+            assert np.array_equal(_phase_permanents(idx, N, sites, force="direct"), want)
 
     @pytest.mark.parametrize("m", [8, 14, 20])
     def test_single_mode_at_the_ceiling(self, m):

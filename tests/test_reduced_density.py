@@ -1,7 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from error_model import gamma
 from magcoh import (
@@ -25,6 +28,7 @@ from magcoh import (
     reduce,
     reduce_single_mode,
 )
+from magcoh.magnon_state import _DIRECT_PERMANENT_LIMIT, NULL_STATE_THRESHOLD, _combination_array, _phase_permanents
 
 
 def random_state(rng, N, m):
@@ -128,6 +132,145 @@ class TestReduce:
         st = build_state(MagnonStateSpec(12, 3, MomentumVector.constant(12, 1, 3)))
         with pytest.raises(InfeasibilityError):
             reduce(st, SubsystemSpec.prefix(12, 6), budget=10)
+
+
+def gram_factor_bound(rows: int, cols: int, w: float) -> float:
+    """How far the two sides' lowest eigenvalues can drift apart.
+
+    Exactly, a wide Gram factor V (rows < cols) makes B = V^T conj(V)
+    singular and V V^H semidefinite, so both routes read 0.  Each
+    computed product is a complex inner product of length L (rows for
+    B, cols for V V^H), within gamma(L + 2) |V|^T |V| entrywise, hence
+    within gamma(L + 2) ||V||_F^2 = gamma(L + 2) w in 2-norm; by Weyl
+    and the backward stability of eigvalsh, the solve of a d x d
+    product adds gamma(4d) times its norm, at most w.
+    """
+    return (gamma(rows + 2) + gamma(4 * cols) + gamma(cols + 2) + gamma(4 * rows)) * w
+
+
+class TestPositivityFromTheSmallerSide:
+    N, m, n = 24, 5, 12
+
+    @pytest.fixture(scope="class")
+    def scattered(self):
+        rng = np.random.default_rng(24)
+        state = build_state(MagnonStateSpec(self.N, self.m, MomentumVector(self.N, (1, 2, 5, 11, 17))))
+        return state, SubsystemSpec(self.N, random_sites(rng, self.N, self.n))
+
+    def test_validate_solves_only_the_smaller_side(self, scattered, monkeypatch):
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def record(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", record)
+        rho = reduce(*scattered)
+        N, m, n = self.N, self.m, self.n
+        smaller = [min(math.comb(n, q), math.comb(N - n, m - q)) for q in rho.q_values]
+        assert max(smaller) < max(math.comb(n, q) for q in rho.q_values)
+        assert sorted(shapes) == sorted((d, d) for d in smaller)
+        shapes.clear()
+        coherence_report(rho)
+        assert sorted(shapes) == sorted(rho.blocks[q].shape for q in rho.q_values)
+
+    def test_smaller_side_matches_the_dense_minimum(self, scattered):
+        rho = reduce(*scattered)
+        wide = 0
+        for q in rho.q_values:
+            v = rho.factors[q]
+            dense = float(np.linalg.eigvalsh(rho.blocks[q]).min())
+            if v.shape[0] >= v.shape[1]:
+                assert rho._lowest_eigenvalue(q) == dense
+                continue
+            wide += 1
+            rows, cols = v.shape
+            got = rho._lowest_eigenvalue(q)
+            assert got <= 0.0
+            assert abs(got - dense) <= gram_factor_bound(rows, cols, rho.block_weights[q])
+        assert wide == 3
+
+    def test_hand_built_negative_block_is_still_rejected(self):
+        labels = {1: enumerate_combinations(2, 1)}
+        negative = {1: np.array([[0.9, 0.8], [0.8, 0.1]], dtype=complex)}
+        with pytest.raises(InternalConsistencyError, match="below the floor"):
+            BlockDensityMatrix(2, negative, labels).validate()
+        # a factor with as many rows as columns leaves the dense block in charge
+        square = {1: np.eye(2, dtype=complex)}
+        with pytest.raises(InternalConsistencyError, match="below the floor"):
+            BlockDensityMatrix(2, negative, labels, factors=square).validate()
+
+    def test_supplied_spectra_take_precedence_over_factors(self):
+        labels = {1: enumerate_combinations(2, 1)}
+        v = np.array([[0.6, 0.8j]])
+        block = {1: v.T @ v.conj()}
+        assert BlockDensityMatrix(2, block, labels, factors={1: v})._lowest_eigenvalue(1) == 0.0
+        with pytest.raises(InternalConsistencyError, match="below the floor"):
+            BlockDensityMatrix(2, block, labels, spectra={1: np.array([-0.5, 1.5])}, factors={1: v}).validate()
+
+
+def permanent_steps(k) -> int:
+    """Rounded steps per amplitude on the route build_state takes.
+
+    m! unit phases and their sum on the direct route; on the
+    grouped Ryser route, per Gray step over the prod(mu_i + 1) copy-count
+    vectors, an m-fold row-sum product, a weight and an accumulation.
+    """
+    m = len(k)
+    if m <= _DIRECT_PERMANENT_LIMIT:
+        return math.factorial(m) + 1
+    return math.prod(c + 1 for c in Counter(k).values()) * (m + 2)
+
+
+@st.composite
+def route_pair_cases(draw):
+    N = draw(st.integers(2, 10))
+    m = draw(st.integers(1, N))
+    indices = st.integers(0, N - 1)
+    k = draw(st.lists(indices, min_size=m, max_size=m, unique=draw(st.booleans())))
+    sites = draw(st.sets(st.integers(1, N), min_size=1, max_size=N))
+    return N, tuple(k), tuple(sorted(sites))
+
+
+@seed(3301)
+@settings(max_examples=150, deadline=None, database=None)
+@given(route_pair_cases())
+@example((2, (0, 1), (1,)))
+@example((4, (0, 1, 2, 3), (1, 3)))
+@example((6, (0, 1, 2, 3, 4, 5), (2, 3, 5)))
+def test_reduce_matches_the_dense_oracle_on_random_specs(case):
+    # The tolerance gamma(2 T_f + C(N, m) + db) w_q per sector allots the
+    # table's rounding (T_f steps in f and again in |f|^2, C(N, m) terms
+    # in its normalisation) on top of the db-term Gram sum.  Both routes
+    # read the same table, so what they can actually differ by is their
+    # two Gram roundings, 2 gamma(db + 2) w_q (the oracle's extra terms
+    # are exact zeros); the allotment dominates that, as T_f >= 2 and
+    # C(N, m) >= db.
+    N, k, sites = case
+    m = len(k)
+    spec = MagnonStateSpec(N, m, MomentumVector(N, k))
+    sub = SubsystemSpec(N, sites)
+    try:
+        state = build_state(spec)
+    except NullStateError:
+        # the null is no artefact of one route: the expanded routes weigh it
+        # as null too (the m! permutation sum only while it stays small)
+        rows = _combination_array(N, m, math.comb(N, m))
+        for route in ("direct", "ryser") if m <= 6 else ("ryser",):
+            f = _phase_permanents(k, N, rows, force=route)
+            assert float(np.vdot(f, f).real) < NULL_STATE_THRESHOLD, route
+        return
+    got = reduce(state, sub)
+    want = oracle_partial_trace(embed_full(state), sub)
+    assert want.off_block_residual == 0.0
+    assert set(want.q_values) <= set(got.q_values) == set(admissible_q(N, sub.n, m))
+    T_f = permanent_steps(k)
+    for q in got.q_values:
+        db = math.comb(N - sub.n, m - q)
+        tol = gamma(2 * T_f + math.comb(N, m) + db) * got.block_weights[q]
+        ref = want.blocks.get(q, np.zeros_like(got.blocks[q]))
+        assert float(np.abs(got.blocks[q] - ref).max()) <= tol, q
 
 
 class TestSingleModeClosedForm:
