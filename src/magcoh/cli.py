@@ -21,7 +21,6 @@ from .magnon_state import MagnonStateSpec, MomentumVector, build_state, embed_fu
 from .reduced_density import (
     SubsystemSpec,
     oracle_partial_trace,
-    pure_density,
     reduce,
     reduce_single_mode,
 )
@@ -105,7 +104,7 @@ def _blocks_doc(reduced) -> list:
                 "q": q,
                 "dimension": block.shape[0],
                 "weight": reduced.block_weights[q],
-                "labels": [list(l) for l in reduced.labels[q]],
+                "labels": [list(l) for l in reduced.labels(q)],
                 "matrix": [_complex_pairs(row) for row in block],
             }
         )
@@ -155,13 +154,9 @@ def cmd_reduce(args) -> int:
 def cmd_coherence(args) -> int:
     spec = _spec_from_args(args)
     sub = _subsystem_from_args(args, spec.N)
-    if sub is None:
-        rho = pure_density(build_state(spec, budget=args.budget), budget=args.budget)
-        n = spec.N
-    else:
-        rho = reduce(build_state(spec, budget=args.budget), sub, budget=args.budget)
-        n = sub.n
-    report = coherence_report(rho)
+    # no subsystem: the whole chain, whose reduction is the pure projector
+    kept = sub or SubsystemSpec.prefix(spec.N, spec.N)
+    report = coherence_report(reduce(build_state(spec, budget=args.budget), kept, budget=args.budget))
     doc = {
         "spec": _spec_doc(spec),
         "subsystem": None if sub is None else {"parent_N": sub.parent_N, "sites": list(sub.sites)},
@@ -179,7 +174,7 @@ def cmd_coherence(args) -> int:
     if spec.k.is_constant():
         k_value = 2.0 * math.pi * spec.k.indices[0] / spec.N
         averages = {
-            name: averaged_coherence_single_mode(spec.N, n, spec.m, k_value, name)
+            name: averaged_coherence_single_mode(spec.N, kept.n, spec.m, k_value, name)
             for name in ("r", "l1", "ln")
         }
         doc["single_mode_averages"] = {"c_r": averages["r"], "c_l1": averages["l1"], "c_ln": averages["ln"]}

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinat import binomial, hypergeometric_pmf, log_binomial, admissible_q
+from .combinat import hypergeometric_pmf, log_binomial, admissible_q
 from .errors import DomainError, InfeasibilityError
 from .reduced_density import BlockDensityMatrix, eigenvalues_hermitian
 
@@ -85,7 +85,7 @@ def incoherent_part(rho):
     """Drop every off-diagonal element, keeping the container type."""
     if isinstance(rho, BlockDensityMatrix):
         blocks = {q: np.diag(np.diag(rho.blocks[q])) for q in rho.q_values}
-        return BlockDensityMatrix(rho.n, blocks, dict(rho.labels))
+        return BlockDensityMatrix(rho.n, blocks)
     return np.diag(np.diag(np.asarray(rho, dtype=np.complex128)))
 
 
@@ -141,7 +141,7 @@ def averaged_coherence_single_mode(N: int, n: int, m: int, k: float, measure: st
         p = hypergeometric_pmf(N, n, m, q)
         if measure == "l1":
             try:
-                dim = float(binomial(n, q))
+                dim = float(math.comb(n, q))
             except OverflowError:
                 raise InfeasibilityError(
                     f"C({n}, {q}) exceeds the float range (max {sys.float_info.max:.6g}), so the l1 average is not representable"

@@ -1,11 +1,11 @@
 """Exact and log-space combinatorics for spin-chain state counting.
 
-Binomial coefficients stay exact (arbitrary-precision integers) up to
-``EXACT_LIMIT`` and switch to log-gamma evaluation beyond, so desk-scale
-identities hold to full precision while chain lengths of order 10^3
-remain usable.  Combination sequences follow one canonical order,
-lexicographic on 1-based site indices; every matrix basis in this
-package refers back to it.
+Binomial coefficients come from ``math.comb`` as exact integers;
+``log_binomial`` takes the exact log up to ``EXACT_LIMIT`` and switches
+to log-gamma evaluation beyond, so chain lengths of order 10^3 and more
+remain usable in log space.  Combination sequences follow one canonical
+order, lexicographic on 1-based site indices; every matrix basis in
+this package refers back to it.
 
 All functions here are pure and safe for concurrent use.
 """
@@ -13,7 +13,6 @@ All functions here are pure and safe for concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations as _lex_combinations
 from typing import NamedTuple
 
@@ -24,12 +23,10 @@ from .errors import DomainError, InfeasibilityError
 __all__ = [
     "EXACT_LIMIT",
     "SiteList",
-    "BinomialValue",
-    "AdmissibleRange",
-    "binomial",
     "log_binomial",
     "validate_sitelist",
     "enumerate_combinations",
+    "combination_array",
     "rank_combination",
     "unrank_combination",
     "admissible_q",
@@ -45,67 +42,12 @@ EXACT_LIMIT = 64
 SiteList = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class BinomialValue:
-    """C(n, k) as a natural log, with the exact integer when representable."""
-
-    log_value: float
-    exact: int | None = None
-
-    def __float__(self) -> float:
-        if self.exact is not None:
-            return float(self.exact)
-        return math.exp(self.log_value)
-
-
-@dataclass(frozen=True)
-class AdmissibleRange:
-    """Inclusive range of spin-up counts a subsystem can hold."""
-
-    q_min: int
-    q_max: int
-
-    def __iter__(self):
-        return iter(range(self.q_min, self.q_max + 1))
-
-    def __contains__(self, q) -> bool:
-        return self.q_min <= q <= self.q_max
-
-    def __len__(self) -> int:
-        return self.q_max - self.q_min + 1
-
-
-def _check_binomial_args(n: int, k: int) -> None:
+def log_binomial(n: int, k: int) -> float:
+    """ln C(n, k); exact log below EXACT_LIMIT, log-gamma beyond."""
     if n < 0:
         raise DomainError(f"binomial needs n >= 0, got n={n}")
     if k < 0 or k > n:
         raise DomainError(f"binomial needs 0 <= k <= n, got n={n}, k={k}")
-
-
-def binomial(n: int, k: int) -> BinomialValue:
-    """Binomial coefficient C(n, k).
-
-    Parameters
-    ----------
-    n, k : int
-        Population and draw sizes, 0 <= k <= n.
-
-    Returns
-    -------
-    BinomialValue
-        Exact integer alongside its natural log when n <= EXACT_LIMIT,
-        log-gamma value alone beyond that.
-    """
-    _check_binomial_args(n, k)
-    if n <= EXACT_LIMIT:
-        exact = math.comb(n, k)
-        return BinomialValue(log_value=math.log(exact), exact=exact)
-    return BinomialValue(log_value=log_binomial(n, k))
-
-
-def log_binomial(n: int, k: int) -> float:
-    """ln C(n, k); exact log below EXACT_LIMIT, log-gamma beyond."""
-    _check_binomial_args(n, k)
     if n <= EXACT_LIMIT:
         return math.log(math.comb(n, k))
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
@@ -132,6 +74,15 @@ def enumerate_combinations(n: int, m: int) -> list[SiteList]:
     if n < 0 or m < 0 or m > n:
         raise DomainError(f"cannot enumerate {m}-subsets of {n} sites")
     return list(_lex_combinations(range(1, n + 1), m))
+
+
+def combination_array(n: int, m: int) -> np.ndarray:
+    """The C(n, m) site lists of ``enumerate_combinations`` as one
+    (C(n, m), m) int64 array, row r holding the list of rank r."""
+    count = math.comb(n, m)
+    if m == 0:
+        return np.zeros((count, 0), dtype=np.int64)
+    return np.fromiter(_lex_combinations(range(1, n + 1), m), dtype=np.dtype((np.int64, (m,))), count=count)
 
 
 def rank_combination(sites, n: int) -> int:
@@ -172,7 +123,7 @@ def unrank_combination(rank: int, n: int, m: int) -> SiteList:
     return tuple(sites)
 
 
-def admissible_q(N: int, n: int, m: int) -> AdmissibleRange:
+def admissible_q(N: int, n: int, m: int) -> range:
     """Range of spin-up counts an n-site block of an N-chain with m flips admits.
 
     The complement holds m - q flips, so q runs from max(0, m - (N - n))
@@ -182,7 +133,7 @@ def admissible_q(N: int, n: int, m: int) -> AdmissibleRange:
         raise DomainError(f"block size must satisfy 1 <= n <= N, got n={n}, N={N}")
     if not 0 <= m <= N:
         raise DomainError(f"flip count must satisfy 0 <= m <= N, got m={m}, N={N}")
-    return AdmissibleRange(max(0, m - (N - n)), min(n, m))
+    return range(max(0, m - (N - n)), min(n, m) + 1)
 
 
 def hypergeometric_pmf(N: int, n: int, m: int, q: int) -> float:
@@ -239,8 +190,8 @@ def sector_law(N: int, n: int, m: int) -> SectorLaw:
     sector = admissible_q(N, n, m)
     if (N + 2) ** 2 >= 2 ** 63:
         raise InfeasibilityError(f"sector law at N={N} needs (N+2)^2 < 2^63 for exact int64 ratios")
-    q = np.arange(sector.q_min, sector.q_max + 1, dtype=np.int64)
-    mode = min(max((n + 1) * (m + 1) // (N + 2), sector.q_min), sector.q_max) - sector.q_min
+    q = np.arange(sector.start, sector.stop, dtype=np.int64)
+    mode = min(max((n + 1) * (m + 1) // (N + 2), sector[0]), sector[-1]) - sector[0]
     steps = q[:-1]
     num = (n - steps) * (m - steps)
     den = (steps + 1) * (N - n - m + steps + 1)

@@ -29,11 +29,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import permutations
 
 import numpy as np
 
-from .combinat import SiteList, enumerate_combinations, validate_sitelist
+from .combinat import SiteList, combination_array, enumerate_combinations, validate_sitelist
 from .errors import DomainError, InfeasibilityError, NullStateError
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "dispersion",
     "momentum_grid",
     "amplitude_f",
-    "normalization",
     "build_state",
     "single_mode_state",
     "embed_full",
@@ -291,33 +290,6 @@ def _phase_permanents(indices, N: int, sites: np.ndarray, force: str | None = No
     return out
 
 
-def _combination_array(n: int, m: int, count: int) -> np.ndarray:
-    if m == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    out = np.fromiter(
-        combinations(range(1, n + 1), m),
-        dtype=np.dtype((np.int64, (m,))),
-        count=count,
-    )
-    return out.reshape(count, m)
-
-
-def _raw_amplitudes(N: int, k: MomentumVector, budget: int | None):
-    budget = AMPLITUDE_BUDGET if budget is None else budget
-    m = k.m
-    dim = math.comb(N, m)
-    if dim > budget:
-        raise InfeasibilityError(f"state table needs {dim} amplitudes, budget is {budget}")
-    sites = _combination_array(N, m, dim)
-    f = _phase_permanents(k.indices, N, sites)
-    weight = float(np.vdot(f, f).real)
-    if weight < NULL_STATE_THRESHOLD:
-        raise NullStateError(
-            f"momentum indices {k.indices} interfere destructively on N={N} (weight {weight:.3e})"
-        )
-    return f, weight
-
-
 def amplitude_f(k: MomentumVector, l, force: str | None = None) -> complex:
     """Unnormalised amplitude of one site list: the permanent sum over
     permutations of the wavenumbers."""
@@ -326,14 +298,6 @@ def amplitude_f(k: MomentumVector, l, force: str | None = None) -> complex:
         raise DomainError(f"site list has {len(sites)} entries, momentum has {k.m}")
     row = np.asarray(sites, dtype=np.int64).reshape(1, max(len(sites), 0))
     return complex(_phase_permanents(k.indices, k.N, row, force=force)[0])
-
-
-def normalization(N: int, k: MomentumVector, budget: int | None = None) -> float:
-    """Overall constant G = (sum_l |f|^2)^(-1/2) for the momentum choice."""
-    if k.N != N:
-        raise DomainError(f"momentum grid N={k.N} does not match chain N={N}")
-    _, weight = _raw_amplitudes(N, k, budget)
-    return 1.0 / math.sqrt(weight)
 
 
 def build_state(spec: MagnonStateSpec, budget: int | None = None) -> AmplitudeTable:
@@ -358,7 +322,17 @@ def build_state(spec: MagnonStateSpec, budget: int | None = None) -> AmplitudeTa
     NullStateError
         If the momentum choice interferes to the zero vector.
     """
-    f, weight = _raw_amplitudes(spec.N, spec.k, budget)
+    budget = AMPLITUDE_BUDGET if budget is None else budget
+    N, k = spec.N, spec.k
+    dim = math.comb(N, spec.m)
+    if dim > budget:
+        raise InfeasibilityError(f"state table needs {dim} amplitudes, budget is {budget}")
+    f = _phase_permanents(k.indices, N, combination_array(N, spec.m))
+    weight = float(np.vdot(f, f).real)
+    if weight < NULL_STATE_THRESHOLD:
+        raise NullStateError(
+            f"momentum indices {k.indices} interfere destructively on N={N} (weight {weight:.3e})"
+        )
     g = 1.0 / math.sqrt(weight)
     return AmplitudeTable(spec.N, spec.m, f * g, g, spec)
 
@@ -373,10 +347,8 @@ def single_mode_state(n: int, q: int, k: float) -> AmplitudeTable:
         raise DomainError(f"block size must be positive, got n={n}")
     if not 0 <= q <= n:
         raise DomainError(f"flip count must satisfy 0 <= q <= n, got q={q}, n={n}")
-    dim = math.comb(n, q)
-    sites = _combination_array(n, q, dim)
-    sums = sites.sum(axis=1)
-    pref = 1.0 / math.sqrt(dim)
+    sums = combination_array(n, q).sum(axis=1)
+    pref = 1.0 / math.sqrt(len(sums))
     return AmplitudeTable(n, q, pref * np.exp(1j * k * sums), pref)
 
 
@@ -386,10 +358,7 @@ def embed_full(state: AmplitudeTable, budget: int | None = None) -> FullStateVec
     size = 1 << state.N
     if size > budget:
         raise InfeasibilityError(f"dense embedding needs 2^{state.N} entries, budget is {budget}")
-    sites = _combination_array(state.N, state.m, math.comb(state.N, state.m))
-    masks = np.zeros(len(sites), dtype=np.int64)
-    if state.m:
-        masks = (np.int64(1) << (sites - 1)).sum(axis=1)
+    masks = (np.int64(1) << (combination_array(state.N, state.m) - 1)).sum(axis=1)
     entries = np.zeros(size, dtype=np.complex128)
     entries[masks] = state.amplitudes
     return FullStateVector(state.N, entries)

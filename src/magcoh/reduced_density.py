@@ -2,8 +2,10 @@
 
 Tracing out the complement of an n-site subsystem never mixes site
 lists with different spin-up counts q, so the reduced operator is kept
-block by block: one Hermitian matrix per admissible q, with basis
-labels in the canonical combination order.  A dense bitmask partial
+block by block: one Hermitian matrix per admissible q, over the C(n, q)
+q-flip site lists in the canonical combination order, which (n, q)
+alone determines.  The pure projector of a whole-chain state is the
+reduction to every site.  A dense bitmask partial
 trace over the full 2^N embedding gives an independent check of the
 combinatorial route, and a closed form covers single-mode states,
 whose block weights follow the hypergeometric law.
@@ -19,6 +21,7 @@ import numpy as np
 from .combinat import (
     SiteList,
     admissible_q,
+    combination_array,
     enumerate_combinations,
     hypergeometric_pmf,
     rank_combination,
@@ -37,10 +40,16 @@ __all__ = [
     "BlockDensityMatrix",
     "reduce",
     "reduce_single_mode",
-    "pure_density",
     "oracle_partial_trace",
     "eigenvalues_hermitian",
 ]
+
+# Acceptance thresholds of BlockDensityMatrix.validate, and the Hermiticity
+# tolerance eigenvalues_hermitian applies to the matrices handed to it.
+TRACE_TOL = 1e-10
+BLOCK_HERMITICITY_TOL = 1e-12
+NEGATIVE_EIGENVALUE_FLOOR = -1e-10
+INPUT_HERMITICITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -78,7 +87,8 @@ class BlockDensityMatrix:
     """Hermitian subsystem density operator keyed by spin-up count q.
 
     ``blocks[q]`` is the C(n, q) x C(n, q) matrix over the canonical
-    q-flip site lists of the subsystem, stored in ``labels[q]``.  For
+    q-flip site lists of the subsystem, which ``labels(q)`` derives from
+    (n, q) rather than storing.  For
     operators obtained from the dense oracle, ``off_block_residual``
     records the largest matrix element found between different flip
     sectors (structurally zero for magnon states).  A constructor that
@@ -92,7 +102,6 @@ class BlockDensityMatrix:
 
     n: int
     blocks: dict[int, np.ndarray]
-    labels: dict[int, list[SiteList]] = field(repr=False)
     off_block_residual: float | None = None
     spectra: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
     factors: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
@@ -100,6 +109,10 @@ class BlockDensityMatrix:
     @property
     def q_values(self) -> tuple[int, ...]:
         return tuple(sorted(self.blocks))
+
+    def labels(self, q: int) -> list[SiteList]:
+        """Basis of sector q: the q-flip site lists of {1, ..., n}, in order."""
+        return enumerate_combinations(self.n, q)
 
     @property
     def dimension(self) -> int:
@@ -136,14 +149,10 @@ class BlockDensityMatrix:
             return min(0.0, float(np.linalg.eigvalsh(v @ v.conj().T).min()))
         return float(self.block_spectrum(q).min())
 
-    def validate(
-        self,
-        trace_tol: float = 1e-10,
-        hermiticity_tol: float = 1e-12,
-        eigenvalue_floor: float = -1e-10,
-    ) -> "BlockDensityMatrix":
-        """Check Hermiticity, positivity and unit trace; returns self.
+    def validate(self) -> "BlockDensityMatrix":
+        """Check shapes, Hermiticity, positivity and unit trace; returns self.
 
+        Each sector q must lie in [0, n] and be C(n, q) x C(n, q).
         Hermiticity and trace are read off the dense blocks.  The lowest
         eigenvalue of a sector comes from its supplied spectrum if there
         is one.  Failing that, a Gram factor V with fewer rows than
@@ -156,17 +165,19 @@ class BlockDensityMatrix:
             b = self.blocks[q]
             if b.ndim != 2 or b.shape[0] != b.shape[1]:
                 raise InternalConsistencyError(f"block q={q} is not square: shape {b.shape}")
-            if len(self.labels.get(q, ())) != b.shape[0]:
-                raise InternalConsistencyError(f"block q={q} has {b.shape[0]} rows but {len(self.labels.get(q, ()))} labels")
+            if not 0 <= q <= self.n:
+                raise InternalConsistencyError(f"block q={q} lies outside [0, {self.n}]")
+            if b.shape[0] != math.comb(self.n, q):
+                raise InternalConsistencyError(f"block q={q} has {b.shape[0]} rows, not C({self.n}, {q}) = {math.comb(self.n, q)}")
             herm = float(np.abs(b - b.conj().T).max()) if b.size else 0.0
-            if herm > hermiticity_tol:
+            if herm > BLOCK_HERMITICITY_TOL:
                 raise InternalConsistencyError(f"block q={q} departs from Hermiticity by {herm:.3e}")
             if b.size:
                 lowest = self._lowest_eigenvalue(q)
-                if lowest < eigenvalue_floor:
+                if lowest < NEGATIVE_EIGENVALUE_FLOOR:
                     raise InternalConsistencyError(f"block q={q} has eigenvalue {lowest:.3e} below the floor")
         off = abs(self.total_trace() - 1.0)
-        if off > trace_tol:
+        if off > TRACE_TOL:
             raise InternalConsistencyError(f"total trace departs from 1 by {off:.3e}")
         return self
 
@@ -192,10 +203,12 @@ def reduce(state: AmplitudeTable, sub: SubsystemSpec, budget: int | None = None)
     sector = admissible_q(N, n, m)
     if math.comb(N, m) > budget:
         raise InfeasibilityError(f"reduction scans {math.comb(N, m)} amplitudes, budget is {budget}")
+    # each db x da buffer is a slice of the amplitude table, so only a
+    # da x da block can outgrow the budget the table fits in
     for q in sector:
-        da, db = math.comb(n, q), math.comb(nb, m - q)
-        if max(da * da, da * db) > budget:
-            raise InfeasibilityError(f"sector q={q} needs a {db} x {da} buffer, budget is {budget}")
+        da = math.comb(n, q)
+        if da * da > budget:
+            raise InfeasibilityError(f"sector q={q} needs a {da} x {da} block, budget is {budget}")
 
     # 1-based position of each chain site within its side, 0 on the other
     pos_a, pos_b = [0] * (N + 1), [0] * (N + 1)
@@ -210,8 +223,7 @@ def reduce(state: AmplitudeTable, sub: SubsystemSpec, budget: int | None = None)
         buffers[len(inside)][rank_combination(outside, nb), rank_combination(inside, n)] = state.amplitudes[rank_full]
 
     blocks = {q: v.T @ v.conj() for q, v in buffers.items()}
-    labels = {q: enumerate_combinations(n, q) for q in sector}
-    return BlockDensityMatrix(n, blocks, labels, factors=buffers).validate()
+    return BlockDensityMatrix(n, blocks, factors=buffers).validate()
 
 
 def reduce_single_mode(N: int, n: int, m: int, k: float, budget: int | None = None) -> BlockDensityMatrix:
@@ -226,31 +238,16 @@ def reduce_single_mode(N: int, n: int, m: int, k: float, budget: int | None = No
     budget = AMPLITUDE_BUDGET if budget is None else budget
     sector = admissible_q(N, n, m)
     blocks: dict[int, np.ndarray] = {}
-    labels: dict[int, list[SiteList]] = {}
     spectra: dict[int, np.ndarray] = {}
     for q in sector:
         dim = math.comb(n, q)
         if dim * dim > budget:
             raise InfeasibilityError(f"sector q={q} needs a {dim} x {dim} block, budget is {budget}")
-        members = enumerate_combinations(n, q)
-        sums = np.array([sum(l) for l in members], dtype=np.int64)
-        phases = np.exp(1j * k * sums)
+        phases = np.exp(1j * k * combination_array(n, q).sum(axis=1))
         blocks[q] = (hypergeometric_pmf(N, n, m, q) / dim) * np.outer(phases, phases.conj())
-        labels[q] = members
         spectra[q] = np.zeros(dim)
         spectra[q][-1] = np.trace(blocks[q]).real
-    return BlockDensityMatrix(n, blocks, labels, spectra=spectra).validate()
-
-
-def pure_density(state: AmplitudeTable, budget: int | None = None) -> BlockDensityMatrix:
-    """Rank-one density operator of the whole chain viewed as its own block."""
-    budget = AMPLITUDE_BUDGET if budget is None else budget
-    dim = len(state.amplitudes)
-    if dim * dim > budget:
-        raise InfeasibilityError(f"projector needs a {dim} x {dim} block, budget is {budget}")
-    block = np.outer(state.amplitudes, state.amplitudes.conj())
-    labels = {state.m: enumerate_combinations(state.N, state.m)}
-    return BlockDensityMatrix(state.N, {state.m: block}, labels).validate()
+    return BlockDensityMatrix(n, blocks, spectra=spectra).validate()
 
 
 def oracle_partial_trace(v: FullStateVector, sub: SubsystemSpec, budget: int | None = None) -> BlockDensityMatrix:
@@ -290,22 +287,19 @@ def oracle_partial_trace(v: FullStateVector, sub: SubsystemSpec, budget: int | N
         residual = float(np.abs(dense[mixed]).max())
 
     blocks: dict[int, np.ndarray] = {}
-    labels: dict[int, list[SiteList]] = {}
     for q in range(n + 1):
-        members = enumerate_combinations(n, q)
-        masks = np.array([sum(1 << (p - 1) for p in l) for l in members], dtype=np.int64)
+        masks = (np.int64(1) << (combination_array(n, q) - 1)).sum(axis=1)
         block = dense[np.ix_(masks, masks)]
         if np.abs(block).max() > 0.0:
             blocks[q] = block
-            labels[q] = members
-    return BlockDensityMatrix(n, blocks, labels, off_block_residual=residual).validate()
+    return BlockDensityMatrix(n, blocks, off_block_residual=residual).validate()
 
 
-def eigenvalues_hermitian(matrix, hermiticity_tol: float = 1e-10) -> np.ndarray:
+def eigenvalues_hermitian(matrix) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, sorted descending."""
     a = np.asarray(matrix, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
-    if a.size and float(np.abs(a - a.conj().T).max()) > hermiticity_tol:
+    if a.size and float(np.abs(a - a.conj().T).max()) > INPUT_HERMITICITY_TOL:
         raise DomainError("matrix departs from Hermiticity beyond tolerance")
     return np.linalg.eigvalsh(a)[::-1]

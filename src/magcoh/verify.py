@@ -40,7 +40,6 @@ from .magnon_state import (
 from .reduced_density import (
     SubsystemSpec,
     oracle_partial_trace,
-    pure_density,
     reduce,
     reduce_single_mode,
 )
@@ -278,7 +277,7 @@ def _fam_partial_trace_contractivity(N, m, rng):
     worst = 0.0
     for _ in range(3):
         state = _random_state(rng, N, m)
-        parent = coh.coherence_report(pure_density(state))
+        parent = coh.coherence_report(reduce(state, SubsystemSpec.prefix(N, N)))
         for n in (1, N // 2, N - 1):
             child = coh.coherence_report(reduce(state, SubsystemSpec(N, _random_sites(rng, N, n))))
             worst = max(

@@ -34,7 +34,6 @@ from magcoh import (
     heat_capacity,
     hypergeometric_pmf,
     oracle_partial_trace,
-    pure_density,
     reduce,
     reduce_single_mode,
     schottky_peak,
@@ -141,7 +140,8 @@ def test_c04_full_chain_states_are_maximally_coherent(capsys):
         worst = 0.0
         for N in range(4, 13):
             for m in range(1, min(4, N) + 1):
-                rho = pure_density(build_state(MagnonStateSpec(N, m, MomentumVector.constant(N, 1, m))))
+                state = build_state(MagnonStateSpec(N, m, MomentumVector.constant(N, 1, m)))
+                rho = reduce(state, SubsystemSpec.prefix(N, N))
                 d = math.comb(N, m)
                 worst = max(worst, abs(c_r(rho) - math.log(d)))
                 worst = max(worst, abs(c_l1(rho) - (d - 1.0)))
@@ -194,7 +194,7 @@ def test_c07_measures_contract_under_reduction(capsys):
             N = int(rng.integers(5, 11))
             m = int(rng.integers(1, 4))
             state = _random_state(rng, N, m)
-            parent = coherence_report(pure_density(state))
+            parent = coherence_report(reduce(state, SubsystemSpec.prefix(N, N)))
             for n in sorted({1, int(rng.integers(1, N)), N - 1}):
                 child = coherence_report(reduce(state, SubsystemSpec(N, _random_sites(rng, N, n))))
                 worst = max(

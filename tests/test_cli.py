@@ -163,6 +163,23 @@ class TestCoherenceCommand:
         assert doc["single_mode_averages"] is None
         assert doc["average_gaps"] is None
 
+    def test_no_subsystem_is_the_whole_chain(self, capsys):
+        code, whole, _ = run(capsys, "coherence", "--N", "8", "--m", "2", "--k", "1,3")
+        assert code == 0
+        code, prefix, _ = run(capsys, "coherence", "--N", "8", "--m", "2", "--k", "1,3", "--n", "8")
+        assert code == 0
+        whole, prefix = json.loads(whole), json.loads(prefix)
+        assert whole["subsystem"] is None
+        assert prefix["subsystem"] == {"parent_N": 8, "sites": list(range(1, 9))}
+        assert whole["report"] == prefix["report"]
+
+    def test_whole_chain_refusal_names_the_block(self, capsys):
+        # the 4845-entry table fits the default budget; its 4845 x 4845 projector does not
+        code, out, err = run(capsys, "coherence", "--N", "20", "--m", "4", "--k", "1,2,3,4")
+        assert code == 3
+        assert out == ""
+        assert err == "error[infeasible]: sector q=4 needs a 4845 x 4845 block, budget is 10000000\n"
+
 
 class TestThermoCommand:
     def test_header_and_midpoint(self, capsys):

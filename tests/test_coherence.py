@@ -21,7 +21,6 @@ from magcoh import (
     admissible_q,
     incoherent_part,
     max_coherence,
-    pure_density,
     reduce,
     reduce_single_mode,
 )
@@ -87,7 +86,7 @@ class TestMeasures:
 
     def test_full_chain_state_is_maximally_coherent(self):
         spec = MagnonStateSpec(8, 2, MomentumVector.constant(8, 1, 2))
-        rho = pure_density(build_state(spec))
+        rho = reduce(build_state(spec), SubsystemSpec.prefix(8, 8))
         d = math.comb(8, 2)
         assert abs(c_r(rho) - math.log(d)) < 1e-10
         assert abs(c_l1(rho) - (d - 1.0)) < 1e-10
@@ -138,7 +137,7 @@ class TestMeasures:
             N = int(rng.integers(5, 11))
             m = int(rng.integers(1, 4))
             st = random_state(rng, N, m)
-            parent = coherence_report(pure_density(st))
+            parent = coherence_report(reduce(st, SubsystemSpec.prefix(N, N)))
             n = int(rng.integers(1, N))
             sites = tuple(sorted(int(s) + 1 for s in rng.choice(N, size=n, replace=False)))
             child = coherence_report(reduce(st, SubsystemSpec(N, sites)))

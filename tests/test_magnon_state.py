@@ -16,14 +16,13 @@ from magcoh import (
     dispersion,
     embed_full,
     momentum_grid,
-    normalization,
     rank_combination,
     single_mode_state,
 )
+from magcoh.combinat import combination_array
 from magcoh.magnon_state import (
     FULL_VECTOR_BUDGET,
     FullStateVector,
-    _combination_array,
     _gray_steps,
     _phase_permanents,
 )
@@ -181,7 +180,7 @@ class TestAmplitude:
         rng = np.random.default_rng(43 * m)
         N = 12
         idx = tuple(int(x) for x in rng.choice(N, size=m, replace=False))
-        sites = _combination_array(N, m, math.comb(N, m))
+        sites = combination_array(N, m)
         assert np.array_equal(_phase_permanents(idx, N, sites), _phase_permanents(idx, N, sites, force="ryser"))
         k = MomentumVector(N, idx)
         assert amplitude_f(k, tuple(sites[7])) == amplitude_f(k, tuple(sites[7]), force="ryser")
@@ -201,7 +200,7 @@ class TestAmplitude:
         # repeated and distinct indices alike; at m = 5 the table spans two row chunks
         rng = np.random.default_rng(500 + m)
         N = {1: 13, 2: 13, 3: 13, 4: 16, 5: 18, 6: 12}[m]
-        sites = _combination_array(N, m, math.comb(N, m))
+        sites = combination_array(N, m)
         for idx in (tuple(int(x) for x in rng.integers(0, N, size=m)), tuple(range(1, m + 1))):
             kperm = np.array(idx, dtype=np.int64)[np.array(list(permutations(range(m))), dtype=np.int64)]
             want = np.exp(2j * np.pi / N * ((sites @ kperm.T) % N)).sum(axis=1)
@@ -289,12 +288,12 @@ class TestBuildState:
         for a in range(1, N + 1):
             for b in range(a + 1, N + 1):
                 total += abs(brute_phase_sum(k.values, np.array([a, b]))) ** 2
-        assert abs(normalization(N, k) - 1.0 / math.sqrt(total)) < 1e-12
+        assert abs(build_state(MagnonStateSpec(N, m, k)).normalization - 1.0 / math.sqrt(total)) < 1e-12
 
     def test_constant_mode_normalization_closed_form(self):
         # G = 1 / (m! sqrt(C(N, m))) when every flip shares one mode
         N, m = 9, 3
-        g = normalization(N, MomentumVector.constant(N, 2, m))
+        g = build_state(MagnonStateSpec(N, m, MomentumVector.constant(N, 2, m))).normalization
         assert abs(g - 1.0 / (math.factorial(m) * math.sqrt(math.comb(N, m)))) < 1e-14
 
     def test_null_state_detected(self):

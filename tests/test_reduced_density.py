@@ -19,16 +19,15 @@ from magcoh import (
     build_state,
     eigenvalues_hermitian,
     embed_full,
-    enumerate_combinations,
     hypergeometric_pmf,
     admissible_q,
     coherence_report,
     oracle_partial_trace,
-    pure_density,
     reduce,
     reduce_single_mode,
 )
-from magcoh.magnon_state import _DIRECT_PERMANENT_LIMIT, NULL_STATE_THRESHOLD, _combination_array, _phase_permanents
+from magcoh.combinat import combination_array
+from magcoh.magnon_state import _DIRECT_PERMANENT_LIMIT, NULL_STATE_THRESHOLD, _phase_permanents
 
 
 def random_state(rng, N, m):
@@ -97,8 +96,8 @@ class TestReduce:
         spectrum = reduced.spectrum()
         assert abs(spectrum[0] - 1.0) < 1e-12
         assert np.abs(spectrum[1:]).max() < 1e-12
-        ref = pure_density(st)
-        assert block_distance(reduced, ref) < 1e-14
+        a = st.amplitudes
+        assert np.abs(reduced.blocks[2] - np.outer(a, a.conj())).max() < 1e-14
 
     def test_matches_oracle_mixed_momenta(self):
         st = build_state(MagnonStateSpec(8, 2, MomentumVector(8, (1, 3))))
@@ -132,6 +131,9 @@ class TestReduce:
         st = build_state(MagnonStateSpec(12, 3, MomentumVector.constant(12, 1, 3)))
         with pytest.raises(InfeasibilityError):
             reduce(st, SubsystemSpec.prefix(12, 6), budget=10)
+        # the 220-entry table fits; the q = 3 block, C(6, 3)^2 = 400 entries, does not
+        with pytest.raises(InfeasibilityError, match=r"^sector q=3 needs a 20 x 20 block, budget is 300$"):
+            reduce(st, SubsystemSpec.prefix(12, 6), budget=300)
 
 
 def gram_factor_bound(rows: int, cols: int, w: float) -> float:
@@ -192,22 +194,20 @@ class TestPositivityFromTheSmallerSide:
         assert wide == 3
 
     def test_hand_built_negative_block_is_still_rejected(self):
-        labels = {1: enumerate_combinations(2, 1)}
         negative = {1: np.array([[0.9, 0.8], [0.8, 0.1]], dtype=complex)}
         with pytest.raises(InternalConsistencyError, match="below the floor"):
-            BlockDensityMatrix(2, negative, labels).validate()
+            BlockDensityMatrix(2, negative).validate()
         # a factor with as many rows as columns leaves the dense block in charge
         square = {1: np.eye(2, dtype=complex)}
         with pytest.raises(InternalConsistencyError, match="below the floor"):
-            BlockDensityMatrix(2, negative, labels, factors=square).validate()
+            BlockDensityMatrix(2, negative, factors=square).validate()
 
     def test_supplied_spectra_take_precedence_over_factors(self):
-        labels = {1: enumerate_combinations(2, 1)}
         v = np.array([[0.6, 0.8j]])
         block = {1: v.T @ v.conj()}
-        assert BlockDensityMatrix(2, block, labels, factors={1: v})._lowest_eigenvalue(1) == 0.0
+        assert BlockDensityMatrix(2, block, factors={1: v})._lowest_eigenvalue(1) == 0.0
         with pytest.raises(InternalConsistencyError, match="below the floor"):
-            BlockDensityMatrix(2, block, labels, spectra={1: np.array([-0.5, 1.5])}, factors={1: v}).validate()
+            BlockDensityMatrix(2, block, spectra={1: np.array([-0.5, 1.5])}, factors={1: v}).validate()
 
 
 def permanent_steps(k) -> int:
@@ -256,7 +256,7 @@ def test_reduce_matches_the_dense_oracle_on_random_specs(case):
     except NullStateError:
         # the null is no artefact of one route: the expanded routes weigh it
         # as null too (the m! permutation sum only while it stays small)
-        rows = _combination_array(N, m, math.comb(N, m))
+        rows = combination_array(N, m)
         for route in ("direct", "ryser") if m <= 6 else ("ryser",):
             f = _phase_permanents(k, N, rows, force=route)
             assert float(np.vdot(f, f).real) < NULL_STATE_THRESHOLD, route
@@ -319,7 +319,7 @@ class TestSingleModeClosedForm:
 
     def test_no_eigensolve_on_the_closed_form_route(self, monkeypatch):
         reduced = reduce_single_mode(20, 8, 9, 0.3)
-        dense = coherence_report(BlockDensityMatrix(reduced.n, reduced.blocks, reduced.labels))
+        dense = coherence_report(BlockDensityMatrix(reduced.n, reduced.blocks))
 
         def refuse(a):
             raise AssertionError("eigvalsh called")
@@ -390,33 +390,42 @@ class TestBlockDensityMatrix:
         assert reduced.purity() < 1.0
 
     def test_validation_catches_bad_trace(self):
-        labels = {0: enumerate_combinations(1, 0), 1: enumerate_combinations(1, 1)}
         blocks = {0: np.array([[0.7]], dtype=complex), 1: np.array([[0.7]], dtype=complex)}
         with pytest.raises(InternalConsistencyError):
-            BlockDensityMatrix(1, blocks, labels).validate()
+            BlockDensityMatrix(1, blocks).validate()
 
     def test_validation_catches_non_hermitian_block(self):
-        labels = {1: enumerate_combinations(2, 1)}
         blocks = {1: np.array([[0.5, 0.5], [0.1, 0.5]], dtype=complex)}
         with pytest.raises(InternalConsistencyError):
-            BlockDensityMatrix(2, blocks, labels).validate()
+            BlockDensityMatrix(2, blocks).validate()
 
     def test_validation_catches_negative_block(self):
-        labels = {1: enumerate_combinations(2, 1)}
         blocks = {1: np.array([[0.9, 0.8], [0.8, 0.1]], dtype=complex)}
         with pytest.raises(InternalConsistencyError):
-            BlockDensityMatrix(2, blocks, labels).validate()
+            BlockDensityMatrix(2, blocks).validate()
 
     def test_supplied_spectra_are_checked_and_used(self):
-        labels = {1: enumerate_combinations(2, 1)}
         skewed = {1: np.array([[0.5, 0.5], [0.1, 0.5]], dtype=complex)}
         with pytest.raises(InternalConsistencyError, match="Hermiticity"):
-            BlockDensityMatrix(2, skewed, labels, spectra={1: np.array([0.0, 1.0])}).validate()
+            BlockDensityMatrix(2, skewed, spectra={1: np.array([0.0, 1.0])}).validate()
         flat = {1: np.full((2, 2), 0.5, dtype=complex)}
         with pytest.raises(InternalConsistencyError, match="below the floor"):
-            BlockDensityMatrix(2, flat, labels, spectra={1: np.array([-0.5, 1.5])}).validate()
-        rho = BlockDensityMatrix(2, flat, labels, spectra={1: np.array([0.0, 1.0])}).validate()
+            BlockDensityMatrix(2, flat, spectra={1: np.array([-0.5, 1.5])}).validate()
+        rho = BlockDensityMatrix(2, flat, spectra={1: np.array([0.0, 1.0])}).validate()
         assert rho.spectrum().tolist() == [1.0, 0.0]
+
+    def test_validation_checks_each_sector_against_its_binomial(self):
+        # a unit-trace, Hermitian, positive 2 x 2 block is no q = 1 sector of 3 sites
+        flat = np.full((2, 2), 0.5, dtype=complex)
+        with pytest.raises(InternalConsistencyError, match=r"has 2 rows, not C\(3, 1\) = 3"):
+            BlockDensityMatrix(3, {1: flat}).validate()
+        with pytest.raises(InternalConsistencyError, match=r"has 1 rows, not C\(2, 1\) = 2"):
+            BlockDensityMatrix(2, {1: np.ones((1, 1), dtype=complex)}).validate()
+        for q in (-1, 3):
+            with pytest.raises(InternalConsistencyError, match=r"outside \[0, 2\]"):
+                BlockDensityMatrix(2, {q: np.ones((1, 1), dtype=complex)}).validate()
+        rho = BlockDensityMatrix(2, {1: flat}).validate()
+        assert rho.labels(1) == [(1,), (2,)]
 
 
 class TestEigenvaluesHermitian:
