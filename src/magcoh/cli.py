@@ -4,7 +4,10 @@ sweep the two-level thermodynamics, and run the self-verification suite.
 Results go to stdout or --output; diagnostics go to stderr.  Exit codes:
 0 success, 2 domain error, 3 infeasible request, 4 internal-consistency
 failure.  Floats are rendered with 17 significant digits, so identical
-invocations produce byte-identical output.
+invocations produce byte-identical output.  Complex arrays (amplitude
+tables, density blocks) are rendered as nested [re, im] pairs one row
+per formatting call, and thermo CSV points one line per call, with the
+same ``%.17g`` bytes as formatting each float on its own.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ import argparse
 import json
 import math
 import sys
+
+import numpy as np
 
 from . import thermo
 from .coherence import averaged_coherence_single_mode, coherence_report
@@ -29,11 +34,31 @@ from .verify import FamilyResult, run_suite
 __all__ = ["main"]
 
 
+def _non_finite(value) -> InternalConsistencyError:
+    return InternalConsistencyError(f"refusing to serialize non-finite value {float(value)!r}")
+
+
 def _fmt_float(x: float) -> str:
     value = float(x)
     if not math.isfinite(value):
-        raise InternalConsistencyError(f"refusing to serialize non-finite value {value!r}")
+        raise _non_finite(value)
     return f"{value:.17g}"
+
+
+def _render_complex_array(obj: np.ndarray) -> str:
+    # real and imaginary parts interleaved along the last axis
+    parts = np.ascontiguousarray(obj, dtype=np.complex128).view(np.float64)
+    finite = np.isfinite(parts)
+    if not finite.all():
+        raise _non_finite(parts[~finite][0])
+    template = "[" + ", ".join(["[%.17g, %.17g]"] * obj.shape[-1]) + "]"
+
+    def rows(a: np.ndarray) -> str:
+        if a.ndim == 1:
+            return template % tuple(a.tolist())
+        return "[" + ", ".join(rows(r) for r in a) + "]"
+
+    return rows(parts)
 
 
 def _render_json(obj) -> str:
@@ -47,6 +72,8 @@ def _render_json(obj) -> str:
         return _fmt_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
+    if isinstance(obj, np.ndarray) and np.iscomplexobj(obj):
+        return _render_complex_array(obj)
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_render_json(v) for v in obj) + "]"
     if isinstance(obj, dict):
@@ -81,10 +108,6 @@ def _spec_doc(spec: MagnonStateSpec) -> dict:
     return {"N": spec.N, "m": spec.m, "k_indices": list(spec.k.indices), "J": spec.J}
 
 
-def _complex_pairs(values) -> list:
-    return [[float(v.real), float(v.imag)] for v in values]
-
-
 def _subsystem_from_args(args, N: int) -> SubsystemSpec | None:
     if getattr(args, "sites", None) and getattr(args, "n", None) is not None:
         raise DomainError("--sites and --n are mutually exclusive")
@@ -105,7 +128,7 @@ def _blocks_doc(reduced) -> list:
                 "dimension": block.shape[0],
                 "weight": reduced.block_weights[q],
                 "labels": [list(l) for l in reduced.labels(q)],
-                "matrix": [_complex_pairs(row) for row in block],
+                "matrix": block,
             }
         )
     return docs
@@ -118,7 +141,7 @@ def cmd_state(args) -> int:
         "spec": _spec_doc(spec),
         "normalization": table.normalization,
         "basis": [list(l) for l in table.basis()],
-        "amplitudes": _complex_pairs(table.amplitudes),
+        "amplitudes": table.amplitudes,
     }
     _emit(_render_json(doc), args.output)
     return 0
@@ -191,7 +214,10 @@ def cmd_thermo(args) -> int:
     curve = thermo.sweep(args.epsilon0, args.beta_min, args.beta_max, args.count)
     lines = ["beta_c,u,heat_capacity,epsilon0"]
     for p in curve.points:
-        lines.append(",".join(_fmt_float(v) for v in (p.beta_c, p.u, p.heat_capacity, p.epsilon0)))
+        row = (p.beta_c, p.u, p.heat_capacity, p.epsilon0)
+        if not all(map(math.isfinite, row)):
+            raise _non_finite(next(v for v in row if not math.isfinite(v)))
+        lines.append("%.17g,%.17g,%.17g,%.17g" % row)
     _emit("\n".join(lines), args.output)
     return 0
 

@@ -42,8 +42,23 @@ EXACT_LIMIT = 64
 SiteList = tuple[int, ...]
 
 
+def _as_int(x, name: str) -> int:
+    """``x`` as an int when it is integer-valued (2.0 -> 2), else DomainError."""
+    try:
+        i = int(x)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{name} must be an integer, got {x!r}") from None
+    if i != x:
+        raise DomainError(f"{name} must be an integer, got {x!r}")
+    return i
+
+
 def log_binomial(n: int, k: int) -> float:
-    """ln C(n, k); exact log below EXACT_LIMIT, log-gamma beyond."""
+    """ln C(n, k); exact log below EXACT_LIMIT, log-gamma beyond.
+
+    Integer-valued floats are taken as their integers.
+    """
+    n, k = _as_int(n, "n"), _as_int(k, "k")
     if n < 0:
         raise DomainError(f"binomial needs n >= 0, got n={n}")
     if k < 0 or k > n:
@@ -145,8 +160,10 @@ def hypergeometric_pmf(N: int, n: int, m: int, q: int) -> float:
     roundings of size up to u lnGamma(N+1), so the result has relative
     error up to (9 lnGamma(N+1) + 4) u, with u = 2^-53: about 2e-10 at
     N = 1e5.  Sums over the whole law go through ``sector_law``, which
-    stays near roundoff.
+    stays near roundoff.  An integer-valued float q is taken as its
+    integer.
     """
+    q = _as_int(q, "q")
     if q not in admissible_q(N, n, m):
         raise DomainError(f"q={q} outside the admissible range for N={N}, n={n}, m={m}")
     return math.exp(log_binomial(N - n, m - q) + log_binomial(n, q) - log_binomial(N, m))

@@ -1,11 +1,16 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from magcoh import c_r, reduce_single_mode
+from magcoh import c_r, reduce_single_mode, thermo
+from magcoh import cli
 from magcoh.cli import main
+from magcoh.errors import InternalConsistencyError
 from magcoh.verify import FAMILY_NAMES
 
 
@@ -246,3 +251,114 @@ class TestVerifyCommand:
 def test_unknown_command_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit):
         main(["fluff"])
+
+
+def per_float_rendering(a: np.ndarray) -> str:
+    # the renderer's oracle: nested [re, im] pairs, one format call per float
+    if a.ndim == 1:
+        return "[" + ", ".join(f"[{float(v.real):.17g}, {float(v.imag):.17g}]" for v in a) + "]"
+    return "[" + ", ".join(per_float_rendering(row) for row in a) + "]"
+
+
+EDGE_FLOATS = [
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    2.2250738585072009e-308,  # largest subnormal
+    1.5e-310,
+    2.2250738585072014e-308,  # smallest normal
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+    1.0,
+    -3.0,
+    2.0**53,
+    1e16,
+    0.1,
+    1.0 / 3.0,
+]
+finite_floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def complex_arrays(draw):
+    shape = draw(st.one_of(st.tuples(st.integers(0, 7)), st.tuples(st.integers(0, 5), st.integers(0, 5))))
+    count = int(np.prod(shape)) * 2
+    parts = draw(st.lists(finite_floats, min_size=count, max_size=count))
+    return np.array(parts, dtype=np.float64).view(np.complex128).reshape(shape)
+
+
+class TestRenderer:
+    @seed(4409)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(complex_arrays())
+    def test_bulk_rendering_matches_the_per_float_oracle(self, a):
+        text = cli._render_json(a)
+        assert text == per_float_rendering(a)
+        # parse_int=float keeps -0 and integral values as the floats they were
+        parsed = np.array(json.loads(text, parse_int=float), dtype=np.float64).reshape(a.shape + (2,))
+        assert [x.hex() for x in parsed.ravel().tolist()] == [x.hex() for x in a.view(np.float64).ravel().tolist()]
+
+    def test_arrays_nest_inside_documents(self):
+        a = np.array([[1 + 2j, -0.5j], [0.1, 3]])
+        doc = {"w": 0.25, "matrix": a, "labels": [[1], [2]]}
+        expected = '{"w": 0.25, "matrix": ' + per_float_rendering(a) + ', "labels": [[1], [2]]}'
+        assert cli._render_json(doc) == expected
+
+    @pytest.mark.parametrize("bad,shown", [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")])
+    def test_first_non_finite_float_is_named(self, bad, shown):
+        a = np.zeros((3, 3), dtype=np.complex128)
+        a[1, 2] = complex(0.0, bad)
+        a[2, 0] = complex(math.nan, 0.0)
+        with pytest.raises(InternalConsistencyError, match=f"refusing to serialize non-finite value {shown}$"):
+            cli._render_json({"matrix": a})
+
+
+class TestNonFiniteOutputExits4:
+    """A non-finite float in a result is refused: exit 4 and no output."""
+
+    def check_refused(self, capsys, tmp_path, *argv, shown):
+        target = tmp_path / "out"
+        code, out, err = run(capsys, *argv, "-o", str(target))
+        assert code == 4
+        assert out == ""
+        assert err == f"error[internal-consistency]: refusing to serialize non-finite value {shown}\n"
+        assert not target.exists()
+
+    def test_reduce_matrix(self, capsys, monkeypatch, tmp_path):
+        real = cli.reduce
+
+        def poisoned(*args, **kwargs):
+            rho = real(*args, **kwargs)
+            rho.blocks[1][0, 2] = complex(0.25, math.inf)
+            return rho
+
+        monkeypatch.setattr(cli, "reduce", poisoned)
+        self.check_refused(capsys, tmp_path, "reduce", "--N", "8", "--m", "2", "--k", "1,3", "--n", "4", shown="inf")
+
+    def test_state_vector(self, capsys, monkeypatch, tmp_path):
+        real = cli.build_state
+
+        def poisoned(*args, **kwargs):
+            table = real(*args, **kwargs)
+            amplitudes = table.amplitudes.copy()
+            amplitudes[3] = complex(math.nan, 0.0)
+            return dataclasses.replace(table, amplitudes=amplitudes)
+
+        monkeypatch.setattr(cli, "build_state", poisoned)
+        self.check_refused(capsys, tmp_path, "state", "--N", "6", "--m", "2", "--k", "1,4", shown="nan")
+
+    def test_thermo_csv_row(self, capsys, monkeypatch, tmp_path):
+        real = thermo.sweep
+
+        def poisoned(*args, **kwargs):
+            curve = real(*args, **kwargs)
+            points = list(curve.points)
+            points[2] = dataclasses.replace(points[2], heat_capacity=-math.inf)
+            return dataclasses.replace(curve, points=tuple(points))
+
+        monkeypatch.setattr(thermo, "sweep", poisoned)
+        self.check_refused(
+            capsys, tmp_path, "thermo", "--epsilon0", "1", "--beta-min", "-1", "--beta-max", "1", "--count", "5",
+            shown="-inf",
+        )

@@ -65,6 +65,18 @@ class TestBinomial:
         with pytest.raises(DomainError):
             log_binomial(n, k)
 
+    @pytest.mark.parametrize("n,k", [(5, 2), (64, 32), (100, 10), (1000, 333)])
+    def test_integer_valued_floats_keep_the_bits(self, n, k):
+        # both routes: exact log up to EXACT_LIMIT, log-gamma beyond
+        expected = log_binomial(n, k).hex()
+        assert log_binomial(n, float(k)).hex() == expected
+        assert log_binomial(float(n), float(k)).hex() == expected
+
+    @pytest.mark.parametrize("n,k", [(5, 2.5), (5.5, 2), (100, 10.25), (5, float("nan")), (5, "2")])
+    def test_non_integer_arguments_are_domain_errors(self, n, k):
+        with pytest.raises(DomainError, match="must be an integer"):
+            log_binomial(n, k)
+
 
 class TestCombinations:
     def test_lexicographic_listing(self):
@@ -192,6 +204,12 @@ class TestHypergeometric:
     def test_non_integer_q_is_a_domain_error(self):
         with pytest.raises(DomainError):
             hypergeometric_pmf(8, 3, 2, 1.5)
+        with pytest.raises(DomainError, match="must be an integer"):
+            hypergeometric_pmf(8, 3, 2, 2.5)
+
+    @pytest.mark.parametrize("N,n,m,q", [(8, 3, 2, 2), (8, 3, 2, 0), (200, 81, 45, 18), (1000, 400, 300, 120)])
+    def test_integer_valued_float_q_keeps_the_bits(self, N, n, m, q):
+        assert hypergeometric_pmf(N, n, m, float(q)).hex() == hypergeometric_pmf(N, n, m, q).hex()
 
 
 class TestSectorLaw:
