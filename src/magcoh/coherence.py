@@ -1,13 +1,14 @@
 """Coherence quantifiers in the canonical site-list basis.
 
 Every measure accepts either a BlockDensityMatrix or a plain Hermitian
-matrix.  Logarithms are natural throughout, so entropic quantities are
-in nats.  The l1 measure sums |rho_ij| over all stored blocks and
-subtracts the trace; the relative-entropy measure subtracts the von
-Neumann entropy from the Shannon entropy of the diagonal; the log
-measure ln(1 + C_l1) gives up the entropic reading in exchange for
-additivity and O(d^2) cost.  Eigenvalues below EIGENVALUE_FLOOR are
-treated as exact zeros inside x ln x.
+matrix; a plain matrix with a non-finite entry is a DomainError.
+Logarithms are natural throughout, so entropic quantities are in nats.
+The l1 measure sums |rho_ij| over all stored blocks and subtracts the
+trace; the relative-entropy measure subtracts the von Neumann entropy
+from the Shannon entropy of the diagonal; the log measure ln(1 + C_l1)
+gives up the entropic reading in exchange for additivity and O(d^2)
+cost.  Eigenvalues below EIGENVALUE_FLOOR are treated as exact zeros
+inside x ln x.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinat import hypergeometric_pmf, log_binomial, admissible_q
+from .combinat import sector_law
 from .errors import DomainError, InfeasibilityError
 from .reduced_density import BlockDensityMatrix, eigenvalues_hermitian
 
@@ -55,6 +56,8 @@ def _as_blocks(rho) -> list[np.ndarray]:
     a = np.asarray(rho, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"expected a square density matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise DomainError("density matrix has non-finite entries")
     return [a]
 
 
@@ -122,7 +125,8 @@ def averaged_coherence_single_mode(N: int, n: int, m: int, k: float, measure: st
     Each admissible sector is maximally coherent on C(n, q) site lists,
     so averaging the sector values over the hypergeometric weights gives
     sum_q p(q) ln C(n, q) for the relative-entropy measure and
-    sum_q p(q) (C(n, q) - 1) for the l1 measure.  The "ln" choice
+    sum_q p(q) (C(n, q) - 1) for the l1 measure, each one dot product
+    over a single ``sector_law`` call.  The "ln" choice
     averages ln C(n, q) the same way; the directly evaluated C_ln of the
     mixture is larger in general (strictly, unless one sector carries
     all the weight), so the two are reported separately rather than
@@ -136,20 +140,18 @@ def averaged_coherence_single_mode(N: int, n: int, m: int, k: float, measure: st
     del k
     if measure not in ("r", "l1", "ln"):
         raise DomainError(f"measure must be one of 'r', 'l1', 'ln', got {measure!r}")
-    total = 0.0
-    for q in admissible_q(N, n, m):
-        p = hypergeometric_pmf(N, n, m, q)
-        if measure == "l1":
-            try:
-                dim = float(math.comb(n, q))
-            except OverflowError:
-                raise InfeasibilityError(
-                    f"C({n}, {q}) exceeds the float range (max {sys.float_info.max:.6g}), so the l1 average is not representable"
-                ) from None
-            total += p * (dim - 1.0)
-        else:
-            total += p * log_binomial(n, q)
-    return total
+    law = sector_law(N, n, m)
+    if measure != "l1":
+        return float(law.p @ law.log_dim)
+    try:
+        dims = np.array([float(math.comb(n, q)) for q in law.q.tolist()])
+    except OverflowError:
+        # the widest admissible sector, nearest n/2, is one that overflows
+        q = min(max(n // 2, int(law.q[0])), int(law.q[-1]))
+        raise InfeasibilityError(
+            f"C({n}, {q}) exceeds the float range (max {sys.float_info.max:.6g}), so the l1 average is not representable"
+        ) from None
+    return float(law.p @ (dims - 1.0))
 
 
 def coherence_report(rho) -> CoherenceReport:

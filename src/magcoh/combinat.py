@@ -159,9 +159,11 @@ def hypergeometric_pmf(N: int, n: int, m: int, q: int) -> float:
     each of the three log-binomials carries three ``math.lgamma``
     roundings of size up to u lnGamma(N+1), so the result has relative
     error up to (9 lnGamma(N+1) + 4) u, with u = 2^-53: about 2e-10 at
-    N = 1e5.  Sums over the whole law go through ``sector_law``, which
-    stays near roundoff.  An integer-valued float q is taken as its
-    integer.
+    N = 1e5.  No library route takes its weights from here: they all
+    use ``sector_law``, which stays near roundoff.  This per-q lgamma
+    evaluation is the independent route that ``verify`` and the tests
+    hold ``sector_law`` against.  An integer-valued float q is taken as
+    its integer.
     """
     q = _as_int(q, "q")
     if q not in admissible_q(N, n, m):

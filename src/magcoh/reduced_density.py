@@ -23,8 +23,8 @@ from .combinat import (
     admissible_q,
     combination_array,
     enumerate_combinations,
-    hypergeometric_pmf,
     rank_combination,
+    sector_law,
     validate_sitelist,
 )
 from .errors import DomainError, InfeasibilityError, InternalConsistencyError
@@ -159,7 +159,7 @@ class BlockDensityMatrix:
         columns gives it as min(0, lowest eigenvalue of V V^H): by the
         Schmidt decomposition V V^H carries the block's nonzero spectrum,
         and the block has da - db zeros besides.  Otherwise the dense
-        block is diagonalised.
+        block is diagonalised.  Every comparison fails on NaN.
         """
         for q in self.q_values:
             b = self.blocks[q]
@@ -170,14 +170,14 @@ class BlockDensityMatrix:
             if b.shape[0] != math.comb(self.n, q):
                 raise InternalConsistencyError(f"block q={q} has {b.shape[0]} rows, not C({self.n}, {q}) = {math.comb(self.n, q)}")
             herm = float(np.abs(b - b.conj().T).max()) if b.size else 0.0
-            if herm > BLOCK_HERMITICITY_TOL:
+            if not herm <= BLOCK_HERMITICITY_TOL:
                 raise InternalConsistencyError(f"block q={q} departs from Hermiticity by {herm:.3e}")
             if b.size:
                 lowest = self._lowest_eigenvalue(q)
-                if lowest < NEGATIVE_EIGENVALUE_FLOOR:
+                if not lowest >= NEGATIVE_EIGENVALUE_FLOOR:
                     raise InternalConsistencyError(f"block q={q} has eigenvalue {lowest:.3e} below the floor")
         off = abs(self.total_trace() - 1.0)
-        if off > TRACE_TOL:
+        if not off <= TRACE_TOL:
             raise InternalConsistencyError(f"total trace departs from 1 by {off:.3e}")
         return self
 
@@ -230,21 +230,25 @@ def reduce_single_mode(N: int, n: int, m: int, k: float, budget: int | None = No
     """Closed-form reduction when all m flips share one wavenumber k.
 
     Each admissible sector is the pure equal-weight phase state on q
-    flips, carrying the hypergeometric weight; no amplitude table is
-    ever built, so this route scales to chains far beyond the general
-    one.  Being rank one, a sector of dimension d has the spectrum
-    (0, ..., 0, trace), which is supplied rather than diagonalised.
+    flips, carrying its hypergeometric weight, all of which come from
+    one ``sector_law`` call; no amplitude table is ever built, so this
+    route scales to chains far beyond the general one.  Being rank one,
+    a sector of dimension d has the spectrum (0, ..., 0, trace), which
+    is supplied rather than diagonalised.  A non-finite k is a
+    DomainError.
     """
+    if not math.isfinite(k):
+        raise DomainError(f"wavenumber must be finite, got {k}")
     budget = AMPLITUDE_BUDGET if budget is None else budget
-    sector = admissible_q(N, n, m)
+    law = sector_law(N, n, m)
     blocks: dict[int, np.ndarray] = {}
     spectra: dict[int, np.ndarray] = {}
-    for q in sector:
+    for q, p in zip(law.q.tolist(), law.p.tolist()):
         dim = math.comb(n, q)
         if dim * dim > budget:
             raise InfeasibilityError(f"sector q={q} needs a {dim} x {dim} block, budget is {budget}")
         phases = np.exp(1j * k * combination_array(n, q).sum(axis=1))
-        blocks[q] = (hypergeometric_pmf(N, n, m, q) / dim) * np.outer(phases, phases.conj())
+        blocks[q] = (p / dim) * np.outer(phases, phases.conj())
         spectra[q] = np.zeros(dim)
         spectra[q][-1] = np.trace(blocks[q]).real
     return BlockDensityMatrix(n, blocks, spectra=spectra).validate()
@@ -296,10 +300,14 @@ def oracle_partial_trace(v: FullStateVector, sub: SubsystemSpec, budget: int | N
 
 
 def eigenvalues_hermitian(matrix) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, sorted descending."""
+    """Eigenvalues of a Hermitian matrix, sorted descending.
+
+    A matrix whose Hermiticity residual exceeds the tolerance, or is
+    NaN, is a DomainError.
+    """
     a = np.asarray(matrix, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
-    if a.size and float(np.abs(a - a.conj().T).max()) > INPUT_HERMITICITY_TOL:
+    if a.size and not float(np.abs(a - a.conj().T).max()) <= INPUT_HERMITICITY_TOL:
         raise DomainError("matrix departs from Hermiticity beyond tolerance")
     return np.linalg.eigvalsh(a)[::-1]

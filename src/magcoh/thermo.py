@@ -113,16 +113,25 @@ def beta_c(u: float, epsilon0: float) -> float:
     return math.log(epsilon0 / u - 1.0) / epsilon0
 
 
+def _check_beta(beta: float) -> None:
+    if not math.isfinite(beta):
+        raise DomainError(f"inverse temperature must be finite, got {beta}")
+
+
+def _two_level(beta: float, epsilon0: float) -> tuple[float, float]:
+    # (energy density, heat capacity) at x = eps0 beta from the one
+    # e = exp(-|x|): u = eps0 e / (1 + e) for x >= 0, eps0 / (1 + e) below
+    x = epsilon0 * beta
+    e = math.exp(-abs(x))
+    r = 1.0 + e
+    return (epsilon0 * e / r if x >= 0.0 else epsilon0 / r), x * x * e / (r * r)
+
+
 def energy_from_beta(beta: float, epsilon0: float) -> float:
     """Logistic energy density eps0 / (exp(eps0 beta) + 1); inverse of beta_c."""
     _check_epsilon0(epsilon0)
-    if not math.isfinite(beta):
-        raise DomainError(f"inverse temperature must be finite, got {beta}")
-    x = epsilon0 * beta
-    if x >= 0.0:
-        e = math.exp(-x)
-        return epsilon0 * e / (1.0 + e)
-    return epsilon0 / (math.exp(x) + 1.0)
+    _check_beta(beta)
+    return _two_level(beta, epsilon0)[0]
 
 
 def heat_capacity(beta: float, epsilon0: float) -> float:
@@ -132,12 +141,8 @@ def heat_capacity(beta: float, epsilon0: float) -> float:
     beta, and vanishes at both temperature extremes.
     """
     _check_epsilon0(epsilon0)
-    if not math.isfinite(beta):
-        raise DomainError(f"inverse temperature must be finite, got {beta}")
-    x = abs(epsilon0 * beta)
-    e = math.exp(-x)
-    r = 1.0 + e
-    return x * x * e / (r * r)
+    _check_beta(beta)
+    return _two_level(beta, epsilon0)[1]
 
 
 def schottky_peak(epsilon0: float) -> tuple[float, float]:
@@ -215,7 +220,12 @@ def beta_decomposition(N: int, n: int, m: int, epsilon0: float, dm: int = 1) -> 
 
 
 def sweep(epsilon0: float, beta_min: float, beta_max: float, count: int) -> ThermoCurve:
-    """Tabulate (beta, u, heat capacity) on a uniform beta grid."""
+    """Tabulate (beta, u, heat capacity) on a uniform beta grid.
+
+    The inputs are checked once; each point is then one two-level
+    evaluation, the same bits as ``energy_from_beta`` and
+    ``heat_capacity``.
+    """
     _check_epsilon0(epsilon0)
     if int(count) != count or count < 1:
         raise DomainError(f"point count must be a positive integer, got {count!r}")
@@ -224,8 +234,9 @@ def sweep(epsilon0: float, beta_min: float, beta_max: float, count: int) -> Ther
     if not (math.isfinite(beta_min) and math.isfinite(beta_max)):
         raise DomainError("sweep endpoints must be finite")
     grid = np.linspace(beta_min, beta_max, count) if count > 1 else np.array([beta_min])
-    points = tuple(
-        ThermoPoint(float(b), energy_from_beta(float(b), epsilon0), heat_capacity(float(b), epsilon0), epsilon0)
-        for b in grid
-    )
+    # finite endpoints can still overflow linspace's step
+    finite = np.isfinite(grid)
+    if not finite.all():
+        _check_beta(float(grid[~finite][0]))
+    points = tuple(ThermoPoint(b, *_two_level(b, epsilon0), epsilon0) for b in grid.tolist())
     return ThermoCurve(points, beta_min, beta_max, count)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import error_model as model
 from magcoh import (
     DomainError,
     InfeasibilityError,
@@ -17,12 +18,11 @@ from magcoh import (
     c_r,
     coherence_report,
     effective_dimension,
-    hypergeometric_pmf,
-    admissible_q,
     incoherent_part,
     max_coherence,
     reduce,
     reduce_single_mode,
+    sector_law,
 )
 
 
@@ -145,6 +145,16 @@ class TestMeasures:
             assert child.c_r <= parent.c_r + 1e-10
             assert child.c_ln <= parent.c_ln + 1e-10
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_plain_matrix_is_a_domain_error(self, bad):
+        rho = top_state(3)
+        rho[0, 1] = rho[1, 0] = bad
+        for measure in (c_l1, c_r, coherence_report):
+            with pytest.raises(DomainError, match="non-finite"):
+                measure(rho)
+        with pytest.raises(DomainError, match="non-finite"):
+            c_l1(np.full((2, 2), np.nan))
+
     def test_additivity_of_the_log_measure(self):
         rho = np.kron(top_state(2), top_state(3))
         assert abs(c_ln(rho) - math.log(2) - math.log(3)) < 1e-12
@@ -183,12 +193,24 @@ class TestAveragedClosedForm:
         assert abs(c_l1(reduced) - averaged_coherence_single_mode(N, n, m, k, "l1")) < 1e-10
 
     def test_matches_big_integer_oracle(self):
-        N, n, m = 8, 4, 2
-        want_r = sum(
-            hypergeometric_pmf(N, n, m, q) * math.log(math.comb(n, q))
-            for q in admissible_q(N, n, m)
-        )
-        assert abs(averaged_coherence_single_mode(N, n, m, 0.3, "r") - want_r) < 1e-12
+        # the per-sector bounds of the sector law carried through one
+        # Q-term dot product, gamma(Q); float(C(n, q)) - 1 rounds within 3u
+        # more.  The oracle sums correctly rounded p and logs (within
+        # 2 ulps) exactly with fsum.
+        for N, n, m in ((8, 4, 2), (100_000, 6, 31_259), (100_000, 50_000, 31_259)):
+            p, _, log_dim = model.exact_law(N, n, m)
+            law = sector_law(N, n, m)
+            rel_p, _, abs_log_dim = model.sector_law_bounds(N, n, m, law)
+            extra = model.gamma(len(p)) + 4.0 * model.U
+            want = math.fsum(p * log_dim)
+            tol = float(law.p @ (rel_p * law.log_dim + abs_log_dim)) + extra * want
+            assert abs(averaged_coherence_single_mode(N, n, m, 0.3, "r") - want) <= tol, (N, n, m)
+            if n > 1000:
+                continue  # C(n, q) leaves the float range
+            sizes = np.array([float(math.comb(n, q) - 1) for q in law.q.tolist()])
+            want = math.fsum(p * sizes)
+            tol = float(law.p @ ((rel_p + 3.0 * model.U) * sizes)) + extra * want
+            assert abs(averaged_coherence_single_mode(N, n, m, 0.3, "l1") - want) <= tol, (N, n, m)
 
     def test_log_measure_average_is_dominated_by_the_direct_value(self):
         # ln is concave, so ln(1 + C_l1) of the mixture exceeds the

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+import error_model as model
 from error_model import gamma
 from magcoh import (
     BlockDensityMatrix,
@@ -25,6 +26,7 @@ from magcoh import (
     oracle_partial_trace,
     reduce,
     reduce_single_mode,
+    sector_law,
 )
 from magcoh.combinat import combination_array
 from magcoh.magnon_state import _DIRECT_PERMANENT_LIMIT, NULL_STATE_THRESHOLD, _phase_permanents
@@ -336,6 +338,25 @@ class TestSingleModeClosedForm:
             tol += (abs(math.log(w)) + 1.0) * delta + (d - 1) * delta * abs(math.log(delta))
         assert abs(closed.c_r - dense.c_r) <= tol
 
+    @pytest.mark.parametrize("N,n,m", [(100_000, 6, 31_259), (50_000, 2, 25_000)])
+    def test_weights_match_the_exact_law_on_long_chains(self, N, n, m):
+        # each weight is a sector-law p (within rel_p) spread over d unit
+        # phase products and summed back by the trace, gamma(d + 8) as in the
+        # spectra test above; the oracle is correctly rounded, one more u
+        reduced = reduce_single_mode(N, n, m, 0.3)
+        law = sector_law(N, n, m)
+        rel_p = model.sector_law_bounds(N, n, m, law)[0]
+        p = model.exact_law(N, n, m)[0]
+        assert reduced.q_values == tuple(law.q.tolist())
+        for i, q in enumerate(reduced.q_values):
+            d = math.comb(n, q)
+            assert abs(reduced.block_weights[q] - p[i]) <= (rel_p[i] + gamma(d + 8) + model.U) * p[i], q
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+    def test_non_finite_wavenumber_is_a_domain_error(self, k):
+        with pytest.raises(DomainError, match="wavenumber"):
+            reduce_single_mode(8, 3, 2, k)
+
     def test_empty_band(self):
         reduced = reduce_single_mode(6, 3, 0, 0.7)
         assert reduced.q_values == (0,)
@@ -414,6 +435,14 @@ class TestBlockDensityMatrix:
         rho = BlockDensityMatrix(2, flat, spectra={1: np.array([0.0, 1.0])}).validate()
         assert rho.spectrum().tolist() == [1.0, 0.0]
 
+    def test_validation_rejects_nan(self):
+        nan_block = {0: np.array([[np.nan]], dtype=complex), 1: np.array([[0.5]], dtype=complex)}
+        with pytest.raises(InternalConsistencyError, match="Hermiticity by nan"):
+            BlockDensityMatrix(1, nan_block).validate()
+        flat = {1: np.full((2, 2), 0.5, dtype=complex)}
+        with pytest.raises(InternalConsistencyError, match="eigenvalue nan"):
+            BlockDensityMatrix(2, flat, spectra={1: np.array([np.nan, 1.0])}).validate()
+
     def test_validation_checks_each_sector_against_its_binomial(self):
         # a unit-trace, Hermitian, positive 2 x 2 block is no q = 1 sector of 3 sites
         flat = np.full((2, 2), 0.5, dtype=complex)
@@ -467,6 +496,8 @@ class TestEigenvaluesHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(DomainError):
             eigenvalues_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(DomainError):
+            eigenvalues_hermitian(np.full((2, 2), np.nan))
         with pytest.raises(DomainError):
             eigenvalues_hermitian(np.zeros((2, 3)))
 

@@ -274,9 +274,11 @@ class TestSweep:
         assert mid.heat_capacity == 0.0
 
     def test_points_are_consistent(self):
+        # one shared two-level kernel: the sweep's points are the scalar calls' bits
         curve = sweep(1.5, -4.0, 4.0, 41)
         for p in curve.points:
-            assert abs(p.u - energy_from_beta(p.beta_c, p.epsilon0)) < 1e-15
+            assert p.u == energy_from_beta(p.beta_c, p.epsilon0)
+            assert p.heat_capacity == heat_capacity(p.beta_c, p.epsilon0)
             assert p.heat_capacity >= 0.0
             assert 0.0 < p.u < p.epsilon0
 
@@ -287,3 +289,6 @@ class TestSweep:
             sweep(1.0, 0.0, 1.0, 0)
         with pytest.raises(DomainError):
             sweep(-1.0, 0.0, 1.0, 5)
+        # finite endpoints whose difference overflows give a non-finite grid
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError, match="inverse temperature"):
+            sweep(1.0, -1.7e308, 1.7e308, 3)
