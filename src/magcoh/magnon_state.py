@@ -12,13 +12,17 @@ An m-flip state assigns each spin-up site list ``l`` (canonical
 lexicographic order, 1-based sites) the amplitude ``G * f`` where ``f``
 sums ``exp(i k_pi . l)`` over all permutations pi of the m wavenumbers
 and G normalises the table.  ``f`` is the permanent of the m x m phase
-matrix ``exp(i k_a l_b)``: it is evaluated by direct permutation sum
-for small m and by Ryser's inclusion-exclusion beyond.  Ryser's subsets
-are grouped by how many copies x_i of each distinct index with
-multiplicity mu_i they hold, weighted by prod_i C(mu_i, x_i), and walked
-in Gray-code order with one row-sum update per step, trading m! m for
-prod_i (mu_i + 1) m cost: m + 1 terms for a single-mode state, 2^m when
-every index differs.
+matrix ``exp(i k_a l_b)``.  Up to m = 6 each row is a direct
+permutation sum.  Beyond, one subset DP computes the whole table at once:
+f(l) is the coefficient of prod_{s in l} y_s in the product of the m
+linear forms L_a(y) = sum_s exp(i k_a s) y_s, so multiplying the forms
+in one at a time over the subsets of the chain costs sum_{j <= m}
+j C(N, j) additions for all C(N, m) rows together, where per-row Ryser
+costs m 2^m per row.  The largest group of mu equal indices enters in
+closed form, mu! exp(i k sum(l)), so a single-mode table costs C(N, m) m.
+On a 2-vCPU Xeon a whole N = 16, m = 10..12 table takes about 9 ms, and
+one at N = 26, m = 8 with distinct indices 0.37 s.  Ryser's 2^m
+inclusion-exclusion stays as a cross-check route.
 
 Tables are immutable after construction; everything here is pure and
 safe to call concurrently.
@@ -27,7 +31,6 @@ safe to call concurrently.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -64,6 +67,7 @@ NULL_STATE_THRESHOLD = 1e-20
 _DIRECT_PERMANENT_LIMIT = 6
 _PERMANENT_LIMIT = 20
 _CHUNK_ROWS = 4096
+_CHUNK_SLOTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -192,53 +196,19 @@ def momentum_grid(N: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(N) / N
 
 
-def _gray_steps(counts):
-    """Walk every copy-count vector 0 <= x_i <= counts[i] in reflected
-    mixed-radix Gray order, starting from x = 0 (Knuth, TAOCP 7.2.1.1,
-    Algorithm H).
-
-    Yields ``(j, delta, weight)`` per step: digit j moved by delta = +-1
-    and the new vector carries ``weight = prod_i C(counts[i], x_i)``,
-    kept as an exact integer by one ratio update per step.  With every
-    count equal to 1 the walk is the binary reflected Gray code and the
-    weight stays 1.
-    """
-    n = len(counts)
-    x = [0] * n
-    direction = [1] * n
-    focus = list(range(n + 1))
-    weight = 1
-    while True:
-        j = focus[0]
-        focus[0] = 0
-        if j == n:
-            return
-        mu, old = counts[j], x[j]
-        delta = direction[j]
-        x[j] = old + delta
-        if delta > 0:
-            weight = weight * (mu - old) // (old + 1)
-        else:
-            weight = weight * old // (mu - old + 1)
-        yield j, delta, weight
-        if x[j] == 0 or x[j] == mu:
-            direction[j] = -delta
-            focus[j] = focus[j + 1]
-            focus[j + 1] = j + 1
-
-
 def _phase_permanents(indices, N: int, sites: np.ndarray, force: str | None = None) -> np.ndarray:
     """Permanent of [exp(2 pi i idx_a s_b / N)] for every row of site lists.
 
+    These are the per-row routes: the m <= 6 default and the two
+    cross-check routes; ``_subset_permanents`` takes every m > 6 table.
     Phases are reduced modulo N in integer arithmetic before
     exponentiation, so the result does not degrade on long chains; the
     direct route gathers them from a table of the N roots of unity,
     bit for bit the exponentials it would otherwise evaluate per term.
-    Left alone, small m uses the permutation sum and larger m Ryser's
-    inclusion-exclusion over copy counts of the distinct indices.
-    ``force`` pins the route for cross-checks: "direct" is the
-    permutation sum, "ryser" the expanded inclusion-exclusion over all
-    2^m index subsets, with repeated indices treated as distinct.
+    ``force`` pins the route: "direct" (the default) is the permutation
+    sum, "ryser" the inclusion-exclusion over all 2^m index subsets,
+    walked in binary reflected Gray order with repeated indices treated
+    as distinct.
     """
     if force not in (None, "direct", "ryser"):
         raise DomainError(f"permanent route must be 'direct' or 'ryser', got {force!r}")
@@ -248,10 +218,9 @@ def _phase_permanents(indices, N: int, sites: np.ndarray, force: str | None = No
     if m > _PERMANENT_LIMIT:
         raise InfeasibilityError(f"permanent cost grows as 2^m; m={m} exceeds the limit {_PERMANENT_LIMIT}")
     idx = np.asarray(indices, dtype=np.int64)
-    method = force or ("direct" if m <= _DIRECT_PERMANENT_LIMIT else "ryser")
     out = np.empty(rows, dtype=np.complex128)
     unit = 2j * np.pi / N
-    if method == "direct":
+    if force != "ryser":
         kperm = idx[np.array(list(permutations(range(m))), dtype=np.int64)]
         # every reduced exponent is one of N values: exponentiate those once
         roots = np.exp(unit * np.arange(N))
@@ -260,28 +229,22 @@ def _phase_permanents(indices, N: int, sites: np.ndarray, force: str | None = No
             dots = (chunk @ kperm.T) % N
             out[lo:lo + len(chunk)] = roots[dots].sum(axis=1)
         return out
-    if force is None:
-        # first-seen order, so distinct indices walk the expanded route's steps
-        groups = Counter(idx.tolist())
-        idx, counts = np.array(list(groups), dtype=np.int64), list(groups.values())
-    else:
-        counts = [1] * m
     for lo in range(0, rows, _CHUNK_ROWS):
         chunk = sites[lo:lo + _CHUNK_ROWS]
-        # (distinct index, site, row): each step adds one contiguous
+        # (index, site, row): each step adds or removes one contiguous
         # (site, row) slab and multiplies rowsum down its site axis.
         a = np.exp(unit * ((idx[:, None, None] * chunk.T[None, :, :]) % N))
         rowsum = np.zeros((m, len(chunk)), dtype=np.complex128)
         acc = np.zeros(len(chunk), dtype=np.complex128)
-        for step, (j, delta, weight) in enumerate(_gray_steps(counts), 1):
-            if delta > 0:
+        for step in range(1, 1 << m):
+            # step flips bit j of the Gray code step ^ (step >> 1)
+            j = (step & -step).bit_length() - 1
+            if (step ^ (step >> 1)) >> j & 1:
                 rowsum += a[j]
             else:
                 rowsum -= a[j]
             term = rowsum.prod(axis=0)
-            if weight != 1:
-                term *= weight
-            # each step moves sum(x) by one, so the sign alternates
+            # each step moves the subset size by one, so the sign alternates
             if step & 1:
                 acc -= term
             else:
@@ -290,12 +253,111 @@ def _phase_permanents(indices, N: int, sites: np.ndarray, force: str | None = No
     return out
 
 
+def _subset_permanents(indices, N: int, chain, budget: int) -> np.ndarray:
+    """Permanent of [exp(2 pi i idx_a s_b / N)] for every m-subset s of
+    the increasing site list ``chain``, in lexicographic order.
+
+    With L_a(y) = sum_s w^(k_a s) y_s and w = exp(2 pi i / N), the
+    permanent of subset S is the coefficient of prod_{s in S} y_s in
+    L_1 ... L_m.  Level j holds these coefficients for the first j forms
+    over every j-subset, lexicographically: with k the (j+1)-th index,
+    T_{j+1}(S') is the sum over s in S' of w^(k s) T_j(S' - s).
+
+    A level-(j+1) subset is a level-j parent plus one larger chain
+    position t, so the children of each parent are contiguous and every
+    "one site removed" rank is a gather: dropping t gives the parent, and
+    dropping slot i < j gives child t of the parent's own slot-i drop.
+    Levels are stored untwisted, T_j(S) = w^(c sum S) W_j(S) with c the
+    ``twist``, so a level's phases cost one multiply per entry rather
+    than one per slot.  The largest group of mu equal indices kappa enters
+    in closed form, T_mu(S) = mu! w^(kappa sum S); each other index adds
+    one level, at sum_j j C(n, j) gathered additions in all.
+
+    Raises InfeasibilityError when the widest level exceeds ``budget``.
+    """
+    m, n = len(indices), len(chain)
+    if m > _PERMANENT_LIMIT:
+        raise InfeasibilityError(f"permanent cost grows as 2^m; m={m} exceeds the limit {_PERMANENT_LIMIT}")
+    widest = min(m, n // 2)
+    size = math.comb(n, widest)
+    if size > budget:
+        raise InfeasibilityError(
+            f"permanent table level {widest} holds C({n}, {widest}) = {size} entries, budget is {budget}"
+        )
+    itype = np.int32 if size <= np.iinfo(np.int32).max else np.int64
+    stype = np.int32 if N < 2 ** 30 else np.int64
+    indices = list(indices)
+    kappa = max(indices, key=indices.count)
+    mu = indices.count(kappa)
+    # equal indices side by side: between two copies the twist is 1
+    rest = sorted(i for i in indices if i != kappa)
+    roots = np.exp(2j * np.pi / N * np.arange(N))
+
+    def phases(c, sums):
+        """w^(c s) for every site sum s."""
+        exponent = np.multiply(sums, c, dtype=np.int64)
+        exponent %= N
+        return roots[exponent]
+
+    sites = (np.asarray(chain, dtype=np.int64) % N).astype(stype)
+    # level 0: the empty subset, its "last position" -1, its site sum 0
+    last = np.full(1, -1, dtype=itype)
+    total = np.zeros(1, dtype=stype)
+    # drops[i, r]: rank one level down of subset r less its slot i, kept
+    # while a later level needs it
+    drops = None
+    base = None  # child rank = base[parent] + t for the parents of this level
+    twist, table = kappa, None
+    for j in range(m):
+        counts = (n - 1) - last
+        parent = np.repeat(np.arange(len(last), dtype=itype), counts)
+        child_base = np.cumsum(counts, dtype=itype)
+        child_base -= counts + last + 1
+        t = np.arange(len(parent), dtype=itype)
+        t -= child_base[parent]
+        multiply, keep = j >= mu, mu < m and j + 1 < m
+        if multiply:
+            k = rest[j - mu]
+            u = table if k == twist else table * phases(twist - k, total)
+            table = u[parent]  # the slot that drops t
+            twist = k
+        if keep:
+            new_drops = np.empty((j + 1, len(parent)), dtype=itype)
+            new_drops[j] = parent
+        if multiply or keep:
+            # row chunks keep every temporary small
+            for lo in range(0, len(parent), _CHUNK_SLOTS):
+                rows = slice(lo, lo + _CHUNK_SLOTS)
+                for i in range(j):
+                    col = base[drops[i][parent[rows]]]
+                    col += t[rows]
+                    if keep:
+                        new_drops[i, rows] = col
+                    if multiply:
+                        table[rows] += u[col]
+        total = total[parent]
+        total += sites[t]
+        total[total >= N] -= N
+        last, base = t, child_base
+        drops = new_drops if keep else None
+        u = None
+        if j + 1 == mu:
+            table = float(math.factorial(mu))
+    if mu == m:
+        table = np.full(len(total), table, dtype=np.complex128)
+    for lo in range(0, len(total), _CHUNK_SLOTS):
+        table[lo:lo + _CHUNK_SLOTS] *= phases(twist, total[lo:lo + _CHUNK_SLOTS])
+    return table
+
+
 def amplitude_f(k: MomentumVector, l, force: str | None = None) -> complex:
     """Unnormalised amplitude of one site list: the permanent sum over
     permutations of the wavenumbers."""
     sites = validate_sitelist(l, k.N)
     if len(sites) != k.m:
         raise DomainError(f"site list has {len(sites)} entries, momentum has {k.m}")
+    if force is None and k.m > _DIRECT_PERMANENT_LIMIT:
+        return complex(_subset_permanents(k.indices, k.N, sites, AMPLITUDE_BUDGET)[0])
     row = np.asarray(sites, dtype=np.int64).reshape(1, max(len(sites), 0))
     return complex(_phase_permanents(k.indices, k.N, row, force=force)[0])
 
@@ -308,7 +370,9 @@ def build_state(spec: MagnonStateSpec, budget: int | None = None) -> AmplitudeTa
     spec : MagnonStateSpec
         Chain length, flip count, momentum indices and coupling.
     budget : int, optional
-        Ceiling on stored amplitudes; defaults to AMPLITUDE_BUDGET.
+        Ceiling on stored amplitudes; defaults to AMPLITUDE_BUDGET.  For
+        m > 6 it also caps the widest level of the subset DP, C(N, j)
+        with j = min(m, N // 2).
 
     Returns
     -------
@@ -318,7 +382,8 @@ def build_state(spec: MagnonStateSpec, budget: int | None = None) -> AmplitudeTa
     Raises
     ------
     InfeasibilityError
-        If C(N, m) exceeds the budget or m exceeds the permanent limit.
+        If C(N, m) or the widest DP level exceeds the budget, or m exceeds
+        the permanent limit.
     NullStateError
         If the momentum choice interferes to the zero vector.
     """
@@ -327,14 +392,18 @@ def build_state(spec: MagnonStateSpec, budget: int | None = None) -> AmplitudeTa
     dim = math.comb(N, spec.m)
     if dim > budget:
         raise InfeasibilityError(f"state table needs {dim} amplitudes, budget is {budget}")
-    f = _phase_permanents(k.indices, N, combination_array(N, spec.m))
+    if spec.m > _DIRECT_PERMANENT_LIMIT:
+        f = _subset_permanents(k.indices, N, range(1, N + 1), budget)
+    else:
+        f = _phase_permanents(k.indices, N, combination_array(N, spec.m))
     weight = float(np.vdot(f, f).real)
     if weight < NULL_STATE_THRESHOLD:
         raise NullStateError(
             f"momentum indices {k.indices} interfere destructively on N={N} (weight {weight:.3e})"
         )
     g = 1.0 / math.sqrt(weight)
-    return AmplitudeTable(spec.N, spec.m, f * g, g, spec)
+    f *= g
+    return AmplitudeTable(spec.N, spec.m, f, g, spec)
 
 
 def single_mode_state(n: int, q: int, k: float) -> AmplitudeTable:

@@ -233,8 +233,10 @@ def sweep(epsilon0: float, beta_min: float, beta_max: float, count: int) -> Ther
         raise DomainError(f"need beta_min < beta_max, got [{beta_min}, {beta_max}]")
     if not (math.isfinite(beta_min) and math.isfinite(beta_max)):
         raise DomainError("sweep endpoints must be finite")
-    grid = np.linspace(beta_min, beta_max, count) if count > 1 else np.array([beta_min])
-    # finite endpoints can still overflow linspace's step
+    # finite endpoints can still overflow linspace's step; that is
+    # reported as the non-finite grid point below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.linspace(beta_min, beta_max, count) if count > 1 else np.array([beta_min])
     finite = np.isfinite(grid)
     if not finite.all():
         _check_beta(float(grid[~finite][0]))

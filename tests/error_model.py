@@ -1,4 +1,5 @@
-"""Rounding-error models shared by the tests, and an exact sector-law oracle.
+"""Rounding-error models shared by the tests, and exact oracles for the
+sector law and for the plane-wave permanents.
 
 u = 2^-53 and gamma(T) = T u / (1 - T u) after T rounded operations
 (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -74,3 +76,94 @@ def exact_law(N: int, n: int, m: int):
         count = count * (n - q) * (m - q) // ((q + 1) * (N - n - m + q + 1))
         dim = dim * (n - q) // (q + 1)
     return np.array(p), np.array(log_p), np.array(log_dim)
+
+
+# A root-table entry exp(2 pi i r / N) is within 22 u of w^r: its angle
+# carries three roundings of relative size u on a value of at most 2 pi
+# (19 u), and exp adds 2 ulps to each part.  Multiplying a table entry by
+# it adds the complex product's sqrt(2) gamma(2): 25 steps in all.
+TWIST_STEPS = 25
+
+
+def dp_steps(k) -> int:
+    """Rounded steps per amplitude on the subset-DP permanent route.
+
+    The largest group of mu equal indices starts every level-mu entry at
+    mu! times a root (one rounding of mu!); each later level twists its
+    entries by a root and sums j + 1 of them (j additions), and the last
+    level is twisted back once.  The error of an amplitude is then at most
+    gamma(dp_steps(k)) m!, m! being the sum of the moduli of its terms.
+    """
+    k = list(k)
+    mu = max(k.count(i) for i in k)
+    return 1 + TWIST_STEPS + sum(j + TWIST_STEPS for j in range(mu, len(k)))
+
+
+def count_polynomials(k, N: int, rows) -> np.ndarray:
+    """Exact permutation counts c[r, e], e < N, of each site-list row.
+
+    c[r, e] counts the permutations pi with sum_b k_pi(b) s_b = e (mod N),
+    so the row's permanent is the count polynomial sum_e c[r, e] x^e of
+    Z[x]/(x^N - 1) at x = exp(2 pi i / N).  Built one site of the row at a
+    time over the subsets of momentum slots used so far (every slot its
+    own, whatever its value), the transpose of the library's subset DP.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    count, m = rows.shape
+    k = np.asarray(k, dtype=np.int64)
+    bits = np.arange(m)
+    gather = (np.arange(N)[None, :] - (k[:, None, None] * rows.T[None, :, :])[..., None]) % N
+    masks = np.zeros(1, dtype=np.int64)
+    level = np.zeros((1, count, N), dtype=np.int64)
+    level[0, :, 0] = 1
+    slot = np.empty(1 << m, dtype=np.int64)
+    for b in range(m):
+        free = (masks[:, None] >> bits) & 1 == 0
+        grown = np.unique((masks[:, None] | (1 << bits))[free])
+        slot[grown] = np.arange(len(grown))
+        nxt = np.zeros((len(grown), count, N), dtype=np.int64)
+        for a in range(m):
+            src = free[:, a]
+            # multiplying by x^(k_a s_b) moves coefficient e - shift to e
+            nxt[slot[masks[src] | 1 << a]] += level[src][:, np.arange(count)[:, None], gather[a, b]]
+        masks, level = grown, nxt
+    return level[0]
+
+
+@lru_cache(maxsize=None)
+def cyclotomic(N: int) -> tuple[int, ...]:
+    """Integer coefficients of Phi_N, lowest degree first: x^N - 1 divided
+    by Phi_d for every proper divisor d of N."""
+    poly = [-1] + [0] * (N - 1) + [1]
+    for d in range(1, N):
+        if N % d == 0:
+            poly = _divide_monic(poly, cyclotomic(d))[0]
+    return tuple(poly)
+
+
+def _divide_monic(num, den):
+    """Quotient and remainder of integer polynomials, den monic."""
+    num, deg = list(num), len(den) - 1
+    quot = [0] * max(len(num) - deg, 1)
+    for e in range(len(num) - 1, deg - 1, -1):
+        c = num[e]
+        if c:
+            quot[e - deg] = c
+            for i, d in enumerate(den):
+                num[e - deg + i] -= c * d
+    return quot, num[:deg]
+
+
+def vanishes(counts, N: int) -> np.ndarray:
+    """Per row, whether the permanent is exactly zero: Phi_N, the minimal
+    polynomial of exp(2 pi i / N), divides the count polynomial."""
+    phi = cyclotomic(N)
+    return np.array([not any(_divide_monic([int(c) for c in row], phi)[1]) for row in counts])
+
+
+def exact_permanents(counts, N: int) -> np.ndarray:
+    """The count polynomials at exp(2 pi i / N) in extended precision;
+    within (N + 4) eps m! of exact, eps the long-double unit roundoff."""
+    angle = 2.0 * np.arccos(np.longdouble(-1.0)) * np.arange(N, dtype=np.longdouble) / N
+    counts = np.asarray(counts).astype(np.longdouble)
+    return counts @ np.cos(angle) + 1j * (counts @ np.sin(angle))

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -220,6 +221,17 @@ class TestThermoCommand:
     def test_domain_exit(self, capsys):
         code, _, err = run(capsys, "thermo", "--epsilon0", "-1", "--beta-min", "0", "--beta-max", "1", "--count", "5")
         assert code == 2
+
+    def test_overflowing_grid_is_one_error_line(self, capsys):
+        # finite endpoints whose difference overflows: the error, no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "thermo", "--epsilon0", "1", "--beta-min=-1.7e308", "--beta-max", "1.7e308", "--count", "3"
+            )
+        assert code == 2
+        assert out == ""
+        assert err == "error[domain]: inverse temperature must be finite, got nan\n"
 
 
 class TestVerifyCommand:

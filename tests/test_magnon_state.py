@@ -4,6 +4,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+import error_model as model
 from magcoh import (
     DomainError,
     InfeasibilityError,
@@ -21,10 +22,11 @@ from magcoh import (
 )
 from magcoh.combinat import combination_array
 from magcoh.magnon_state import (
+    AMPLITUDE_BUDGET,
     FULL_VECTOR_BUDGET,
     FullStateVector,
-    _gray_steps,
     _phase_permanents,
+    _subset_permanents,
 )
 
 # Forced Ryser amplitudes (N, k, sites, re, im) of the expanded 2^m
@@ -46,10 +48,8 @@ FORCED_DIRECT_PINS = [
 ]
 
 
-def gamma(T):
-    """Higham's gamma_T = T u / (1 - T u), u the float64 unit roundoff."""
-    u = 2.0 ** -53
-    return T * u / (1.0 - T * u)
+# Exact nulls whose rounding noise still clears the absolute weight threshold.
+MISSED_NULL = "the absolute null threshold misses this exact null (ROADMAP Open item 5)"
 
 
 def brute_phase_sum(k_values, sites):
@@ -165,25 +165,16 @@ class TestAmplitude:
 
     @pytest.mark.parametrize("m", [7, 8, 9])
     def test_grouped_route_matches_expanded_routes(self, m):
-        # few distinct indices, so every multiset repeats one
+        # few distinct indices, so every multiset repeats one and the
+        # default route starts from a closed-form group
         rng = np.random.default_rng(31 * m)
         N = 11
         for _ in range(3):
             k = MomentumVector(N, tuple(int(x) for x in rng.integers(0, 4, size=m)))
             sites = tuple(sorted(int(s) + 1 for s in rng.choice(N, size=m, replace=False)))
-            grouped = amplitude_f(k, sites)
+            default = amplitude_f(k, sites)
             for route in ("ryser", "direct"):
-                assert abs(grouped - amplitude_f(k, sites, force=route)) <= 1e-10 * math.factorial(m)
-
-    @pytest.mark.parametrize("m", [7, 8, 9])
-    def test_grouped_route_is_expanded_route_for_distinct_indices(self, m):
-        rng = np.random.default_rng(43 * m)
-        N = 12
-        idx = tuple(int(x) for x in rng.choice(N, size=m, replace=False))
-        sites = combination_array(N, m)
-        assert np.array_equal(_phase_permanents(idx, N, sites), _phase_permanents(idx, N, sites, force="ryser"))
-        k = MomentumVector(N, idx)
-        assert amplitude_f(k, tuple(sites[7])) == amplitude_f(k, tuple(sites[7]), force="ryser")
+                assert abs(default - amplitude_f(k, sites, force=route)) <= 1e-10 * math.factorial(m)
 
     @pytest.mark.parametrize("N, idx, sites, re, im", FORCED_RYSER_PINS)
     def test_forced_ryser_keeps_its_bits(self, N, idx, sites, re, im):
@@ -209,15 +200,14 @@ class TestAmplitude:
 
     @pytest.mark.parametrize("m", [8, 14, 20])
     def test_single_mode_at_the_ceiling(self, m):
-        # m + 1 grouped terms; the alternating sum cancels terms of size
-        # C(m, x) x^m down to m!, so the bound scales with their total
+        # one index group: the whole permanent is its closed form m! w^(j sum l)
         N, j = 23, 5
         rng = np.random.default_rng(m)
         sites = tuple(sorted(int(s) + 1 for s in rng.choice(N, size=m, replace=False)))
-        got = amplitude_f(MomentumVector.constant(N, j, m), sites)
+        k = MomentumVector.constant(N, j, m)
+        got = amplitude_f(k, sites)
         want = math.factorial(m) * np.exp(2j * math.pi * (j * sum(sites) % N) / N)
-        scale = sum(math.comb(m, x) * float(x) ** m for x in range(m + 1))
-        assert abs(got - want) <= gamma(m * (m + 1)) * scale
+        assert abs(got - want) <= model.gamma(model.dp_steps(k.indices)) * math.factorial(m)
 
     def test_unknown_route_rejected(self):
         k = MomentumVector(8, (1, 2, 3))
@@ -235,27 +225,77 @@ class TestAmplitude:
             amplitude_f(k, tuple(range(1, 22)))
 
 
-@pytest.mark.parametrize("counts", [[1], [1] * 6, [3], [2, 1, 3], [1, 4, 2, 1], [5, 5], [20]])
-def test_gray_steps_visit_each_count_vector_once(counts):
-    x = [0] * len(counts)
-    seen = {tuple(x)}
-    total = 1
-    for j, delta, weight in _gray_steps(counts):
-        assert delta in (1, -1)
-        x[j] += delta
-        assert 0 <= x[j] <= counts[j]
-        assert tuple(x) not in seen
-        seen.add(tuple(x))
-        assert weight == math.prod(math.comb(c, v) for c, v in zip(counts, x))
-        total += weight
-    assert len(seen) == math.prod(c + 1 for c in counts)
-    assert total == 2 ** sum(counts)
+def dp_kernel_cases():
+    """(N, k) for m = 7..12: distinct, repeated and single-mode indices."""
+    rng = np.random.default_rng(2024)
+    for m in range(7, 13):
+        N = m + 2 if m < 11 else m + 1
+        yield N, tuple(int(x) for x in rng.choice(N, size=m, replace=False))
+        yield N, tuple(int(x) for x in rng.integers(0, 3, size=m))
+        yield N, (int(rng.integers(N)),) * m
 
 
-def test_gray_steps_with_unit_counts_is_the_reflected_binary_code():
-    m = 7
-    steps = [j for j, _, _ in _gray_steps([1] * m)]
-    assert steps == [(s & -s).bit_length() - 1 for s in range(1, 1 << m)]
+class TestSubsetPermanents:
+    """The default m > 6 route against exact count polynomials: an
+    amplitude sums m! unit-modulus terms, so it is within gamma(T_dp) m!
+    of exact, plus the long-double evaluation of the oracle."""
+
+    @staticmethod
+    def bound(N, k):
+        m = len(k)
+        oracle = (N + 22) * float(np.finfo(np.longdouble).eps)
+        return (model.gamma(model.dp_steps(k)) + oracle) * math.factorial(m)
+
+    def test_oracle_counts_the_permutations(self):
+        rng = np.random.default_rng(77)
+        for m in (1, 3, 5):
+            N = 9
+            k = MomentumVector(N, tuple(int(x) for x in rng.integers(0, N, size=m)))
+            rows = combination_array(N, m)[::7]
+            counts = model.count_polynomials(k.indices, N, rows)
+            assert (counts.sum(axis=1) == math.factorial(m)).all()
+            for row, value in zip(rows, model.exact_permanents(counts, N)):
+                assert abs(complex(value) - brute_phase_sum(k.values, row)) < 1e-12
+
+    @pytest.mark.parametrize("N, idx", list(dp_kernel_cases()))
+    def test_full_table_matches_the_exact_oracle(self, N, idx):
+        m = len(idx)
+        rows = combination_array(N, m)
+        want = model.exact_permanents(model.count_polynomials(idx, N, rows), N)
+        got = _subset_permanents(idx, N, range(1, N + 1), AMPLITUDE_BUDGET)
+        assert float(np.abs(got - want).max()) <= self.bound(N, idx)
+
+    @pytest.mark.parametrize("N, idx", list(dp_kernel_cases()))
+    def test_single_rows_match_the_exact_oracle(self, N, idx):
+        m = len(idx)
+        rng = np.random.default_rng(N * m)
+        chain = 2 * N + 1
+        k = MomentumVector(chain, idx)
+        rows = np.array([sorted(rng.choice(np.arange(1, chain + 1), size=m, replace=False)) for _ in range(3)])
+        want = model.exact_permanents(model.count_polynomials(idx, chain, rows), chain)
+        for row, value in zip(rows, want):
+            assert abs(amplitude_f(k, tuple(int(s) for s in row)) - value) <= self.bound(chain, idx)
+
+    @pytest.mark.parametrize("idx", [(1, 4, 4, 9, 13, 17, 17), (2, 3, 5, 7, 11, 13, 19)])
+    def test_table_spanning_several_row_chunks(self, idx):
+        # C(20, 7) = 77520 rows: the last level runs in two row chunks
+        N, m = 20, len(idx)
+        table = _subset_permanents(idx, N, range(1, N + 1), AMPLITUDE_BUDGET)
+        rows = combination_array(N, m)
+        ranks = np.r_[0:3, 65533:65539, len(rows) - 3:len(rows)]
+        want = model.exact_permanents(model.count_polynomials(idx, N, rows[ranks]), N)
+        assert float(np.abs(table[ranks] - want).max()) <= self.bound(N, idx)
+
+    def test_widest_level_is_held_to_the_budget(self):
+        # C(12, 8) = 495 amplitudes fit, but level 6 holds C(12, 6) = 924
+        spec = MagnonStateSpec(12, 8, MomentumVector(12, tuple(range(8))))
+        with pytest.raises(InfeasibilityError, match="level 6 holds C\\(12, 6\\) = 924"):
+            build_state(spec, budget=900)
+        assert build_state(spec, budget=924).amplitudes.shape == (495,)
+        # C(26, 14) fits the default budget, C(26, 13) does not
+        wide = MagnonStateSpec(26, 14, MomentumVector(26, tuple(range(14))))
+        with pytest.raises(InfeasibilityError, match="level 13"):
+            build_state(wide)
 
 
 class TestBuildState:
@@ -300,6 +340,19 @@ class TestBuildState:
         # two flips sharing indices {0, 1} on N = 2 cancel identically
         with pytest.raises(NullStateError):
             build_state(MagnonStateSpec(2, 2, MomentumVector(2, (0, 1))))
+
+    @pytest.mark.parametrize("N, idx", [
+        (8, (0,) * 7 + (1,)),
+        (14, tuple(range(14))),
+        pytest.param(10, (0,) * 9 + (1,), marks=pytest.mark.xfail(strict=True, reason=MISSED_NULL)),
+        pytest.param(16, tuple(range(16)), marks=pytest.mark.xfail(strict=True, reason=MISSED_NULL)),
+    ])
+    def test_exact_nulls_beyond_the_direct_route_are_detected(self, N, idx):
+        # every table row's count polynomial vanishes mod Phi_N
+        rows = combination_array(N, len(idx))
+        assert model.vanishes(model.count_polynomials(idx, N, rows), N).all()
+        with pytest.raises(NullStateError):
+            build_state(MagnonStateSpec(N, len(idx), MomentumVector(N, idx)))
 
     def test_budget_enforced(self):
         spec = MagnonStateSpec(30, 3, MomentumVector.constant(30, 1, 3))
