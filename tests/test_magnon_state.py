@@ -176,6 +176,24 @@ class TestAmplitude:
             for route in ("ryser", "direct"):
                 assert abs(default - amplitude_f(k, sites, force=route)) <= 1e-10 * math.factorial(m)
 
+    @pytest.mark.parametrize("m", [7, 8, 9])
+    def test_grouped_route_is_expanded_route_for_distinct_indices(self, m):
+        # distinct indices: the default route's closed-form group is one
+        # index, so its table is the expanded 2^m Ryser sum to rounding
+        rng = np.random.default_rng(43 * m)
+        N = 12
+        idx = tuple(int(x) for x in rng.choice(N, size=m, replace=False))
+        sites = combination_array(N, m)
+        table = _subset_permanents(idx, N, range(1, N + 1), AMPLITUDE_BUDGET)
+        ryser = _phase_permanents(idx, N, sites, force="ryser")
+        assert np.abs(table - ryser).max() <= 1e-10 * math.factorial(m)
+        # a single row runs the same kernel over its own sites: both are
+        # within gamma(T_dp) m! of exact
+        k = MomentumVector(N, idx)
+        one = amplitude_f(k, tuple(sites[7]))
+        assert abs(one - table[7]) <= 2 * model.gamma(model.dp_steps(idx)) * math.factorial(m)
+        assert abs(one - amplitude_f(k, tuple(sites[7]), force="ryser")) <= 1e-10 * math.factorial(m)
+
     @pytest.mark.parametrize("N, idx, sites, re, im", FORCED_RYSER_PINS)
     def test_forced_ryser_keeps_its_bits(self, N, idx, sites, re, im):
         got = amplitude_f(MomentumVector(N, idx), sites, force="ryser")
