@@ -29,7 +29,7 @@ from .reduced_density import (
     reduce,
     reduce_single_mode,
 )
-from .verify import FamilyResult, run_suite
+from .verify import run_suite
 
 __all__ = ["main"]
 
@@ -101,7 +101,7 @@ def _spec_from_args(args) -> MagnonStateSpec:
     indices = _parse_indices(args.k)
     if len(indices) != args.m:
         raise DomainError(f"got {len(indices)} momentum indices for m={args.m}")
-    return MagnonStateSpec(args.N, args.m, MomentumVector(args.N, indices), args.J)
+    return MagnonStateSpec(args.N, args.m, MomentumVector(args.N, indices))
 
 
 def _spec_doc(spec: MagnonStateSpec) -> dict:
@@ -214,7 +214,7 @@ def cmd_thermo(args) -> int:
     curve = thermo.sweep(args.epsilon0, args.beta_min, args.beta_max, args.count)
     lines = ["beta_c,u,heat_capacity,epsilon0"]
     for p in curve.points:
-        row = (p.beta_c, p.u, p.heat_capacity, p.epsilon0)
+        row = (*p, curve.epsilon0)
         if not all(map(math.isfinite, row)):
             raise _non_finite(next(v for v in row if not math.isfinite(v)))
         lines.append("%.17g,%.17g,%.17g,%.17g" % row)
@@ -224,8 +224,6 @@ def cmd_thermo(args) -> int:
 
 def cmd_verify(args) -> int:
     results = run_suite(args.N, args.m, args.seed)
-    if args.force_failure:
-        results.append(FamilyResult("forced-failure", False, 1.0, "requested by --force-failure"))
     lines = [f"verification suite: N={args.N} m={args.m} seed={args.seed}"]
     for r in results:
         flag = "PASS" if r.passed else "FAIL"
@@ -240,7 +238,6 @@ def _add_state_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--N", type=int, required=True, help="chain length")
     p.add_argument("--m", type=int, required=True, help="number of flipped spins")
     p.add_argument("--k", required=True, help="comma-separated momentum grid indices, one per flip")
-    p.add_argument("--J", type=float, default=1.0, help="ferromagnetic coupling (default 1.0)")
     p.add_argument("--budget", type=int, default=None, help="override the size ceilings")
     p.add_argument("-o", "--output", default=None, help="write to a file instead of stdout")
 
@@ -286,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--N", type=int, default=8)
     p_verify.add_argument("--m", type=int, default=2)
     p_verify.add_argument("--seed", type=int, default=7)
-    p_verify.add_argument("--force-failure", action="store_true", help="append a failing family (self-test)")
     p_verify.add_argument("-o", "--output", default=None)
     p_verify.set_defaults(handler=cmd_verify)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinat import sector_law
+from .combinat import _as_int, sector_law
 from .errors import DomainError, InfeasibilityError
 from .reduced_density import BlockDensityMatrix, eigenvalues_hermitian
 
@@ -66,8 +66,6 @@ def _abs_sum(rho) -> float:
 
 
 def _diagonal(rho) -> np.ndarray:
-    if isinstance(rho, BlockDensityMatrix):
-        return rho.diagonal()
     return np.concatenate([np.diag(b).real for b in _as_blocks(rho)])
 
 
@@ -114,7 +112,8 @@ def effective_dimension(rho) -> float:
 
 def max_coherence(d: int) -> tuple[float, float]:
     """Largest attainable (C_r, C_l1) in dimension d: (ln d, d - 1)."""
-    if int(d) != d or d < 1:
+    d = _as_int(d, "dimension")
+    if d < 1:
         raise DomainError(f"dimension must be a positive integer, got {d!r}")
     return math.log(d), float(d - 1)
 

@@ -69,12 +69,19 @@ def log_binomial(n: int, k: int) -> float:
 
 
 def validate_sitelist(sites, n: int) -> SiteList:
-    """Check a strictly increasing list of site indices within [1, n]."""
+    """Check a strictly increasing list of site indices within [1, n].
+
+    Integer-valued floats are taken as their integers, inline rather than
+    by ``_as_int``: ``reduce`` runs this twice per amplitude.
+    """
     out = []
     for s in sites:
-        i = int(s)
-        if i != s:
-            raise DomainError(f"site indices must be integers, got {s!r}")
+        try:
+            i = int(s)
+            if i != s:
+                raise ValueError
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError(f"site indices must be integers, got {s!r}") from None
         out.append(i)
     for a, b in zip(out, out[1:]):
         if a >= b:
@@ -86,6 +93,7 @@ def validate_sitelist(sites, n: int) -> SiteList:
 
 def enumerate_combinations(n: int, m: int) -> list[SiteList]:
     """All m-element site lists from {1, ..., n} in lexicographic order."""
+    n, m = _as_int(n, "n"), _as_int(m, "m")
     if n < 0 or m < 0 or m > n:
         raise DomainError(f"cannot enumerate {m}-subsets of {n} sites")
     return list(_lex_combinations(range(1, n + 1), m))
@@ -142,8 +150,9 @@ def admissible_q(N: int, n: int, m: int) -> range:
     """Range of spin-up counts an n-site block of an N-chain with m flips admits.
 
     The complement holds m - q flips, so q runs from max(0, m - (N - n))
-    to min(n, m).
+    to min(n, m).  Integer-valued floats are taken as their integers.
     """
+    N, n, m = _as_int(N, "N"), _as_int(n, "n"), _as_int(m, "m")
     if not 1 <= n <= N:
         raise DomainError(f"block size must satisfy 1 <= n <= N, got n={n}, N={N}")
     if not 0 <= m <= N:

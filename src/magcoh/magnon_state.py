@@ -12,7 +12,7 @@ An m-flip state assigns each spin-up site list ``l`` (canonical
 lexicographic order, 1-based sites) the amplitude ``G * f`` where ``f``
 sums ``exp(i k_pi . l)`` over all permutations pi of the m wavenumbers
 and G normalises the table.  ``f`` is the permanent of the m x m phase
-matrix ``exp(i k_a l_b)``.  Up to m = 6 each row is a direct
+matrix ``exp(i k_a l_b)``.  Up to m = 4 each row is a direct
 permutation sum.  Beyond, one subset DP computes the whole table at once:
 f(l) is the coefficient of prod_{s in l} y_s in the product of the m
 linear forms L_a(y) = sum_s exp(i k_a s) y_s, so multiplying the forms
@@ -22,7 +22,8 @@ costs m 2^m per row.  The largest group of mu equal indices enters in
 closed form, mu! exp(i k sum(l)), so a single-mode table costs C(N, m) m.
 On a 2-vCPU Xeon a whole N = 16, m = 10..12 table takes about 9 ms, and
 one at N = 26, m = 8 with distinct indices 0.37 s.  Ryser's 2^m
-inclusion-exclusion stays as a cross-check route.
+inclusion-exclusion stays as a cross-check route.  ``_permanents`` picks
+the route, and holds it to its ceiling, for every caller.
 
 Tables are immutable after construction; everything here is pure and
 safe to call concurrently.
@@ -36,7 +37,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .combinat import SiteList, combination_array, enumerate_combinations, validate_sitelist
+from .combinat import SiteList, _as_int, combination_array, enumerate_combinations, validate_sitelist
 from .errors import DomainError, InfeasibilityError, NullStateError
 
 __all__ = [
@@ -64,7 +65,7 @@ FULL_VECTOR_BUDGET = 2 ** 14
 # destructive rather than as a state with a gigantic normalization.
 NULL_STATE_THRESHOLD = 1e-20
 
-_DIRECT_PERMANENT_LIMIT = 6
+_DIRECT_PERMANENT_LIMIT = 4
 _PERMANENT_LIMIT = 20
 _CHUNK_ROWS = 4096
 _CHUNK_SLOTS = 1 << 16
@@ -82,9 +83,7 @@ class MomentumVector:
             raise DomainError(f"chain length must be positive, got N={self.N}")
         clean = []
         for j in self.indices:
-            i = int(j)
-            if i != j:
-                raise DomainError(f"momentum indices must be integers, got {j!r}")
+            i = _as_int(j, "momentum index")
             if not 0 <= i < self.N:
                 raise DomainError(f"momentum index {i} outside [0, {self.N})")
             clean.append(i)
@@ -196,39 +195,31 @@ def momentum_grid(N: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(N) / N
 
 
-def _phase_permanents(indices, N: int, sites: np.ndarray, force: str | None = None) -> np.ndarray:
-    """Permanent of [exp(2 pi i idx_a s_b / N)] for every row of site lists.
-
-    These are the per-row routes: the m <= 6 default and the two
-    cross-check routes; ``_subset_permanents`` takes every m > 6 table.
-    Phases are reduced modulo N in integer arithmetic before
-    exponentiation, so the result does not degrade on long chains; the
-    direct route gathers them from a table of the N roots of unity,
-    bit for bit the exponentials it would otherwise evaluate per term.
-    ``force`` pins the route: "direct" (the default) is the permutation
-    sum, "ryser" the inclusion-exclusion over all 2^m index subsets,
-    walked in binary reflected Gray order with repeated indices treated
-    as distinct.
-    """
-    if force not in (None, "direct", "ryser"):
-        raise DomainError(f"permanent route must be 'direct' or 'ryser', got {force!r}")
+def _direct_permanents(indices, N: int, sites: np.ndarray) -> np.ndarray:
+    """Permanent of [exp(2 pi i idx_a s_b / N)] for every row of site lists,
+    summed over all m! permutations.  Exponents are reduced modulo N in
+    integers, so each phase is gathered from the N roots of unity, bit for
+    bit the exponential each term would otherwise evaluate."""
     rows, m = sites.shape
-    if m == 0:
-        return np.ones(rows, dtype=np.complex128)
-    if m > _PERMANENT_LIMIT:
-        raise InfeasibilityError(f"permanent cost grows as 2^m; m={m} exceeds the limit {_PERMANENT_LIMIT}")
+    idx = np.asarray(indices, dtype=np.int64)
+    out = np.empty(rows, dtype=np.complex128)
+    kperm = idx[np.array(list(permutations(range(m))), dtype=np.int64)]
+    roots = np.exp(2j * np.pi / N * np.arange(N))
+    for lo in range(0, rows, _CHUNK_ROWS):
+        chunk = sites[lo:lo + _CHUNK_ROWS]
+        dots = (chunk @ kperm.T) % N
+        out[lo:lo + len(chunk)] = roots[dots].sum(axis=1)
+    return out
+
+
+def _ryser_permanents(indices, N: int, sites: np.ndarray) -> np.ndarray:
+    """The same permanents by Ryser's inclusion-exclusion over all 2^m
+    index subsets, walked in binary reflected Gray order with repeated
+    indices treated as distinct: the cross-check route."""
+    rows, m = sites.shape
     idx = np.asarray(indices, dtype=np.int64)
     out = np.empty(rows, dtype=np.complex128)
     unit = 2j * np.pi / N
-    if force != "ryser":
-        kperm = idx[np.array(list(permutations(range(m))), dtype=np.int64)]
-        # every reduced exponent is one of N values: exponentiate those once
-        roots = np.exp(unit * np.arange(N))
-        for lo in range(0, rows, _CHUNK_ROWS):
-            chunk = sites[lo:lo + _CHUNK_ROWS]
-            dots = (chunk @ kperm.T) % N
-            out[lo:lo + len(chunk)] = roots[dots].sum(axis=1)
-        return out
     for lo in range(0, rows, _CHUNK_ROWS):
         chunk = sites[lo:lo + _CHUNK_ROWS]
         # (index, site, row): each step adds or removes one contiguous
@@ -253,7 +244,7 @@ def _phase_permanents(indices, N: int, sites: np.ndarray, force: str | None = No
     return out
 
 
-def _subset_permanents(indices, N: int, chain, budget: int) -> np.ndarray:
+def _subset_permanents(indices, N: int, chain) -> np.ndarray:
     """Permanent of [exp(2 pi i idx_a s_b / N)] for every m-subset s of
     the increasing site list ``chain``, in lexicographic order.
 
@@ -271,20 +262,11 @@ def _subset_permanents(indices, N: int, chain, budget: int) -> np.ndarray:
     ``twist``, so a level's phases cost one multiply per entry rather
     than one per slot.  The largest group of mu equal indices kappa enters
     in closed form, T_mu(S) = mu! w^(kappa sum S); each other index adds
-    one level, at sum_j j C(n, j) gathered additions in all.
-
-    Raises InfeasibilityError when the widest level exceeds ``budget``.
+    one level, at sum_j j C(n, j) gathered additions in all.  The widest
+    level holds C(n, min(m, n // 2)) entries.
     """
     m, n = len(indices), len(chain)
-    if m > _PERMANENT_LIMIT:
-        raise InfeasibilityError(f"permanent cost grows as 2^m; m={m} exceeds the limit {_PERMANENT_LIMIT}")
-    widest = min(m, n // 2)
-    size = math.comb(n, widest)
-    if size > budget:
-        raise InfeasibilityError(
-            f"permanent table level {widest} holds C({n}, {widest}) = {size} entries, budget is {budget}"
-        )
-    itype = np.int32 if size <= np.iinfo(np.int32).max else np.int64
+    itype = np.int32 if math.comb(n, min(m, n // 2)) <= np.iinfo(np.int32).max else np.int64
     stype = np.int32 if N < 2 ** 30 else np.int64
     indices = list(indices)
     kappa = max(indices, key=indices.count)
@@ -350,16 +332,56 @@ def _subset_permanents(indices, N: int, chain, budget: int) -> np.ndarray:
     return table
 
 
+def _permanents(indices, N: int, chain, force: str | None, budget: int) -> np.ndarray:
+    """Permanent of [exp(2 pi i idx_a s_b / N)] for every m-subset s of
+    the increasing site list ``chain``, in lexicographic order: one value
+    when ``chain`` is one site list, the whole table when it is 1..N.
+
+    The route is the permutation sum up to m = 4, the subset DP beyond,
+    or the one ``force`` names.  Each is held to what it spends: the
+    permutation sum stores m! m permutation entries and the DP its widest
+    level, C(n, min(m, n // 2)) entries, both within ``budget``; Ryser's
+    2^m walk, and the DP's 2^m subsets of a lone site list, stop at m = 20.
+    """
+    if force not in (None, "direct", "ryser"):
+        raise DomainError(f"permanent route must be 'direct' or 'ryser', got {force!r}")
+    m, n = len(indices), len(chain)
+    if m == 0:
+        return np.ones(1, dtype=np.complex128)
+    route = force or ("direct" if m <= _DIRECT_PERMANENT_LIMIT else "subset")
+    if route == "direct":
+        perms = math.factorial(m)
+        if perms * m > budget:
+            raise InfeasibilityError(
+                f"permutation sum stores m! = {perms} orderings of {m} indices, {perms * m} entries; budget is {budget}"
+            )
+    elif m > _PERMANENT_LIMIT:
+        raise InfeasibilityError(f"permanent cost grows as 2^m; m={m} exceeds the limit {_PERMANENT_LIMIT}")
+    if route == "subset":
+        widest = min(m, n // 2)
+        size = math.comb(n, widest)
+        if size > budget:
+            raise InfeasibilityError(
+                f"permanent table level {widest} holds C({n}, {widest}) = {size} entries, budget is {budget}"
+            )
+        return _subset_permanents(indices, N, chain)
+    sites = combination_array(n, m)
+    if chain[-1] != n:
+        # rows are positions in the chain, which are its sites only when it is 1..n
+        sites = np.asarray(chain, dtype=np.int64)[sites - 1]
+    kernel = _direct_permanents if route == "direct" else _ryser_permanents
+    return kernel(indices, N, sites)
+
+
 def amplitude_f(k: MomentumVector, l, force: str | None = None) -> complex:
     """Unnormalised amplitude of one site list: the permanent sum over
-    permutations of the wavenumbers."""
+    permutations of the wavenumbers.  ``force`` pins the "direct" or
+    "ryser" route; ceilings are held to AMPLITUDE_BUDGET, so a forced
+    permutation sum refuses m >= 10."""
     sites = validate_sitelist(l, k.N)
     if len(sites) != k.m:
         raise DomainError(f"site list has {len(sites)} entries, momentum has {k.m}")
-    if force is None and k.m > _DIRECT_PERMANENT_LIMIT:
-        return complex(_subset_permanents(k.indices, k.N, sites, AMPLITUDE_BUDGET)[0])
-    row = np.asarray(sites, dtype=np.int64).reshape(1, max(len(sites), 0))
-    return complex(_phase_permanents(k.indices, k.N, row, force=force)[0])
+    return complex(_permanents(k.indices, k.N, sites, force, AMPLITUDE_BUDGET)[0])
 
 
 def build_state(spec: MagnonStateSpec, budget: int | None = None) -> AmplitudeTable:
@@ -370,9 +392,10 @@ def build_state(spec: MagnonStateSpec, budget: int | None = None) -> AmplitudeTa
     spec : MagnonStateSpec
         Chain length, flip count, momentum indices and coupling.
     budget : int, optional
-        Ceiling on stored amplitudes; defaults to AMPLITUDE_BUDGET.  For
-        m > 6 it also caps the widest level of the subset DP, C(N, j)
-        with j = min(m, N // 2).
+        Ceiling on stored amplitudes; defaults to AMPLITUDE_BUDGET.  It
+        also caps the permanent route: m! m permutation entries for
+        m <= 4, the widest level of the subset DP, C(N, j) with
+        j = min(m, N // 2), beyond.
 
     Returns
     -------
@@ -382,8 +405,8 @@ def build_state(spec: MagnonStateSpec, budget: int | None = None) -> AmplitudeTa
     Raises
     ------
     InfeasibilityError
-        If C(N, m) or the widest DP level exceeds the budget, or m exceeds
-        the permanent limit.
+        If C(N, m) or the permanent route exceeds the budget, or m
+        exceeds the permanent limit of 20.
     NullStateError
         If the momentum choice interferes to the zero vector.
     """
@@ -392,10 +415,7 @@ def build_state(spec: MagnonStateSpec, budget: int | None = None) -> AmplitudeTa
     dim = math.comb(N, spec.m)
     if dim > budget:
         raise InfeasibilityError(f"state table needs {dim} amplitudes, budget is {budget}")
-    if spec.m > _DIRECT_PERMANENT_LIMIT:
-        f = _subset_permanents(k.indices, N, range(1, N + 1), budget)
-    else:
-        f = _phase_permanents(k.indices, N, combination_array(N, spec.m))
+    f = _permanents(k.indices, N, range(1, N + 1), None, budget)
     weight = float(np.vdot(f, f).real)
     if weight < NULL_STATE_THRESHOLD:
         raise NullStateError(
@@ -433,17 +453,16 @@ def embed_full(state: AmplitudeTable, budget: int | None = None) -> FullStateVec
     return FullStateVector(state.N, entries)
 
 
-def apply_hamiltonian(v: FullStateVector, J: float = 1.0, budget: int | None = None) -> FullStateVector:
+def apply_hamiltonian(v: FullStateVector, J: float = 1.0) -> FullStateVector:
     """Apply H = -J sum_l sigma_l . sigma_{l+1} to a dense vector.
 
     Uses sigma_l . sigma_{l+1} = 2 SWAP - 1, so the action is J N v
     minus 2 J times the sum of bond-swapped copies of v.  Meant as the
-    brute-force oracle; the budget caps the dense size.
+    brute-force oracle; FULL_VECTOR_BUDGET caps the dense size.
     """
-    budget = FULL_VECTOR_BUDGET if budget is None else budget
     size = 1 << v.N
-    if size > budget:
-        raise InfeasibilityError(f"dense operator application on 2^{v.N} entries, budget is {budget}")
+    if size > FULL_VECTOR_BUDGET:
+        raise InfeasibilityError(f"dense operator application on 2^{v.N} entries, budget is {FULL_VECTOR_BUDGET}")
     idx = np.arange(size)
     out = (J * v.N) * v.entries.copy()
     for l in range(v.N):

@@ -115,10 +115,6 @@ class BlockDensityMatrix:
         return enumerate_combinations(self.n, q)
 
     @property
-    def dimension(self) -> int:
-        return sum(b.shape[0] for b in self.blocks.values())
-
-    @property
     def block_weights(self) -> dict[int, float]:
         return {q: float(np.trace(self.blocks[q]).real) for q in self.q_values}
 
@@ -169,13 +165,12 @@ class BlockDensityMatrix:
                 raise InternalConsistencyError(f"block q={q} lies outside [0, {self.n}]")
             if b.shape[0] != math.comb(self.n, q):
                 raise InternalConsistencyError(f"block q={q} has {b.shape[0]} rows, not C({self.n}, {q}) = {math.comb(self.n, q)}")
-            herm = float(np.abs(b - b.conj().T).max()) if b.size else 0.0
+            herm = float(np.abs(b - b.conj().T).max())
             if not herm <= BLOCK_HERMITICITY_TOL:
                 raise InternalConsistencyError(f"block q={q} departs from Hermiticity by {herm:.3e}")
-            if b.size:
-                lowest = self._lowest_eigenvalue(q)
-                if not lowest >= NEGATIVE_EIGENVALUE_FLOOR:
-                    raise InternalConsistencyError(f"block q={q} has eigenvalue {lowest:.3e} below the floor")
+            lowest = self._lowest_eigenvalue(q)
+            if not lowest >= NEGATIVE_EIGENVALUE_FLOOR:
+                raise InternalConsistencyError(f"block q={q} has eigenvalue {lowest:.3e} below the floor")
         off = abs(self.total_trace() - 1.0)
         if not off <= TRACE_TOL:
             raise InternalConsistencyError(f"total trace departs from 1 by {off:.3e}")
@@ -285,10 +280,8 @@ def oracle_partial_trace(v: FullStateVector, sub: SubsystemSpec, budget: int | N
     dense = grouped.T @ grouped.conj()
 
     pops = np.array([i.bit_count() for i in range(1 << n)], dtype=np.int64)
-    residual = 0.0
-    mixed = pops[:, None] != pops[None, :]
-    if mixed.any():
-        residual = float(np.abs(dense[mixed]).max())
+    # n >= 1, so sectors 0 and 1 always meet off the diagonal
+    residual = float(np.abs(dense[pops[:, None] != pops[None, :]]).max())
 
     blocks: dict[int, np.ndarray] = {}
     for q in range(n + 1):

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .combinat import admissible_q, binary_entropy, sector_law
+from .combinat import _as_int, admissible_q, binary_entropy, sector_law
 from .errors import DivergenceError, DomainError
 
 __all__ = [
@@ -41,20 +42,16 @@ __all__ = [
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class ThermoPoint:
+class ThermoPoint(NamedTuple):
     beta_c: float
     u: float
     heat_capacity: float
-    epsilon0: float
 
 
 @dataclass(frozen=True)
 class ThermoCurve:
+    epsilon0: float
     points: tuple[ThermoPoint, ...]
-    beta_min: float
-    beta_max: float
-    count: int
 
 
 @dataclass(frozen=True)
@@ -186,23 +183,19 @@ def _sector_entropies(N: int, n: int, m: int) -> tuple[float, float]:
     return -float(law.p @ law.log_p), float(law.p @ law.log_dim)
 
 
-def beta_decomposition(N: int, n: int, m: int, epsilon0: float, dm: int = 1) -> BetaDecomposition:
+def beta_decomposition(N: int, n: int, m: int, epsilon0: float) -> BetaDecomposition:
     """Split beta = beta_incoherent - beta_coherence by centered differences.
 
     Block energy moves in exact steps of n eps0 / N when the flip count
-    changes by one, so derivatives are taken over integer steps dm and
-    the truncation bound is estimated by comparing the dm and 2 dm
-    stencils.
+    changes by one, so derivatives are taken over one flip either way,
+    and the truncation bound is estimated by comparing that stencil with
+    the two-flip one.
     """
     _check_epsilon0(epsilon0)
-    if int(dm) != dm or dm < 1:
-        raise DomainError(f"difference step must be a positive integer, got {dm!r}")
-    if m - 2 * dm < 0 or m + 2 * dm > N:
-        raise DomainError(
-            f"centered differences need m within [2 dm, N - 2 dm]; got m={m}, dm={dm}, N={N}"
-        )
+    if m < 2 or m + 2 > N:
+        raise DomainError(f"centered differences need m within [2, N - 2]; got m={m}, N={N}")
     values = {}
-    for shift in (-2 * dm, -dm, dm, 2 * dm):
+    for shift in (-2, -1, 1, 2):
         mm = m + shift
         entropy, avg_log = _sector_entropies(N, n, mm)
         values[shift] = (entropy, entropy + avg_log, avg_log, internal_energy(N, n, mm, epsilon0))
@@ -211,23 +204,25 @@ def beta_decomposition(N: int, n: int, m: int, epsilon0: float, dm: int = 1) -> 
         du = values[h][3] - values[-h][3]
         return (values[h][component] - values[-h][component]) / du
 
-    beta = slope(0, dm)
-    beta_incoherent = slope(1, dm)
-    beta_coherence = slope(2, dm)
-    bound = sum(abs(slope(i, dm) - slope(i, 2 * dm)) / 3.0 for i in range(3))
+    beta = slope(0, 1)
+    beta_incoherent = slope(1, 1)
+    beta_coherence = slope(2, 1)
+    bound = sum(abs(slope(i, 1) - slope(i, 2)) / 3.0 for i in range(3))
     bound += 1e-13 * (1.0 + abs(beta) + abs(beta_incoherent) + abs(beta_coherence))
     return BetaDecomposition(beta, beta_incoherent, beta_coherence, bound)
 
 
 def sweep(epsilon0: float, beta_min: float, beta_max: float, count: int) -> ThermoCurve:
-    """Tabulate (beta, u, heat capacity) on a uniform beta grid.
+    """Tabulate (beta, u, heat capacity) on a uniform beta grid, as the
+    points of one ThermoCurve at ``epsilon0``.
 
     The inputs are checked once; each point is then one two-level
     evaluation, the same bits as ``energy_from_beta`` and
     ``heat_capacity``.
     """
     _check_epsilon0(epsilon0)
-    if int(count) != count or count < 1:
+    count = _as_int(count, "point count")
+    if count < 1:
         raise DomainError(f"point count must be a positive integer, got {count!r}")
     if count > 1 and not beta_min < beta_max:
         raise DomainError(f"need beta_min < beta_max, got [{beta_min}, {beta_max}]")
@@ -240,5 +235,5 @@ def sweep(epsilon0: float, beta_min: float, beta_max: float, count: int) -> Ther
     finite = np.isfinite(grid)
     if not finite.all():
         _check_beta(float(grid[~finite][0]))
-    points = tuple(ThermoPoint(b, *_two_level(b, epsilon0), epsilon0) for b in grid.tolist())
-    return ThermoCurve(points, beta_min, beta_max, count)
+    points = tuple(ThermoPoint(b, *_two_level(b, epsilon0)) for b in grid.tolist())
+    return ThermoCurve(epsilon0, points)

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from magcoh import c_r, reduce_single_mode, thermo
+from magcoh import BlockDensityMatrix, c_r, reduce_single_mode, thermo
 from magcoh import cli
 from magcoh.cli import main
 from magcoh.errors import InternalConsistencyError
-from magcoh.verify import FAMILY_NAMES
+from magcoh.verify import FAMILY_NAMES, FamilyResult
 
 
 def run(capsys, *argv):
@@ -250,10 +250,23 @@ class TestVerifyCommand:
         assert reported == set(FAMILY_NAMES)
         assert len(FAMILY_NAMES) == 27
 
-    def test_forced_failure_flips_the_exit_code(self, capsys):
-        code, out, _ = run(capsys, "verify", "--force-failure")
+    def test_forced_failure_flips_the_exit_code(self, capsys, monkeypatch):
+        real = cli.run_suite
+
+        def failing(*args):
+            return [*real(*args), FamilyResult("forced-failure", False, 1.0, "injected by the test")]
+
+        monkeypatch.setattr(cli, "run_suite", failing)
+        code, out, _ = run(capsys, "verify")
         assert code == 4
-        assert "forced-failure" in out
+        assert "FAIL  forced-failure" in out
+        assert out.strip().splitlines()[-1] == f"{len(FAMILY_NAMES)}/{len(FAMILY_NAMES) + 1} families passed"
+
+    def test_removed_flags_are_unknown(self, capsys):
+        for argv in (["verify", "--force-failure"], ["state", "--N", "4", "--m", "1", "--k", "1", "--J", "2"]):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2
 
     def test_descaled_chain_rejected(self, capsys):
         code, _, err = run(capsys, "verify", "--N", "40")
@@ -366,7 +379,7 @@ class TestNonFiniteOutputExits4:
         def poisoned(*args, **kwargs):
             curve = real(*args, **kwargs)
             points = list(curve.points)
-            points[2] = dataclasses.replace(points[2], heat_capacity=-math.inf)
+            points[2] = points[2]._replace(heat_capacity=-math.inf)
             return dataclasses.replace(curve, points=tuple(points))
 
         monkeypatch.setattr(thermo, "sweep", poisoned)
@@ -374,3 +387,15 @@ class TestNonFiniteOutputExits4:
             capsys, tmp_path, "thermo", "--epsilon0", "1", "--beta-min", "-1", "--beta-max", "1", "--count", "5",
             shown="-inf",
         )
+
+
+def test_failed_validation_exits_4(capsys, monkeypatch):
+    # a non-Hermitian sector fails BlockDensityMatrix.validate inside the command
+    def broken(*args, **kwargs):
+        return BlockDensityMatrix(1, {0: np.array([[0.5]]), 1: np.array([[0.5 + 0.25j]])}).validate()
+
+    monkeypatch.setattr(cli, "reduce", broken)
+    code, out, err = run(capsys, "reduce", "--N", "6", "--m", "1", "--k", "1", "--n", "1")
+    assert code == 4
+    assert out == ""
+    assert err == "error[internal-consistency]: block q=1 departs from Hermiticity by 5.000e-01\n"

@@ -244,7 +244,7 @@ class TestReport:
         report = coherence_report(reduced)
         assert abs(report.c_ln - math.log1p(report.c_l1)) < 1e-14
         assert abs(report.effective_dimension - 1.0 - report.c_l1) < 1e-14
-        assert report.basis_dimension == reduced.dimension
+        assert report.basis_dimension == sum(math.comb(4, q) for q in reduced.q_values) == 15
         assert report.c_r <= math.log(report.basis_dimension) + 1e-12
         assert report.c_l1 >= 0.0 and report.c_r >= 0.0
 

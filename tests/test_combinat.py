@@ -11,13 +11,17 @@ import error_model as model
 from magcoh import (
     DomainError,
     InfeasibilityError,
+    MomentumVector,
+    SubsystemSpec,
     admissible_q,
     binary_entropy,
     enumerate_combinations,
     hypergeometric_pmf,
     log_binomial,
+    max_coherence,
     rank_combination,
     sector_law,
+    sweep,
     unrank_combination,
 )
 from magcoh.combinat import EXACT_LIMIT
@@ -284,3 +288,43 @@ class TestBinaryEntropy:
             binary_entropy(-0.1)
         with pytest.raises(DomainError):
             binary_entropy(1.1)
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: SubsystemSpec(8, (NAN,)),
+        lambda: SubsystemSpec(8, (None,)),
+        lambda: SubsystemSpec(8, ("2",)),
+        lambda: rank_combination((1, NAN), 5),
+        lambda: MomentumVector(8, (INF,)),
+        lambda: MomentumVector(8, ("a",)),
+        lambda: MomentumVector(8, (1.5,)),
+        lambda: max_coherence(NAN),
+        lambda: sweep(1.0, -1.0, 1.0, NAN),
+        lambda: enumerate_combinations(4.5, 2),
+        lambda: enumerate_combinations("4", 2),
+        lambda: admissible_q(8.5, 3, 2),
+        lambda: admissible_q(8, 3, INF),
+    ],
+    ids=[
+        "subsystem-nan", "subsystem-none", "subsystem-str", "rank-nan", "momentum-inf", "momentum-str",
+        "momentum-half", "max-coherence-nan", "sweep-count-nan", "enumerate-half", "enumerate-str",
+        "admissible-half", "admissible-inf",
+    ],
+)
+def test_non_integer_arguments_are_domain_errors(call):
+    with pytest.raises(DomainError, match="must be an integer|must be integers"):
+        call()
+
+
+def test_integer_valued_floats_are_their_integers():
+    assert enumerate_combinations(4.0, 2.0) == enumerate_combinations(4, 2)
+    assert admissible_q(8.0, 3.0, 2.0) == range(0, 3)
+    assert max_coherence(4.0) == max_coherence(4)
+    assert len(sweep(1.0, -1.0, 1.0, 3.0).points) == 3
+    assert SubsystemSpec(8, (2.0, 5.0)).sites == (2, 5)
+    assert MomentumVector(8, (3.0,)).indices == (3,)

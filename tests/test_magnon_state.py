@@ -20,12 +20,15 @@ from magcoh import (
     rank_combination,
     single_mode_state,
 )
+from magcoh import magnon_state
 from magcoh.combinat import combination_array
 from magcoh.magnon_state import (
     AMPLITUDE_BUDGET,
     FULL_VECTOR_BUDGET,
     FullStateVector,
-    _phase_permanents,
+    _direct_permanents,
+    _permanents,
+    _ryser_permanents,
     _subset_permanents,
 )
 
@@ -184,8 +187,8 @@ class TestAmplitude:
         N = 12
         idx = tuple(int(x) for x in rng.choice(N, size=m, replace=False))
         sites = combination_array(N, m)
-        table = _subset_permanents(idx, N, range(1, N + 1), AMPLITUDE_BUDGET)
-        ryser = _phase_permanents(idx, N, sites, force="ryser")
+        table = _subset_permanents(idx, N, range(1, N + 1))
+        ryser = _ryser_permanents(idx, N, sites)
         assert np.abs(table - ryser).max() <= 1e-10 * math.factorial(m)
         # a single row runs the same kernel over its own sites: both are
         # within gamma(T_dp) m! of exact
@@ -213,8 +216,8 @@ class TestAmplitude:
         for idx in (tuple(int(x) for x in rng.integers(0, N, size=m)), tuple(range(1, m + 1))):
             kperm = np.array(idx, dtype=np.int64)[np.array(list(permutations(range(m))), dtype=np.int64)]
             want = np.exp(2j * np.pi / N * ((sites @ kperm.T) % N)).sum(axis=1)
-            assert np.array_equal(_phase_permanents(idx, N, sites), want)
-            assert np.array_equal(_phase_permanents(idx, N, sites, force="direct"), want)
+            assert np.array_equal(_direct_permanents(idx, N, sites), want)
+            assert np.array_equal(_permanents(idx, N, range(1, N + 1), "direct", AMPLITUDE_BUDGET), want)
 
     @pytest.mark.parametrize("m", [8, 14, 20])
     def test_single_mode_at_the_ceiling(self, m):
@@ -241,6 +244,24 @@ class TestAmplitude:
         k = MomentumVector(64, tuple(range(21)))
         with pytest.raises(InfeasibilityError):
             amplitude_f(k, tuple(range(1, 22)))
+
+    def test_forced_direct_refuses_m_factorial_before_it_allocates(self, monkeypatch):
+        # m = 10: 10! 10 permutation entries exceed the default budget
+        def unreachable(*args):
+            raise AssertionError("the permutation array was built")
+
+        monkeypatch.setattr(magnon_state, "permutations", unreachable)
+        k = MomentumVector(23, tuple(range(10)))
+        with pytest.raises(InfeasibilityError, match="m! = 3628800"):
+            amplitude_f(k, tuple(range(1, 11)), force="direct")
+        with pytest.raises(InfeasibilityError, match="m! = 51090942171709440000"):
+            amplitude_f(MomentumVector(64, tuple(range(21))), tuple(range(1, 22)), force="direct")
+
+    def test_forced_direct_still_runs_at_m_9(self):
+        k = MomentumVector(23, (1, 2, 2, 5, 7, 11, 13, 17, 19))
+        sites = (1, 3, 4, 6, 9, 12, 15, 20, 22)
+        direct = amplitude_f(k, sites, force="direct")
+        assert abs(direct - amplitude_f(k, sites)) <= 1e-10 * math.factorial(9)
 
 
 def dp_kernel_cases():
@@ -280,7 +301,7 @@ class TestSubsetPermanents:
         m = len(idx)
         rows = combination_array(N, m)
         want = model.exact_permanents(model.count_polynomials(idx, N, rows), N)
-        got = _subset_permanents(idx, N, range(1, N + 1), AMPLITUDE_BUDGET)
+        got = _subset_permanents(idx, N, range(1, N + 1))
         assert float(np.abs(got - want).max()) <= self.bound(N, idx)
 
     @pytest.mark.parametrize("N, idx", list(dp_kernel_cases()))
@@ -298,7 +319,7 @@ class TestSubsetPermanents:
     def test_table_spanning_several_row_chunks(self, idx):
         # C(20, 7) = 77520 rows: the last level runs in two row chunks
         N, m = 20, len(idx)
-        table = _subset_permanents(idx, N, range(1, N + 1), AMPLITUDE_BUDGET)
+        table = _subset_permanents(idx, N, range(1, N + 1))
         rows = combination_array(N, m)
         ranks = np.r_[0:3, 65533:65539, len(rows) - 3:len(rows)]
         want = model.exact_permanents(model.count_polynomials(idx, N, rows[ranks]), N)

@@ -398,7 +398,7 @@ class TestBlockDensityMatrix:
     def test_diagonal_concatenates_sectors(self):
         reduced = reduce_single_mode(8, 3, 2, 0.4)
         diag = reduced.diagonal()
-        assert len(diag) == reduced.dimension
+        assert len(diag) == sum(math.comb(3, q) for q in reduced.q_values)
         assert abs(diag.sum() - 1.0) < 1e-12
 
     def test_purity_below_one_when_mixed(self):

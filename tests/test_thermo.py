@@ -259,14 +259,16 @@ class TestBetaDecomposition:
             beta_decomposition(10, 4, 1, 1.0)
         with pytest.raises(DomainError):
             beta_decomposition(10, 4, 9, 1.0)
-        with pytest.raises(DomainError):
-            beta_decomposition(10, 4, 5, 1.0, dm=0)
+        # one and two flips either way reach exactly 0 and N
+        for m in (2, 8):
+            assert beta_decomposition(10, 4, m, 1.0).truncation_bound > 0.0
 
 
 class TestSweep:
     def test_grid_and_midpoint(self):
         curve = sweep(2.0, -1.0, 1.0, 3)
-        assert curve.count == 3
+        assert curve.epsilon0 == 2.0
+        assert len(curve.points) == 3
         betas = [p.beta_c for p in curve.points]
         assert betas == [-1.0, 0.0, 1.0]
         mid = curve.points[1]
@@ -277,10 +279,10 @@ class TestSweep:
         # one shared two-level kernel: the sweep's points are the scalar calls' bits
         curve = sweep(1.5, -4.0, 4.0, 41)
         for p in curve.points:
-            assert p.u == energy_from_beta(p.beta_c, p.epsilon0)
-            assert p.heat_capacity == heat_capacity(p.beta_c, p.epsilon0)
+            assert p.u == energy_from_beta(p.beta_c, curve.epsilon0)
+            assert p.heat_capacity == heat_capacity(p.beta_c, curve.epsilon0)
             assert p.heat_capacity >= 0.0
-            assert 0.0 < p.u < p.epsilon0
+            assert 0.0 < p.u < curve.epsilon0
 
     def test_domain(self):
         with pytest.raises(DomainError):
