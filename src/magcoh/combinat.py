@@ -101,7 +101,9 @@ def enumerate_combinations(n: int, m: int) -> list[SiteList]:
 
 def combination_array(n: int, m: int) -> np.ndarray:
     """The C(n, m) site lists of ``enumerate_combinations`` as one
-    (C(n, m), m) int64 array, row r holding the list of rank r."""
+    (C(n, m), m) int64 array, row r holding the list of rank r.
+    Integer-valued floats are taken as their integers."""
+    n, m = _as_int(n, "n"), _as_int(m, "m")
     count = math.comb(n, m)
     if m == 0:
         return np.zeros((count, 0), dtype=np.int64)
@@ -124,7 +126,11 @@ def rank_combination(sites, n: int) -> int:
 
 
 def unrank_combination(rank: int, n: int, m: int) -> SiteList:
-    """Site list at a given lexicographic rank; inverse of rank_combination."""
+    """Site list at a given lexicographic rank; inverse of rank_combination.
+
+    Integer-valued floats are taken as their integers.
+    """
+    rank, n, m = _as_int(rank, "rank"), _as_int(n, "n"), _as_int(m, "m")
     if n < 0 or m < 0 or m > n:
         raise DomainError(f"cannot unrank {m}-subsets of {n} sites")
     total = math.comb(n, m)

@@ -117,6 +117,8 @@ class MagnonStateSpec:
     J: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "N", _as_int(self.N, "chain length"))
+        object.__setattr__(self, "m", _as_int(self.m, "flip count"))
         if not 1 <= self.m <= self.N:
             raise DomainError(f"flip count must satisfy 1 <= m <= N, got m={self.m}, N={self.N}")
         if self.k.N != self.N:
@@ -431,7 +433,9 @@ def single_mode_state(n: int, q: int, k: float) -> AmplitudeTable:
 
     This is the pure state each magnon-number block of a single-mode
     reduction collapses to; q = 0 gives the trivial one-entry table.
+    Integer-valued floats n and q are taken as their integers.
     """
+    n, q = _as_int(n, "n"), _as_int(q, "q")
     if n < 1:
         raise DomainError(f"block size must be positive, got n={n}")
     if not 0 <= q <= n:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .combinat import (
     SiteList,
+    _as_int,
     admissible_q,
     combination_array,
     enumerate_combinations,
@@ -50,6 +51,31 @@ TRACE_TOL = 1e-10
 BLOCK_HERMITICITY_TOL = 1e-12
 NEGATIVE_EIGENVALUE_FLOOR = -1e-10
 INPUT_HERMITICITY_TOL = 1e-10
+
+# Rows per tile of _hermiticity_residual: its scratch memory is a few
+# tile x d arrays instead of three d x d ones.
+_HERMITICITY_TILE = 64
+
+
+def _hermiticity_residual(b: np.ndarray) -> float:
+    """max |b - b^H| over a square complex matrix, one row tile at a time.
+
+    Equals ``float(np.abs(b - b.conj().T).max())`` bit for bit.  Entry
+    (r, c) and entry (c, r) of b - b^H round to the same modulus: their
+    real parts are exact negations, re b_rc - re b_cr, and their
+    imaginary parts are the same sum, im b_rc + im b_cr.  So the upper
+    triangle r <= c carries the maximum, and every such pair lies in the
+    tile that holds row r.  A NaN tile is returned at once, since
+    Python's ``max`` drops a NaN that comes second.
+    """
+    worst = 0.0
+    for i in range(0, b.shape[0], _HERMITICITY_TILE):
+        j = i + _HERMITICITY_TILE
+        tile = float(np.abs(b[i:j, i:] - b[i:, i:j].T.conj()).max())
+        if tile != tile:
+            return tile
+        worst = max(worst, tile)
+    return worst
 
 
 @dataclass(frozen=True)
@@ -149,7 +175,12 @@ class BlockDensityMatrix:
         """Check shapes, Hermiticity, positivity and unit trace; returns self.
 
         Each sector q must lie in [0, n] and be C(n, q) x C(n, q).
-        Hermiticity and trace are read off the dense blocks.  The lowest
+        Hermiticity and trace are read off the dense blocks.  The
+        Hermiticity residual max |b - b^H| is taken over row tiles of the
+        upper triangle, so it needs O(tile x d) scratch memory rather than
+        three d x d temporaries; it is exact, not a bound, because entries
+        (r, c) and (c, r) of b - b^H have the same modulus to the last bit
+        (see ``_hermiticity_residual``).  The lowest
         eigenvalue of a sector comes from its supplied spectrum if there
         is one.  Failing that, a Gram factor V with fewer rows than
         columns gives it as min(0, lowest eigenvalue of V V^H): by the
@@ -165,7 +196,7 @@ class BlockDensityMatrix:
                 raise InternalConsistencyError(f"block q={q} lies outside [0, {self.n}]")
             if b.shape[0] != math.comb(self.n, q):
                 raise InternalConsistencyError(f"block q={q} has {b.shape[0]} rows, not C({self.n}, {q}) = {math.comb(self.n, q)}")
-            herm = float(np.abs(b - b.conj().T).max())
+            herm = _hermiticity_residual(b)
             if not herm <= BLOCK_HERMITICITY_TOL:
                 raise InternalConsistencyError(f"block q={q} departs from Hermiticity by {herm:.3e}")
             lowest = self._lowest_eigenvalue(q)
@@ -230,8 +261,10 @@ def reduce_single_mode(N: int, n: int, m: int, k: float, budget: int | None = No
     route scales to chains far beyond the general one.  Being rank one,
     a sector of dimension d has the spectrum (0, ..., 0, trace), which
     is supplied rather than diagonalised.  A non-finite k is a
-    DomainError.
+    DomainError; integer-valued floats N, n and m are taken as their
+    integers.
     """
+    N, n, m = _as_int(N, "N"), _as_int(n, "n"), _as_int(m, "m")
     if not math.isfinite(k):
         raise DomainError(f"wavenumber must be finite, got {k}")
     budget = AMPLITUDE_BUDGET if budget is None else budget
@@ -301,6 +334,6 @@ def eigenvalues_hermitian(matrix) -> np.ndarray:
     a = np.asarray(matrix, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
-    if a.size and not float(np.abs(a - a.conj().T).max()) <= INPUT_HERMITICITY_TOL:
+    if a.size and not _hermiticity_residual(a) <= INPUT_HERMITICITY_TOL:
         raise DomainError("matrix departs from Hermiticity beyond tolerance")
     return np.linalg.eigvalsh(a)[::-1]

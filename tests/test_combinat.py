@@ -11,6 +11,7 @@ import error_model as model
 from magcoh import (
     DomainError,
     InfeasibilityError,
+    MagnonStateSpec,
     MomentumVector,
     SubsystemSpec,
     admissible_q,
@@ -20,11 +21,13 @@ from magcoh import (
     log_binomial,
     max_coherence,
     rank_combination,
+    reduce_single_mode,
     sector_law,
+    single_mode_state,
     sweep,
     unrank_combination,
 )
-from magcoh.combinat import EXACT_LIMIT
+from magcoh.combinat import EXACT_LIMIT, combination_array
 
 
 def per_slot_rank(sites, n):
@@ -309,11 +312,17 @@ NAN, INF = math.nan, math.inf
         lambda: enumerate_combinations("4", 2),
         lambda: admissible_q(8.5, 3, 2),
         lambda: admissible_q(8, 3, INF),
+        lambda: combination_array(4.5, 2),
+        lambda: unrank_combination(0, 4.5, 2),
+        lambda: single_mode_state(4.5, 2, 0.1),
+        lambda: reduce_single_mode(10, 4.5, 3, 0.1),
+        lambda: MagnonStateSpec(8, 2.5, MomentumVector(8, (1, 2))),
     ],
     ids=[
         "subsystem-nan", "subsystem-none", "subsystem-str", "rank-nan", "momentum-inf", "momentum-str",
         "momentum-half", "max-coherence-nan", "sweep-count-nan", "enumerate-half", "enumerate-str",
-        "admissible-half", "admissible-inf",
+        "admissible-half", "admissible-inf", "combination-array-half", "unrank-half", "single-mode-state-half",
+        "reduce-single-mode-half", "spec-m-half",
     ],
 )
 def test_non_integer_arguments_are_domain_errors(call):
@@ -328,3 +337,9 @@ def test_integer_valued_floats_are_their_integers():
     assert len(sweep(1.0, -1.0, 1.0, 3.0).points) == 3
     assert SubsystemSpec(8, (2.0, 5.0)).sites == (2, 5)
     assert MomentumVector(8, (3.0,)).indices == (3,)
+    assert np.array_equal(combination_array(4.0, 2), combination_array(4, 2))
+    assert unrank_combination(0, 4.0, 2) == unrank_combination(0, 4, 2)
+    assert np.array_equal(single_mode_state(4.0, 2, 0.1).amplitudes, single_mode_state(4, 2, 0.1).amplitudes)
+    by_float, by_int = reduce_single_mode(10, 4.0, 3, 0.1), reduce_single_mode(10, 4, 3, 0.1)
+    assert by_float.n == 4 and all(np.array_equal(by_float.blocks[q], by_int.blocks[q]) for q in by_int.q_values)
+    assert MagnonStateSpec(8.0, 2.0, MomentumVector(8, (1, 2))).m == 2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from magcoh import (
 )
 from magcoh.combinat import combination_array
 from magcoh.magnon_state import _DIRECT_PERMANENT_LIMIT
+from magcoh.reduced_density import _HERMITICITY_TILE, _hermiticity_residual
 
 
 def random_state(rng, N, m):
@@ -452,6 +454,65 @@ class TestBlockDensityMatrix:
                 BlockDensityMatrix(2, {q: np.ones((1, 1), dtype=complex)}).validate()
         rho = BlockDensityMatrix(2, {1: flat}).validate()
         assert rho.labels(1) == [(1,), (2,)]
+
+
+@st.composite
+def residual_cases(draw):
+    """A random complex d x d matrix, Hermitian or not, with one entry in
+    either triangle (often in the last, partial tile) perturbed or made
+    NaN or infinite."""
+    d = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    if draw(st.booleans()):
+        b = 0.5 * (b + b.conj().T)
+    last_tile = (d - 1) // _HERMITICITY_TILE * _HERMITICITY_TILE
+    r = draw(st.integers(last_tile, d - 1) | st.integers(0, d - 1))
+    c = draw(st.integers(0, d - 1))
+    if draw(st.booleans()):
+        r, c = c, r
+    bad = draw(st.sampled_from([None, 1e-13, 1e-13j, 0.5, complex(math.nan, 0.0), complex(0.0, math.nan), math.inf, -math.inf, complex(0.0, math.inf)]))
+    if bad is not None:
+        b[r, c] = b[r, c] + bad if abs(bad) < 1.0 else bad
+    return b
+
+
+@seed(1101)
+@settings(max_examples=300, deadline=None, database=None)
+@given(residual_cases())
+@example(np.array([[1.0, np.nan], [0.0, 1.0]], dtype=complex))
+@example(np.array([[1.0, 0.0], [np.nan, 1.0]], dtype=complex))
+@example(np.eye(2 * _HERMITICITY_TILE + 1, dtype=complex) + np.diag([0] * (2 * _HERMITICITY_TILE) + [np.nan]))
+def test_tiled_hermiticity_residual_is_the_dense_one_bit_for_bit(b):
+    with np.errstate(invalid="ignore"):
+        dense = float(np.abs(b - b.conj().T).max())
+        tiled = _hermiticity_residual(b)
+    if math.isnan(dense):
+        assert math.isnan(tiled)
+    else:
+        assert tiled.hex() == dense.hex()
+    if np.isnan(b).any():
+        assert math.isnan(tiled)
+
+
+def test_hermiticity_check_keeps_to_tiles_on_the_widest_single_mode_sectors():
+    # at (30, 12, 15) the q = 6 sector is 924 x 924; the dense residual
+    # held three such temporaries, 0.63 of the blocks' bytes
+    k = 2 * math.pi * 3 / 30
+    rho = reduce_single_mode(30, 12, 15, k)
+    law = sector_law(30, 12, 15)
+    for q, p in zip(law.q.tolist(), law.p.tolist()):
+        dim = math.comb(12, q)
+        phases = np.exp(1j * k * combination_array(12, q).sum(axis=1))
+        assert np.array_equal(rho.blocks[q], (p / dim) * np.outer(phases, phases.conj()))
+    total = sum(b.nbytes for b in rho.blocks.values())
+    tracemalloc.start()
+    try:
+        rho.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < total / 8
 
 
 class TestEigenvaluesHermitian:
