@@ -5,14 +5,20 @@ Binomial coefficients come from ``math.comb`` as exact integers;
 to log-gamma evaluation beyond, so chain lengths of order 10^3 and more
 remain usable in log space.  Combination sequences follow one canonical
 order, lexicographic on 1-based site indices; every matrix basis in
-this package refers back to it.
+this package refers back to it.  ``rank_combination`` keeps its most
+recent ranks in a bounded ``functools.lru_cache`` (``_RANK_CACHE_SIZE``
+entries), since ``reduce`` ranks the same subsystem and complement
+halves many times over.
 
-All functions here are pure and safe for concurrent use.
+All functions here are pure and safe for concurrent use; the rank
+cache is too, since ``lru_cache`` guards its own bookkeeping and only
+stores results that depend on nothing but the key.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import combinations as _lex_combinations
 from typing import NamedTuple
 
@@ -40,6 +46,14 @@ __all__ = [
 EXACT_LIMIT = 64
 
 SiteList = tuple[int, ...]
+
+# Entries of the rank_combination cache.  It bounds the process memory the
+# cache holds: an entry (key tuple of site ints, n, rank and the LRU link)
+# takes 250 to 290 bytes at m = 5..12, so a full cache holds 4 to 4.6 MiB.
+# The largest working set of one reduce call in the benchmark ladder is
+# 3,172 keys; past the ceiling the LRU thrashes, costing about what an
+# uncached rank does.
+_RANK_CACHE_SIZE = 1 << 14
 
 
 def _as_int(x, name: str) -> int:
@@ -119,8 +133,28 @@ def rank_combination(sites, n: int) -> int:
     of {s_i + 1, ..., n}.  So rank = C(n, m) - 1 - sum_i C(n - s_i,
     m - i + 1), in exact integers: O(m), at m + 1 ``math.comb`` calls
     whatever the site values.
+
+    Ranks are memoised in a bounded LRU cache of ``_RANK_CACHE_SIZE``
+    entries keyed by (sites, n), because ``reduce`` ranks each subsystem
+    and complement half many times.  Only successful results are kept,
+    and only under keys of plain ints: n goes through ``_as_int`` and a
+    site list with any entry that is not an int is validated to ints
+    before the lookup, so invalid input always misses and raises its
+    DomainError.  A generator is materialised once.
     """
+    if type(n) is not int:
+        n = _as_int(n, "n")
+    key = sites if type(sites) is tuple else tuple(sites)
+    if not all(map(int.__instancecheck__, key)):
+        key = validate_sitelist(key, n)
+    return _rank(key, n)
+
+
+@lru_cache(maxsize=_RANK_CACHE_SIZE)
+def _rank(sites: SiteList, n: int) -> int:
     t = validate_sitelist(sites, n)
+    if n < 0:
+        raise DomainError(f"cannot rank a site list among {n} sites")
     m = len(t)
     return math.comb(n, m) - 1 - sum(math.comb(n - s, m - i) for i, s in enumerate(t))
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -197,6 +198,19 @@ def momentum_grid(N: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(N) / N
 
 
+# Keeps one table, the m! x m int64 permutation indices of the latest m,
+# so the memory it holds after a call is what that call allocated under
+# the permutation-sum ceiling in _permanents: 276 KiB at m = 7, the
+# largest verify uses, and 25 MiB at m = 9, the largest AMPLITUDE_BUDGET
+# admits.
+@lru_cache(maxsize=1)
+def _permutation_table(m: int) -> np.ndarray:
+    """All orderings of range(m) in itertools order, one per row, read-only."""
+    table = np.array(list(permutations(range(m))), dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
 def _direct_permanents(indices, N: int, sites: np.ndarray) -> np.ndarray:
     """Permanent of [exp(2 pi i idx_a s_b / N)] for every row of site lists,
     summed over all m! permutations.  Exponents are reduced modulo N in
@@ -205,7 +219,7 @@ def _direct_permanents(indices, N: int, sites: np.ndarray) -> np.ndarray:
     rows, m = sites.shape
     idx = np.asarray(indices, dtype=np.int64)
     out = np.empty(rows, dtype=np.complex128)
-    kperm = idx[np.array(list(permutations(range(m))), dtype=np.int64)]
+    kperm = idx[_permutation_table(m)]
     roots = np.exp(2j * np.pi / N * np.arange(N))
     for lo in range(0, rows, _CHUNK_ROWS):
         chunk = sites[lo:lo + _CHUNK_ROWS]

@@ -66,15 +66,19 @@ def _hermiticity_residual(b: np.ndarray) -> float:
     imaginary parts are the same sum, im b_rc + im b_cr.  So the upper
     triangle r <= c carries the maximum, and every such pair lies in the
     tile that holds row r.  A NaN tile is returned at once, since
-    Python's ``max`` drops a NaN that comes second.
+    Python's ``max`` drops a NaN that comes second; an infinite entry on
+    the diagonal or in a mirrored pair gives inf - inf = NaN, without a
+    RuntimeWarning.
     """
     worst = 0.0
-    for i in range(0, b.shape[0], _HERMITICITY_TILE):
-        j = i + _HERMITICITY_TILE
-        tile = float(np.abs(b[i:j, i:] - b[i:, i:j].T.conj()).max())
-        if tile != tile:
-            return tile
-        worst = max(worst, tile)
+    # inf - inf is NaN, which the callers reject; numpy's warning is noise
+    with np.errstate(invalid="ignore"):
+        for i in range(0, b.shape[0], _HERMITICITY_TILE):
+            j = i + _HERMITICITY_TILE
+            tile = float(np.abs(b[i:j, i:] - b[i:, i:j].T.conj()).max())
+            if tile != tile:
+                return tile
+            worst = max(worst, tile)
     return worst
 
 

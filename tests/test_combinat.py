@@ -1,5 +1,6 @@
 import math
 import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +28,8 @@ from magcoh import (
     sweep,
     unrank_combination,
 )
-from magcoh.combinat import EXACT_LIMIT, combination_array
+from magcoh import combinat
+from magcoh.combinat import _RANK_CACHE_SIZE, EXACT_LIMIT, combination_array
 
 
 def per_slot_rank(sites, n):
@@ -303,6 +305,8 @@ NAN, INF = math.nan, math.inf
         lambda: SubsystemSpec(8, (None,)),
         lambda: SubsystemSpec(8, ("2",)),
         lambda: rank_combination((1, NAN), 5),
+        lambda: rank_combination((1, 2), 5.5),
+        lambda: rank_combination((1, 2), "5"),
         lambda: MomentumVector(8, (INF,)),
         lambda: MomentumVector(8, ("a",)),
         lambda: MomentumVector(8, (1.5,)),
@@ -319,10 +323,10 @@ NAN, INF = math.nan, math.inf
         lambda: MagnonStateSpec(8, 2.5, MomentumVector(8, (1, 2))),
     ],
     ids=[
-        "subsystem-nan", "subsystem-none", "subsystem-str", "rank-nan", "momentum-inf", "momentum-str",
-        "momentum-half", "max-coherence-nan", "sweep-count-nan", "enumerate-half", "enumerate-str",
-        "admissible-half", "admissible-inf", "combination-array-half", "unrank-half", "single-mode-state-half",
-        "reduce-single-mode-half", "spec-m-half",
+        "subsystem-nan", "subsystem-none", "subsystem-str", "rank-nan", "rank-n-half", "rank-n-str",
+        "momentum-inf", "momentum-str", "momentum-half", "max-coherence-nan", "sweep-count-nan",
+        "enumerate-half", "enumerate-str", "admissible-half", "admissible-inf", "combination-array-half",
+        "unrank-half", "single-mode-state-half", "reduce-single-mode-half", "spec-m-half",
     ],
 )
 def test_non_integer_arguments_are_domain_errors(call):
@@ -339,7 +343,85 @@ def test_integer_valued_floats_are_their_integers():
     assert MomentumVector(8, (3.0,)).indices == (3,)
     assert np.array_equal(combination_array(4.0, 2), combination_array(4, 2))
     assert unrank_combination(0, 4.0, 2) == unrank_combination(0, 4, 2)
+    assert rank_combination((3, 4), 4.0) == rank_combination((3, 4), 4) == 5
     assert np.array_equal(single_mode_state(4.0, 2, 0.1).amplitudes, single_mode_state(4, 2, 0.1).amplitudes)
     by_float, by_int = reduce_single_mode(10, 4.0, 3, 0.1), reduce_single_mode(10, 4, 3, 0.1)
     assert by_float.n == 4 and all(np.array_equal(by_float.blocks[q], by_int.blocks[q]) for q in by_int.q_values)
     assert MagnonStateSpec(8.0, 2.0, MomentumVector(8, (1, 2))).m == 2
+
+
+class TestRankCache:
+    # rank_combination memoises under (tuple of ints, int n); no key may change a result
+    @seed(2208)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.integers(0, 40).flatmap(lambda n: st.tuples(st.just(n), st.sets(st.integers(1, n), max_size=n) if n else st.just(set()))))
+    def test_cached_ranks_are_the_closed_form_cold_and_warm(self, case):
+        n, chosen = case
+        sites = tuple(sorted(chosen))
+        want = per_slot_rank(sites, n)
+        combinat._rank.cache_clear()
+        assert rank_combination(sites, n) == want
+        assert combinat._rank.cache_info().misses == 1
+        assert rank_combination(sites, n) == want
+        assert combinat._rank.cache_info().hits == 1
+        assert unrank_combination(rank_combination(list(sites), n), n, len(sites)) == sites
+
+    def test_equal_keys_rank_alike_and_invalid_keys_still_raise(self):
+        combinat._rank.cache_clear()
+        assert rank_combination((1, 2), 5) == 0
+        assert rank_combination((1.0, 2.0), 5) == 0
+        assert rank_combination(np.array([1, 2]), 5) == 0
+        assert rank_combination((1, 2), 5.0) == 0
+        assert combinat._rank.cache_info().currsize == 1
+        for sites, text in [
+            ((1, 2.5), "must be integers"),
+            ((2, 2), "strictly increasing"),
+            ((1, NAN), "must be integers"),
+            ((1 + 0j, 2), "must be integers"),
+            ((1, 6), r"lie in \[1, 5\]"),
+        ]:
+            with pytest.raises(DomainError, match=text):
+                rank_combination(sites, 5)
+        assert combinat._rank.cache_info().currsize == 1
+        with pytest.raises(DomainError, match="among -1 sites"):
+            rank_combination((), -1)
+
+    def test_every_iterable_ranks_alike(self):
+        for n, m in [(7, 3), (9, 4)]:
+            for r, l in enumerate(enumerate_combinations(n, m)):
+                forms = [list(l), np.array(l), (s for s in l), tuple(np.array(s) for s in l), l]
+                assert [rank_combination(f, n) for f in forms] == [r] * len(forms)
+
+    def test_distinct_keys_beyond_the_ceiling_leave_it_full(self):
+        combinat._rank.cache_clear()
+        lists = enumerate_combinations(21, 5)
+        assert len(lists) > _RANK_CACHE_SIZE
+        for r, l in enumerate(lists):
+            assert rank_combination(l, 21) == r
+        info = combinat._rank.cache_info()
+        assert info.maxsize == info.currsize == _RANK_CACHE_SIZE
+
+    def test_concurrent_ranking_through_a_thrashing_cache(self):
+        # more threads than cores, more keys than the ceiling, frequent switches
+        lists = enumerate_combinations(21, 5)
+        wrong = []
+
+        def worker(offset):
+            for r in range(offset, len(lists), 3):
+                if rank_combination(lists[r], 21) != r:
+                    wrong.append(r)
+
+        combinat._rank.cache_clear()
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i % 3,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert combinat._rank.cache_info().currsize == _RANK_CACHE_SIZE

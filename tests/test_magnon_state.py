@@ -219,6 +219,27 @@ class TestAmplitude:
             assert np.array_equal(_direct_permanents(idx, N, sites), want)
             assert np.array_equal(_permanents(idx, N, range(1, N + 1), "direct", AMPLITUDE_BUDGET), want)
 
+    def test_permutation_table_is_built_once_per_m(self, monkeypatch):
+        built = []
+
+        def counted(items):
+            built.append(len(items))
+            return permutations(items)
+
+        monkeypatch.setattr(magnon_state, "permutations", counted)
+        magnon_state._permutation_table.cache_clear()
+        sites = combination_array(9, 5)
+        first = _direct_permanents((1, 1, 2, 4, 7), 9, sites)
+        for _ in range(7):
+            assert np.array_equal(_direct_permanents((1, 1, 2, 4, 7), 9, sites), first)
+        assert built == [5]
+        table = magnon_state._permutation_table(5)
+        assert not table.flags.writeable
+        assert table.tolist() == [list(p) for p in permutations(range(5))]
+        _direct_permanents((1, 2, 3), 9, combination_array(9, 3))
+        assert built == [5, 3]
+        assert magnon_state._permutation_table.cache_info().currsize == 1
+
     @pytest.mark.parametrize("m", [8, 14, 20])
     def test_single_mode_at_the_ceiling(self, m):
         # one index group: the whole permanent is its closed form m! w^(j sum l)

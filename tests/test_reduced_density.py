@@ -28,6 +28,7 @@ from magcoh import (
     reduce_single_mode,
     sector_law,
 )
+from magcoh import combinat
 from magcoh.combinat import combination_array
 from magcoh.magnon_state import _DIRECT_PERMANENT_LIMIT
 from magcoh.reduced_density import _HERMITICITY_TILE, _hermiticity_residual
@@ -442,6 +443,17 @@ class TestBlockDensityMatrix:
         with pytest.raises(InternalConsistencyError, match="eigenvalue nan"):
             BlockDensityMatrix(2, flat, spectra={1: np.array([np.nan, 1.0])}).validate()
 
+    @pytest.mark.parametrize("entries", [{(0, 0): np.inf}, {(0, 1): np.inf, (1, 0): np.inf}, {(1, 1): -np.inf}])
+    def test_infinite_entries_are_rejected_without_a_warning(self, entries):
+        # inf - conj(inf) is NaN; tier-1 turns any RuntimeWarning into an error
+        b = np.full((2, 2), 0.25, dtype=complex)
+        for rc, value in entries.items():
+            b[rc] = value
+        with pytest.raises(InternalConsistencyError, match="Hermiticity by nan"):
+            BlockDensityMatrix(2, {1: b}).validate()
+        with pytest.raises(DomainError, match="departs from Hermiticity"):
+            eigenvalues_hermitian(b)
+
     def test_validation_checks_each_sector_against_its_binomial(self):
         # a unit-trace, Hermitian, positive 2 x 2 block is no q = 1 sector of 3 sites
         flat = np.full((2, 2), 0.5, dtype=complex)
@@ -454,6 +466,29 @@ class TestBlockDensityMatrix:
                 BlockDensityMatrix(2, {q: np.ones((1, 1), dtype=complex)}).validate()
         rho = BlockDensityMatrix(2, {1: flat}).validate()
         assert rho.labels(1) == [(1,), (2,)]
+
+
+@seed(3302)
+@settings(max_examples=60, deadline=None, database=None)
+@given(route_pair_cases())
+def test_reduce_keeps_its_bits_with_the_rank_cache_cold_warm_and_bypassed(case):
+    N, k, sites = case
+    try:
+        state = build_state(MagnonStateSpec(N, len(k), MomentumVector(N, k)))
+    except NullStateError:
+        return
+    sub = SubsystemSpec(N, sites)
+    combinat._rank.cache_clear()
+    cold = reduce(state, sub)
+    warm = reduce(state, sub)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(combinat, "_rank", combinat._rank.__wrapped__)
+        bypassed = reduce(state, sub)
+    for other in (warm, bypassed):
+        assert other.q_values == cold.q_values
+        for q in cold.q_values:
+            assert np.array_equal(other.blocks[q], cold.blocks[q])
+            assert np.array_equal(other.factors[q], cold.factors[q])
 
 
 @st.composite
@@ -486,7 +521,7 @@ def residual_cases(draw):
 def test_tiled_hermiticity_residual_is_the_dense_one_bit_for_bit(b):
     with np.errstate(invalid="ignore"):
         dense = float(np.abs(b - b.conj().T).max())
-        tiled = _hermiticity_residual(b)
+    tiled = _hermiticity_residual(b)
     if math.isnan(dense):
         assert math.isnan(tiled)
     else:
