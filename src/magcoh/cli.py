@@ -120,13 +120,14 @@ def _subsystem_from_args(args, N: int) -> SubsystemSpec | None:
 
 def _blocks_doc(reduced) -> list:
     docs = []
+    weights = reduced.block_weights
     for q in reduced.q_values:
         block = reduced.blocks[q]
         docs.append(
             {
                 "q": q,
                 "dimension": block.shape[0],
-                "weight": reduced.block_weights[q],
+                "weight": weights[q],
                 "labels": [list(l) for l in reduced.labels(q)],
                 "matrix": block,
             }

@@ -50,29 +50,32 @@ class CoherenceReport:
     basis_dimension: int
 
 
-def _as_blocks(rho) -> list[np.ndarray]:
-    if isinstance(rho, BlockDensityMatrix):
-        return [rho.blocks[q] for q in rho.q_values]
+def _as_matrix(rho) -> np.ndarray:
     a = np.asarray(rho, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"expected a square density matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise DomainError("density matrix has non-finite entries")
-    return [a]
+    return a
 
 
 def _abs_sum(rho) -> float:
-    return sum(float(np.abs(b).sum()) for b in _as_blocks(rho))
+    if not isinstance(rho, BlockDensityMatrix):
+        return float(np.abs(_as_matrix(rho)).sum())
+    # each sector is read, summed and dropped before the next is built
+    return sum(float(np.abs(rho.blocks[q]).sum()) for q in rho.q_values)
 
 
 def _diagonal(rho) -> np.ndarray:
-    return np.concatenate([np.diag(b).real for b in _as_blocks(rho)])
+    if isinstance(rho, BlockDensityMatrix):
+        return rho.diagonal()
+    return np.diag(_as_matrix(rho)).real
 
 
 def _spectrum(rho) -> np.ndarray:
     if isinstance(rho, BlockDensityMatrix):
         return rho.spectrum()
-    return np.concatenate([eigenvalues_hermitian(b) for b in _as_blocks(rho)])
+    return eigenvalues_hermitian(_as_matrix(rho))
 
 
 def _entropy(values) -> float:
@@ -85,7 +88,7 @@ def _entropy(values) -> float:
 def incoherent_part(rho):
     """Drop every off-diagonal element, keeping the container type."""
     if isinstance(rho, BlockDensityMatrix):
-        blocks = {q: np.diag(np.diag(rho.blocks[q])) for q in rho.q_values}
+        blocks = {q: np.diag(rho.block_diagonal(q)) for q in rho.q_values}
         return BlockDensityMatrix(rho.n, blocks)
     return np.diag(np.diag(np.asarray(rho, dtype=np.complex128)))
 
@@ -153,6 +156,12 @@ def averaged_coherence_single_mode(N: int, n: int, m: int, k: float, measure: st
     return float(law.p @ (dims - 1.0))
 
 
+def _basis_dimension(rho) -> int:
+    if isinstance(rho, BlockDensityMatrix):
+        return sum(math.comb(rho.n, q) for q in rho.q_values)
+    return _as_matrix(rho).shape[0]
+
+
 def coherence_report(rho) -> CoherenceReport:
     """Evaluate all three measures once and package them together."""
     l1 = c_l1(rho)
@@ -161,5 +170,5 @@ def coherence_report(rho) -> CoherenceReport:
         c_r=c_r(rho),
         c_ln=math.log1p(l1),
         effective_dimension=1.0 + l1,
-        basis_dimension=sum(b.shape[0] for b in _as_blocks(rho)),
+        basis_dimension=_basis_dimension(rho),
     )

@@ -14,6 +14,7 @@ whose block weights follow the hypergeometric law.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,13 +113,42 @@ class SubsystemSpec:
         return tuple(s for s in range(1, self.parent_N + 1) if s not in inside)
 
 
+class _RankOneBlocks(Mapping):
+    """Read-only sectors w phi phi^H, kept as their (w, phi) pairs.
+
+    ``sectors[q]`` is the real weight w and the phase vector phi of
+    sector q.  Each ``self[q]`` builds a fresh dense block and caches
+    nothing, so a caller that reads one sector at a time holds one dense
+    block at a time.
+    """
+
+    def __init__(self, sectors: dict[int, tuple[float, np.ndarray]]):
+        self.sectors = sectors
+
+    def __getitem__(self, q: int) -> np.ndarray:
+        w, phi = self.sectors[q]
+        return w * np.outer(phi, phi.conj())
+
+    def __iter__(self):
+        return iter(self.sectors)
+
+    def __len__(self) -> int:
+        return len(self.sectors)
+
+
 @dataclass
 class BlockDensityMatrix:
     """Hermitian subsystem density operator keyed by spin-up count q.
 
     ``blocks[q]`` is the C(n, q) x C(n, q) matrix over the canonical
     q-flip site lists of the subsystem, which ``labels(q)`` derives from
-    (n, q) rather than storing.  For
+    (n, q) rather than storing.  ``blocks`` is either a dict of dense
+    matrices or, for the rank-one sectors w phi phi^H of
+    ``reduce_single_mode``, a read-only mapping that keeps each sector
+    as its (w, phi) pair and builds a fresh dense block on every access,
+    caching none: the package reads such sectors one at a time, so at
+    most one dense sector is alive at once, and the diagonal, the block
+    weights and ``validate`` read (w, phi) in O(C(n, q)).  For
     operators obtained from the dense oracle, ``off_block_residual``
     records the largest matrix element found between different flip
     sectors (structurally zero for magnon states).  A constructor that
@@ -131,7 +161,7 @@ class BlockDensityMatrix:
     """
 
     n: int
-    blocks: dict[int, np.ndarray]
+    blocks: Mapping[int, np.ndarray]
     off_block_residual: float | None = None
     spectra: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
     factors: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
@@ -144,16 +174,28 @@ class BlockDensityMatrix:
         """Basis of sector q: the q-flip site lists of {1, ..., n}, in order."""
         return enumerate_combinations(self.n, q)
 
+    def _rank_one(self, q: int) -> tuple[float, np.ndarray] | None:
+        """(w, phi) of sector q if it is kept in that form, else None."""
+        return self.blocks.sectors[q] if isinstance(self.blocks, _RankOneBlocks) else None
+
+    def block_diagonal(self, q: int) -> np.ndarray:
+        """Diagonal of sector q, complex, with the dense block's bits."""
+        rank_one = self._rank_one(q)
+        if rank_one is None:
+            return np.diag(self.blocks[q])
+        w, phi = rank_one
+        return w * (phi * phi.conj())
+
     @property
     def block_weights(self) -> dict[int, float]:
-        return {q: float(np.trace(self.blocks[q]).real) for q in self.q_values}
+        return {q: float(self.block_diagonal(q).sum().real) for q in self.q_values}
 
     def total_trace(self) -> float:
         return sum(self.block_weights.values())
 
     def diagonal(self) -> np.ndarray:
         """Populations in the canonical basis, blocks in ascending q."""
-        return np.concatenate([np.diag(self.blocks[q]).real for q in self.q_values])
+        return np.concatenate([self.block_diagonal(q).real for q in self.q_values])
 
     def block_spectrum(self, q: int) -> np.ndarray:
         """Eigenvalues of sector q, ascending: the supplied closed form,
@@ -178,8 +220,12 @@ class BlockDensityMatrix:
     def validate(self) -> "BlockDensityMatrix":
         """Check shapes, Hermiticity, positivity and unit trace; returns self.
 
-        Each sector q must lie in [0, n] and be C(n, q) x C(n, q).
-        Hermiticity and trace are read off the dense blocks.  The
+        Each sector q must lie in [0, n] and be C(n, q) x C(n, q).  A
+        rank-one sector w phi phi^H needs a phase vector of length
+        C(n, q) and a finite w and phi; being real times a projector, it
+        is Hermitian by construction and is never built densely here.
+        Hermiticity of a dense block is read off the block, through
+        ``np.asarray`` so that nested lists check like arrays.  The
         Hermiticity residual max |b - b^H| is taken over row tiles of the
         upper triangle, so it needs O(tile x d) scratch memory rather than
         three d x d temporaries; it is exact, not a bound, because entries
@@ -193,16 +239,25 @@ class BlockDensityMatrix:
         block is diagonalised.  Every comparison fails on NaN.
         """
         for q in self.q_values:
-            b = self.blocks[q]
-            if b.ndim != 2 or b.shape[0] != b.shape[1]:
-                raise InternalConsistencyError(f"block q={q} is not square: shape {b.shape}")
             if not 0 <= q <= self.n:
                 raise InternalConsistencyError(f"block q={q} lies outside [0, {self.n}]")
-            if b.shape[0] != math.comb(self.n, q):
-                raise InternalConsistencyError(f"block q={q} has {b.shape[0]} rows, not C({self.n}, {q}) = {math.comb(self.n, q)}")
-            herm = _hermiticity_residual(b)
-            if not herm <= BLOCK_HERMITICITY_TOL:
-                raise InternalConsistencyError(f"block q={q} departs from Hermiticity by {herm:.3e}")
+            dim = math.comb(self.n, q)
+            rank_one = self._rank_one(q)
+            if rank_one is None:
+                b = np.asarray(self.blocks[q])
+                if b.ndim != 2 or b.shape[0] != b.shape[1]:
+                    raise InternalConsistencyError(f"block q={q} is not square: shape {b.shape}")
+                if b.shape[0] != dim:
+                    raise InternalConsistencyError(f"block q={q} has {b.shape[0]} rows, not C({self.n}, {q}) = {dim}")
+                herm = _hermiticity_residual(b)
+                if not herm <= BLOCK_HERMITICITY_TOL:
+                    raise InternalConsistencyError(f"block q={q} departs from Hermiticity by {herm:.3e}")
+            else:
+                w, phi = rank_one
+                if phi.shape != (dim,):
+                    raise InternalConsistencyError(f"rank-one block q={q} has a phase vector of shape {phi.shape}, not ({dim},)")
+                if not (math.isfinite(w) and np.isfinite(phi).all()):
+                    raise InternalConsistencyError(f"rank-one block q={q} has a non-finite weight or phase")
             lowest = self._lowest_eigenvalue(q)
             if not lowest >= NEGATIVE_EIGENVALUE_FLOOR:
                 raise InternalConsistencyError(f"block q={q} has eigenvalue {lowest:.3e} below the floor")
@@ -262,28 +317,31 @@ def reduce_single_mode(N: int, n: int, m: int, k: float, budget: int | None = No
     Each admissible sector is the pure equal-weight phase state on q
     flips, carrying its hypergeometric weight, all of which come from
     one ``sector_law`` call; no amplitude table is ever built, so this
-    route scales to chains far beyond the general one.  Being rank one,
-    a sector of dimension d has the spectrum (0, ..., 0, trace), which
-    is supplied rather than diagonalised.  A non-finite k is a
-    DomainError; integer-valued floats N, n and m are taken as their
-    integers.
+    route scales to chains far beyond the general one.  A sector of
+    dimension d is kept as its weight p/d and its phase vector phi,
+    phi_l = exp(ik sum(l)); its dense block (p/d) phi phi^H is built
+    only when read.  Being rank one, it has the spectrum
+    (0, ..., 0, trace), which is supplied rather than diagonalised.  The
+    budget still caps d x d, the size of a block when read.  A
+    non-finite k is a DomainError; integer-valued floats N, n and m are
+    taken as their integers.
     """
     N, n, m = _as_int(N, "N"), _as_int(n, "n"), _as_int(m, "m")
     if not math.isfinite(k):
         raise DomainError(f"wavenumber must be finite, got {k}")
     budget = AMPLITUDE_BUDGET if budget is None else budget
     law = sector_law(N, n, m)
-    blocks: dict[int, np.ndarray] = {}
-    spectra: dict[int, np.ndarray] = {}
+    sectors: dict[int, tuple[float, np.ndarray]] = {}
     for q, p in zip(law.q.tolist(), law.p.tolist()):
         dim = math.comb(n, q)
         if dim * dim > budget:
             raise InfeasibilityError(f"sector q={q} needs a {dim} x {dim} block, budget is {budget}")
-        phases = np.exp(1j * k * combination_array(n, q).sum(axis=1))
-        blocks[q] = (p / dim) * np.outer(phases, phases.conj())
-        spectra[q] = np.zeros(dim)
-        spectra[q][-1] = np.trace(blocks[q]).real
-    return BlockDensityMatrix(n, blocks, spectra=spectra).validate()
+        sectors[q] = (p / dim, np.exp(1j * k * combination_array(n, q).sum(axis=1)))
+    rho = BlockDensityMatrix(n, _RankOneBlocks(sectors))
+    for q, weight in rho.block_weights.items():
+        rho.spectra[q] = np.zeros(math.comb(n, q))
+        rho.spectra[q][-1] = weight
+    return rho.validate()
 
 
 def oracle_partial_trace(v: FullStateVector, sub: SubsystemSpec, budget: int | None = None) -> BlockDensityMatrix:

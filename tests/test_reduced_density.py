@@ -21,6 +21,7 @@ from magcoh import (
     eigenvalues_hermitian,
     embed_full,
     hypergeometric_pmf,
+    incoherent_part,
     admissible_q,
     coherence_report,
     oracle_partial_trace,
@@ -31,7 +32,7 @@ from magcoh import (
 from magcoh import combinat
 from magcoh.combinat import combination_array
 from magcoh.magnon_state import _DIRECT_PERMANENT_LIMIT
-from magcoh.reduced_density import _HERMITICITY_TILE, _hermiticity_residual
+from magcoh.reduced_density import _HERMITICITY_TILE, _RankOneBlocks, _hermiticity_residual
 
 
 def random_state(rng, N, m):
@@ -45,6 +46,21 @@ def random_state(rng, N, m):
 
 def random_sites(rng, N, n):
     return tuple(sorted(int(s) + 1 for s in rng.choice(N, size=n, replace=False)))
+
+
+def dense_single_mode(N, n, m, k):
+    """The single-mode reduction with every sector stored as its dense
+    block (p/d) phi phi^H and the spectrum (0, ..., 0, trace) supplied;
+    not yet validated."""
+    law = sector_law(N, n, m)
+    blocks, spectra = {}, {}
+    for q, p in zip(law.q.tolist(), law.p.tolist()):
+        dim = math.comb(n, q)
+        phases = np.exp(1j * k * combination_array(n, q).sum(axis=1))
+        blocks[q] = (p / dim) * np.outer(phases, phases.conj())
+        spectra[q] = np.zeros(dim)
+        spectra[q][-1] = np.trace(blocks[q]).real
+    return BlockDensityMatrix(n, blocks, spectra=spectra)
 
 
 def block_distance(left, right):
@@ -352,6 +368,46 @@ class TestSingleModeClosedForm:
             d = math.comb(n, q)
             assert abs(reduced.block_weights[q] - p[i]) <= (rel_p[i] + gamma(d + 8) + model.U) * p[i], q
 
+    @pytest.mark.parametrize(
+        "N,n,m,k",
+        [
+            (N, n, m, k)
+            for N, ns in ((2, (1, 2)), (5, (1, 2, 5)), (9, (1, 4, 8)), (16, (3, 7)), (30, (10,)))
+            for n in ns
+            for m in sorted({0, 1, N // 3, N // 2, N - 1, N})
+            for k in (0.0, 2.0 * math.pi / N, 0.37)
+        ],
+    )
+    def test_factored_sectors_are_the_dense_construction_bit_for_bit(self, N, n, m, k):
+        rho = reduce_single_mode(N, n, m, k)
+        dense = dense_single_mode(N, n, m, k).validate()
+        assert rho.q_values == dense.q_values
+        assert rho.block_weights == dense.block_weights
+        assert rho.total_trace() == dense.total_trace()
+        assert np.array_equal(rho.diagonal(), dense.diagonal())
+        assert np.array_equal(rho.spectrum(), dense.spectrum())
+        assert rho.purity() == dense.purity()
+        flat, dense_flat = incoherent_part(rho), incoherent_part(dense)
+        for q in rho.q_values:
+            assert np.array_equal(rho.blocks[q], dense.blocks[q])
+            assert np.array_equal(flat.blocks[q], dense_flat.blocks[q])
+        assert coherence_report(rho) == coherence_report(dense)
+
+    def test_dense_blocks_are_built_only_when_read(self, monkeypatch):
+        rho = reduce_single_mode(16, 8, 7, 0.2)
+        first = rho.blocks[4]
+        assert first is not rho.blocks[4] and np.array_equal(first, rho.blocks[4])
+
+        def refuse(self, q):
+            raise AssertionError(f"dense block q={q} built")
+
+        # validate, the diagonal, the weights and the spectrum read (w, phi)
+        monkeypatch.setattr(_RankOneBlocks, "__getitem__", refuse)
+        rho = reduce_single_mode(16, 8, 7, 0.2)
+        assert len(rho.diagonal()) == sum(math.comb(8, q) for q in range(8))
+        assert abs(rho.total_trace() - 1.0) < 1e-12
+        assert rho.spectrum()[0] == max(rho.block_weights.values())
+
     @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
     def test_non_finite_wavenumber_is_a_domain_error(self, k):
         with pytest.raises(DomainError, match="wavenumber"):
@@ -454,6 +510,31 @@ class TestBlockDensityMatrix:
         with pytest.raises(DomainError, match="departs from Hermiticity"):
             eigenvalues_hermitian(b)
 
+    def test_nested_list_blocks_validate_like_arrays(self):
+        rho = BlockDensityMatrix(1, {0: [[0.5]], 1: [[0.5]]}).validate()
+        assert rho.block_weights == {0: 0.5, 1: 0.5}
+        assert rho.diagonal().tolist() == [0.5, 0.5]
+        with pytest.raises(InternalConsistencyError, match="Hermiticity"):
+            BlockDensityMatrix(2, {1: [[0.5, 0.5], [0.1, 0.5]]}).validate()
+        with pytest.raises(InternalConsistencyError, match="not square"):
+            BlockDensityMatrix(1, {0: [0.5], 1: [[0.5]]}).validate()
+
+    @pytest.mark.parametrize(
+        "w,phi,message",
+        [
+            (0.5, np.array([1.0, np.nan]), "non-finite weight or phase"),
+            (0.5, np.array([1.0, complex(0.0, np.inf)]), "non-finite weight or phase"),
+            (np.nan, np.array([1.0, 1.0j]), "non-finite weight or phase"),
+            (0.5, np.array([1.0, 1.0j, -1.0]), r"phase vector of shape \(3,\), not \(2,\)"),
+            (0.5, np.ones((2, 1), dtype=complex), r"phase vector of shape \(2, 1\), not \(2,\)"),
+        ],
+    )
+    def test_rank_one_sectors_are_checked_on_their_factors(self, w, phi, message):
+        good = BlockDensityMatrix(2, _RankOneBlocks({1: (0.5, np.array([1.0, 1.0j]))})).validate()
+        assert np.array_equal(good.blocks[1], [[0.5, -0.5j], [0.5j, 0.5]])
+        with pytest.raises(InternalConsistencyError, match=message):
+            BlockDensityMatrix(2, _RankOneBlocks({1: (w, phi)})).validate()
+
     def test_validation_checks_each_sector_against_its_binomial(self):
         # a unit-trace, Hermitian, positive 2 x 2 block is no q = 1 sector of 3 sites
         flat = np.full((2, 2), 0.5, dtype=complex)
@@ -540,6 +621,34 @@ def test_hermiticity_check_keeps_to_tiles_on_the_widest_single_mode_sectors():
         dim = math.comb(12, q)
         phases = np.exp(1j * k * combination_array(12, q).sum(axis=1))
         assert np.array_equal(rho.blocks[q], (p / dim) * np.outer(phases, phases.conj()))
+    total = sum(b.nbytes for b in rho.blocks.values())
+    tracemalloc.start()
+    try:
+        rho.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < total / 8
+
+
+def test_coherence_report_builds_one_rank_one_sector_at_a_time():
+    # the dense blocks of (30, 12, 15) hold 41 MiB; reading them one at a
+    # time peaks at the widest block (13.7 MiB) plus its moduli
+    rho = reduce_single_mode(30, 12, 15, 0.6)
+    widest = max(math.comb(12, q) for q in rho.q_values) ** 2 * 16
+    tracemalloc.start()
+    try:
+        coherence_report(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * widest
+
+
+def test_hermiticity_check_keeps_to_tiles_on_the_widest_dense_sectors():
+    # the same (30, 12, 15) sectors held as dense blocks still go through
+    # the tiled residual, whose scratch stays far below the blocks' bytes
+    rho = dense_single_mode(30, 12, 15, 2 * math.pi * 3 / 30)
     total = sum(b.nbytes for b in rho.blocks.values())
     tracemalloc.start()
     try:
