@@ -4,10 +4,21 @@ sweep the two-level thermodynamics, and run the self-verification suite.
 Results go to stdout or --output; diagnostics go to stderr.  Exit codes:
 0 success, 2 domain error, 3 infeasible request, 4 internal-consistency
 failure.  Floats are rendered with 17 significant digits, so identical
-invocations produce byte-identical output.  Complex arrays (amplitude
-tables, density blocks) are rendered as nested [re, im] pairs one row
-per formatting call, and thermo CSV points one line per call, with the
-same ``%.17g`` bytes as formatting each float on its own.
+invocations produce byte-identical output.
+
+Output is streamed.  A JSON document is walked twice: the first walk
+raises any error the rendering can raise (a non-finite float, named as
+the first one in rendering order, or an unknown type), so a refused
+document writes nothing; the second writes the text piece by piece as it
+is rendered.  No copy of the whole document is held, so peak memory
+follows the largest piece, not the size of the output.  Complex arrays
+(amplitude tables, density blocks) are nested [re, im] pairs, rendered
+one row per ``%.17g`` template call (a row longer than a few thousand
+pairs in pieces); site lists (the state basis, block labels) come from
+the combination iterator in row chunks through a ``%d`` row template; a
+reduction's sectors are read one at a time as they are rendered.  Thermo
+CSV rows are checked in one pass, then written in blocks of a few
+thousand lines.  Every byte is that of formatting each number on its own.
 """
 
 from __future__ import annotations
@@ -16,6 +27,11 @@ import argparse
 import json
 import math
 import sys
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator
+from dataclasses import dataclass
+from functools import partial
+from itertools import chain, combinations, filterfalse, islice
 
 import numpy as np
 
@@ -45,49 +61,139 @@ def _fmt_float(x: float) -> str:
     return f"{value:.17g}"
 
 
-def _render_complex_array(obj: np.ndarray) -> str:
+# Items per written piece: site lists of a table, [re, im] pairs of a
+# complex row, or thermo CSV lines.  A piece is one string of at most a
+# few hundred kB.
+_PIECE = 4096
+
+
+@dataclass(frozen=True)
+class _SiteLists:
+    """The C(n, m) m-site lists of {1, ..., n} in canonical order, which
+    render as a JSON list of integer lists without being held: the rows
+    are drawn from the combination iterator one chunk at a time."""
+
+    n: int
+    m: int
+
+
+class _Lazy:
+    """A document value read when it is rendered, afresh on each walk, so
+    that a value built on demand (a rank-one sector's dense block) is
+    alive only while it is checked or written."""
+
+    __slots__ = ("read",)
+
+    def __init__(self, read: Callable[[], object]):
+        self.read = read
+
+
+def _complex_rows(obj: np.ndarray, render: bool) -> Iterator[str]:
     # real and imaginary parts interleaved along the last axis
     parts = np.ascontiguousarray(obj, dtype=np.complex128).view(np.float64)
     finite = np.isfinite(parts)
     if not finite.all():
         raise _non_finite(parts[~finite][0])
-    template = "[" + ", ".join(["[%.17g, %.17g]"] * obj.shape[-1]) + "]"
+    if not render:
+        return
+    # one "%.17g" template call per row, or per piece of a row wider than
+    # _PIECE pairs (a long amplitude vector)
+    pair = "[%.17g, %.17g]"
+    full = ", ".join([pair] * _PIECE)
+    last = ", ".join([pair] * (obj.shape[-1] % _PIECE))
+    step = 2 * _PIECE
 
-    def rows(a: np.ndarray) -> str:
+    def rows(a: np.ndarray) -> Iterator[str]:
+        yield "["
         if a.ndim == 1:
-            return template % tuple(a.tolist())
-        return "[" + ", ".join(rows(r) for r in a) + "]"
+            for start in range(0, a.size, step):
+                piece = a[start : start + step]
+                yield ("" if start == 0 else ", ") + (full if piece.size == step else last) % tuple(piece.tolist())
+        else:
+            for i, r in enumerate(a):
+                if i:
+                    yield ", "
+                yield from rows(r)
+        yield "]"
 
-    return rows(parts)
+    yield from rows(parts)
+
+
+def _site_list_rows(table: _SiteLists) -> Iterator[str]:
+    # "%d" gives the bytes of str(int), so each row reads as a list of ints
+    template = "[" + ", ".join(["%d"] * table.m) + "]"
+    rows = combinations(range(1, table.n + 1), table.m)
+    yield "["
+    sep = ""
+    while chunk := list(islice(rows, _PIECE)):
+        yield sep + ", ".join(map(template.__mod__, chunk))
+        sep = ", "
+    yield "]"
+
+
+def _chunks(obj, render: bool = True) -> Iterator[str]:
+    """The JSON text of ``obj`` in pieces: a scalar or key per piece, a
+    complex array one row (or one _PIECE pairs of a longer row) per
+    piece, a site-list table _PIECE rows per piece.
+
+    With ``render`` false the walk visits the same values in the same
+    order and raises the same errors (a non-finite float, an unknown
+    type), but skips formatting arrays and site lists and yields nothing
+    for them: the writer's checking pass.
+    """
+    if isinstance(obj, _Lazy):
+        obj = obj.read()
+    if obj is None:
+        yield "null"
+    elif isinstance(obj, bool):
+        yield "true" if obj else "false"
+    elif isinstance(obj, int):
+        yield str(obj)
+    elif isinstance(obj, float):
+        yield _fmt_float(obj)
+    elif isinstance(obj, str):
+        yield json.dumps(obj)
+    elif isinstance(obj, np.ndarray) and np.iscomplexobj(obj):
+        yield from _complex_rows(obj, render)
+    elif isinstance(obj, _SiteLists):
+        if render:
+            yield from _site_list_rows(obj)
+    elif isinstance(obj, (list, tuple)):
+        yield "["
+        for i, v in enumerate(obj):
+            if i:
+                yield ", "
+            yield from _chunks(v, render)
+        yield "]"
+    elif isinstance(obj, dict):
+        yield "{"
+        for i, (k, v) in enumerate(obj.items()):
+            yield ("" if i == 0 else ", ") + json.dumps(str(k)) + ": "
+            yield from _chunks(v, render)
+        yield "}"
+    else:
+        raise InternalConsistencyError(f"cannot serialize {type(obj).__name__}")
 
 
 def _render_json(obj) -> str:
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, np.ndarray) and np.iscomplexobj(obj):
-        return _render_complex_array(obj)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_render_json(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        parts = (json.dumps(str(k)) + ": " + _render_json(v) for k, v in obj.items())
-        return "{" + ", ".join(parts) + "}"
-    raise InternalConsistencyError(f"cannot serialize {type(obj).__name__}")
+    return "".join(_chunks(obj))
 
 
-def _emit(text: str, path: str | None) -> None:
+def _write(chunks: Iterable[str], path: str | None) -> None:
+    """Write text pieces to stdout, or to a new file at ``path``."""
     if path is None:
-        print(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w") as fh:
-            fh.write(text + "\n")
+            fh.writelines(chunks)
+
+
+def _emit(doc, path: str | None) -> None:
+    """Write ``doc`` as one line of JSON.  A first walk raises any error
+    the rendering can raise, so a refused document writes nothing; the
+    second streams the text, and no copy of the whole document is held."""
+    deque(_chunks(doc, render=False), maxlen=0)
+    _write(chain(_chunks(doc), ("\n",)), path)
 
 
 def _parse_indices(text: str) -> tuple[int, ...]:
@@ -101,7 +207,10 @@ def _spec_from_args(args) -> MagnonStateSpec:
     indices = _parse_indices(args.k)
     if len(indices) != args.m:
         raise DomainError(f"got {len(indices)} momentum indices for m={args.m}")
-    return MagnonStateSpec(args.N, args.m, MomentumVector(args.N, indices))
+    spec = MagnonStateSpec(args.N, args.m, MomentumVector(args.N, indices))
+    if args.budget is not None and args.budget < 1:
+        raise DomainError(f"--budget must be at least 1, got {args.budget}")
+    return spec
 
 
 def _spec_doc(spec: MagnonStateSpec) -> dict:
@@ -109,30 +218,29 @@ def _spec_doc(spec: MagnonStateSpec) -> dict:
 
 
 def _subsystem_from_args(args, N: int) -> SubsystemSpec | None:
-    if getattr(args, "sites", None) and getattr(args, "n", None) is not None:
+    if args.sites is not None and args.n is not None:
         raise DomainError("--sites and --n are mutually exclusive")
-    if getattr(args, "sites", None):
-        return SubsystemSpec(N, _parse_indices(args.sites))
-    if getattr(args, "n", None) is not None:
+    if args.sites is not None:
+        # an empty --sites is an empty subsystem, which SubsystemSpec refuses
+        return SubsystemSpec(N, _parse_indices(args.sites) if args.sites else ())
+    if args.n is not None:
         return SubsystemSpec.prefix(N, args.n)
     return None
 
 
 def _blocks_doc(reduced) -> list:
-    docs = []
+    """One record per sector; each dense block is read when it is rendered."""
     weights = reduced.block_weights
-    for q in reduced.q_values:
-        block = reduced.blocks[q]
-        docs.append(
-            {
-                "q": q,
-                "dimension": block.shape[0],
-                "weight": weights[q],
-                "labels": [list(l) for l in reduced.labels(q)],
-                "matrix": block,
-            }
-        )
-    return docs
+    return [
+        {
+            "q": q,
+            "dimension": math.comb(reduced.n, q),
+            "weight": weights[q],
+            "labels": _SiteLists(reduced.n, q),
+            "matrix": _Lazy(partial(reduced.blocks.__getitem__, q)),
+        }
+        for q in reduced.q_values
+    ]
 
 
 def cmd_state(args) -> int:
@@ -141,10 +249,10 @@ def cmd_state(args) -> int:
     doc = {
         "spec": _spec_doc(spec),
         "normalization": table.normalization,
-        "basis": [list(l) for l in table.basis()],
+        "basis": _SiteLists(table.N, table.m),
         "amplitudes": table.amplitudes,
     }
-    _emit(_render_json(doc), args.output)
+    _emit(doc, args.output)
     return 0
 
 
@@ -171,7 +279,7 @@ def cmd_reduce(args) -> int:
         "off_block_residual": reduced.off_block_residual,
         "blocks": _blocks_doc(reduced),
     }
-    _emit(_render_json(doc), args.output)
+    _emit(doc, args.output)
     return 0
 
 
@@ -207,19 +315,23 @@ def cmd_coherence(args) -> int:
             "c_l1": report.c_l1 - averages["l1"],
             "c_ln": report.c_ln - averages["ln"],
         }
-    _emit(_render_json(doc), args.output)
+    _emit(doc, args.output)
     return 0
 
 
 def cmd_thermo(args) -> int:
     curve = thermo.sweep(args.epsilon0, args.beta_min, args.beta_max, args.count)
-    lines = ["beta_c,u,heat_capacity,epsilon0"]
-    for p in curve.points:
-        row = (*p, curve.epsilon0)
-        if not all(map(math.isfinite, row)):
-            raise _non_finite(next(v for v in row if not math.isfinite(v)))
-        lines.append("%.17g,%.17g,%.17g,%.17g" % row)
-    _emit("\n".join(lines), args.output)
+    points, eps0 = curve.points, curve.epsilon0
+    # values in row order: every row is (*point, eps0), so the first row
+    # decides whether eps0 comes before a later row's non-finite value
+    first_row = (*points[0], eps0) if points else ()
+    bad = next(filterfalse(math.isfinite, chain(first_row, chain.from_iterable(points))), None)
+    if bad is not None:
+        raise _non_finite(bad)
+    # eps0 is the same in every row, so it is formatted once into the template
+    line = "%.17g,%.17g,%.17g," + _fmt_float(eps0) + "\n"
+    blocks = ("".join(map(line.__mod__, points[i : i + _PIECE])) for i in range(0, len(points), _PIECE))
+    _write(chain(("beta_c,u,heat_capacity,epsilon0\n",), blocks), args.output)
     return 0
 
 
@@ -231,7 +343,7 @@ def cmd_verify(args) -> int:
         lines.append(f"{flag}  {r.name:<40} max_residual={r.max_residual:.3e}  {r.detail}")
     failed = sum(1 for r in results if not r.passed)
     lines.append(f"{len(results) - failed}/{len(results)} families passed")
-    _emit("\n".join(lines), args.output)
+    _write(("\n".join(lines), "\n"), args.output)
     return 0 if failed == 0 else 4
 
 

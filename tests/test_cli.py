@@ -1,7 +1,11 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +13,8 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from magcoh import BlockDensityMatrix, c_r, reduce_single_mode, thermo
-from magcoh import cli
+from magcoh import cli, reduced_density
+from magcoh.combinat import combination_array, enumerate_combinations
 from magcoh.cli import main
 from magcoh.errors import InternalConsistencyError
 from magcoh.verify import FAMILY_NAMES, FamilyResult
@@ -67,6 +72,18 @@ class TestStateCommand:
         assert code == 3
         assert "error[infeasible]" in err
 
+    @pytest.mark.parametrize("command", ["state", "reduce", "coherence"])
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_is_a_domain_error(self, capsys, command, budget):
+        code, out, err = run(capsys, command, "--N", "8", "--m", "2", "--k", "1,3", "--budget", budget)
+        assert (code, out) == (2, "")
+        assert err == f"error[domain]: --budget must be at least 1, got {budget}\n"
+
+    def test_budget_of_one_is_read_as_a_ceiling(self, capsys):
+        code, _, err = run(capsys, "state", "--N", "8", "--m", "2", "--k", "1,3", "--budget", "1")
+        assert code == 3
+        assert err == "error[infeasible]: state table needs 28 amplitudes, budget is 1\n"
+
     def test_null_state_is_a_domain_error(self, capsys):
         code, _, err = run(capsys, "state", "--N", "2", "--m", "2", "--k", "0,1")
         assert code == 2
@@ -120,6 +137,18 @@ class TestReduceCommand:
     def test_sites_and_n_conflict(self, capsys):
         code, _, err = run(capsys, "reduce", "--N", "8", "--m", "2", "--k", "1,1", "--n", "2", "--sites", "1,2")
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["reduce", "coherence"])
+    def test_empty_sites_is_an_empty_subsystem(self, capsys, command):
+        code, out, err = run(capsys, command, "--N", "8", "--m", "2", "--k", "1,3", "--sites", "")
+        assert (code, out) == (2, "")
+        assert err == "error[domain]: subsystem needs at least one site\n"
+
+    @pytest.mark.parametrize("command", ["reduce", "coherence"])
+    def test_empty_sites_still_conflicts_with_n(self, capsys, command):
+        code, out, err = run(capsys, command, "--N", "8", "--m", "2", "--k", "1,3", "--sites", "", "--n", "3")
+        assert (code, out) == (2, "")
+        assert err == "error[domain]: --sites and --n are mutually exclusive\n"
 
     def test_oracle_reports_off_block_residual(self, capsys):
         code, out, _ = run(
@@ -339,6 +368,145 @@ class TestRenderer:
             cli._render_json({"matrix": a})
 
 
+def oracle_rendering(obj) -> str:
+    # the document oracle: per-float arrays, json for strings, ints and site lists
+    if isinstance(obj, np.ndarray):
+        return per_float_rendering(obj)
+    if isinstance(obj, cli._SiteLists):
+        return json.dumps([list(l) for l in enumerate_combinations(obj.n, obj.m)])
+    if isinstance(obj, float):
+        return f"{obj:.17g}"
+    if isinstance(obj, list):
+        return "[" + ", ".join(oracle_rendering(v) for v in obj) + "]"
+    if isinstance(obj, dict):
+        return "{" + ", ".join(json.dumps(k) + ": " + oracle_rendering(v) for k, v in obj.items()) + "}"
+    return json.dumps(obj)
+
+
+@st.composite
+def site_list_tables(draw):
+    n = draw(st.integers(0, 9))
+    return cli._SiteLists(n, draw(st.integers(0, n)))
+
+
+def wide_vectors():
+    # wider than the smallest chunk sizes below, so rows are cut into pieces
+    return st.integers(0, 40).map(lambda w: (np.arange(w) * (0.1 - 0.7j)) ** 3)
+
+
+documents = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-(2**70), 2**70),
+        finite_floats,
+        st.text(max_size=4),
+        complex_arrays(),
+        wide_vectors(),
+        site_list_tables(),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4), st.dictionaries(st.text(max_size=3), children, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+class TestStreamingWriter:
+    @pytest.mark.parametrize("piece", [1, 3, 4096])
+    @seed(1409)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(documents)
+    def test_streamed_joined_and_oracle_bytes_agree(self, tmp_path_factory, piece, doc):
+        expected = oracle_rendering(doc)
+        target = tmp_path_factory.mktemp("doc") / "out.json"
+        stdout = io.StringIO()
+        with mock.patch.object(cli, "_PIECE", piece):
+            assert cli._render_json(doc) == expected
+            cli._emit(doc, str(target))
+            with contextlib.redirect_stdout(stdout):
+                cli._emit(doc, None)
+        assert target.read_bytes() == (expected + "\n").encode()
+        assert stdout.getvalue() == expected + "\n"
+
+    @pytest.mark.parametrize("piece", [1, 3, 4096])
+    def test_site_list_rows_render_like_lists_of_ints(self, piece):
+        with mock.patch.object(cli, "_PIECE", piece):
+            for n in range(11):
+                for m in range(n + 1):
+                    today = cli._render_json([list(l) for l in enumerate_combinations(n, m)])
+                    assert cli._render_json(cli._SiteLists(n, m)) == today
+                    assert cli._render_json(combination_array(n, m).tolist()) == today
+
+    @pytest.mark.parametrize("piece", [1, 4, 4096])
+    def test_thermo_blocks_read_like_one_line_per_point(self, capsys, piece):
+        curve = thermo.sweep(1.5, -2.0, 3.0, 9)
+        expected = "beta_c,u,heat_capacity,epsilon0\n" + "".join(
+            f"{p.beta_c:.17g},{p.u:.17g},{p.heat_capacity:.17g},{curve.epsilon0:.17g}\n" for p in curve.points
+        )
+        with mock.patch.object(cli, "_PIECE", piece):
+            code, out, _ = run(capsys, "thermo", "--epsilon0", "1.5", "--beta-min", "-2", "--beta-max", "3", "--count", "9")
+        assert (code, out) == (0, expected)
+
+    def test_unknown_type_is_refused_before_anything_is_written(self, capsys, tmp_path):
+        doc = {"ok": [1, 2.5], "bad": {1, 2}}
+        for path in (None, tmp_path / "out"):
+            with pytest.raises(InternalConsistencyError, match="^cannot serialize set$"):
+                cli._emit(doc, None if path is None else str(path))
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["state", "--N", "7", "--m", "3", "--k", "1,2,6"],
+            ["reduce", "--N", "8", "--m", "2", "--k", "1,3", "--n", "3"],
+            ["reduce", "--N", "8", "--m", "2", "--k", "1,3", "--sites", "2,5,7"],
+            ["reduce", "--N", "8", "--m", "3", "--k", "2,2,2", "--n", "5", "--method", "single-mode"],
+            ["reduce", "--N", "8", "--m", "2", "--k", "1,3", "--sites", "1,4", "--method", "oracle"],
+            ["coherence", "--N", "8", "--m", "2", "--k", "1,1", "--n", "3"],
+            ["thermo", "--epsilon0", "1.5", "--beta-min", "-2", "--beta-max", "2", "--count", "9"],
+            ["verify", "--N", "6"],
+        ],
+        ids=lambda argv: "-".join(argv[:1] + argv[-2:]),
+    )
+    def test_stdout_and_output_file_carry_the_same_bytes(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *argv)
+        target = tmp_path / "out"
+        code_o, out_o, err_o = run(capsys, *argv, "-o", str(target))
+        assert (code, err) == (code_o, err_o) == (0, "")
+        assert out_o == ""
+        assert target.read_bytes() == out.encode()
+
+    def test_reduce_peaks_below_its_output_size(self, capsys, tmp_path):
+        # the document is written as it is rendered, never held whole
+        target = tmp_path / "rho.json"
+        argv = ["reduce", "--N", "20", "--m", "4", "--k", "1,2,3,4", "--n", "10", "-o", str(target)]
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < target.stat().st_size
+
+    def test_single_mode_sectors_are_rendered_one_at_a_time(self, tmp_path):
+        target = tmp_path / "rho.json"
+        argv = ["reduce", "--N", "24", "--m", "12", "--k", ",".join(["5"] * 12), "--n", "10"]
+        argv += ["--method", "single-mode", "-o", str(target)]
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        widest = math.comb(10, 5) ** 2 * 16
+        every_block = sum(math.comb(10, q) ** 2 for q in range(11)) * 16
+        assert peak < 2 * widest < every_block
+
+
 class TestNonFiniteOutputExits4:
     """A non-finite float in a result is refused: exit 4 and no output."""
 
@@ -387,6 +555,33 @@ class TestNonFiniteOutputExits4:
             capsys, tmp_path, "thermo", "--epsilon0", "1", "--beta-min", "-1", "--beta-max", "1", "--count", "5",
             shown="-inf",
         )
+
+    def test_single_mode_sector_read_when_rendered(self, capsys, monkeypatch, tmp_path):
+        # the last sector is built only when the writer reaches it, after
+        # every earlier sector has passed
+        real = reduced_density._RankOneBlocks.__getitem__
+
+        def poisoned(self, q):
+            block = real(self, q)
+            if q == max(self.sectors):
+                block[1, 0] = complex(math.nan, 0.5)
+            return block
+
+        monkeypatch.setattr(reduced_density._RankOneBlocks, "__getitem__", poisoned)
+        self.check_refused(
+            capsys, tmp_path, "reduce", "--N", "8", "--m", "2", "--k", "1,1", "--n", "3", "--method", "single-mode",
+            shown="nan",
+        )
+
+
+class TestNonFiniteStdoutExits4(TestNonFiniteOutputExits4):
+    """The same refusals without -o: nothing reaches stdout."""
+
+    def check_refused(self, capsys, tmp_path, *argv, shown):
+        code, out, err = run(capsys, *argv)
+        assert code == 4
+        assert out == ""
+        assert err == f"error[internal-consistency]: refusing to serialize non-finite value {shown}\n"
 
 
 def test_failed_validation_exits_4(capsys, monkeypatch):
