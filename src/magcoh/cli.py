@@ -3,8 +3,9 @@ sweep the two-level thermodynamics, and run the self-verification suite.
 
 Results go to stdout or --output; diagnostics go to stderr.  Exit codes:
 0 success, 2 domain error, 3 infeasible request, 4 internal-consistency
-failure.  Floats are rendered with 17 significant digits, so identical
-invocations produce byte-identical output.
+failure, 141 (128 + SIGPIPE, with nothing on stderr) when the reader of
+stdout closed it early.  Floats are rendered with 17 significant digits,
+so identical invocations produce byte-identical output.
 
 Output is streamed.  A JSON document is walked twice: the first walk
 raises any error the rendering can raise (a non-finite float, named as
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
@@ -196,15 +198,16 @@ def _emit(doc, path: str | None) -> None:
     _write(chain(_chunks(doc), ("\n",)), path)
 
 
-def _parse_indices(text: str) -> tuple[int, ...]:
+def _parse_indices(text: str, what: str) -> tuple[int, ...]:
+    """Comma-separated integers; ``what`` names them in the refusal."""
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise DomainError(f"momentum indices must be comma-separated integers, got {text!r}") from None
+        raise DomainError(f"{what} indices must be comma-separated integers, got {text!r}") from None
 
 
 def _spec_from_args(args) -> MagnonStateSpec:
-    indices = _parse_indices(args.k)
+    indices = _parse_indices(args.k, "momentum")
     if len(indices) != args.m:
         raise DomainError(f"got {len(indices)} momentum indices for m={args.m}")
     spec = MagnonStateSpec(args.N, args.m, MomentumVector(args.N, indices))
@@ -222,7 +225,7 @@ def _subsystem_from_args(args, N: int) -> SubsystemSpec | None:
         raise DomainError("--sites and --n are mutually exclusive")
     if args.sites is not None:
         # an empty --sites is an empty subsystem, which SubsystemSpec refuses
-        return SubsystemSpec(N, _parse_indices(args.sites) if args.sites else ())
+        return SubsystemSpec(N, _parse_indices(args.sites, "site") if args.sites else ())
     if args.n is not None:
         return SubsystemSpec.prefix(N, args.n)
     return None
@@ -405,10 +408,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        # a closed pipe can first show when buffered output is flushed
+        sys.stdout.flush()
+        return code
     except MagcohError as err:
         print(f"error[{err.category}]: {err}", file=sys.stderr)
         return err.exit_code
+    except BrokenPipeError:
+        # point stdout at devnull so the flush at interpreter exit, which
+        # still holds the unwritten bytes, does not raise a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        # 128 + SIGPIPE, as a shell reports a process that signal ended
+        return 141
 
 
 if __name__ == "__main__":

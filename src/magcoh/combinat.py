@@ -116,12 +116,60 @@ def enumerate_combinations(n: int, m: int) -> list[SiteList]:
 def combination_array(n: int, m: int) -> np.ndarray:
     """The C(n, m) site lists of ``enumerate_combinations`` as one
     (C(n, m), m) int64 array, row r holding the list of rank r.
-    Integer-valued floats are taken as their integers."""
+
+    Built level by level from the first-element recursion, with no
+    Python object per row.  Level j holds the j-lists of {1, ..., nn},
+    nn = n - m + j; its rows that start with site f are f followed by
+    the (j-1)-lists of {f + 1, ..., nn}, which are the last C(nn - f,
+    j - 1) rows of level j - 1 (the lists of {f, ..., nn - 1}) plus 1.
+    So each level is one shifted slice copy per leading site.  m > n
+    gives a (0, m) table; negative n or m is a DomainError.
+    Integer-valued floats are taken as their integers.
+    """
     n, m = _as_int(n, "n"), _as_int(m, "m")
-    count = math.comb(n, m)
-    if m == 0:
-        return np.zeros((count, 0), dtype=np.int64)
-    return np.fromiter(_lex_combinations(range(1, n + 1), m), dtype=np.dtype((np.int64, (m,))), count=count)
+    if n < 0 or m < 0:
+        raise DomainError(f"cannot tabulate {m}-subsets of {n} sites")
+    if m > n:
+        return np.zeros((0, m), dtype=np.int64)
+    prev = np.zeros((1, 0), dtype=np.int64)
+    for j in range(1, m + 1):
+        nn = n - m + j
+        level = np.empty((math.comb(nn, j), j), dtype=np.int64)
+        start = 0
+        for f in range(1, nn - j + 2):
+            count = math.comb(nn - f, j - 1)
+            level[start : start + count, 0] = f
+            np.add(prev[len(prev) - count :], 1, out=level[start : start + count, 1:])
+            start += count
+        prev = level
+    return prev
+
+
+def _site_sums(n: int, q_lo: int, q_hi: int) -> list[np.ndarray]:
+    """Row sums of ``combination_array(n, q)`` for q = q_lo, ..., q_hi,
+    as int64 arrays, without building the tables.
+
+    Pascal's rule in lexicographic order: the q-lists of {1, ..., n'}
+    that hold site 1 come first and are 1 followed by a (q-1)-list of
+    {1, ..., n'-1} shifted up by 1; the rest are a q-list of {1, ...,
+    n'-1} shifted up by 1.  So S(n', q) = [S(n'-1, q-1) + q, S(n'-1, q)
+    + q].  The pass keeps only the cells (n', q) that feed some target,
+    q_lo - (n - n') <= q <= q_hi, each no larger than a target it feeds.
+    Needs 0 <= q_lo <= q_hi <= n.
+    """
+    # cells of the current n', keyed by q
+    cells = {0: np.zeros(1, dtype=np.int64)}
+    for nn in range(1, n + 1):
+        nxt = {}
+        for q in range(max(0, q_lo - (n - nn)), min(q_hi, nn) + 1):
+            parts = []
+            if q >= 1:
+                parts.append(cells[q - 1] + q)
+            if q < nn:
+                parts.append(cells[q] + q)
+            nxt[q] = np.concatenate(parts)
+        cells = nxt
+    return [cells[q] for q in range(q_lo, q_hi + 1)]
 
 
 def rank_combination(sites, n: int) -> int:

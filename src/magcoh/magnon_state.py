@@ -38,7 +38,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .combinat import SiteList, _as_int, combination_array, enumerate_combinations, validate_sitelist
+from .combinat import SiteList, _as_int, _site_sums, combination_array, enumerate_combinations, validate_sitelist
 from .errors import DomainError, InfeasibilityError, NullStateError
 
 __all__ = [
@@ -65,6 +65,17 @@ FULL_VECTOR_BUDGET = 2 ** 14
 # Below the weight threshold a momentum choice is treated as fully
 # destructive rather than as a state with a gigantic normalization.
 NULL_STATE_THRESHOLD = 1e-20
+
+
+def _resolve_budget(budget: int | None, default: int) -> int:
+    """``budget``, or ``default`` when it is None; a budget below 1 is a
+    DomainError rather than a ceiling nothing fits under."""
+    if budget is None:
+        return default
+    if budget < 1:
+        raise DomainError(f"budget must be at least 1, got {budget}")
+    return budget
+
 
 _DIRECT_PERMANENT_LIMIT = 4
 _PERMANENT_LIMIT = 20
@@ -411,7 +422,7 @@ def build_state(spec: MagnonStateSpec, budget: int | None = None) -> AmplitudeTa
         Ceiling on stored amplitudes; defaults to AMPLITUDE_BUDGET.  It
         also caps the permanent route: m! m permutation entries for
         m <= 4, the widest level of the subset DP, C(N, j) with
-        j = min(m, N // 2), beyond.
+        j = min(m, N // 2), beyond.  A budget below 1 is a DomainError.
 
     Returns
     -------
@@ -426,7 +437,7 @@ def build_state(spec: MagnonStateSpec, budget: int | None = None) -> AmplitudeTa
     NullStateError
         If the momentum choice interferes to the zero vector.
     """
-    budget = AMPLITUDE_BUDGET if budget is None else budget
+    budget = _resolve_budget(budget, AMPLITUDE_BUDGET)
     N, k = spec.N, spec.k
     dim = math.comb(N, spec.m)
     if dim > budget:
@@ -447,21 +458,27 @@ def single_mode_state(n: int, q: int, k: float) -> AmplitudeTable:
 
     This is the pure state each magnon-number block of a single-mode
     reduction collapses to; q = 0 gives the trivial one-entry table.
-    Integer-valued floats n and q are taken as their integers.
+    The phases come from the sector's site sums (``combinat._site_sums``),
+    so no site-list table is built.  Integer-valued floats n and q are
+    taken as their integers.
     """
     n, q = _as_int(n, "n"), _as_int(q, "q")
     if n < 1:
         raise DomainError(f"block size must be positive, got n={n}")
     if not 0 <= q <= n:
         raise DomainError(f"flip count must satisfy 0 <= q <= n, got q={q}, n={n}")
-    sums = combination_array(n, q).sum(axis=1)
+    (sums,) = _site_sums(n, q, q)
     pref = 1.0 / math.sqrt(len(sums))
     return AmplitudeTable(n, q, pref * np.exp(1j * k * sums), pref)
 
 
 def embed_full(state: AmplitudeTable, budget: int | None = None) -> FullStateVector:
-    """Scatter an amplitude table into the dense 2^N product basis."""
-    budget = FULL_VECTOR_BUDGET if budget is None else budget
+    """Scatter an amplitude table into the dense 2^N product basis.
+
+    ``budget`` caps 2^N, FULL_VECTOR_BUDGET by default; below 1 it is a
+    DomainError.
+    """
+    budget = _resolve_budget(budget, FULL_VECTOR_BUDGET)
     size = 1 << state.N
     if size > budget:
         raise InfeasibilityError(f"dense embedding needs 2^{state.N} entries, budget is {budget}")

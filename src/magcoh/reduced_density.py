@@ -22,6 +22,7 @@ import numpy as np
 from .combinat import (
     SiteList,
     _as_int,
+    _site_sums,
     admissible_q,
     combination_array,
     enumerate_combinations,
@@ -35,6 +36,7 @@ from .magnon_state import (
     FULL_VECTOR_BUDGET,
     AmplitudeTable,
     FullStateVector,
+    _resolve_budget,
 )
 
 __all__ = [
@@ -277,9 +279,10 @@ def reduce(state: AmplitudeTable, sub: SubsystemSpec, budget: int | None = None)
     split through 0-filled position tables and both halves are ranked
     by ``rank_combination`` at O(m) each.  The factors V go along with
     the blocks, so ``validate`` checks positivity on the smaller side of
-    each sector (the complement side whenever db < da).
+    each sector (the complement side whenever db < da).  A budget below
+    1 is a DomainError.
     """
-    budget = AMPLITUDE_BUDGET if budget is None else budget
+    budget = _resolve_budget(budget, AMPLITUDE_BUDGET)
     N, m = state.N, state.m
     if sub.parent_N != N:
         raise DomainError(f"subsystem belongs to an N={sub.parent_N} chain, state has N={N}")
@@ -320,23 +323,28 @@ def reduce_single_mode(N: int, n: int, m: int, k: float, budget: int | None = No
     route scales to chains far beyond the general one.  A sector of
     dimension d is kept as its weight p/d and its phase vector phi,
     phi_l = exp(ik sum(l)); its dense block (p/d) phi phi^H is built
-    only when read.  Being rank one, it has the spectrum
+    only when read.  The site sums sum(l) of every admissible sector
+    come from one Pascal's-rule pass (``combinat._site_sums``) that
+    visits only the (n', q) cells feeding the admissible range, so no
+    site-list table is built.  Being rank one, a sector has the spectrum
     (0, ..., 0, trace), which is supplied rather than diagonalised.  The
-    budget still caps d x d, the size of a block when read.  A
-    non-finite k is a DomainError; integer-valued floats N, n and m are
-    taken as their integers.
+    budget still caps d x d, the size of a block when read, and every
+    sector is checked against it before any is built; a budget below 1
+    is a DomainError.  A non-finite k is a DomainError; integer-valued
+    floats N, n and m are taken as their integers.
     """
     N, n, m = _as_int(N, "N"), _as_int(n, "n"), _as_int(m, "m")
     if not math.isfinite(k):
         raise DomainError(f"wavenumber must be finite, got {k}")
-    budget = AMPLITUDE_BUDGET if budget is None else budget
+    budget = _resolve_budget(budget, AMPLITUDE_BUDGET)
     law = sector_law(N, n, m)
-    sectors: dict[int, tuple[float, np.ndarray]] = {}
-    for q, p in zip(law.q.tolist(), law.p.tolist()):
+    qs = law.q.tolist()
+    for q in qs:
         dim = math.comb(n, q)
         if dim * dim > budget:
             raise InfeasibilityError(f"sector q={q} needs a {dim} x {dim} block, budget is {budget}")
-        sectors[q] = (p / dim, np.exp(1j * k * combination_array(n, q).sum(axis=1)))
+    sums = _site_sums(n, qs[0], qs[-1])
+    sectors = {q: (p / math.comb(n, q), np.exp(1j * k * s)) for q, p, s in zip(qs, law.p.tolist(), sums)}
     rho = BlockDensityMatrix(n, _RankOneBlocks(sectors))
     for q, weight in rho.block_weights.items():
         rho.spectra[q] = np.zeros(math.comb(n, q))
@@ -351,12 +359,14 @@ def oracle_partial_trace(v: FullStateVector, sub: SubsystemSpec, budget: int | N
     subsystem and complement bitmasks, forms the dense subsystem
     operator, then projects it onto flip sectors.  The largest element
     between different sectors is reported as ``off_block_residual``.
+    ``budget``, when given, caps both 2^N and the 4^n dense operator;
+    below 1 it is a DomainError.
     """
     N = v.N
     if sub.parent_N != N:
         raise DomainError(f"subsystem belongs to an N={sub.parent_N} chain, vector has N={N}")
-    vec_budget = FULL_VECTOR_BUDGET if budget is None else budget
-    dense_budget = AMPLITUDE_BUDGET if budget is None else budget
+    vec_budget = _resolve_budget(budget, FULL_VECTOR_BUDGET)
+    dense_budget = _resolve_budget(budget, AMPLITUDE_BUDGET)
     if (1 << N) > vec_budget:
         raise InfeasibilityError(f"oracle trace scans 2^{N} entries, budget is {vec_budget}")
     n = sub.n

@@ -115,31 +115,46 @@ def _check_beta(beta: float) -> None:
         raise DomainError(f"inverse temperature must be finite, got {beta}")
 
 
-def _two_level(beta: float, epsilon0: float) -> tuple[float, float]:
-    # (energy density, heat capacity) at x = eps0 beta from the one
-    # e = exp(-|x|): u = eps0 e / (1 + e) for x >= 0, eps0 / (1 + e) below
-    x = epsilon0 * beta
-    e = math.exp(-abs(x))
-    r = 1.0 + e
-    return (epsilon0 * e / r if x >= 0.0 else epsilon0 / r), x * x * e / (r * r)
+def _two_level(beta: np.ndarray, epsilon0: float) -> tuple[np.ndarray, np.ndarray]:
+    """(energy density, heat capacity) arrays over a finite float64 beta array.
+
+    Both come from the one e = exp(-|x|) at x = eps0 beta:
+    u = eps0 e / (1 + e) for x >= 0 and eps0 / (1 + e) below, and
+    C = x^2 e / (1 + e)^2.  e is taken per point by ``math.exp``, whose
+    last bit ``np.exp`` does not always reproduce; every other step is
+    one float64 operation in that formula's order.  Where e underflows
+    to 0, |x| > 745 and C is 0: x^2 may overflow there, and inf times
+    e = 0 would be NaN.  Elsewhere x^2 < 6e5 is finite.
+    """
+    # overflow, and the NaN of inf times 0, arise only where e = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = epsilon0 * beta
+        e = np.fromiter(map(math.exp, (-np.abs(x)).tolist()), dtype=np.float64, count=x.size)
+        r = 1.0 + e
+        # eps0 * 1.0 is eps0, so the x < 0 branch is eps0 / r bit for bit
+        u = epsilon0 * np.where(x >= 0.0, e, 1.0) / r
+        c = x * x * e / (r * r)
+    c[e == 0.0] = 0.0
+    return u, c
 
 
 def energy_from_beta(beta: float, epsilon0: float) -> float:
     """Logistic energy density eps0 / (exp(eps0 beta) + 1); inverse of beta_c."""
     _check_epsilon0(epsilon0)
     _check_beta(beta)
-    return _two_level(beta, epsilon0)[0]
+    return float(_two_level(np.array([beta], dtype=np.float64), epsilon0)[0][0])
 
 
 def heat_capacity(beta: float, epsilon0: float) -> float:
     """Schottky form (eps0 beta)^2 exp(-eps0 beta) / (1 + exp(-eps0 beta))^2.
 
     Evaluated through exp(-|eps0 beta|) only, so it is finite, even in
-    beta, and vanishes at both temperature extremes.
+    beta, and vanishes at both temperature extremes: it is exactly 0
+    once exp(-|eps0 beta|) underflows.
     """
     _check_epsilon0(epsilon0)
     _check_beta(beta)
-    return _two_level(beta, epsilon0)[1]
+    return float(_two_level(np.array([beta], dtype=np.float64), epsilon0)[1][0])
 
 
 def schottky_peak(epsilon0: float) -> tuple[float, float]:
@@ -216,9 +231,10 @@ def sweep(epsilon0: float, beta_min: float, beta_max: float, count: int) -> Ther
     """Tabulate (beta, u, heat capacity) on a uniform beta grid, as the
     points of one ThermoCurve at ``epsilon0``.
 
-    The inputs are checked once; each point is then one two-level
-    evaluation, the same bits as ``energy_from_beta`` and
-    ``heat_capacity``.
+    The inputs are checked once; the whole grid then goes through one
+    array evaluation of the two-level law, which gives each point the
+    same bits as ``energy_from_beta`` and ``heat_capacity``, and the
+    points are built from its arrays at the end.
     """
     _check_epsilon0(epsilon0)
     count = _as_int(count, "point count")
@@ -235,5 +251,6 @@ def sweep(epsilon0: float, beta_min: float, beta_max: float, count: int) -> Ther
     finite = np.isfinite(grid)
     if not finite.all():
         _check_beta(float(grid[~finite][0]))
-    points = tuple(ThermoPoint(b, *_two_level(b, epsilon0)) for b in grid.tolist())
+    u, c = _two_level(grid, epsilon0)
+    points = tuple(map(ThermoPoint, grid.tolist(), u.tolist(), c.tolist()))
     return ThermoCurve(epsilon0, points)

@@ -3,6 +3,8 @@ import dataclasses
 import io
 import json
 import math
+import os
+import sys
 import tracemalloc
 import warnings
 from unittest import mock
@@ -134,6 +136,13 @@ class TestReduceCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("option,what", [("--k", "momentum"), ("--sites", "site")])
+    def test_unparsable_indices_name_their_option(self, capsys, option, what):
+        argv = {"--k": "1,3", "--sites": "2,5", option: "a,b"}
+        code, out, err = run(capsys, "reduce", "--N", "8", "--m", "2", "--k", argv["--k"], "--sites", argv["--sites"])
+        assert (code, out) == (2, "")
+        assert err == f"error[domain]: {what} indices must be comma-separated integers, got 'a,b'\n"
+
     def test_sites_and_n_conflict(self, capsys):
         code, _, err = run(capsys, "reduce", "--N", "8", "--m", "2", "--k", "1,1", "--n", "2", "--sites", "1,2")
         assert code == 2
@@ -250,6 +259,18 @@ class TestThermoCommand:
     def test_domain_exit(self, capsys):
         code, _, err = run(capsys, "thermo", "--epsilon0", "-1", "--beta-min", "0", "--beta-max", "1", "--count", "5")
         assert code == 2
+
+    def test_huge_beta_rows_are_finite(self, capsys):
+        # (eps0 beta)^2 overflows where exp(-|eps0 beta|) is 0: C is 0, not NaN
+        for edge in ("1e200", "2e154"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run(
+                    capsys, "thermo", "--epsilon0", "1", f"--beta-min=-{edge}", "--beta-max", edge, "--count", "3"
+                )
+            assert (code, err) == (0, "")
+            rows = [line.split(",") for line in out.splitlines()[1:]]
+            assert [(r[1], r[2]) for r in rows] == [("1", "0"), ("0.5", "0"), ("0", "0")]
 
     def test_overflowing_grid_is_one_error_line(self, capsys):
         # finite endpoints whose difference overflows: the error, no numpy warning
@@ -582,6 +603,41 @@ class TestNonFiniteStdoutExits4(TestNonFiniteOutputExits4):
         assert code == 4
         assert out == ""
         assert err == f"error[internal-consistency]: refusing to serialize non-finite value {shown}\n"
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: ``method`` raises BrokenPipeError.
+    Its descriptor is a file the test reads back."""
+
+    def __init__(self, fd: int, method: str):
+        self.fd, self.method = fd, method
+
+    def fileno(self) -> int:
+        return self.fd
+
+    def writelines(self, chunks):
+        if self.method == "writelines":
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        if self.method == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("method", ["writelines", "flush"])
+def test_closed_pipe_exits_141_quietly(capsys, monkeypatch, tmp_path, method):
+    target = tmp_path / "stdout"
+    fd = os.open(target, os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd, method))
+        code = main(["state", "--N", "16", "--m", "4", "--k", "1,3,5,7"])
+        # the descriptor now leads to devnull, so a flush at exit cannot fail
+        os.write(fd, b"late bytes")
+    finally:
+        os.close(fd)
+    assert code == 141
+    assert capsys.readouterr().err == ""
+    assert target.read_bytes() == b""
 
 
 def test_failed_validation_exits_4(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import threading
@@ -29,7 +30,7 @@ from magcoh import (
     unrank_combination,
 )
 from magcoh import combinat
-from magcoh.combinat import _RANK_CACHE_SIZE, EXACT_LIMIT, combination_array
+from magcoh.combinat import _RANK_CACHE_SIZE, EXACT_LIMIT, _site_sums, combination_array
 
 
 def per_slot_rank(sites, n):
@@ -348,6 +349,39 @@ def test_integer_valued_floats_are_their_integers():
     by_float, by_int = reduce_single_mode(10, 4.0, 3, 0.1), reduce_single_mode(10, 4, 3, 0.1)
     assert by_float.n == 4 and all(np.array_equal(by_float.blocks[q], by_int.blocks[q]) for q in by_int.q_values)
     assert MagnonStateSpec(8.0, 2.0, MomentumVector(8, (1, 2))).m == 2
+
+
+class TestCombinationTables:
+    # combination_array and _site_sums against tables built by itertools
+    @seed(1507)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.integers(0, 18).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n + 2))))
+    def test_combination_array_is_the_itertools_table(self, case):
+        n, m = case
+        want = np.array(list(itertools.combinations(range(1, n + 1), m)), dtype=np.int64).reshape(math.comb(n, m), m)
+        got = combination_array(n, m)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n,m", [(-1, 0), (-1, 2), (4, -1), (-3, -2)])
+    def test_negative_sizes_are_domain_errors(self, n, m):
+        with pytest.raises(DomainError, match="cannot tabulate"):
+            combination_array(n, m)
+
+    @seed(1508)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        st.integers(1, 24)
+        .flatmap(lambda N: st.tuples(st.just(N), st.integers(1, min(N, 16)), st.integers(0, N)))
+    )
+    def test_site_sums_are_the_itertools_row_sums(self, case):
+        N, n, m = case
+        sector = admissible_q(N, n, m)
+        got = _site_sums(n, sector[0], sector[-1])
+        assert len(got) == len(sector)
+        for q, sums in zip(sector, got):
+            want = np.array([sum(l) for l in itertools.combinations(range(1, n + 1), q)], dtype=np.int64)
+            assert sums.dtype == np.int64 and np.array_equal(sums, want), q
 
 
 class TestRankCache:

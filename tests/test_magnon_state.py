@@ -419,6 +419,15 @@ class TestBuildState:
         with pytest.raises(InfeasibilityError):
             build_state(spec, budget=100)
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_is_a_domain_error(self, budget):
+        spec = MagnonStateSpec(8, 2, MomentumVector(8, (1, 3)))
+        with pytest.raises(DomainError, match=rf"^budget must be at least 1, got {budget}$"):
+            build_state(spec, budget=budget)
+        st = build_state(spec)
+        with pytest.raises(DomainError, match=rf"^budget must be at least 1, got {budget}$"):
+            embed_full(st, budget=budget)
+
     def test_translation_moves_phases_not_moduli(self):
         N, m = 8, 2
         st = build_state(MagnonStateSpec(N, m, MomentumVector(N, (1, 3))))

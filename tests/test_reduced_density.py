@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -29,7 +30,7 @@ from magcoh import (
     reduce_single_mode,
     sector_law,
 )
-from magcoh import combinat
+from magcoh import combinat, reduced_density
 from magcoh.combinat import combination_array
 from magcoh.magnon_state import _DIRECT_PERMANENT_LIMIT
 from magcoh.reduced_density import _HERMITICITY_TILE, _RankOneBlocks, _hermiticity_residual
@@ -48,6 +49,12 @@ def random_sites(rng, N, n):
     return tuple(sorted(int(s) + 1 for s in rng.choice(N, size=n, replace=False)))
 
 
+def itertools_site_sums(n, q):
+    """sum(l) over the q-flip site lists of {1, ..., n}, in canonical
+    order, from itertools rather than the package's tables."""
+    return np.array([sum(l) for l in itertools.combinations(range(1, n + 1), q)], dtype=np.int64)
+
+
 def dense_single_mode(N, n, m, k):
     """The single-mode reduction with every sector stored as its dense
     block (p/d) phi phi^H and the spectrum (0, ..., 0, trace) supplied;
@@ -56,7 +63,7 @@ def dense_single_mode(N, n, m, k):
     blocks, spectra = {}, {}
     for q, p in zip(law.q.tolist(), law.p.tolist()):
         dim = math.comb(n, q)
-        phases = np.exp(1j * k * combination_array(n, q).sum(axis=1))
+        phases = np.exp(1j * k * itertools_site_sums(n, q))
         blocks[q] = (p / dim) * np.outer(phases, phases.conj())
         spectra[q] = np.zeros(dim)
         spectra[q][-1] = np.trace(blocks[q]).real
@@ -154,6 +161,18 @@ class TestReduce:
         # the 220-entry table fits; the q = 3 block, C(6, 3)^2 = 400 entries, does not
         with pytest.raises(InfeasibilityError, match=r"^sector q=3 needs a 20 x 20 block, budget is 300$"):
             reduce(st, SubsystemSpec.prefix(12, 6), budget=300)
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_is_a_domain_error(self, budget):
+        st = build_state(MagnonStateSpec(8, 2, MomentumVector(8, (1, 3))))
+        sub = SubsystemSpec.prefix(8, 3)
+        for call in (
+            lambda: reduce(st, sub, budget=budget),
+            lambda: oracle_partial_trace(embed_full(st), sub, budget=budget),
+            lambda: reduce_single_mode(8, 3, 2, 0.3, budget=budget),
+        ):
+            with pytest.raises(DomainError, match=rf"^budget must be at least 1, got {budget}$"):
+                call()
 
 
 def gram_factor_bound(rows: int, cols: int, w: float) -> float:
@@ -408,6 +427,24 @@ class TestSingleModeClosedForm:
         assert abs(rho.total_trace() - 1.0) < 1e-12
         assert rho.spectrum()[0] == max(rho.block_weights.values())
 
+    @pytest.mark.parametrize("N,n,m,sectors", [(1000, 60, 2, (0, 1, 2)), (62, 60, 60, (58, 59, 60))])
+    def test_narrow_sector_ranges_of_wide_blocks(self, N, n, m, sectors):
+        # the site sums come only from the cells that feed these sectors;
+        # a walk over every q at n = 60 would pass through C(60, 30) lists
+        rho = reduce_single_mode(N, n, m, 0.3)
+        assert rho.q_values == sectors
+        for q in sectors:
+            assert np.array_equal(rho.blocks.sectors[q][1], np.exp(0.3j * itertools_site_sums(n, q)))
+
+    def test_budget_refusal_comes_before_any_sector_is_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("site sums built")
+
+        monkeypatch.setattr(reduced_density, "_site_sums", refuse)
+        # q = 0 and 1 fit a budget of 100; the q = 2 block, 15 x 15, does not
+        with pytest.raises(InfeasibilityError, match=r"^sector q=2 needs a 15 x 15 block, budget is 100$"):
+            reduce_single_mode(12, 6, 6, 0.3, budget=100)
+
     @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
     def test_non_finite_wavenumber_is_a_domain_error(self, k):
         with pytest.raises(DomainError, match="wavenumber"):
@@ -619,7 +656,7 @@ def test_hermiticity_check_keeps_to_tiles_on_the_widest_single_mode_sectors():
     law = sector_law(30, 12, 15)
     for q, p in zip(law.q.tolist(), law.p.tolist()):
         dim = math.comb(12, q)
-        phases = np.exp(1j * k * combination_array(12, q).sum(axis=1))
+        phases = np.exp(1j * k * itertools_site_sums(12, q))
         assert np.array_equal(rho.blocks[q], (p / dim) * np.outer(phases, phases.conj()))
     total = sum(b.nbytes for b in rho.blocks.values())
     tracemalloc.start()

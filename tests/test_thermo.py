@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -22,6 +23,16 @@ from magcoh import (
     sector_law,
     sweep,
 )
+
+def two_level_oracle(beta, eps):
+    """(u, C) at one point in Python floats and ``math`` only; C is 0
+    where exp(-|eps beta|) underflows."""
+    x = eps * beta
+    e = math.exp(-abs(x))
+    r = 1.0 + e
+    u = eps * e / r if x >= 0.0 else eps / r
+    return u, (x * x * e / (r * r) if e > 0.0 else 0.0)
+
 
 # frozen roots of the peak condition x tanh(x/2) = 2, probed by bisection
 PEAK_X = 2.399357280515468
@@ -283,6 +294,46 @@ class TestSweep:
             assert p.heat_capacity == heat_capacity(p.beta_c, curve.epsilon0)
             assert p.heat_capacity >= 0.0
             assert 0.0 < p.u < curve.epsilon0
+
+    @pytest.mark.parametrize(
+        "eps,lo,hi,count",
+        [
+            (1.0, 0.0, 0.0, 1),
+            (2.5, -3.0, 7.0, 1),
+            (1.0, -1.0, 1.0, 2001),
+            (0.7, -4.0, 4.0, 20001),
+            # e = exp(-|x|) underflows past |x| = 745.13
+            (1.0, -760.0, 760.0, 30401),
+            (3.0, 248.0, 249.0, 1001),
+            (1.0, -1e200, 1e200, 3),
+            (1.0, -2e154, 2e154, 5),
+            (1e300, -1e10, 1e10, 7),
+        ],
+    )
+    def test_points_are_the_per_point_oracle_bit_for_bit(self, eps, lo, hi, count):
+        curve = sweep(eps, lo, hi, count)
+        for p in curve.points:
+            want = two_level_oracle(p.beta_c, eps)
+            assert (p.u.hex(), p.heat_capacity.hex()) == (want[0].hex(), want[1].hex()), p.beta_c
+
+    def test_random_grids_are_the_per_point_oracle_bit_for_bit(self):
+        rng = random.Random(1529)
+        for _ in range(200):
+            eps = 10.0 ** rng.uniform(-3.0, 3.0)
+            lo = rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-2, 3)
+            hi = lo + rng.uniform(0.0, 1.0) * 10.0 ** rng.randint(-2, 3) + 1e-9
+            for p in sweep(eps, lo, hi, rng.choice((1, 2, 3, 17, 401))).points:
+                want = two_level_oracle(p.beta_c, eps)
+                assert (p.u.hex(), p.heat_capacity.hex()) == (want[0].hex(), want[1].hex())
+
+    def test_huge_beta_heat_capacity_is_zero(self):
+        # (eps0 beta)^2 overflows where exp(-|eps0 beta|) is already 0
+        for beta in (1e200, -1e200, 2e154, -2e154):
+            assert heat_capacity(beta, 1.0) == 0.0
+            assert energy_from_beta(beta, 1.0) == (0.0 if beta > 0 else 1.0)
+        curve = sweep(1.0, -1e200, 1e200, 3)
+        assert [p.heat_capacity for p in curve.points] == [0.0, 0.0, 0.0]
+        assert [p.u for p in curve.points] == [1.0, 0.5, 0.0]
 
     def test_domain(self):
         with pytest.raises(DomainError):
