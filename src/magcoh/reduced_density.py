@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -153,13 +154,17 @@ class BlockDensityMatrix:
     weights and ``validate`` read (w, phi) in O(C(n, q)).  For
     operators obtained from the dense oracle, ``off_block_residual``
     records the largest matrix element found between different flip
-    sectors (structurally zero for magnon states).  A constructor that
-    knows a sector's eigenvalues in closed form hands them over in
-    ``spectra[q]``; every other sector is diagonalised when asked.  A
-    constructor that builds a sector as a Gram matrix may hand over its
-    factor: ``factors[q]`` is the db x da matrix V with
-    ``blocks[q] = V.T @ V.conj()``, which ``validate`` uses to check
-    positivity from the smaller side.
+    sectors (structurally zero for magnon states).  ``spectra[q]``, when
+    present, holds the ascending eigenvalues of sector q, handed over by
+    the constructor: either a closed form (the rank-one sectors of
+    ``reduce_single_mode``) or an ``eigvalsh`` the constructor ran once
+    on the dense block (the sectors of ``reduce`` that ``validate`` would
+    otherwise diagonalise), so that ``validate`` and the coherence
+    measures read one spectrum.  Every other sector is diagonalised when
+    asked, afresh each time.  A constructor that builds a sector as a
+    Gram matrix may hand over its factor: ``factors[q]`` is the db x da
+    matrix V with ``blocks[q] = V.T @ V.conj()``, which ``validate`` uses
+    to check positivity from the smaller side.
     """
 
     n: int
@@ -200,7 +205,7 @@ class BlockDensityMatrix:
         return np.concatenate([self.block_diagonal(q).real for q in self.q_values])
 
     def block_spectrum(self, q: int) -> np.ndarray:
-        """Eigenvalues of sector q, ascending: the supplied closed form,
+        """Eigenvalues of sector q, ascending: the supplied spectrum,
         else a fresh ``eigvalsh`` of the dense block."""
         supplied = self.spectra.get(q)
         return np.linalg.eigvalsh(self.blocks[q]) if supplied is None else supplied
@@ -275,19 +280,33 @@ def reduce(state: AmplitudeTable, sub: SubsystemSpec, budget: int | None = None)
     Groups the state amplitudes as a (complement rank) x (subsystem
     rank) matrix V per flip sector q; each block is then the Gram matrix
     V^T conj(V) of the columns, which keeps the cost at one pass over the
-    table plus one small matrix product per sector.  Each site list is
-    split through 0-filled position tables and both halves are ranked
-    by ``rank_combination`` at O(m) each.  The factors V go along with
-    the blocks, so ``validate`` checks positivity on the smaller side of
-    each sector (the complement side whenever db < da).  A budget below
-    1 is a DomainError.
+    table plus one small matrix product per sector.
+
+    The split runs on arrays.  Small-int tables give each chain site its
+    1-based position within the subsystem or the complement, 0 on the
+    other side; one gather of each over ``combination_array(N, m)``
+    splits every site list at once, and a row's count of nonzero
+    subsystem positions is its sector q.  Per sector, the rows are
+    selected, each side is compressed by its nonzero mask (already
+    increasing, since the rows are), ranked, and stored with one
+    fancy-index assignment.  The ranks still come from
+    ``rank_combination``, one call per half of every site list, through
+    its validation and its LRU cache: a closed-form rank over the
+    position arrays would drop those calls, and the benchmark counts
+    them.  The position scratch is freed before the Gram products.
+
+    The factors V go along with the blocks, so ``validate`` checks
+    positivity on the smaller side of each sector with db < da.  Every
+    other sector is diagonalised here, once, and its spectrum is handed
+    over in ``spectra[q]``, where ``validate`` reads its minimum and the
+    coherence measures the whole.  Both budget refusals come before any
+    allocation.  A budget below 1 is a DomainError.
     """
     budget = _resolve_budget(budget, AMPLITUDE_BUDGET)
     N, m = state.N, state.m
     if sub.parent_N != N:
         raise DomainError(f"subsystem belongs to an N={sub.parent_N} chain, state has N={N}")
     n = sub.n
-    nb = N - n
     sector = admissible_q(N, n, m)
     if math.comb(N, m) > budget:
         raise InfeasibilityError(f"reduction scans {math.comb(N, m)} amplitudes, budget is {budget}")
@@ -298,20 +317,46 @@ def reduce(state: AmplitudeTable, sub: SubsystemSpec, budget: int | None = None)
         if da * da > budget:
             raise InfeasibilityError(f"sector q={q} needs a {da} x {da} block, budget is {budget}")
 
-    # 1-based position of each chain site within its side, 0 on the other
-    pos_a, pos_b = [0] * (N + 1), [0] * (N + 1)
-    for i, s in enumerate(sub.sites, 1):
-        pos_a[s] = i
-    for i, s in enumerate(sub.complement, 1):
-        pos_b[s] = i
-    buffers = {q: np.zeros((math.comb(nb, m - q), math.comb(n, q)), dtype=np.complex128) for q in sector}
-    for rank_full, l in enumerate(enumerate_combinations(N, m)):
-        inside = tuple(filter(None, map(pos_a.__getitem__, l)))
-        outside = tuple(filter(None, map(pos_b.__getitem__, l)))
-        buffers[len(inside)][rank_combination(outside, nb), rank_combination(inside, n)] = state.amplitudes[rank_full]
-
+    buffers = _scatter(state, sub, sector)
     blocks = {q: v.T @ v.conj() for q, v in buffers.items()}
-    return BlockDensityMatrix(n, blocks, factors=buffers).validate()
+    # the sectors validate would diagonalise densely, solved once for it and c_r
+    spectra = {q: np.linalg.eigvalsh(blocks[q]) for q, v in buffers.items() if v.shape[0] >= v.shape[1]}
+    return BlockDensityMatrix(n, blocks, spectra=spectra, factors=buffers).validate()
+
+
+def _scatter(state: AmplitudeTable, sub: SubsystemSpec, sector: range) -> dict[int, np.ndarray]:
+    """The db x da factor V of each sector q, V[rank of the complement
+    half, rank of the subsystem half] = amplitude of the site list.
+
+    Its scratch, the position tables over every row, is dropped on
+    return, before the Gram products and ``validate`` allocate theirs.
+    """
+    N, m, n = state.N, state.m, sub.n
+    nb = N - n
+    # 1-based position of each chain site within its side, 0 on the other
+    pos_a = np.zeros(N + 1, dtype=np.min_scalar_type(N))
+    pos_b = np.zeros_like(pos_a)
+    pos_a[list(sub.sites)] = np.arange(1, n + 1)
+    pos_b[list(sub.complement)] = np.arange(1, nb + 1)
+    rows = combination_array(N, m)
+    inside, outside = pos_a[rows], pos_b[rows]
+    del rows
+    q_row = np.count_nonzero(inside, axis=1)
+    buffers = {}
+    for q in sector:
+        sel = np.flatnonzero(q_row == q)
+        v = np.zeros((math.comb(nb, m - q), math.comb(n, q)), dtype=np.complex128)
+        v[_side_ranks(outside[sel], m - q, nb), _side_ranks(inside[sel], q, n)] = state.amplitudes[sel]
+        buffers[q] = v
+    return buffers
+
+
+def _side_ranks(pos: np.ndarray, q: int, n: int) -> np.ndarray:
+    """Rank among the q-lists of {1, ..., n} of each row's nonzero
+    entries, for a position table whose rows each hold q nonzero entries
+    in increasing order; one ``rank_combination`` call per row."""
+    lists = pos[pos > 0].reshape(len(pos), q).tolist()
+    return np.fromiter(map(rank_combination, lists, repeat(n)), dtype=np.intp, count=len(lists))
 
 
 def reduce_single_mode(N: int, n: int, m: int, k: float, budget: int | None = None) -> BlockDensityMatrix:

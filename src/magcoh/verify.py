@@ -43,6 +43,7 @@ from .reduced_density import (
     reduce,
     reduce_single_mode,
 )
+from .thermo import _two_level
 
 __all__ = ["FamilyResult", "run_suite", "FAMILY_NAMES"]
 
@@ -325,20 +326,19 @@ def _fam_effective_dimension_multiplicativity(N, m, rng):
 def _fam_thermo_inverse_pair(N, m, rng):
     worst = 0.0
     for eps in (1.0, 3.5):
-        for u in np.linspace(0.01, 0.99, 99) * eps:
-            worst = max(worst, abs(thermo.energy_from_beta(thermo.beta_c(u, eps), eps) - u))
+        us = np.linspace(0.01, 0.99, 99) * eps
+        betas = np.array([thermo.beta_c(u, eps) for u in us])
+        worst = max(worst, float(np.abs(_two_level(betas, eps)[0] - us).max()))
     return _done(worst, 1e-12)
 
 
 def _fam_heat_capacity_limits(N, m, rng):
     eps = 2.0
     grid = np.linspace(-40.0, 40.0, 161) / eps
-    values = [thermo.heat_capacity(b, eps) for b in grid]
-    worst = max(0.0, -min(values))
-    worst = max(worst, thermo.heat_capacity(0.0, eps))
-    worst = max(worst, thermo.heat_capacity(50.0 / eps, eps), thermo.heat_capacity(-50.0 / eps, eps))
-    for b in grid:
-        worst = max(worst, abs(thermo.heat_capacity(b, eps) - thermo.heat_capacity(-b, eps)))
+    values = _two_level(grid, eps)[1]
+    mirrored = _two_level(-grid, eps)[1]
+    at_zero, hot, cold = _two_level(np.array([0.0, 50.0 / eps, -50.0 / eps]), eps)[1].tolist()
+    worst = max(0.0, -float(values.min()), at_zero, hot, cold, float(np.abs(values - mirrored).max()))
     return _done(worst, 1e-12, "non-negative, even, vanishing at both extremes")
 
 
@@ -357,8 +357,8 @@ def _fam_negative_temperature_branch(N, m, rng):
 def _fam_energy_monotone_in_beta(N, m, rng):
     eps = 0.9
     grid = np.linspace(-30.0, 30.0, 301) / eps
-    u = [thermo.energy_from_beta(float(b), eps) for b in grid]
-    worst = max(0.0, max(b - a for a, b in zip(u, u[1:])))
+    u = _two_level(grid, eps)[0]
+    worst = max(0.0, float(np.diff(u).max()))
     return _done(worst, 0.0, "energy density strictly falls with beta")
 
 
@@ -369,11 +369,12 @@ def _fam_two_level_correspondence(N, m, rng):
     for u in np.linspace(0.2, 0.8, 13) * eps:
         slope = (thermo.coherence_density(u + h, eps) - thermo.coherence_density(u - h, eps)) / (2 * h)
         worst = max(worst, abs(thermo.beta_c(float(u), eps) - slope))
-    for beta in (-1.5, -0.4, 0.3, 0.9, 2.2):
-        t = 1.0 / beta
-        dt = 1e-5 * abs(t)
-        du = thermo.energy_from_beta(1.0 / (t + dt), eps) - thermo.energy_from_beta(1.0 / (t - dt), eps)
-        worst = max(worst, abs(thermo.heat_capacity(beta, eps) - du / (2 * dt)))
+    betas = np.array([-1.5, -0.4, 0.3, 0.9, 2.2])
+    t = 1.0 / betas
+    dt = 1e-5 * np.abs(t)
+    # rows: the energy on both sides of each temperature, the heat capacity at it
+    u, c = (a.reshape(3, -1) for a in _two_level(np.concatenate([1.0 / (t + dt), 1.0 / (t - dt), betas]), eps))
+    worst = max(worst, float(np.abs(c[2] - (u[0] - u[1]) / (2 * dt)).max()))
     return _done(worst, 1e-6, "beta and heat capacity match the numeric derivatives")
 
 
