@@ -154,17 +154,13 @@ class BlockDensityMatrix:
     weights and ``validate`` read (w, phi) in O(C(n, q)).  For
     operators obtained from the dense oracle, ``off_block_residual``
     records the largest matrix element found between different flip
-    sectors (structurally zero for magnon states).  ``spectra[q]``, when
-    present, holds the ascending eigenvalues of sector q, handed over by
-    the constructor: either a closed form (the rank-one sectors of
-    ``reduce_single_mode``) or an ``eigvalsh`` the constructor ran once
-    on the dense block (the sectors of ``reduce`` that ``validate`` would
-    otherwise diagonalise), so that ``validate`` and the coherence
-    measures read one spectrum.  Every other sector is diagonalised when
-    asked, afresh each time.  A constructor that builds a sector as a
-    Gram matrix may hand over its factor: ``factors[q]`` is the db x da
-    matrix V with ``blocks[q] = V.T @ V.conj()``, which ``validate`` uses
-    to check positivity from the smaller side.
+    sectors (structurally zero for magnon states).  A constructor that
+    knows a sector's eigenvalues in closed form hands them over in
+    ``spectra[q]``; every other sector is diagonalised when asked.  A
+    constructor that builds a sector as a Gram matrix may hand over its
+    factor: ``factors[q]`` is the db x da matrix V with
+    ``blocks[q] = V.T @ V.conj()``, which ``validate`` uses to check
+    positivity from the smaller side.
     """
 
     n: int
@@ -205,7 +201,7 @@ class BlockDensityMatrix:
         return np.concatenate([self.block_diagonal(q).real for q in self.q_values])
 
     def block_spectrum(self, q: int) -> np.ndarray:
-        """Eigenvalues of sector q, ascending: the supplied spectrum,
+        """Eigenvalues of sector q, ascending: the supplied closed form,
         else a fresh ``eigvalsh`` of the dense block."""
         supplied = self.spectra.get(q)
         return np.linalg.eigvalsh(self.blocks[q]) if supplied is None else supplied
@@ -296,11 +292,9 @@ def reduce(state: AmplitudeTable, sub: SubsystemSpec, budget: int | None = None)
     them.  The position scratch is freed before the Gram products.
 
     The factors V go along with the blocks, so ``validate`` checks
-    positivity on the smaller side of each sector with db < da.  Every
-    other sector is diagonalised here, once, and its spectrum is handed
-    over in ``spectra[q]``, where ``validate`` reads its minimum and the
-    coherence measures the whole.  Both budget refusals come before any
-    allocation.  A budget below 1 is a DomainError.
+    positivity on the smaller side of each sector (the complement side
+    whenever db < da).  Both budget refusals come before any allocation.
+    A budget below 1 is a DomainError.
     """
     budget = _resolve_budget(budget, AMPLITUDE_BUDGET)
     N, m = state.N, state.m
@@ -319,9 +313,7 @@ def reduce(state: AmplitudeTable, sub: SubsystemSpec, budget: int | None = None)
 
     buffers = _scatter(state, sub, sector)
     blocks = {q: v.T @ v.conj() for q, v in buffers.items()}
-    # the sectors validate would diagonalise densely, solved once for it and c_r
-    spectra = {q: np.linalg.eigvalsh(blocks[q]) for q, v in buffers.items() if v.shape[0] >= v.shape[1]}
-    return BlockDensityMatrix(n, blocks, spectra=spectra, factors=buffers).validate()
+    return BlockDensityMatrix(n, blocks, factors=buffers).validate()
 
 
 def _scatter(state: AmplitudeTable, sub: SubsystemSpec, sector: range) -> dict[int, np.ndarray]:

@@ -32,7 +32,7 @@ from magcoh import (
 )
 from magcoh import combinat, reduced_density
 from magcoh.combinat import combination_array
-from magcoh.magnon_state import _DIRECT_PERMANENT_LIMIT
+from magcoh.magnon_state import _DIRECT_PERMANENT_LIMIT, AmplitudeTable
 from magcoh.reduced_density import _HERMITICITY_TILE, _RankOneBlocks, _hermiticity_residual
 
 
@@ -212,6 +212,9 @@ class TestPositivityFromTheSmallerSide:
         smaller = [min(math.comb(n, q), math.comb(N - n, m - q)) for q in rho.q_values]
         assert max(smaller) < max(math.comb(n, q) for q in rho.q_values)
         assert sorted(shapes) == sorted((d, d) for d in smaller)
+        shapes.clear()
+        coherence_report(rho)
+        assert sorted(shapes) == sorted(rho.blocks[q].shape for q in rho.q_values)
 
     def test_smaller_side_matches_the_dense_minimum(self, scattered):
         rho = reduce(*scattered)
@@ -244,41 +247,6 @@ class TestPositivityFromTheSmallerSide:
         assert BlockDensityMatrix(2, block, factors={1: v})._lowest_eigenvalue(1) == 0.0
         with pytest.raises(InternalConsistencyError, match="below the floor"):
             BlockDensityMatrix(2, block, spectra={1: np.array([-0.5, 1.5])}, factors={1: v}).validate()
-
-
-@pytest.mark.parametrize(
-    "N,k,sites",
-    [
-        (12, (1, 1, 2, 4, 4, 5, 7), (1, 2, 3, 4, 5)),
-        (14, (1, 2, 5, 9), (2, 3, 5, 8, 9, 11, 13)),
-        (24, (1, 2, 5, 11, 17), (1, 3, 4, 6, 9, 10, 13, 15, 18, 20, 21, 24)),
-    ],
-)
-def test_each_sector_is_diagonalised_once_across_reduce_and_coherence(N, k, sites, monkeypatch):
-    state = build_state(MagnonStateSpec(N, len(k), MomentumVector(N, k)))
-    sub = SubsystemSpec(N, sites)
-    shapes = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def record(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", record)
-    rho = reduce(state, sub)
-    report = coherence_report(rho)
-    monkeypatch.undo()
-    want = []
-    for q in rho.q_values:
-        db, da = rho.factors[q].shape
-        # a sector with db >= da is solved once, by reduce; a wider one on
-        # its db side for positivity and densely for c_r
-        want += [(da, da)] if db >= da else [(db, db), (da, da)]
-    assert sorted(shapes) == sorted(want)
-    assert set(rho.spectra) == {q for q in rho.q_values if rho.factors[q].shape[0] >= rho.factors[q].shape[1]}
-    # the same blocks with every spectrum taken afresh give c_r to the bit
-    fresh = BlockDensityMatrix(rho.n, rho.blocks, factors=rho.factors)
-    assert coherence_report(fresh).c_r.hex() == report.c_r.hex()
 
 
 def permanent_steps(k) -> int:
@@ -354,11 +322,30 @@ def per_row_factors(state, sub):
     for i, s in enumerate(sub.complement, 1):
         pos_b[s] = i
     factors = {q: np.zeros((math.comb(nb, m - q), math.comb(n, q)), dtype=complex) for q in admissible_q(N, n, m)}
-    for rank_full, l in enumerate(itertools.combinations(range(1, N + 1), m)):
+    for rank_full, l in enumerate(combinat.enumerate_combinations(N, m)):
         inside = tuple(pos_a[s] for s in l if pos_a[s])
         outside = tuple(pos_b[s] for s in l if pos_b[s])
         factors[len(inside)][combinat.rank_combination(outside, nb), combinat.rank_combination(inside, n)] = state.amplitudes[rank_full]
     return factors
+
+
+def per_row_reduce(state, sub):
+    """``reduce`` with the per-row scatter: Gram products and ``validate``
+    on the factors of ``per_row_factors``."""
+    factors = per_row_factors(state, sub)
+    blocks = {q: v.T @ v.conj() for q, v in factors.items()}
+    return BlockDensityMatrix(sub.n, blocks, factors=factors).validate()
+
+
+def traced_peak(fn, *args):
+    """tracemalloc peak, in bytes, of one call with a cold rank cache."""
+    combinat._rank.cache_clear()
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @st.composite
@@ -409,8 +396,7 @@ class TestArrayScatter:
         for q, v in want.items():
             assert np.array_equal(got.factors[q], v)
             assert np.array_equal(got.blocks[q], v.T @ v.conj())
-            if q in got.spectra:
-                assert np.array_equal(got.spectra[q], np.linalg.eigvalsh(v.T @ v.conj()))
+        assert got.spectra == {}
 
     def test_ranks_every_half_of_every_site_list_once(self, monkeypatch):
         state = build_state(MagnonStateSpec(12, 4, MomentumVector(12, (1, 3, 3, 8))))
@@ -436,22 +422,30 @@ class TestArrayScatter:
         with pytest.raises(InfeasibilityError, match=message):
             reduce(state, SubsystemSpec.prefix(12, 8), budget=budget)
 
-    # tracemalloc peaks of one reduce call with a cold rank cache, odd
-    # sites, measured on the per-row scatter (its list of C(N, m) site
-    # tuples dominated at (22, 7)); the array scatter measured 16.79 and
-    # 14.47 MiB.  The (24, 5) peak is the result itself: 14.1 MiB of blocks.
-    @pytest.mark.parametrize("N,k,ceiling_mib", [(24, (1, 2, 5, 11, 17), 17.42), (22, (1, 3, 4, 8, 13, 19, 20), 20.21)])
+    # Peaks of one call on the odd sites.  The per-row reference runs in
+    # the same process, so the 14.1 MiB of blocks that dominate (24, 5) and
+    # whatever numpy allocates internally weigh on both sides alike, and
+    # the comparison sees only the scratch of the scatter.  The fixed
+    # ceilings are the per-row scatter's peaks on one host (17.42 and
+    # 20.21 MiB, CPython 3.11, numpy 2) plus 10 % for other interpreter and
+    # numpy versions; they still refuse a scatter that keeps full int64
+    # gathers and per-sector lists alive (21.8 and 46.6 MiB).
+    @pytest.mark.parametrize("N,k,ceiling_mib", [(24, (1, 2, 5, 11, 17), 17.42 * 1.1), (22, (1, 3, 4, 8, 13, 19, 20), 20.21 * 1.1)])
     def test_peak_memory_stays_below_the_per_row_scatter(self, N, k, ceiling_mib):
         state = build_state(MagnonStateSpec(N, len(k), MomentumVector(N, k)))
         sub = SubsystemSpec(N, tuple(range(1, N + 1, 2)))
-        combinat._rank.cache_clear()
-        tracemalloc.start()
-        try:
-            reduce(state, sub)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(reduce, state, sub)
+        assert peak <= traced_peak(per_row_reduce, state, sub)
         assert peak <= ceiling_mib * 2**20
+
+    def test_a_non_finite_amplitude_is_refused_by_validate(self):
+        state = build_state(MagnonStateSpec(8, 3, MomentumVector(8, (1, 2, 5))))
+        amplitudes = state.amplitudes.copy()
+        amplitudes[17] = np.nan
+        broken = AmplitudeTable(8, 3, amplitudes, state.normalization)
+        for sites in [(2, 3, 7), (1, 2, 3, 4, 5, 6, 7), (4,)]:
+            with pytest.raises(InternalConsistencyError, match="Hermiticity by nan"):
+                reduce(broken, SubsystemSpec(8, sites))
 
 
 class TestSingleModeClosedForm:
