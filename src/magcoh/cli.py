@@ -272,8 +272,7 @@ def cmd_reduce(args) -> int:
         k_value = 2.0 * math.pi * spec.k.indices[0] / spec.N
         reduced = reduce_single_mode(spec.N, sub.n, spec.m, k_value, budget=args.budget)
     else:
-        vec = embed_full(build_state(spec, budget=args.budget), budget=args.budget)
-        reduced = oracle_partial_trace(vec, sub, budget=args.budget)
+        reduced = oracle_partial_trace(embed_full(build_state(spec, budget=args.budget)), sub)
     doc = {
         "spec": _spec_doc(spec),
         "subsystem": {"parent_N": sub.parent_N, "sites": list(sub.sites)},
@@ -354,7 +353,7 @@ def _add_state_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--N", type=int, required=True, help="chain length")
     p.add_argument("--m", type=int, required=True, help="number of flipped spins")
     p.add_argument("--k", required=True, help="comma-separated momentum grid indices, one per flip")
-    p.add_argument("--budget", type=int, default=None, help="override the size ceilings")
+    p.add_argument("--budget", type=int, default=None, help="override the amplitude and block ceilings")
     p.add_argument("-o", "--output", default=None, help="write to a file instead of stdout")
 
 

@@ -1,7 +1,10 @@
 """Coherence quantifiers in the canonical site-list basis.
 
 Every measure accepts either a BlockDensityMatrix or a plain Hermitian
-matrix; a plain matrix with a non-finite entry is a DomainError.
+matrix of unit trace.  A plain matrix is checked as a block operator is:
+one that is not square, has a non-finite entry, departs from
+Hermiticity by more than INPUT_HERMITICITY_TOL or from unit trace by
+more than TRACE_TOL is a DomainError.
 Logarithms are natural throughout, so entropic quantities are in nats.
 The l1 measure sums |rho_ij| over all stored blocks and subtracts the
 trace; the relative-entropy measure subtracts the von Neumann entropy
@@ -21,7 +24,13 @@ import numpy as np
 
 from .combinat import _as_int, sector_law
 from .errors import DomainError, InfeasibilityError
-from .reduced_density import BlockDensityMatrix, eigenvalues_hermitian
+from .reduced_density import (
+    INPUT_HERMITICITY_TOL,
+    TRACE_TOL,
+    BlockDensityMatrix,
+    _hermiticity_residual,
+    eigenvalues_hermitian,
+)
 
 __all__ = [
     "EIGENVALUE_FLOOR",
@@ -41,13 +50,20 @@ EIGENVALUE_FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class CoherenceReport:
-    """All three measures of one operator, with the basis size they refer to."""
+    """All three measures of one operator, with the basis size they refer
+    to; C_ln and the effective dimension follow from C_l1."""
 
     c_l1: float
     c_r: float
-    c_ln: float
-    effective_dimension: float
     basis_dimension: int
+
+    @property
+    def c_ln(self) -> float:
+        return math.log1p(self.c_l1)
+
+    @property
+    def effective_dimension(self) -> float:
+        return 1.0 + self.c_l1
 
 
 def _as_matrix(rho) -> np.ndarray:
@@ -56,6 +72,11 @@ def _as_matrix(rho) -> np.ndarray:
         raise DomainError(f"expected a square density matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise DomainError("density matrix has non-finite entries")
+    if not _hermiticity_residual(a) <= INPUT_HERMITICITY_TOL:
+        raise DomainError("density matrix departs from Hermiticity beyond tolerance")
+    off = abs(np.trace(a) - 1.0)
+    if not off <= TRACE_TOL:
+        raise DomainError(f"density matrix trace departs from 1 by {off:.3e}")
     return a
 
 
@@ -137,11 +158,13 @@ def averaged_coherence_single_mode(N: int, n: int, m: int, k: float, measure: st
     The wavenumber k only rotates phases inside each sector and drops
     out of every measure; it is accepted to mirror the direct route.
     The l1 average raises InfeasibilityError once some C(n, q) leaves
-    the float range.
+    the float range.  Integer-valued floats N, n and m are taken as their
+    integers.
     """
     del k
     if measure not in ("r", "l1", "ln"):
         raise DomainError(f"measure must be one of 'r', 'l1', 'ln', got {measure!r}")
+    N, n, m = _as_int(N, "N"), _as_int(n, "n"), _as_int(m, "m")
     law = sector_law(N, n, m)
     if measure != "l1":
         return float(law.p @ law.log_dim)
@@ -163,12 +186,5 @@ def _basis_dimension(rho) -> int:
 
 
 def coherence_report(rho) -> CoherenceReport:
-    """Evaluate all three measures once and package them together."""
-    l1 = c_l1(rho)
-    return CoherenceReport(
-        c_l1=l1,
-        c_r=c_r(rho),
-        c_ln=math.log1p(l1),
-        effective_dimension=1.0 + l1,
-        basis_dimension=_basis_dimension(rho),
-    )
+    """Evaluate C_l1 and C_r once and package them together."""
+    return CoherenceReport(c_l1=c_l1(rho), c_r=c_r(rho), basis_dimension=_basis_dimension(rho))

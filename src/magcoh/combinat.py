@@ -302,7 +302,9 @@ def sector_law(N: int, n: int, m: int) -> SectorLaw:
 
     Raises InfeasibilityError when (N+2)^2 exceeds int64, where the
     ratio's integer numerator and denominator would no longer be exact.
+    Integer-valued floats are taken as their integers.
     """
+    N, n, m = _as_int(N, "N"), _as_int(n, "n"), _as_int(m, "m")
     sector = admissible_q(N, n, m)
     if (N + 2) ** 2 >= 2 ** 63:
         raise InfeasibilityError(f"sector law at N={N} needs (N+2)^2 < 2^63 for exact int64 ratios")

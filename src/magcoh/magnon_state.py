@@ -21,9 +21,11 @@ j C(N, j) additions for all C(N, m) rows together, where per-row Ryser
 costs m 2^m per row.  The largest group of mu equal indices enters in
 closed form, mu! exp(i k sum(l)), so a single-mode table costs C(N, m) m.
 On a 2-vCPU Xeon a whole N = 16, m = 10..12 table takes about 9 ms, and
-one at N = 26, m = 8 with distinct indices 0.37 s.  Ryser's 2^m
-inclusion-exclusion stays as a cross-check route.  ``_permanents`` picks
-the route, and holds it to its ceiling, for every caller.
+one at N = 26, m = 8 with distinct indices 0.37 s.  ``_permanents`` picks
+the route, and holds it to its ceiling, for every caller.  Ryser's 2^m
+inclusion-exclusion, ``_ryser_permanents``, is no route: it is the
+reference that ``verify`` and the tests check the permutation sum
+against, called directly.
 
 Tables are immutable after construction; everything here is pure and
 safe to call concurrently.
@@ -91,6 +93,7 @@ class MomentumVector:
     indices: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "N", _as_int(self.N, "chain length"))
         if self.N < 1:
             raise DomainError(f"chain length must be positive, got N={self.N}")
         clean = []
@@ -204,16 +207,16 @@ def dispersion(J: float, k: float) -> float:
 
 def momentum_grid(N: int) -> np.ndarray:
     """The N allowed wavenumbers 2 pi j / N in [0, 2 pi)."""
+    N = _as_int(N, "chain length")
     if N < 1:
         raise DomainError(f"chain length must be positive, got N={N}")
     return 2.0 * np.pi * np.arange(N) / N
 
 
 # Keeps one table, the m! x m int64 permutation indices of the latest m,
-# so the memory it holds after a call is what that call allocated under
-# the permutation-sum ceiling in _permanents: 276 KiB at m = 7, the
-# largest verify uses, and 25 MiB at m = 9, the largest AMPLITUDE_BUDGET
-# admits.
+# so the memory it holds after a call is what that call allocated: at
+# most 768 bytes on the permutation-sum route (m <= 4), and 276 KiB at
+# m = 7, the largest reference call verify makes.
 @lru_cache(maxsize=1)
 def _permutation_table(m: int) -> np.ndarray:
     """All orderings of range(m) in itertools order, one per row, read-only."""
@@ -242,7 +245,7 @@ def _direct_permanents(indices, N: int, sites: np.ndarray) -> np.ndarray:
 def _ryser_permanents(indices, N: int, sites: np.ndarray) -> np.ndarray:
     """The same permanents by Ryser's inclusion-exclusion over all 2^m
     index subsets, walked in binary reflected Gray order with repeated
-    indices treated as distinct: the cross-check route."""
+    indices treated as distinct: the reference for the other kernels."""
     rows, m = sites.shape
     idx = np.asarray(indices, dtype=np.int64)
     out = np.empty(rows, dtype=np.complex128)
@@ -359,56 +362,50 @@ def _subset_permanents(indices, N: int, chain) -> np.ndarray:
     return table
 
 
-def _permanents(indices, N: int, chain, force: str | None, budget: int) -> np.ndarray:
+def _permanents(indices, N: int, chain, budget: int) -> np.ndarray:
     """Permanent of [exp(2 pi i idx_a s_b / N)] for every m-subset s of
     the increasing site list ``chain``, in lexicographic order: one value
     when ``chain`` is one site list, the whole table when it is 1..N.
 
-    The route is the permutation sum up to m = 4, the subset DP beyond,
-    or the one ``force`` names.  Each is held to what it spends: the
-    permutation sum stores m! m permutation entries and the DP its widest
-    level, C(n, min(m, n // 2)) entries, both within ``budget``; Ryser's
-    2^m walk, and the DP's 2^m subsets of a lone site list, stop at m = 20.
+    The route is the permutation sum up to m = 4 and the subset DP
+    beyond.  Each is held to what it spends: the permutation sum stores
+    m! m permutation entries and the DP its widest level,
+    C(n, min(m, n // 2)) entries, both within ``budget``; the DP's 2^m
+    subsets of a lone site list stop at m = 20.
     """
-    if force not in (None, "direct", "ryser"):
-        raise DomainError(f"permanent route must be 'direct' or 'ryser', got {force!r}")
     m, n = len(indices), len(chain)
     if m == 0:
         return np.ones(1, dtype=np.complex128)
-    route = force or ("direct" if m <= _DIRECT_PERMANENT_LIMIT else "subset")
-    if route == "direct":
+    if m <= _DIRECT_PERMANENT_LIMIT:
         perms = math.factorial(m)
         if perms * m > budget:
             raise InfeasibilityError(
                 f"permutation sum stores m! = {perms} orderings of {m} indices, {perms * m} entries; budget is {budget}"
             )
-    elif m > _PERMANENT_LIMIT:
+        sites = combination_array(n, m)
+        if chain[-1] != n:
+            # rows are positions in the chain, which are its sites only when it is 1..n
+            sites = np.asarray(chain, dtype=np.int64)[sites - 1]
+        return _direct_permanents(indices, N, sites)
+    if m > _PERMANENT_LIMIT:
         raise InfeasibilityError(f"permanent cost grows as 2^m; m={m} exceeds the limit {_PERMANENT_LIMIT}")
-    if route == "subset":
-        widest = min(m, n // 2)
-        size = math.comb(n, widest)
-        if size > budget:
-            raise InfeasibilityError(
-                f"permanent table level {widest} holds C({n}, {widest}) = {size} entries, budget is {budget}"
-            )
-        return _subset_permanents(indices, N, chain)
-    sites = combination_array(n, m)
-    if chain[-1] != n:
-        # rows are positions in the chain, which are its sites only when it is 1..n
-        sites = np.asarray(chain, dtype=np.int64)[sites - 1]
-    kernel = _direct_permanents if route == "direct" else _ryser_permanents
-    return kernel(indices, N, sites)
+    widest = min(m, n // 2)
+    size = math.comb(n, widest)
+    if size > budget:
+        raise InfeasibilityError(
+            f"permanent table level {widest} holds C({n}, {widest}) = {size} entries, budget is {budget}"
+        )
+    return _subset_permanents(indices, N, chain)
 
 
-def amplitude_f(k: MomentumVector, l, force: str | None = None) -> complex:
+def amplitude_f(k: MomentumVector, l) -> complex:
     """Unnormalised amplitude of one site list: the permanent sum over
-    permutations of the wavenumbers.  ``force`` pins the "direct" or
-    "ryser" route; ceilings are held to AMPLITUDE_BUDGET, so a forced
-    permutation sum refuses m >= 10."""
+    permutations of the wavenumbers, on the route ``build_state`` takes,
+    with its ceilings held to AMPLITUDE_BUDGET."""
     sites = validate_sitelist(l, k.N)
     if len(sites) != k.m:
         raise DomainError(f"site list has {len(sites)} entries, momentum has {k.m}")
-    return complex(_permanents(k.indices, k.N, sites, force, AMPLITUDE_BUDGET)[0])
+    return complex(_permanents(k.indices, k.N, sites, AMPLITUDE_BUDGET)[0])
 
 
 def build_state(spec: MagnonStateSpec, budget: int | None = None) -> AmplitudeTable:
@@ -442,7 +439,7 @@ def build_state(spec: MagnonStateSpec, budget: int | None = None) -> AmplitudeTa
     dim = math.comb(N, spec.m)
     if dim > budget:
         raise InfeasibilityError(f"state table needs {dim} amplitudes, budget is {budget}")
-    f = _permanents(k.indices, N, range(1, N + 1), None, budget)
+    f = _permanents(k.indices, N, range(1, N + 1), budget)
     weight = float(np.vdot(f, f).real)
     if weight < NULL_STATE_THRESHOLD:
         raise NullStateError(
@@ -460,9 +457,11 @@ def single_mode_state(n: int, q: int, k: float) -> AmplitudeTable:
     reduction collapses to; q = 0 gives the trivial one-entry table.
     The phases come from the sector's site sums (``combinat._site_sums``),
     so no site-list table is built.  Integer-valued floats n and q are
-    taken as their integers.
+    taken as their integers; a non-finite k is a DomainError.
     """
     n, q = _as_int(n, "n"), _as_int(q, "q")
+    if not math.isfinite(k):
+        raise DomainError(f"wavenumber must be finite, got {k}")
     if n < 1:
         raise DomainError(f"block size must be positive, got n={n}")
     if not 0 <= q <= n:
@@ -472,16 +471,12 @@ def single_mode_state(n: int, q: int, k: float) -> AmplitudeTable:
     return AmplitudeTable(n, q, pref * np.exp(1j * k * sums), pref)
 
 
-def embed_full(state: AmplitudeTable, budget: int | None = None) -> FullStateVector:
-    """Scatter an amplitude table into the dense 2^N product basis.
-
-    ``budget`` caps 2^N, FULL_VECTOR_BUDGET by default; below 1 it is a
-    DomainError.
-    """
-    budget = _resolve_budget(budget, FULL_VECTOR_BUDGET)
+def embed_full(state: AmplitudeTable) -> FullStateVector:
+    """Scatter an amplitude table into the dense 2^N product basis,
+    which FULL_VECTOR_BUDGET caps."""
     size = 1 << state.N
-    if size > budget:
-        raise InfeasibilityError(f"dense embedding needs 2^{state.N} entries, budget is {budget}")
+    if size > FULL_VECTOR_BUDGET:
+        raise InfeasibilityError(f"dense embedding needs 2^{state.N} entries, budget is {FULL_VECTOR_BUDGET}")
     masks = (np.int64(1) << (combination_array(state.N, state.m) - 1)).sum(axis=1)
     entries = np.zeros(size, dtype=np.complex128)
     entries[masks] = state.amplitudes

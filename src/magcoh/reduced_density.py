@@ -94,6 +94,7 @@ class SubsystemSpec:
     sites: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "parent_N", _as_int(self.parent_N, "parent chain length"))
         if self.parent_N < 1:
             raise DomainError(f"parent chain length must be positive, got {self.parent_N}")
         clean = validate_sitelist(self.sites, self.parent_N)
@@ -104,7 +105,7 @@ class SubsystemSpec:
     @classmethod
     def prefix(cls, parent_N: int, n: int) -> "SubsystemSpec":
         """The contiguous block {1, ..., n}."""
-        return cls(parent_N, tuple(range(1, n + 1)))
+        return cls(parent_N, tuple(range(1, _as_int(n, "n") + 1)))
 
     @property
     def n(self) -> int:
@@ -154,11 +155,10 @@ class BlockDensityMatrix:
     weights and ``validate`` read (w, phi) in O(C(n, q)).  For
     operators obtained from the dense oracle, ``off_block_residual``
     records the largest matrix element found between different flip
-    sectors (structurally zero for magnon states).  A constructor that
-    knows a sector's eigenvalues in closed form hands them over in
-    ``spectra[q]``; every other sector is diagonalised when asked.  A
-    constructor that builds a sector as a Gram matrix may hand over its
-    factor: ``factors[q]`` is the db x da matrix V with
+    sectors (structurally zero for magnon states).  A rank-one sector's
+    spectrum is read off its weight; every other sector is diagonalised
+    when asked.  A constructor that builds a sector as a Gram matrix may
+    hand over its factor: ``factors[q]`` is the db x da matrix V with
     ``blocks[q] = V.T @ V.conj()``, which ``validate`` uses to check
     positivity from the smaller side.
     """
@@ -166,7 +166,6 @@ class BlockDensityMatrix:
     n: int
     blocks: Mapping[int, np.ndarray]
     off_block_residual: float | None = None
-    spectra: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
     factors: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
     @property
@@ -189,9 +188,12 @@ class BlockDensityMatrix:
         w, phi = rank_one
         return w * (phi * phi.conj())
 
+    def _weight(self, q: int) -> float:
+        return float(self.block_diagonal(q).sum().real)
+
     @property
     def block_weights(self) -> dict[int, float]:
-        return {q: float(self.block_diagonal(q).sum().real) for q in self.q_values}
+        return {q: self._weight(q) for q in self.q_values}
 
     def total_trace(self) -> float:
         return sum(self.block_weights.values())
@@ -201,10 +203,12 @@ class BlockDensityMatrix:
         return np.concatenate([self.block_diagonal(q).real for q in self.q_values])
 
     def block_spectrum(self, q: int) -> np.ndarray:
-        """Eigenvalues of sector q, ascending: the supplied closed form,
-        else a fresh ``eigvalsh`` of the dense block."""
-        supplied = self.spectra.get(q)
-        return np.linalg.eigvalsh(self.blocks[q]) if supplied is None else supplied
+        """Eigenvalues of sector q, ascending: for a rank-one sector, d - 1
+        zeros and then the weight ``block_weights`` gives; for any other,
+        a fresh ``eigvalsh`` of the dense block."""
+        if self._rank_one(q) is None:
+            return np.linalg.eigvalsh(self.blocks[q])
+        return np.append(np.zeros(math.comb(self.n, q) - 1), self._weight(q))
 
     def spectrum(self) -> np.ndarray:
         """All eigenvalues across blocks, sorted descending."""
@@ -216,8 +220,10 @@ class BlockDensityMatrix:
 
     def _lowest_eigenvalue(self, q: int) -> float:
         v = self.factors.get(q)
-        if q not in self.spectra and v is not None and v.shape[0] < v.shape[1]:
-            return min(0.0, float(np.linalg.eigvalsh(v @ v.conj().T).min()))
+        if v is not None and v.shape[0] < v.shape[1]:
+            lowest = float(np.linalg.eigvalsh(v @ v.conj().T).min())
+            # min(0.0, nan) would be 0.0; a NaN must reach validate's comparison
+            return 0.0 if lowest > 0.0 else lowest
         return float(self.block_spectrum(q).min())
 
     def validate(self) -> "BlockDensityMatrix":
@@ -233,13 +239,13 @@ class BlockDensityMatrix:
         upper triangle, so it needs O(tile x d) scratch memory rather than
         three d x d temporaries; it is exact, not a bound, because entries
         (r, c) and (c, r) of b - b^H have the same modulus to the last bit
-        (see ``_hermiticity_residual``).  The lowest
-        eigenvalue of a sector comes from its supplied spectrum if there
-        is one.  Failing that, a Gram factor V with fewer rows than
-        columns gives it as min(0, lowest eigenvalue of V V^H): by the
-        Schmidt decomposition V V^H carries the block's nonzero spectrum,
-        and the block has da - db zeros besides.  Otherwise the dense
-        block is diagonalised.  Every comparison fails on NaN.
+        (see ``_hermiticity_residual``).  A Gram factor V with
+        fewer rows than columns gives a sector's lowest eigenvalue as
+        min(0, lowest eigenvalue of V V^H): by the Schmidt decomposition
+        V V^H carries the block's nonzero spectrum, and the block has
+        da - db zeros besides.  Otherwise it is the least entry of
+        ``block_spectrum``, in closed form for a rank-one sector and from
+        the dense block for any other.  Every comparison fails on NaN.
         """
         for q in self.q_values:
             if not 0 <= q <= self.n:
@@ -364,7 +370,7 @@ def reduce_single_mode(N: int, n: int, m: int, k: float, budget: int | None = No
     come from one Pascal's-rule pass (``combinat._site_sums``) that
     visits only the (n', q) cells feeding the admissible range, so no
     site-list table is built.  Being rank one, a sector has the spectrum
-    (0, ..., 0, trace), which is supplied rather than diagonalised.  The
+    (0, ..., 0, trace), read off the weight rather than diagonalised.  The
     budget still caps d x d, the size of a block when read, and every
     sector is checked against it before any is built; a budget below 1
     is a DomainError.  A non-finite k is a DomainError; integer-valued
@@ -382,33 +388,27 @@ def reduce_single_mode(N: int, n: int, m: int, k: float, budget: int | None = No
             raise InfeasibilityError(f"sector q={q} needs a {dim} x {dim} block, budget is {budget}")
     sums = _site_sums(n, qs[0], qs[-1])
     sectors = {q: (p / math.comb(n, q), np.exp(1j * k * s)) for q, p, s in zip(qs, law.p.tolist(), sums)}
-    rho = BlockDensityMatrix(n, _RankOneBlocks(sectors))
-    for q, weight in rho.block_weights.items():
-        rho.spectra[q] = np.zeros(math.comb(n, q))
-        rho.spectra[q][-1] = weight
-    return rho.validate()
+    return BlockDensityMatrix(n, _RankOneBlocks(sectors)).validate()
 
 
-def oracle_partial_trace(v: FullStateVector, sub: SubsystemSpec, budget: int | None = None) -> BlockDensityMatrix:
+def oracle_partial_trace(v: FullStateVector, sub: SubsystemSpec) -> BlockDensityMatrix:
     """Brute-force partial trace over the dense 2^N embedding.
 
     Independent of the combinatorial route: reshapes the vector by
     subsystem and complement bitmasks, forms the dense subsystem
     operator, then projects it onto flip sectors.  The largest element
     between different sectors is reported as ``off_block_residual``.
-    ``budget``, when given, caps both 2^N and the 4^n dense operator;
-    below 1 it is a DomainError.
+    FULL_VECTOR_BUDGET caps the 2^N vector and AMPLITUDE_BUDGET the 4^n
+    dense operator.
     """
     N = v.N
     if sub.parent_N != N:
         raise DomainError(f"subsystem belongs to an N={sub.parent_N} chain, vector has N={N}")
-    vec_budget = _resolve_budget(budget, FULL_VECTOR_BUDGET)
-    dense_budget = _resolve_budget(budget, AMPLITUDE_BUDGET)
-    if (1 << N) > vec_budget:
-        raise InfeasibilityError(f"oracle trace scans 2^{N} entries, budget is {vec_budget}")
+    if (1 << N) > FULL_VECTOR_BUDGET:
+        raise InfeasibilityError(f"oracle trace scans 2^{N} entries, budget is {FULL_VECTOR_BUDGET}")
     n = sub.n
-    if (1 << (2 * n)) > dense_budget:
-        raise InfeasibilityError(f"oracle trace builds a 2^{n} x 2^{n} operator, budget is {dense_budget}")
+    if (1 << (2 * n)) > AMPLITUDE_BUDGET:
+        raise InfeasibilityError(f"oracle trace builds a 2^{n} x 2^{n} operator, budget is {AMPLITUDE_BUDGET}")
 
     idx = np.arange(1 << N)
     a = np.zeros(1 << N, dtype=np.int64)

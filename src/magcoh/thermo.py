@@ -204,9 +204,11 @@ def beta_decomposition(N: int, n: int, m: int, epsilon0: float) -> BetaDecomposi
     Block energy moves in exact steps of n eps0 / N when the flip count
     changes by one, so derivatives are taken over one flip either way,
     and the truncation bound is estimated by comparing that stencil with
-    the two-flip one.
+    the two-flip one.  Integer-valued floats N, n and m are taken as
+    their integers.
     """
     _check_epsilon0(epsilon0)
+    N, n, m = _as_int(N, "N"), _as_int(n, "n"), _as_int(m, "m")
     if m < 2 or m + 2 > N:
         raise DomainError(f"centered differences need m within [2, N - 2]; got m={m}, N={N}")
     values = {}

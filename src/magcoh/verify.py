@@ -30,7 +30,8 @@ from .errors import DomainError, NullStateError
 from .magnon_state import (
     MagnonStateSpec,
     MomentumVector,
-    amplitude_f,
+    _direct_permanents,
+    _ryser_permanents,
     apply_hamiltonian,
     build_state,
     dispersion,
@@ -150,14 +151,15 @@ def _fam_state_normalization(N, m, rng):
 
 
 def _fam_permanent_consistency(N, m, rng):
+    # both reference kernels on one site list, as a one-row int64 table
     worst = 0.0
     for mm in range(2, 8):
-        k = MomentumVector(12, tuple(int(x) for x in rng.integers(0, 12, size=mm)))
+        k = tuple(int(x) for x in rng.integers(0, 12, size=mm))
         scale = float(math.factorial(mm))
         for _ in range(8):
-            l = _random_sites(rng, 12, mm)
-            direct = amplitude_f(k, l, force="direct")
-            ryser = amplitude_f(k, l, force="ryser")
+            sites = np.array([_random_sites(rng, 12, mm)], dtype=np.int64)
+            direct = complex(_direct_permanents(k, 12, sites)[0])
+            ryser = complex(_ryser_permanents(k, 12, sites)[0])
             worst = max(worst, abs(direct - ryser) / scale)
     return _done(worst, 1e-10)
 
@@ -397,8 +399,11 @@ def run_suite(N: int = 8, m: int = 2, seed: int = 7) -> list[FamilyResult]:
     """Run every invariant family on an (N, m) working point.
 
     N is capped at 14 because several families go through the dense
-    2^N oracle; m must leave room for a proper subsystem.
+    2^N oracle; m must leave room for a proper subsystem, and the seed
+    must be non-negative, as numpy's generator requires.
     """
+    if seed < 0:
+        raise DomainError(f"suite needs a non-negative seed, got seed={seed}")
     if not 4 <= N <= 14:
         raise DomainError(f"suite needs 4 <= N <= 14 for the dense oracle families, got N={N}")
     if not 1 <= m <= N - 1:

@@ -322,6 +322,12 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--N", "40")
         assert code == 2
 
+    def test_negative_seed_is_one_domain_error_line(self, capsys):
+        # numpy's generator refuses a negative seed; the suite refuses it first
+        code, out, err = run(capsys, "verify", "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error[domain]: suite needs a non-negative seed, got seed=-1\n"
+
 
 def test_unknown_command_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit):

@@ -155,6 +155,28 @@ class TestMeasures:
         with pytest.raises(DomainError, match="non-finite"):
             c_l1(np.full((2, 2), np.nan))
 
+    def test_non_hermitian_plain_matrix_is_a_domain_error(self):
+        # c_l1 read 1.0 here while coherence_report refused the matrix
+        skewed = np.array([[0.5, 1.0], [0.0, 0.5]])
+        for measure in (c_l1, c_r, c_ln, effective_dimension, coherence_report):
+            with pytest.raises(DomainError, match="departs from Hermiticity"):
+                measure(skewed)
+        # within INPUT_HERMITICITY_TOL the matrix is accepted
+        nearly = top_state(2) + np.array([[0.0, 1e-11], [0.0, 0.0]])
+        assert abs(c_l1(nearly) - 1.0) < 1e-10
+
+    def test_plain_matrix_off_unit_trace_is_a_domain_error(self):
+        # c_l1 of 2 * eye(3) read 5.0, on a diagonal operator
+        with pytest.raises(DomainError, match=r"^density matrix trace departs from 1 by 5\.000e\+00$"):
+            c_l1(2 * np.eye(3))
+        for scale in (2.0, 0.5, 1.0 + 1e-9):
+            for rho in (scale * np.eye(3) / 3.0, scale * top_state(3)):
+                for measure in (c_l1, c_r, c_ln, effective_dimension, coherence_report):
+                    with pytest.raises(DomainError, match="trace departs from 1"):
+                        measure(rho)
+        # within TRACE_TOL the matrix is accepted
+        assert c_l1((1.0 + 1e-11) * np.eye(3) / 3.0) < 1e-10
+
     def test_additivity_of_the_log_measure(self):
         rho = np.kron(top_state(2), top_state(3))
         assert abs(c_ln(rho) - math.log(2) - math.log(3)) < 1e-12

@@ -17,11 +17,15 @@ from magcoh import (
     MomentumVector,
     SubsystemSpec,
     admissible_q,
+    averaged_coherence_single_mode,
+    beta_decomposition,
     binary_entropy,
     enumerate_combinations,
+    finite_size_coherence_density,
     hypergeometric_pmf,
     log_binomial,
     max_coherence,
+    momentum_grid,
     rank_combination,
     reduce_single_mode,
     sector_law,
@@ -322,12 +326,23 @@ NAN, INF = math.nan, math.inf
         lambda: single_mode_state(4.5, 2, 0.1),
         lambda: reduce_single_mode(10, 4.5, 3, 0.1),
         lambda: MagnonStateSpec(8, 2.5, MomentumVector(8, (1, 2))),
+        lambda: MomentumVector("10", (1,)),
+        lambda: MomentumVector(10.5, (1,)),
+        lambda: momentum_grid(3.5),
+        lambda: SubsystemSpec(10.5, (1, 2)),
+        lambda: SubsystemSpec.prefix(10, 3.5),
+        lambda: sector_law(10, 4.5, 3),
+        lambda: finite_size_coherence_density(40, 16, 6.5),
+        lambda: beta_decomposition(60, 20, 6.5, 1.0),
+        lambda: averaged_coherence_single_mode(10, 4.5, 3, 0.1, "l1"),
     ],
     ids=[
         "subsystem-nan", "subsystem-none", "subsystem-str", "rank-nan", "rank-n-half", "rank-n-str",
         "momentum-inf", "momentum-str", "momentum-half", "max-coherence-nan", "sweep-count-nan",
         "enumerate-half", "enumerate-str", "admissible-half", "admissible-inf", "combination-array-half",
         "unrank-half", "single-mode-state-half", "reduce-single-mode-half", "spec-m-half",
+        "momentum-n-str", "momentum-n-half", "momentum-grid-half", "subsystem-n-half", "prefix-half",
+        "sector-law-half", "finite-size-half", "beta-decomposition-half", "averaged-half",
     ],
 )
 def test_non_integer_arguments_are_domain_errors(call):
@@ -349,6 +364,17 @@ def test_integer_valued_floats_are_their_integers():
     by_float, by_int = reduce_single_mode(10, 4.0, 3, 0.1), reduce_single_mode(10, 4, 3, 0.1)
     assert by_float.n == 4 and all(np.array_equal(by_float.blocks[q], by_int.blocks[q]) for q in by_int.q_values)
     assert MagnonStateSpec(8.0, 2.0, MomentumVector(8, (1, 2))).m == 2
+    assert MomentumVector(10.0, (1,)).N == 10 and type(MomentumVector(10.0, (1,)).N) is int
+    assert np.array_equal(momentum_grid(4.0), momentum_grid(4))
+    assert SubsystemSpec(10.0, (1, 2)).complement == SubsystemSpec(10, (1, 2)).complement
+    assert SubsystemSpec.prefix(10, 3.0).sites == (1, 2, 3)
+    for by_float, by_int in zip(sector_law(10.0, 4.0, 3.0), sector_law(10, 4, 3)):
+        assert np.array_equal(by_float, by_int)
+    assert finite_size_coherence_density(40.0, 16.0, 6.0) == finite_size_coherence_density(40, 16, 6)
+    assert beta_decomposition(60.0, 20.0, 6.0, 1.0) == beta_decomposition(60, 20, 6, 1.0)
+    for measure in ("r", "l1", "ln"):
+        by_float = averaged_coherence_single_mode(10.0, 4.0, 3.0, 0.1, measure)
+        assert by_float == averaged_coherence_single_mode(10, 4, 3, 0.1, measure)
 
 
 class TestCombinationTables:

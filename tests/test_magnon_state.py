@@ -23,6 +23,7 @@ from magcoh import (
 from magcoh import magnon_state
 from magcoh.combinat import combination_array
 from magcoh.magnon_state import (
+    _DIRECT_PERMANENT_LIMIT,
     AMPLITUDE_BUDGET,
     FULL_VECTOR_BUDGET,
     FullStateVector,
@@ -32,8 +33,9 @@ from magcoh.magnon_state import (
     _subset_permanents,
 )
 
-# Forced Ryser amplitudes (N, k, sites, re, im) of the expanded 2^m
-# subset sum; this cross-check route must keep these exact bits.
+# Ryser amplitudes (N, k, sites, re, im) of the expanded 2^m subset sum,
+# the kernel called on one site list as a one-row int64 table; this
+# reference must keep these exact bits.
 FORCED_RYSER_PINS = [
     (11, (1, 1, 2, 5, 5, 5, 9), (1, 3, 4, 6, 8, 10, 11), "0x1.0c6e68708e838p+5", "-0x1.72c8d93cd75dfp+7"),
     (16, (3,) * 8, (2, 3, 5, 7, 11, 13, 14, 16), "-0x1.e22e5e3190971p+13", "0x1.2305a53f99729p+15"),
@@ -41,8 +43,9 @@ FORCED_RYSER_PINS = [
     (12, (6, 6, 6, 1, 1, 0, 0, 9, 9, 9), (1, 2, 3, 4, 6, 7, 8, 9, 11, 12), "0x1.0cb529158de74p+10", "-0x1.0cb529158dce2p+10"),
 ]
 
-# Forced direct amplitudes (N, k, sites, re, im) of the permutation sum;
-# the root-table gather must reproduce the per-term exponentials bit for bit.
+# Permutation-sum amplitudes (N, k, sites, re, im), the kernel called the
+# same way; the root-table gather must reproduce the per-term exponentials
+# bit for bit.
 FORCED_DIRECT_PINS = [
     (11, (1, 4, 9), (2, 5, 10), "-0x1.59c97795bb2cfp-2", "-0x1.9620fde4b0498p-4"),
     (13, (0, 2, 2, 7, 11), (1, 3, 4, 9, 12), "0x1.e4bbacee243b8p-1", "-0x1.c147c1ef493d8p-1"),
@@ -65,6 +68,12 @@ def brute_phase_sum(k_values, sites):
 
 def random_momentum(rng, N, m):
     return MomentumVector(N, tuple(int(x) for x in rng.integers(0, N, size=m)))
+
+
+def one_row(kernel, k: MomentumVector, sites) -> complex:
+    """A reference kernel's permanent of one site list, passed as the
+    one-row int64 table the permutation-sum route builds for it."""
+    return complex(kernel(k.indices, k.N, np.array([sites], dtype=np.int64))[0])
 
 
 def test_dispersion_values():
@@ -162,8 +171,8 @@ class TestAmplitude:
         for _ in range(6):
             k = random_momentum(rng, N, m)
             sites = tuple(sorted(int(s) + 1 for s in rng.choice(N, size=m, replace=False)))
-            d = amplitude_f(k, sites, force="direct")
-            r = amplitude_f(k, sites, force="ryser")
+            d = one_row(_direct_permanents, k, sites)
+            r = one_row(_ryser_permanents, k, sites)
             assert abs(d - r) <= 1e-10 * math.factorial(m)
 
     @pytest.mark.parametrize("m", [7, 8, 9])
@@ -176,8 +185,8 @@ class TestAmplitude:
             k = MomentumVector(N, tuple(int(x) for x in rng.integers(0, 4, size=m)))
             sites = tuple(sorted(int(s) + 1 for s in rng.choice(N, size=m, replace=False)))
             default = amplitude_f(k, sites)
-            for route in ("ryser", "direct"):
-                assert abs(default - amplitude_f(k, sites, force=route)) <= 1e-10 * math.factorial(m)
+            for kernel in (_ryser_permanents, _direct_permanents):
+                assert abs(default - one_row(kernel, k, sites)) <= 1e-10 * math.factorial(m)
 
     @pytest.mark.parametrize("m", [7, 8, 9])
     def test_grouped_route_is_expanded_route_for_distinct_indices(self, m):
@@ -195,16 +204,16 @@ class TestAmplitude:
         k = MomentumVector(N, idx)
         one = amplitude_f(k, tuple(sites[7]))
         assert abs(one - table[7]) <= 2 * model.gamma(model.dp_steps(idx)) * math.factorial(m)
-        assert abs(one - amplitude_f(k, tuple(sites[7]), force="ryser")) <= 1e-10 * math.factorial(m)
+        assert abs(one - one_row(_ryser_permanents, k, sites[7])) <= 1e-10 * math.factorial(m)
 
     @pytest.mark.parametrize("N, idx, sites, re, im", FORCED_RYSER_PINS)
     def test_forced_ryser_keeps_its_bits(self, N, idx, sites, re, im):
-        got = amplitude_f(MomentumVector(N, idx), sites, force="ryser")
+        got = one_row(_ryser_permanents, MomentumVector(N, idx), sites)
         assert got == complex(float.fromhex(re), float.fromhex(im))
 
     @pytest.mark.parametrize("N, idx, sites, re, im", FORCED_DIRECT_PINS)
     def test_forced_direct_keeps_its_bits(self, N, idx, sites, re, im):
-        got = amplitude_f(MomentumVector(N, idx), sites, force="direct")
+        got = one_row(_direct_permanents, MomentumVector(N, idx), sites)
         assert got == complex(float.fromhex(re), float.fromhex(im))
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
@@ -217,7 +226,8 @@ class TestAmplitude:
             kperm = np.array(idx, dtype=np.int64)[np.array(list(permutations(range(m))), dtype=np.int64)]
             want = np.exp(2j * np.pi / N * ((sites @ kperm.T) % N)).sum(axis=1)
             assert np.array_equal(_direct_permanents(idx, N, sites), want)
-            assert np.array_equal(_permanents(idx, N, range(1, N + 1), "direct", AMPLITUDE_BUDGET), want)
+            if m <= _DIRECT_PERMANENT_LIMIT:
+                assert np.array_equal(_permanents(idx, N, range(1, N + 1), AMPLITUDE_BUDGET), want)
 
     def test_permutation_table_is_built_once_per_m(self, monkeypatch):
         built = []
@@ -251,12 +261,6 @@ class TestAmplitude:
         want = math.factorial(m) * np.exp(2j * math.pi * (j * sum(sites) % N) / N)
         assert abs(got - want) <= model.gamma(model.dp_steps(k.indices)) * math.factorial(m)
 
-    def test_unknown_route_rejected(self):
-        k = MomentumVector(8, (1, 2, 3))
-        for route in ("glynn", "", "Ryser"):
-            with pytest.raises(DomainError):
-                amplitude_f(k, (1, 2, 3), force=route)
-
     def test_sitelist_must_match_mode_count(self):
         with pytest.raises(DomainError):
             amplitude_f(MomentumVector(6, (1, 2)), (1,))
@@ -266,22 +270,23 @@ class TestAmplitude:
         with pytest.raises(InfeasibilityError):
             amplitude_f(k, tuple(range(1, 22)))
 
-    def test_forced_direct_refuses_m_factorial_before_it_allocates(self, monkeypatch):
-        # m = 10: 10! 10 permutation entries exceed the default budget
+    def test_permutation_sum_is_held_to_the_budget(self, monkeypatch):
+        # m = 4: 4! 4 = 96 permutation entries; the 5-row table fits 50
+        spec = MagnonStateSpec(5, 4, MomentumVector(5, (0, 1, 2, 4)))
+        assert build_state(spec, budget=96).amplitudes.shape == (5,)
+
         def unreachable(*args):
             raise AssertionError("the permutation array was built")
 
         monkeypatch.setattr(magnon_state, "permutations", unreachable)
-        k = MomentumVector(23, tuple(range(10)))
-        with pytest.raises(InfeasibilityError, match="m! = 3628800"):
-            amplitude_f(k, tuple(range(1, 11)), force="direct")
-        with pytest.raises(InfeasibilityError, match="m! = 51090942171709440000"):
-            amplitude_f(MomentumVector(64, tuple(range(21))), tuple(range(1, 22)), force="direct")
+        magnon_state._permutation_table.cache_clear()
+        with pytest.raises(InfeasibilityError, match=r"^permutation sum stores m! = 24 orderings of 4 indices, 96 entries; budget is 50$"):
+            build_state(spec, budget=50)
 
     def test_forced_direct_still_runs_at_m_9(self):
         k = MomentumVector(23, (1, 2, 2, 5, 7, 11, 13, 17, 19))
         sites = (1, 3, 4, 6, 9, 12, 15, 20, 22)
-        direct = amplitude_f(k, sites, force="direct")
+        direct = one_row(_direct_permanents, k, sites)
         assert abs(direct - amplitude_f(k, sites)) <= 1e-10 * math.factorial(9)
 
 
@@ -424,9 +429,6 @@ class TestBuildState:
         spec = MagnonStateSpec(8, 2, MomentumVector(8, (1, 3)))
         with pytest.raises(DomainError, match=rf"^budget must be at least 1, got {budget}$"):
             build_state(spec, budget=budget)
-        st = build_state(spec)
-        with pytest.raises(DomainError, match=rf"^budget must be at least 1, got {budget}$"):
-            embed_full(st, budget=budget)
 
     def test_translation_moves_phases_not_moduli(self):
         N, m = 8, 2
@@ -460,6 +462,11 @@ class TestSingleModeState:
         with pytest.raises(DomainError):
             single_mode_state(0, 0, 0.0)
 
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+    def test_non_finite_wavenumber_is_a_domain_error(self, k):
+        with pytest.raises(DomainError, match="wavenumber must be finite"):
+            single_mode_state(6, 2, k)
+
 
 class TestFullEmbedding:
     def test_two_site_one_flip(self):
@@ -476,10 +483,11 @@ class TestFullEmbedding:
         assert abs(vec.norm() - 1.0) < 1e-12
 
     def test_budget(self):
-        st = build_state(MagnonStateSpec(6, 1, MomentumVector(6, (1,))))
-        with pytest.raises(InfeasibilityError):
-            embed_full(st, budget=32)
         assert FULL_VECTOR_BUDGET == 2 ** 14
+        assert embed_full(build_state(MagnonStateSpec(14, 1, MomentumVector(14, (1,))))).entries.shape == (2 ** 14,)
+        st = build_state(MagnonStateSpec(15, 1, MomentumVector(15, (1,))))
+        with pytest.raises(InfeasibilityError, match=r"^dense embedding needs 2\^15 entries, budget is 16384$"):
+            embed_full(st)
 
 
 class TestHamiltonian:

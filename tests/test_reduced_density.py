@@ -11,6 +11,7 @@ import error_model as model
 from error_model import gamma
 from magcoh import (
     BlockDensityMatrix,
+    CoherenceReport,
     DomainError,
     InfeasibilityError,
     InternalConsistencyError,
@@ -24,13 +25,14 @@ from magcoh import (
     hypergeometric_pmf,
     incoherent_part,
     admissible_q,
+    c_l1,
     coherence_report,
     oracle_partial_trace,
     reduce,
     reduce_single_mode,
     sector_law,
 )
-from magcoh import combinat, reduced_density
+from magcoh import coherence, combinat, reduced_density
 from magcoh.combinat import combination_array
 from magcoh.magnon_state import _DIRECT_PERMANENT_LIMIT, AmplitudeTable
 from magcoh.reduced_density import _HERMITICITY_TILE, _RankOneBlocks, _hermiticity_residual
@@ -57,17 +59,22 @@ def itertools_site_sums(n, q):
 
 def dense_single_mode(N, n, m, k):
     """The single-mode reduction with every sector stored as its dense
-    block (p/d) phi phi^H and the spectrum (0, ..., 0, trace) supplied;
-    not yet validated."""
+    block (p/d) phi phi^H; not yet validated."""
     law = sector_law(N, n, m)
-    blocks, spectra = {}, {}
+    blocks = {}
     for q, p in zip(law.q.tolist(), law.p.tolist()):
-        dim = math.comb(n, q)
         phases = np.exp(1j * k * itertools_site_sums(n, q))
-        blocks[q] = (p / dim) * np.outer(phases, phases.conj())
-        spectra[q] = np.zeros(dim)
-        spectra[q][-1] = np.trace(blocks[q]).real
-    return BlockDensityMatrix(n, blocks, spectra=spectra)
+        blocks[q] = (p / math.comb(n, q)) * np.outer(phases, phases.conj())
+    return BlockDensityMatrix(n, blocks)
+
+
+def rank_one_spectrum(rho):
+    """Eigenvalues of an operator whose dense sectors are each rank one:
+    (0, ..., 0, trace) per sector, all sorted descending."""
+    parts = [np.zeros(len(b)) for b in rho.blocks.values()]
+    for part, b in zip(parts, rho.blocks.values()):
+        part[-1] = np.trace(b).real
+    return np.sort(np.concatenate(parts))[::-1]
 
 
 def block_distance(left, right):
@@ -168,7 +175,6 @@ class TestReduce:
         sub = SubsystemSpec.prefix(8, 3)
         for call in (
             lambda: reduce(st, sub, budget=budget),
-            lambda: oracle_partial_trace(embed_full(st), sub, budget=budget),
             lambda: reduce_single_mode(8, 3, 2, 0.3, budget=budget),
         ):
             with pytest.raises(DomainError, match=rf"^budget must be at least 1, got {budget}$"):
@@ -240,13 +246,6 @@ class TestPositivityFromTheSmallerSide:
         square = {1: np.eye(2, dtype=complex)}
         with pytest.raises(InternalConsistencyError, match="below the floor"):
             BlockDensityMatrix(2, negative, factors=square).validate()
-
-    def test_supplied_spectra_take_precedence_over_factors(self):
-        v = np.array([[0.6, 0.8j]])
-        block = {1: v.T @ v.conj()}
-        assert BlockDensityMatrix(2, block, factors={1: v})._lowest_eigenvalue(1) == 0.0
-        with pytest.raises(InternalConsistencyError, match="below the floor"):
-            BlockDensityMatrix(2, block, spectra={1: np.array([-0.5, 1.5])}, factors={1: v}).validate()
 
 
 def permanent_steps(k) -> int:
@@ -396,7 +395,6 @@ class TestArrayScatter:
         for q, v in want.items():
             assert np.array_equal(got.factors[q], v)
             assert np.array_equal(got.blocks[q], v.T @ v.conj())
-        assert got.spectra == {}
 
     def test_ranks_every_half_of_every_site_list_once(self, monkeypatch):
         state = build_state(MagnonStateSpec(12, 4, MomentumVector(12, (1, 3, 3, 8))))
@@ -482,15 +480,15 @@ class TestSingleModeClosedForm:
         # eigvalsh is backward stable: by Weyl each eigenvalue moves by at
         # most gamma(4d) ||B|| <= gamma(4d) w.  The stored block is within
         # gamma(d + 8) w of the exact rank-one operator whose spectrum
-        # (0, ..., 0, trace) is supplied: phase products and the weight
-        # scaling round each entry, and the trace sums d of them.
+        # (0, ..., 0, trace) block_spectrum derives: phase products and the
+        # weight scaling round each entry, and the trace sums d of them.
         reduced = reduce_single_mode(2 * n + 1, n, n, 0.9)
         for q in reduced.q_values:
             d, w = reduced.blocks[q].shape[0], reduced.block_weights[q]
-            supplied = reduced.block_spectrum(q)
-            assert supplied.tolist() == [0.0] * (d - 1) + [w]
+            derived = reduced.block_spectrum(q)
+            assert derived.tolist() == [0.0] * (d - 1) + [w]
             dense = np.linalg.eigvalsh(reduced.blocks[q])
-            assert np.abs(supplied - dense).max() <= (gamma(4 * d) + gamma(d + 8)) * w
+            assert np.abs(derived - dense).max() <= (gamma(4 * d) + gamma(d + 8)) * w
 
     def test_no_eigensolve_on_the_closed_form_route(self, monkeypatch):
         reduced = reduce_single_mode(20, 8, 9, 0.3)
@@ -542,13 +540,16 @@ class TestSingleModeClosedForm:
         assert rho.block_weights == dense.block_weights
         assert rho.total_trace() == dense.total_trace()
         assert np.array_equal(rho.diagonal(), dense.diagonal())
-        assert np.array_equal(rho.spectrum(), dense.spectrum())
+        spectrum = rank_one_spectrum(dense)
+        assert np.array_equal(rho.spectrum(), spectrum)
         assert rho.purity() == dense.purity()
         flat, dense_flat = incoherent_part(rho), incoherent_part(dense)
         for q in rho.q_values:
             assert np.array_equal(rho.blocks[q], dense.blocks[q])
             assert np.array_equal(flat.blocks[q], dense_flat.blocks[q])
-        assert coherence_report(rho) == coherence_report(dense)
+        # the dense blocks' report, with their rank-one spectrum in closed form
+        c_r = max(0.0, coherence._entropy(dense.diagonal()) - coherence._entropy(spectrum))
+        assert coherence_report(rho) == CoherenceReport(c_l1(dense), c_r, coherence_report(dense).basis_dimension)
 
     def test_dense_blocks_are_built_only_when_read(self, monkeypatch):
         rho = reduce_single_mode(16, 8, 7, 0.2)
@@ -656,23 +657,21 @@ class TestBlockDensityMatrix:
         with pytest.raises(InternalConsistencyError):
             BlockDensityMatrix(2, blocks).validate()
 
-    def test_supplied_spectra_are_checked_and_used(self):
-        skewed = {1: np.array([[0.5, 0.5], [0.1, 0.5]], dtype=complex)}
-        with pytest.raises(InternalConsistencyError, match="Hermiticity"):
-            BlockDensityMatrix(2, skewed, spectra={1: np.array([0.0, 1.0])}).validate()
-        flat = {1: np.full((2, 2), 0.5, dtype=complex)}
-        with pytest.raises(InternalConsistencyError, match="below the floor"):
-            BlockDensityMatrix(2, flat, spectra={1: np.array([-0.5, 1.5])}).validate()
-        rho = BlockDensityMatrix(2, flat, spectra={1: np.array([0.0, 1.0])}).validate()
+    def test_rank_one_spectra_are_derived_and_checked(self):
+        phi = np.array([1.0, 1.0j])
+        rho = BlockDensityMatrix(2, _RankOneBlocks({1: (0.5, phi)})).validate()
         assert rho.spectrum().tolist() == [1.0, 0.0]
+        with pytest.raises(InternalConsistencyError, match="eigenvalue -5.000e-01 below the floor"):
+            BlockDensityMatrix(2, _RankOneBlocks({0: (1.5, np.ones(1)), 1: (-0.25, phi)})).validate()
 
     def test_validation_rejects_nan(self):
         nan_block = {0: np.array([[np.nan]], dtype=complex), 1: np.array([[0.5]], dtype=complex)}
         with pytest.raises(InternalConsistencyError, match="Hermiticity by nan"):
             BlockDensityMatrix(1, nan_block).validate()
+        # a wide Gram factor puts its own lowest eigenvalue in charge
         flat = {1: np.full((2, 2), 0.5, dtype=complex)}
         with pytest.raises(InternalConsistencyError, match="eigenvalue nan"):
-            BlockDensityMatrix(2, flat, spectra={1: np.array([np.nan, 1.0])}).validate()
+            BlockDensityMatrix(2, flat, factors={1: np.array([[np.nan, 0.5]])}).validate()
 
     @pytest.mark.parametrize("entries", [{(0, 0): np.inf}, {(0, 1): np.inf, (1, 0): np.inf}, {(1, 1): -np.inf}])
     def test_infinite_entries_are_rejected_without_a_warning(self, entries):

@@ -274,6 +274,10 @@ class TestBetaDecomposition:
         for m in (2, 8):
             assert beta_decomposition(10, 4, m, 1.0).truncation_bound > 0.0
 
+    def test_a_non_integer_m_is_named_before_it_is_shifted(self):
+        with pytest.raises(DomainError, match=r"^m must be an integer, got 2\.5$"):
+            beta_decomposition(10, 4, 2.5, 1.0)
+
 
 class TestSweep:
     def test_grid_and_midpoint(self):
