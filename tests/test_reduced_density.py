@@ -71,9 +71,7 @@ def dense_single_mode(N, n, m, k):
 def rank_one_spectrum(rho):
     """Eigenvalues of an operator whose dense sectors are each rank one:
     (0, ..., 0, trace) per sector, all sorted descending."""
-    parts = [np.zeros(len(b)) for b in rho.blocks.values()]
-    for part, b in zip(parts, rho.blocks.values()):
-        part[-1] = np.trace(b).real
+    parts = [np.append(np.zeros(len(b) - 1), np.trace(b).real) for b in rho.blocks.values()]
     return np.sort(np.concatenate(parts))[::-1]
 
 
