@@ -1,10 +1,12 @@
 """Coherence quantifiers in the canonical site-list basis.
 
 Every measure accepts either a BlockDensityMatrix or a plain Hermitian
-matrix of unit trace.  A plain matrix is checked as a block operator is:
-one that is not square, has a non-finite entry, departs from
-Hermiticity by more than INPUT_HERMITICITY_TOL or from unit trace by
-more than TRACE_TOL is a DomainError.
+matrix of unit trace.  A plain matrix is checked as a block operator is,
+once per call, when a public function receives it: one that is not
+square, has a non-finite entry, departs from Hermiticity by more than
+INPUT_HERMITICITY_TOL or from unit trace by more than TRACE_TOL is a
+DomainError.  The private helpers take the checked array and check
+nothing again.
 Logarithms are natural throughout, so entropic quantities are in nats.
 The l1 measure sums |rho_ij| over all stored blocks and subtracts the
 trace; the relative-entropy measure subtracts the von Neumann entropy
@@ -29,7 +31,6 @@ from .reduced_density import (
     TRACE_TOL,
     BlockDensityMatrix,
     _hermiticity_residual,
-    eigenvalues_hermitian,
 )
 
 __all__ = [
@@ -80,9 +81,14 @@ def _as_matrix(rho) -> np.ndarray:
     return a
 
 
+def _checked(rho):
+    """A BlockDensityMatrix as it is, any other input through ``_as_matrix``."""
+    return rho if isinstance(rho, BlockDensityMatrix) else _as_matrix(rho)
+
+
 def _abs_sum(rho) -> float:
     if not isinstance(rho, BlockDensityMatrix):
-        return float(np.abs(_as_matrix(rho)).sum())
+        return float(np.abs(rho).sum())
     # each sector is read, summed and dropped before the next is built
     return sum(float(np.abs(rho.blocks[q]).sum()) for q in rho.q_values)
 
@@ -90,13 +96,13 @@ def _abs_sum(rho) -> float:
 def _diagonal(rho) -> np.ndarray:
     if isinstance(rho, BlockDensityMatrix):
         return rho.diagonal()
-    return np.diag(_as_matrix(rho)).real
+    return np.diag(rho).real
 
 
 def _spectrum(rho) -> np.ndarray:
     if isinstance(rho, BlockDensityMatrix):
         return rho.spectrum()
-    return eigenvalues_hermitian(_as_matrix(rho))
+    return np.linalg.eigvalsh(rho)[::-1]
 
 
 def _entropy(values) -> float:
@@ -108,20 +114,29 @@ def _entropy(values) -> float:
 
 def incoherent_part(rho):
     """Drop every off-diagonal element, keeping the container type."""
+    rho = _checked(rho)
     if isinstance(rho, BlockDensityMatrix):
         blocks = {q: np.diag(rho.block_diagonal(q)) for q in rho.q_values}
         return BlockDensityMatrix(rho.n, blocks)
-    return np.diag(np.diag(np.asarray(rho, dtype=np.complex128)))
+    return np.diag(np.diag(rho))
+
+
+def _c_l1(rho) -> float:
+    return max(0.0, _abs_sum(rho) - 1.0)
+
+
+def _c_r(rho) -> float:
+    return max(0.0, _entropy(_diagonal(rho)) - _entropy(_spectrum(rho)))
 
 
 def c_l1(rho) -> float:
     """Sum of |rho_ij| minus the trace; zero exactly on diagonal operators."""
-    return max(0.0, _abs_sum(rho) - 1.0)
+    return _c_l1(_checked(rho))
 
 
 def c_r(rho) -> float:
     """Relative entropy of coherence: S(diag(rho)) - S(rho), in nats."""
-    return max(0.0, _entropy(_diagonal(rho)) - _entropy(_spectrum(rho)))
+    return _c_r(_checked(rho))
 
 
 def c_ln(rho) -> float:
@@ -135,11 +150,20 @@ def effective_dimension(rho) -> float:
 
 
 def max_coherence(d: int) -> tuple[float, float]:
-    """Largest attainable (C_r, C_l1) in dimension d: (ln d, d - 1)."""
+    """Largest attainable (C_r, C_l1) in dimension d: (ln d, d - 1).
+
+    A d - 1 beyond the float range is an InfeasibilityError.
+    """
     d = _as_int(d, "dimension")
     if d < 1:
         raise DomainError(f"dimension must be a positive integer, got {d!r}")
-    return math.log(d), float(d - 1)
+    try:
+        l1 = float(d - 1)
+    except OverflowError:
+        raise InfeasibilityError(
+            f"d - 1 exceeds the float range (max {sys.float_info.max:.6g}), so the l1 maximum is not representable"
+        ) from None
+    return math.log(d), l1
 
 
 def averaged_coherence_single_mode(N: int, n: int, m: int, k: float, measure: str = "r") -> float:
@@ -156,15 +180,16 @@ def averaged_coherence_single_mode(N: int, n: int, m: int, k: float, measure: st
     conflated.
 
     The wavenumber k only rotates phases inside each sector and drops
-    out of every measure; it is accepted to mirror the direct route.
-    The l1 average raises InfeasibilityError once some C(n, q) leaves
-    the float range.  Integer-valued floats N, n and m are taken as their
-    integers.
+    out of every measure; it is accepted to mirror the direct route, and
+    a non-finite k is a DomainError there as here.  The l1 average
+    raises InfeasibilityError once some C(n, q) leaves the float range.
+    Integer-valued floats N, n and m are taken as their integers.
     """
-    del k
     if measure not in ("r", "l1", "ln"):
         raise DomainError(f"measure must be one of 'r', 'l1', 'ln', got {measure!r}")
     N, n, m = _as_int(N, "N"), _as_int(n, "n"), _as_int(m, "m")
+    if not math.isfinite(k):
+        raise DomainError(f"wavenumber must be finite, got {k}")
     law = sector_law(N, n, m)
     if measure != "l1":
         return float(law.p @ law.log_dim)
@@ -182,9 +207,10 @@ def averaged_coherence_single_mode(N: int, n: int, m: int, k: float, measure: st
 def _basis_dimension(rho) -> int:
     if isinstance(rho, BlockDensityMatrix):
         return sum(math.comb(rho.n, q) for q in rho.q_values)
-    return _as_matrix(rho).shape[0]
+    return rho.shape[0]
 
 
 def coherence_report(rho) -> CoherenceReport:
     """Evaluate C_l1 and C_r once and package them together."""
-    return CoherenceReport(c_l1=c_l1(rho), c_r=c_r(rho), basis_dimension=_basis_dimension(rho))
+    rho = _checked(rho)
+    return CoherenceReport(c_l1=_c_l1(rho), c_r=_c_r(rho), basis_dimension=_basis_dimension(rho))

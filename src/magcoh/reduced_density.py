@@ -46,11 +46,10 @@ __all__ = [
     "reduce",
     "reduce_single_mode",
     "oracle_partial_trace",
-    "eigenvalues_hermitian",
 ]
 
 # Acceptance thresholds of BlockDensityMatrix.validate, and the Hermiticity
-# tolerance eigenvalues_hermitian applies to the matrices handed to it.
+# tolerance the coherence measures apply to a plain matrix handed to them.
 TRACE_TOL = 1e-10
 BLOCK_HERMITICITY_TOL = 1e-12
 NEGATIVE_EIGENVALUE_FLOOR = -1e-10
@@ -157,16 +156,17 @@ class BlockDensityMatrix:
     records the largest matrix element found between different flip
     sectors (structurally zero for magnon states).  A rank-one sector's
     spectrum is read off its weight; every other sector is diagonalised
-    when asked.  A constructor that builds a sector as a Gram matrix may
-    hand over its factor: ``factors[q]`` is the db x da matrix V with
-    ``blocks[q] = V.T @ V.conj()``, which ``validate`` uses to check
-    positivity from the smaller side.
+    when asked.  Only ``reduce`` attaches Gram factors, after building
+    each block from its factor: ``_factors[q]`` is the db x da matrix V
+    with ``blocks[q] = V.T @ V.conj()``, which ``validate`` uses to check
+    positivity from the smaller side.  The constructor takes no factor,
+    so no caller can hand over one that disagrees with its block.
     """
 
     n: int
     blocks: Mapping[int, np.ndarray]
     off_block_residual: float | None = None
-    factors: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    _factors: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def q_values(self) -> tuple[int, ...]:
@@ -219,7 +219,7 @@ class BlockDensityMatrix:
         return sum(float(np.vdot(b, b).real) for b in self.blocks.values())
 
     def _lowest_eigenvalue(self, q: int) -> float:
-        v = self.factors.get(q)
+        v = self._factors.get(q)
         if v is not None and v.shape[0] < v.shape[1]:
             lowest = float(np.linalg.eigvalsh(v @ v.conj().T).min())
             # min(0.0, nan) would be 0.0; a NaN must reach validate's comparison
@@ -239,13 +239,14 @@ class BlockDensityMatrix:
         upper triangle, so it needs O(tile x d) scratch memory rather than
         three d x d temporaries; it is exact, not a bound, because entries
         (r, c) and (c, r) of b - b^H have the same modulus to the last bit
-        (see ``_hermiticity_residual``).  A Gram factor V with
-        fewer rows than columns gives a sector's lowest eigenvalue as
-        min(0, lowest eigenvalue of V V^H): by the Schmidt decomposition
-        V V^H carries the block's nonzero spectrum, and the block has
-        da - db zeros besides.  Otherwise it is the least entry of
-        ``block_spectrum``, in closed form for a rank-one sector and from
-        the dense block for any other.  Every comparison fails on NaN.
+        (see ``_hermiticity_residual``).  Only ``reduce`` attaches Gram
+        factors.  A factor V with fewer rows than columns gives a
+        sector's lowest eigenvalue as min(0, lowest eigenvalue of V V^H):
+        by the Schmidt decomposition V V^H carries the block's nonzero
+        spectrum, and the block has da - db zeros besides.  Without such
+        a factor it is the least entry of ``block_spectrum``, in closed
+        form for a rank-one sector and from the dense block for any other.
+        Every comparison fails on NaN.
         """
         for q in self.q_values:
             if not 0 <= q <= self.n:
@@ -297,10 +298,10 @@ def reduce(state: AmplitudeTable, sub: SubsystemSpec, budget: int | None = None)
     position arrays would drop those calls, and the benchmark counts
     them.  The position scratch is freed before the Gram products.
 
-    The factors V go along with the blocks, so ``validate`` checks
-    positivity on the smaller side of each sector (the complement side
-    whenever db < da).  Both budget refusals come before any allocation.
-    A budget below 1 is a DomainError.
+    The factors V are attached to the result before ``validate`` runs, so
+    it checks positivity on the smaller side of each sector (the
+    complement side whenever db < da).  Both budget refusals come before
+    any allocation.  A budget below 1 is a DomainError.
     """
     budget = _resolve_budget(budget, AMPLITUDE_BUDGET)
     N, m = state.N, state.m
@@ -318,8 +319,9 @@ def reduce(state: AmplitudeTable, sub: SubsystemSpec, budget: int | None = None)
             raise InfeasibilityError(f"sector q={q} needs a {da} x {da} block, budget is {budget}")
 
     buffers = _scatter(state, sub, sector)
-    blocks = {q: v.T @ v.conj() for q, v in buffers.items()}
-    return BlockDensityMatrix(n, blocks, factors=buffers).validate()
+    rho = BlockDensityMatrix(n, {q: v.T @ v.conj() for q, v in buffers.items()})
+    rho._factors = buffers
+    return rho.validate()
 
 
 def _scatter(state: AmplitudeTable, sub: SubsystemSpec, sector: range) -> dict[int, np.ndarray]:
@@ -433,16 +435,3 @@ def oracle_partial_trace(v: FullStateVector, sub: SubsystemSpec) -> BlockDensity
             blocks[q] = block
     return BlockDensityMatrix(n, blocks, off_block_residual=residual).validate()
 
-
-def eigenvalues_hermitian(matrix) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, sorted descending.
-
-    A matrix whose Hermiticity residual exceeds the tolerance, or is
-    NaN, is a DomainError.
-    """
-    a = np.asarray(matrix, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {a.shape}")
-    if a.size and not _hermiticity_residual(a) <= INPUT_HERMITICITY_TOL:
-        raise DomainError("matrix departs from Hermiticity beyond tolerance")
-    return np.linalg.eigvalsh(a)[::-1]

@@ -24,6 +24,7 @@ from magcoh import (
     reduce_single_mode,
     sector_law,
 )
+from magcoh import coherence, reduced_density
 
 
 def random_density(rng, d):
@@ -177,10 +178,61 @@ class TestMeasures:
         # within TRACE_TOL the matrix is accepted
         assert c_l1((1.0 + 1e-11) * np.eye(3) / 3.0) < 1e-10
 
+    def test_c_r_of_a_plain_matrix_matches_independent_spectra(self):
+        # a pure state's C_r is the Shannon entropy of its populations
+        v = np.array([1.0, 1.0j, -1.0]) / math.sqrt(3)
+        assert abs(c_r(np.outer(v, v.conj())) - math.log(3)) < 1e-12
+        # a full-rank state's spectrum from the non-symmetric LAPACK driver
+        rho = random_density(np.random.default_rng(13), 6)
+        p = np.diag(rho).real
+        lam = np.linalg.eig(rho)[0].real
+        want = float((lam * np.log(lam)).sum() - (p * np.log(p)).sum())
+        assert abs(c_r(rho) - want) < 1e-10
+
     def test_additivity_of_the_log_measure(self):
         rho = np.kron(top_state(2), top_state(3))
         assert abs(c_ln(rho) - math.log(2) - math.log(3)) < 1e-12
         assert abs(effective_dimension(rho) - 6.0) < 1e-12
+
+
+PUBLIC_FUNCTIONS = (c_l1, c_r, c_ln, effective_dimension, coherence_report, incoherent_part)
+
+# one input per refusal of the entry check, each with the whole message
+BAD_PLAIN_MATRICES = {
+    "not-square": (np.zeros((2, 3)), r"^expected a square density matrix, got shape \(2, 3\)$"),
+    "nan-entry": (np.array([[0.5, np.nan], [np.nan, 0.5]]), r"^density matrix has non-finite entries$"),
+    "non-hermitian": (np.array([[0.5, 1.0], [0.0, 0.5]]), r"^density matrix departs from Hermiticity beyond tolerance$"),
+    "trace-5": (np.diag([3.0, 1.0, 1.0]), r"^density matrix trace departs from 1 by 4\.000e\+00$"),
+}
+
+
+class TestPlainMatrixEntry:
+    @pytest.mark.parametrize("fn", PUBLIC_FUNCTIONS, ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("bad", BAD_PLAIN_MATRICES.values(), ids=list(BAD_PLAIN_MATRICES))
+    def test_every_public_function_refuses_a_bad_plain_matrix(self, fn, bad):
+        matrix, message = bad
+        with pytest.raises(DomainError, match=message):
+            fn(matrix)
+
+    @pytest.mark.parametrize("fn", PUBLIC_FUNCTIONS, ids=lambda fn: fn.__name__)
+    def test_a_plain_matrix_is_checked_once_per_call(self, fn, monkeypatch):
+        block = reduce(build_state(MagnonStateSpec(8, 2, MomentumVector(8, (1, 3)))), SubsystemSpec.prefix(8, 3))
+        shapes = []
+        residual = coherence._hermiticity_residual
+
+        def record(a):
+            shapes.append(a.shape)
+            return residual(a)
+
+        # both module names, so a second check in either module would count
+        monkeypatch.setattr(coherence, "_hermiticity_residual", record)
+        monkeypatch.setattr(reduced_density, "_hermiticity_residual", record)
+        fn(random_density(np.random.default_rng(5), 6))
+        assert shapes == [(6, 6)]
+        # a block operator was checked when it was built
+        shapes.clear()
+        fn(block)
+        assert shapes == []
 
 
 class TestMaxCoherence:
@@ -195,6 +247,10 @@ class TestMaxCoherence:
             max_coherence(0)
         with pytest.raises(DomainError):
             max_coherence(2.5)
+        # ln d is still finite, but d - 1 has no float
+        with pytest.raises(InfeasibilityError, match="float range") as err:
+            max_coherence(10**400)
+        assert err.value.exit_code == 3
 
 
 class TestAveragedClosedForm:

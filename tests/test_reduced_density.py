@@ -20,12 +20,13 @@ from magcoh import (
     NullStateError,
     SubsystemSpec,
     build_state,
-    eigenvalues_hermitian,
     embed_full,
     hypergeometric_pmf,
     incoherent_part,
     admissible_q,
+    averaged_coherence_single_mode,
     c_l1,
+    c_r,
     coherence_report,
     oracle_partial_trace,
     reduce,
@@ -224,7 +225,7 @@ class TestPositivityFromTheSmallerSide:
         rho = reduce(*scattered)
         wide = 0
         for q in rho.q_values:
-            v = rho.factors[q]
+            v = rho._factors[q]
             dense = float(np.linalg.eigvalsh(rho.blocks[q]).min())
             if v.shape[0] >= v.shape[1]:
                 assert rho._lowest_eigenvalue(q) == dense
@@ -241,9 +242,19 @@ class TestPositivityFromTheSmallerSide:
         with pytest.raises(InternalConsistencyError, match="below the floor"):
             BlockDensityMatrix(2, negative).validate()
         # a factor with as many rows as columns leaves the dense block in charge
-        square = {1: np.eye(2, dtype=complex)}
+        rho = BlockDensityMatrix(2, negative)
+        rho._factors = {1: np.eye(2, dtype=complex)}
         with pytest.raises(InternalConsistencyError, match="below the floor"):
-            BlockDensityMatrix(2, negative, factors=square).validate()
+            rho.validate()
+
+    def test_no_caller_hands_over_a_gram_factor(self):
+        # a wide factor whose Gram matrix is not the block would vouch for
+        # a block with spectrum (1.394, -0.394)
+        block = [[0.9, 0.8], [0.8, 0.1]]
+        with pytest.raises(TypeError, match="factors"):
+            BlockDensityMatrix(2, {1: block}, factors={1: np.array([[0.6, 0.8j]])})
+        with pytest.raises(InternalConsistencyError, match="below the floor"):
+            BlockDensityMatrix(2, {1: block}).validate()
 
 
 def permanent_steps(k) -> int:
@@ -330,8 +341,9 @@ def per_row_reduce(state, sub):
     """``reduce`` with the per-row scatter: Gram products and ``validate``
     on the factors of ``per_row_factors``."""
     factors = per_row_factors(state, sub)
-    blocks = {q: v.T @ v.conj() for q, v in factors.items()}
-    return BlockDensityMatrix(sub.n, blocks, factors=factors).validate()
+    rho = BlockDensityMatrix(sub.n, {q: v.T @ v.conj() for q, v in factors.items()})
+    rho._factors = factors
+    return rho.validate()
 
 
 def traced_peak(fn, *args):
@@ -391,7 +403,7 @@ class TestArrayScatter:
         want = per_row_factors(state, sub)
         assert got.q_values == tuple(want)
         for q, v in want.items():
-            assert np.array_equal(got.factors[q], v)
+            assert np.array_equal(got._factors[q], v)
             assert np.array_equal(got.blocks[q], v.T @ v.conj())
 
     def test_ranks_every_half_of_every_site_list_once(self, monkeypatch):
@@ -584,8 +596,12 @@ class TestSingleModeClosedForm:
 
     @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
     def test_non_finite_wavenumber_is_a_domain_error(self, k):
-        with pytest.raises(DomainError, match="wavenumber"):
+        with pytest.raises(DomainError, match="wavenumber must be finite"):
             reduce_single_mode(8, 3, 2, k)
+        # the closed-form average mirrors the direct route's refusal
+        for measure in ("r", "l1", "ln"):
+            with pytest.raises(DomainError, match="wavenumber must be finite"):
+                averaged_coherence_single_mode(8, 3, 2, k, measure)
 
     def test_empty_band(self):
         reduced = reduce_single_mode(6, 3, 0, 0.7)
@@ -667,9 +683,10 @@ class TestBlockDensityMatrix:
         with pytest.raises(InternalConsistencyError, match="Hermiticity by nan"):
             BlockDensityMatrix(1, nan_block).validate()
         # a wide Gram factor puts its own lowest eigenvalue in charge
-        flat = {1: np.full((2, 2), 0.5, dtype=complex)}
+        flat = BlockDensityMatrix(2, {1: np.full((2, 2), 0.5, dtype=complex)})
+        flat._factors = {1: np.array([[np.nan, 0.5]])}
         with pytest.raises(InternalConsistencyError, match="eigenvalue nan"):
-            BlockDensityMatrix(2, flat, factors={1: np.array([[np.nan, 0.5]])}).validate()
+            flat.validate()
 
     @pytest.mark.parametrize("entries", [{(0, 0): np.inf}, {(0, 1): np.inf, (1, 0): np.inf}, {(1, 1): -np.inf}])
     def test_infinite_entries_are_rejected_without_a_warning(self, entries):
@@ -679,8 +696,8 @@ class TestBlockDensityMatrix:
             b[rc] = value
         with pytest.raises(InternalConsistencyError, match="Hermiticity by nan"):
             BlockDensityMatrix(2, {1: b}).validate()
-        with pytest.raises(DomainError, match="departs from Hermiticity"):
-            eigenvalues_hermitian(b)
+        with pytest.raises(DomainError, match="non-finite"):
+            c_r(b)
 
     def test_nested_list_blocks_validate_like_arrays(self):
         rho = BlockDensityMatrix(1, {0: [[0.5]], 1: [[0.5]]}).validate()
@@ -741,7 +758,7 @@ def test_reduce_keeps_its_bits_with_the_rank_cache_cold_warm_and_bypassed(case):
         assert other.q_values == cold.q_values
         for q in cold.q_values:
             assert np.array_equal(other.blocks[q], cold.blocks[q])
-            assert np.array_equal(other.factors[q], cold.factors[q])
+            assert np.array_equal(other._factors[q], cold._factors[q])
 
 
 @st.composite
@@ -829,51 +846,6 @@ def test_hermiticity_check_keeps_to_tiles_on_the_widest_dense_sectors():
     finally:
         tracemalloc.stop()
     assert peak < total / 8
-
-
-class TestEigenvaluesHermitian:
-    def test_identity(self):
-        assert np.allclose(eigenvalues_hermitian(np.eye(6)), np.ones(6))
-
-    def test_projector(self):
-        v = np.array([1.0, 1.0j, -1.0]) / math.sqrt(3)
-        w = eigenvalues_hermitian(np.outer(v, v.conj()))
-        assert abs(w[0] - 1.0) < 1e-12
-        assert np.abs(w[1:]).max() < 1e-12
-
-    def test_descending_order_and_trace(self):
-        rng = np.random.default_rng(12)
-        a = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
-        h = (a + a.conj().T) / 2.0
-        w = eigenvalues_hermitian(h)
-        assert np.all(np.diff(w) <= 1e-12)
-        assert abs(w.sum() - np.trace(h).real) < 1e-10
-
-    def test_matches_the_general_solver(self):
-        # independent route: the non-symmetric LAPACK driver on the same matrix
-        rng = np.random.default_rng(13)
-        a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        h = (a + a.conj().T) / 2.0
-        ours = eigenvalues_hermitian(h)
-        general = np.sort(np.linalg.eig(h)[0].real)[::-1]
-        assert np.abs(ours - general).max() < 1e-10
-
-    def test_eigenvalue_residuals(self):
-        rng = np.random.default_rng(14)
-        a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        h = (a + a.conj().T) / 2.0
-        ours = eigenvalues_hermitian(h)
-        _, vecs = np.linalg.eigh(h)
-        for lam, x in zip(ours, vecs.T[::-1]):
-            assert np.linalg.norm(h @ x - lam * x) < 1e-8
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(DomainError):
-            eigenvalues_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(DomainError):
-            eigenvalues_hermitian(np.full((2, 2), np.nan))
-        with pytest.raises(DomainError):
-            eigenvalues_hermitian(np.zeros((2, 3)))
 
 
 def test_contiguity_does_not_matter_for_single_mode_moduli():
