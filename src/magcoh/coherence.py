@@ -5,15 +5,20 @@ matrix of unit trace.  A plain matrix is checked as a block operator is,
 once per call, when a public function receives it: one that is not
 square, has a non-finite entry, departs from Hermiticity by more than
 INPUT_HERMITICITY_TOL or from unit trace by more than TRACE_TOL is a
-DomainError.  The private helpers take the checked array and check
-nothing again.
+DomainError.  A block operator is checked by its own ``validate``, once
+in its life: the package routes return operators that have passed it,
+and one that has not (built by hand) is validated on entry, a refusal
+again being a DomainError.  The private helpers take the checked input
+and check nothing again.
 Logarithms are natural throughout, so entropic quantities are in nats.
 The l1 measure sums |rho_ij| over all stored blocks and subtracts the
-trace; the relative-entropy measure subtracts the von Neumann entropy
-from the Shannon entropy of the diagonal; the log measure ln(1 + C_l1)
-gives up the entropic reading in exchange for additivity and O(d^2)
-cost.  Eigenvalues below EIGENVALUE_FLOOR are treated as exact zeros
-inside x ln x.
+trace; a rank-one sector w phi phi^H is summed from one complex row per
+distinct phase, with the dense block's bits and without building the
+block (``BlockDensityMatrix.block_abs_sum``).  The relative-entropy
+measure subtracts the von Neumann entropy from the Shannon entropy of
+the diagonal; the log measure ln(1 + C_l1) gives up the entropic reading
+in exchange for additivity and O(d^2) cost.  Eigenvalues below
+EIGENVALUE_FLOOR are treated as exact zeros inside x ln x.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinat import _as_int, sector_law
-from .errors import DomainError, InfeasibilityError
+from .errors import DomainError, InfeasibilityError, InternalConsistencyError
 from .reduced_density import (
     INPUT_HERMITICITY_TOL,
     TRACE_TOL,
@@ -82,15 +87,24 @@ def _as_matrix(rho) -> np.ndarray:
 
 
 def _checked(rho):
-    """A BlockDensityMatrix as it is, any other input through ``_as_matrix``."""
-    return rho if isinstance(rho, BlockDensityMatrix) else _as_matrix(rho)
+    """A BlockDensityMatrix that has passed ``validate``, running it once on
+    one that has not; any other input through ``_as_matrix``."""
+    if not isinstance(rho, BlockDensityMatrix):
+        return _as_matrix(rho)
+    if not rho._validated:
+        try:
+            rho.validate()
+        except InternalConsistencyError as err:
+            raise DomainError(f"density operator {err}") from err
+    return rho
 
 
 def _abs_sum(rho) -> float:
     if not isinstance(rho, BlockDensityMatrix):
         return float(np.abs(rho).sum())
-    # each sector is read, summed and dropped before the next is built
-    return sum(float(np.abs(rho.blocks[q]).sum()) for q in rho.q_values)
+    # one sector at a time; a rank-one sector sums its distinct rows'
+    # moduli gathered into d x d, never its complex block
+    return sum(rho.block_abs_sum(q) for q in rho.q_values)
 
 
 def _diagonal(rho) -> np.ndarray:

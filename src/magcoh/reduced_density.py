@@ -116,6 +116,12 @@ class SubsystemSpec:
         return tuple(s for s in range(1, self.parent_N + 1) if s not in inside)
 
 
+def _rank_one_rows(w: float, rows: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Rows w phi_i phi^H of a rank-one sector, one per entry phi_i of
+    ``rows``: the one expression every dense rank-one row comes from."""
+    return w * np.outer(rows, phi.conj())
+
+
 class _RankOneBlocks(Mapping):
     """Read-only sectors w phi phi^H, kept as their (w, phi) pairs.
 
@@ -130,7 +136,7 @@ class _RankOneBlocks(Mapping):
 
     def __getitem__(self, q: int) -> np.ndarray:
         w, phi = self.sectors[q]
-        return w * np.outer(phi, phi.conj())
+        return _rank_one_rows(w, phi, phi)
 
     def __iter__(self):
         return iter(self.sectors)
@@ -150,8 +156,10 @@ class BlockDensityMatrix:
     ``reduce_single_mode``, a read-only mapping that keeps each sector
     as its (w, phi) pair and builds a fresh dense block on every access,
     caching none: the package reads such sectors one at a time, so at
-    most one dense sector is alive at once, and the diagonal, the block
-    weights and ``validate`` read (w, phi) in O(C(n, q)).  For
+    most one dense sector is alive at once.  The diagonal, the block
+    weights and ``validate`` read (w, phi) in O(C(n, q)), and
+    ``block_abs_sum`` reads it with one complex row per distinct phase,
+    so no coherence measure builds a dense rank-one block.  For
     operators obtained from the dense oracle, ``off_block_residual``
     records the largest matrix element found between different flip
     sectors (structurally zero for magnon states).  A rank-one sector's
@@ -167,6 +175,7 @@ class BlockDensityMatrix:
     blocks: Mapping[int, np.ndarray]
     off_block_residual: float | None = None
     _factors: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+    _validated: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def q_values(self) -> tuple[int, ...]:
@@ -187,6 +196,26 @@ class BlockDensityMatrix:
             return np.diag(self.blocks[q])
         w, phi = rank_one
         return w * (phi * phi.conj())
+
+    def block_abs_sum(self, q: int) -> float:
+        """Sum of |b_ij| over sector q, with the dense block's bits.
+
+        A dense sector is summed as ``np.abs(block).sum()``.  A rank-one
+        sector w phi phi^H never builds its complex block: rows i and j
+        whose phases compare equal are equal entry for entry, since the
+        same scalar multiplies the same vector, and phi_l = exp(ik sum(l))
+        takes at most q (n - q) + 1 values, one per site sum.  So the
+        moduli of one row per distinct phase are gathered into the d x d
+        modulus array and summed in one ``.sum()``, the flat pairwise sum
+        the dense block gets; a running total of row sums would round
+        differently.
+        """
+        rank_one = self._rank_one(q)
+        if rank_one is None:
+            return float(np.abs(self.blocks[q]).sum())
+        w, phi = rank_one
+        _, first, row_of = np.unique(phi, return_index=True, return_inverse=True)
+        return float(np.abs(_rank_one_rows(w, phi[first], phi))[row_of].sum())
 
     def _weight(self, q: int) -> float:
         return float(self.block_diagonal(q).sum().real)
@@ -246,7 +275,8 @@ class BlockDensityMatrix:
         spectrum, and the block has da - db zeros besides.  Without such
         a factor it is the least entry of ``block_spectrum``, in closed
         form for a rank-one sector and from the dense block for any other.
-        Every comparison fails on NaN.
+        Every comparison fails on NaN.  An operator that passes is marked,
+        so the coherence measures check it once, not on every call.
         """
         for q in self.q_values:
             if not 0 <= q <= self.n:
@@ -274,6 +304,7 @@ class BlockDensityMatrix:
         off = abs(self.total_trace() - 1.0)
         if not off <= TRACE_TOL:
             raise InternalConsistencyError(f"total trace departs from 1 by {off:.3e}")
+        self._validated = True
         return self
 
 

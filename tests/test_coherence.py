@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import error_model as model
 from magcoh import (
+    BlockDensityMatrix,
     DomainError,
     InfeasibilityError,
     MagnonStateSpec,
@@ -18,8 +20,10 @@ from magcoh import (
     c_r,
     coherence_report,
     effective_dimension,
+    embed_full,
     incoherent_part,
     max_coherence,
+    oracle_partial_trace,
     reduce,
     reduce_single_mode,
     sector_law,
@@ -233,6 +237,110 @@ class TestPlainMatrixEntry:
         shapes.clear()
         fn(block)
         assert shapes == []
+
+
+# hand-built operators that fail validate: trace 2.1, and a block with
+# eigenvalue -0.394
+UNCHECKED_OPERATORS = {
+    "trace-2.1": ({1: [[2.0, 0.0], [0.0, 0.1]]}, r"^density operator total trace departs from 1 by 1\.100e\+00$"),
+    "negative": ({1: [[0.9, 0.8], [0.8, 0.1]]}, r"^density operator block q=1 has eigenvalue -3\.944e-01 below the floor$"),
+}
+
+
+class TestBlockOperatorEntry:
+    @pytest.mark.parametrize("fn", PUBLIC_FUNCTIONS, ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize("bad", UNCHECKED_OPERATORS.values(), ids=list(UNCHECKED_OPERATORS))
+    def test_a_hand_built_operator_is_validated_on_entry(self, fn, bad):
+        blocks, message = bad
+        with pytest.raises(DomainError, match=message):
+            fn(BlockDensityMatrix(2, blocks))
+
+    def test_each_operator_is_validated_once(self, monkeypatch):
+        calls = []
+        validate = BlockDensityMatrix.validate
+
+        def count(self):
+            calls.append(self)
+            return validate(self)
+
+        monkeypatch.setattr(BlockDensityMatrix, "validate", count)
+        state = build_state(MagnonStateSpec(8, 2, MomentumVector(8, (1, 3))))
+        sub = SubsystemSpec.prefix(8, 3)
+        routes = (reduce(state, sub), reduce_single_mode(30, 6, 15, 0.7), oracle_partial_trace(embed_full(state), sub))
+        hand_built = BlockDensityMatrix(1, {0: [[0.5]], 1: [[0.5]]})
+        for rho in (*routes, hand_built):
+            for fn in PUBLIC_FUNCTIONS:
+                fn(rho)
+        assert [id(rho) for rho in calls] == [id(rho) for rho in (*routes, hand_built)]
+
+
+def _single_mode_grid():
+    """(N, n, m, k) for the same-bit tests: fixed cases for d = 1 only, odd
+    and even widths up to 924, k = 0, pi, on the 2 pi j / N grid and off
+    it, N up to 1000; then seeded draws over the same ranges."""
+    cases = [
+        (8, 1, 3, 0.0),
+        (30, 12, 15, 0.0),
+        (21, 7, 10, math.pi),
+        (1000, 9, 500, 2.0 * math.pi * 137 / 1000),
+        (1000, 11, 321, 1.2345),
+        (25, 12, 12, -2.0 * math.pi * 3 / 25),
+    ]
+    rng = np.random.default_rng(140401)
+    for kind in range(12):
+        N = int(rng.integers(2, 1001))
+        n = int(rng.integers(1, min(N, 11) + 1))
+        m = int(rng.integers(0, N + 1))
+        j = int(rng.integers(0, N))
+        k = (0.0, math.pi, 2.0 * math.pi * j / N, float(rng.uniform(-7.0, 7.0)))[kind % 4]
+        cases.append((N, n, m, k))
+    return cases
+
+
+def _operators():
+    """Each grid case as a single-mode reduction, plus one dense ``reduce``
+    and one nested-list block."""
+    for N, n, m, k in _single_mode_grid():
+        yield pytest.param(lambda N=N, n=n, m=m, k=k: reduce_single_mode(N, n, m, k), id=f"single-mode-{N}-{n}-{m}-{k:.4f}")
+    state = MagnonStateSpec(10, 3, MomentumVector(10, (1, 2, 5)))
+    yield pytest.param(lambda: reduce(build_state(state), SubsystemSpec(10, (2, 5, 7, 9))), id="reduce")
+    yield pytest.param(lambda: BlockDensityMatrix(2, {1: [[0.5, 0.25j], [-0.25j, 0.5]]}).validate(), id="nested-list")
+
+
+class TestDistinctRowSum:
+    @pytest.mark.parametrize("build", _operators())
+    def test_every_sector_and_measure_keeps_the_dense_bits(self, build):
+        rho = build()
+        dense = [float(np.abs(rho.blocks[q]).sum()) for q in rho.q_values]
+        assert [rho.block_abs_sum(q).hex() for q in rho.q_values] == [x.hex() for x in dense]
+        want = max(0.0, sum(dense) - 1.0)
+        report = coherence_report(rho)
+        assert c_l1(rho).hex() == report.c_l1.hex() == want.hex()
+        assert c_ln(rho).hex() == report.c_ln.hex() == math.log1p(want).hex()
+        assert effective_dimension(rho).hex() == report.effective_dimension.hex() == (1.0 + want).hex()
+
+    @pytest.mark.parametrize("k", [0.0, 0.7, math.pi])
+    def test_single_mode_report_builds_no_dense_block(self, k, monkeypatch):
+        rho = reduce_single_mode(30, 12, 15, k)
+        want = coherence_report(rho)
+
+        def refuse(self, q):
+            raise AssertionError(f"dense block of sector {q} built")
+
+        monkeypatch.setattr(reduced_density._RankOneBlocks, "__getitem__", refuse)
+        assert coherence_report(rho) == want
+        assert coherence_report(reduce_single_mode(30, 12, 15, k)) == want
+
+    def test_l1_peak_stays_below_one_dense_block(self):
+        rho = reduce_single_mode(30, 12, 15, 0.7)
+        tracemalloc.start()
+        try:
+            c_l1(rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 924 x 924 complex block is 13.0 MiB; the gathered moduli are half that
+        assert peak < 924 * 924 * np.dtype(np.complex128).itemsize
 
 
 class TestMaxCoherence:
