@@ -4,12 +4,13 @@ Every measure accepts either a BlockDensityMatrix or a plain Hermitian
 matrix of unit trace.  A plain matrix is checked as a block operator is,
 once per call, when a public function receives it: one that is not
 square, has a non-finite entry, departs from Hermiticity by more than
-INPUT_HERMITICITY_TOL or from unit trace by more than TRACE_TOL is a
-DomainError.  A block operator is checked by its own ``validate``, once
-in its life: the package routes return operators that have passed it,
-and one that has not (built by hand) is validated on entry, a refusal
-again being a DomainError.  The private helpers take the checked input
-and check nothing again.
+INPUT_HERMITICITY_TOL or from unit trace by more than TRACE_TOL, or has
+an eigenvalue below NEGATIVE_EIGENVALUE_FLOOR (the floor ``validate``
+holds a block to) is a DomainError.  A block operator is checked by its
+own ``validate``, once in its life: the package routes return operators
+that have passed it, and one that has not (built by hand) is validated
+on entry, a refusal again being a DomainError.  The private helpers take
+the checked input and check nothing again.
 Logarithms are natural throughout, so entropic quantities are in nats.
 The l1 measure sums |rho_ij| over all stored blocks and subtracts the
 trace; a rank-one sector w phi phi^H is summed from one complex row per
@@ -33,6 +34,7 @@ from .combinat import _as_int, sector_law
 from .errors import DomainError, InfeasibilityError, InternalConsistencyError
 from .reduced_density import (
     INPUT_HERMITICITY_TOL,
+    NEGATIVE_EIGENVALUE_FLOOR,
     TRACE_TOL,
     BlockDensityMatrix,
     _hermiticity_residual,
@@ -83,6 +85,9 @@ def _as_matrix(rho) -> np.ndarray:
     off = abs(np.trace(a) - 1.0)
     if not off <= TRACE_TOL:
         raise DomainError(f"density matrix trace departs from 1 by {off:.3e}")
+    lowest = float(np.linalg.eigvalsh(a).min())
+    if not lowest >= NEGATIVE_EIGENVALUE_FLOOR:
+        raise DomainError(f"density matrix has eigenvalue {lowest:.3e} below the floor")
     return a
 
 

@@ -20,15 +20,22 @@ in one at a time over the subsets of the chain costs sum_{j <= m}
 j C(N, j) additions for all C(N, m) rows together, where per-row Ryser
 costs m 2^m per row.  The largest group of mu equal indices enters in
 closed form, mu! exp(i k sum(l)), so a single-mode table costs C(N, m) m.
-On a 2-vCPU Xeon a whole N = 16, m = 10..12 table takes about 9 ms, and
-one at N = 26, m = 8 with distinct indices 0.37 s.  ``_permanents`` picks
-the route, and holds it to its ceiling, for every caller.  Ryser's 2^m
-inclusion-exclusion, ``_ryser_permanents``, is no route: it is the
-reference that ``verify`` and the tests check the permutation sum
-against, called directly.
+The subset ranks and site sums of the DP depend on the chain alone, so
+one plan of them, for the chain 1..N, is kept and reused across momenta.
+On a 2-vCPU Xeon a whole N = 16, m = 10..12 table takes 1.3-1.8 ms with
+the plan kept, against 4.4-5.0 ms when the plan is built (once per chain
+or deepening) or its ranks recomputed.  One at N = 26, m = 8 with
+distinct indices, whose plan is over the ceiling, takes 0.22 s.
+``_permanents`` picks the route, and holds it to its ceiling, for every
+caller.  Ryser's 2^m inclusion-exclusion, ``_ryser_permanents``, is no
+route: it is the reference that ``verify`` and the tests check the
+permutation sum against, called directly.
 
 Tables are immutable after construction; everything here is pure and
-safe to call concurrently.
+safe to call concurrently.  The two caches are too: the permutation
+table and the subset plan are read-only arrays, and the plan is replaced
+or extended only by rebinding one module-level name, so a concurrent
+caller keeps reading the plan it took.
 """
 
 from __future__ import annotations
@@ -274,6 +281,127 @@ def _ryser_permanents(indices, N: int, sites: np.ndarray) -> np.ndarray:
     return out
 
 
+# Ceiling on the index entries the retained subset-DP plan holds, which
+# guards process memory: 2^20 int32 entries are 4 MiB.  The plan of the
+# chain 1..N to depth m holds sum_{j<m} (j + 2) C(N, j + 1) entries plus
+# the C(N, m) + C(N, m - 1) it extends from: 586 k at N = 16, m = 12 and
+# 370 k at N = 24, m = 5, but 23.6 M at N = 26, m = 8, which is computed
+# per call instead.
+_PLAN_ENTRY_CEILING = 1 << 20
+
+
+@dataclass(frozen=True)
+class _SubsetPlan:
+    """The index tables of the subset DP over the chain 1..N, levels 1 to
+    ``len(levels)``; every array is read-only.
+
+    ``levels[j]`` is (drops, total) for the (j + 1)-subsets: drops[i, r]
+    is the rank one level down of subset r less its slot i, so the last
+    row is the parent, and total[r] is its site sum mod N.  ``last`` (the
+    deepest level's last chain positions) and ``base`` (its parents'
+    first-child offsets) are what a deeper level is grown from.
+    """
+
+    N: int
+    levels: tuple[tuple[np.ndarray, np.ndarray], ...]
+    last: np.ndarray
+    base: np.ndarray
+
+
+# The one retained plan, for the chain 1..N that build_state asks for.  It
+# is replaced or extended by rebinding this name, never by writing into
+# arrays a concurrent reader may hold.
+_plan: _SubsetPlan | None = None
+
+
+def _plan_entries(N: int, m: int) -> int:
+    """Index entries of the plan of the chain 1..N to depth m."""
+    return sum((j + 2) * math.comb(N, j + 1) for j in range(m)) + math.comb(N, m) + math.comb(N, m - 1)
+
+
+class _ChunkDrops:
+    """Slot-drop ranks of a level that no later level reads: drops[i, rows]
+    is gathered when the DP asks for that row chunk, never held whole."""
+
+    def __init__(self, below, base, parent, t):
+        self.below, self.base, self.parent, self.t = below, base, parent, t
+
+    def __getitem__(self, key):
+        i, rows = key
+        col = self.base[self.below[i][self.parent[rows]]]
+        col += self.t[rows]
+        return col
+
+
+def _subset_levels(N: int, chain, m: int, slots: bool):
+    """Yield (parent, drops, total) for levels 1..m of the subset DP over
+    the increasing site list ``chain``: the parent rank of each subset,
+    its slot-drop ranks drops[i, rows] for slots i below the last, and its
+    site sum mod N.
+
+    A level-(j+1) subset is a level-j parent plus one larger chain
+    position t, so the children of each parent are contiguous and every
+    "one site removed" rank is a gather: dropping t gives the parent, and
+    dropping slot i < j gives child t of the parent's own slot-i drop.
+
+    None of this depends on the momenta.  The whole chain 1..N with m < N,
+    a ``build_state`` table, replays the retained plan and grows it to
+    depth m when that plan fits _PLAN_ENTRY_CEILING.  Any other
+    chain, and a plan over the ceiling, computes each level and drops it:
+    its slot drops only when ``slots``, and those of its last level one
+    row chunk at a time.  Either way the ranks are the same integers.
+    """
+    global _plan
+    n = len(chain)
+    itype = np.int32 if math.comb(n, min(m, n // 2)) <= np.iinfo(np.int32).max else np.int64
+    stype = np.int32 if N < 2 ** 30 else np.int64
+    keep = n == N > m and _plan_entries(N, m) <= _PLAN_ENTRY_CEILING
+    plan = _plan if keep else None
+    levels = plan.levels if plan is not None and plan.N == N else ()
+    for drops, total in levels[:m]:
+        yield drops[-1], drops, total
+    if len(levels) >= m:
+        return
+    if levels:
+        (drops, total), last, base = levels[-1], plan.last, plan.base
+    else:
+        # level 0: the empty subset, its "last position" -1, its site sum 0
+        drops, total, base = None, np.zeros(1, dtype=stype), None
+        last = np.full(1, -1, dtype=itype)
+    sites = (np.asarray(chain, dtype=np.int64) % N).astype(stype)
+    grown = []
+    for j in range(len(levels), m):
+        counts = (n - 1) - last
+        parent = np.repeat(np.arange(len(last), dtype=itype), counts)
+        child_base = np.cumsum(counts, dtype=itype)  # child rank = child_base[parent] + t
+        child_base -= counts + last + 1
+        t = np.arange(len(parent), dtype=itype)
+        t -= child_base[parent]
+        level_total = total[parent]
+        level_total += sites[t]
+        level_total[level_total >= N] -= N
+        chunked = _ChunkDrops(drops, base, parent, t)
+        if keep or (slots and j + 1 < m):
+            new_drops = np.empty((j + 1, len(parent)), dtype=itype)
+            new_drops[j] = parent
+            # row chunks keep every temporary small
+            for lo in range(0, len(parent), _CHUNK_SLOTS):
+                rows = slice(lo, lo + _CHUNK_SLOTS)
+                for i in range(j):
+                    new_drops[i, rows] = chunked[i, rows]
+        else:
+            new_drops = chunked if slots else None
+        del chunked  # else it keeps the level below alive through the next one
+        if keep:
+            new_drops.flags.writeable = level_total.flags.writeable = False
+            grown.append((new_drops, level_total))
+        yield parent, new_drops, level_total
+        last, total, drops, base = t, level_total, new_drops, child_base
+    if keep:
+        last.flags.writeable = base.flags.writeable = False
+        _plan = _SubsetPlan(N, levels + tuple(grown), last, base)
+
+
 def _subset_permanents(indices, N: int, chain) -> np.ndarray:
     """Permanent of [exp(2 pi i idx_a s_b / N)] for every m-subset s of
     the increasing site list ``chain``, in lexicographic order.
@@ -284,20 +412,18 @@ def _subset_permanents(indices, N: int, chain) -> np.ndarray:
     over every j-subset, lexicographically: with k the (j+1)-th index,
     T_{j+1}(S') is the sum over s in S' of w^(k s) T_j(S' - s).
 
-    A level-(j+1) subset is a level-j parent plus one larger chain
-    position t, so the children of each parent are contiguous and every
-    "one site removed" rank is a gather: dropping t gives the parent, and
-    dropping slot i < j gives child t of the parent's own slot-i drop.
-    Levels are stored untwisted, T_j(S) = w^(c sum S) W_j(S) with c the
-    ``twist``, so a level's phases cost one multiply per entry rather
-    than one per slot.  The largest group of mu equal indices kappa enters
-    in closed form, T_mu(S) = mu! w^(kappa sum S); each other index adds
-    one level, at sum_j j C(n, j) gathered additions in all.  The widest
-    level holds C(n, min(m, n // 2)) entries.
+    The ranks of S' - s and the site sums come from ``_subset_levels``,
+    which replays the retained plan of the chain 1..N rather than
+    recomputing them; this numeric pass reads them in the same order
+    either way, so every table keeps its bits.  Levels are stored
+    untwisted, T_j(S) = w^(c sum S) W_j(S) with c the ``twist``, so a
+    level's phases cost one multiply per entry rather than one per slot.
+    The largest group of mu equal indices kappa enters in closed form,
+    T_mu(S) = mu! w^(kappa sum S); each other index adds one level, at
+    sum_j j C(n, j) gathered additions in all.  The widest level holds
+    C(n, min(m, n // 2)) entries.
     """
-    m, n = len(indices), len(chain)
-    itype = np.int32 if math.comb(n, min(m, n // 2)) <= np.iinfo(np.int32).max else np.int64
-    stype = np.int32 if N < 2 ** 30 else np.int64
+    m = len(indices)
     indices = list(indices)
     kappa = max(indices, key=indices.count)
     mu = indices.count(kappa)
@@ -311,48 +437,20 @@ def _subset_permanents(indices, N: int, chain) -> np.ndarray:
         exponent %= N
         return roots[exponent]
 
-    sites = (np.asarray(chain, dtype=np.int64) % N).astype(stype)
-    # level 0: the empty subset, its "last position" -1, its site sum 0
-    last = np.full(1, -1, dtype=itype)
-    total = np.zeros(1, dtype=stype)
-    # drops[i, r]: rank one level down of subset r less its slot i, kept
-    # while a later level needs it
-    drops = None
-    base = None  # child rank = base[parent] + t for the parents of this level
-    twist, table = kappa, None
-    for j in range(m):
-        counts = (n - 1) - last
-        parent = np.repeat(np.arange(len(last), dtype=itype), counts)
-        child_base = np.cumsum(counts, dtype=itype)
-        child_base -= counts + last + 1
-        t = np.arange(len(parent), dtype=itype)
-        t -= child_base[parent]
-        multiply, keep = j >= mu, mu < m and j + 1 < m
-        if multiply:
+    twist, table, total = kappa, None, None
+    for j, (parent, drops, level_total) in enumerate(_subset_levels(N, chain, m, mu < m)):
+        if j >= mu:
             k = rest[j - mu]
             u = table if k == twist else table * phases(twist - k, total)
+            del table  # freed before its children's table is allocated
             table = u[parent]  # the slot that drops t
             twist = k
-        if keep:
-            new_drops = np.empty((j + 1, len(parent)), dtype=itype)
-            new_drops[j] = parent
-        if multiply or keep:
-            # row chunks keep every temporary small
             for lo in range(0, len(parent), _CHUNK_SLOTS):
                 rows = slice(lo, lo + _CHUNK_SLOTS)
                 for i in range(j):
-                    col = base[drops[i][parent[rows]]]
-                    col += t[rows]
-                    if keep:
-                        new_drops[i, rows] = col
-                    if multiply:
-                        table[rows] += u[col]
-        total = total[parent]
-        total += sites[t]
-        total[total >= N] -= N
-        last, base = t, child_base
-        drops = new_drops if keep else None
-        u = None
+                    table[rows] += u[drops[i, rows]]
+            u = None
+        total = level_total
         if j + 1 == mu:
             table = float(math.factorial(mu))
     if mu == m:

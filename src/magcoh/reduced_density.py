@@ -17,6 +17,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import repeat
+from types import MappingProxyType
 
 import numpy as np
 
@@ -116,6 +117,14 @@ class SubsystemSpec:
         return tuple(s for s in range(1, self.parent_N + 1) if s not in inside)
 
 
+def _read_only(b) -> np.ndarray:
+    """A read-only view of ``b`` taken through ``np.asarray``, so a nested
+    list becomes the array it reads as and no entry is copied."""
+    view = np.asarray(b).view()
+    view.flags.writeable = False
+    return view
+
+
 def _rank_one_rows(w: float, rows: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Rows w phi_i phi^H of a rank-one sector, one per entry phi_i of
     ``rows``: the one expression every dense rank-one row comes from."""
@@ -125,14 +134,14 @@ def _rank_one_rows(w: float, rows: np.ndarray, phi: np.ndarray) -> np.ndarray:
 class _RankOneBlocks(Mapping):
     """Read-only sectors w phi phi^H, kept as their (w, phi) pairs.
 
-    ``sectors[q]`` is the real weight w and the phase vector phi of
-    sector q.  Each ``self[q]`` builds a fresh dense block and caches
-    nothing, so a caller that reads one sector at a time holds one dense
-    block at a time.
+    ``sectors[q]`` is the real weight w and a read-only view of the phase
+    vector phi of sector q, in a read-only mapping.  Each ``self[q]``
+    builds a fresh dense block and caches nothing, so a caller that reads
+    one sector at a time holds one dense block at a time.
     """
 
     def __init__(self, sectors: dict[int, tuple[float, np.ndarray]]):
-        self.sectors = sectors
+        self.sectors = MappingProxyType({q: (w, _read_only(phi)) for q, (w, phi) in sectors.items()})
 
     def __getitem__(self, q: int) -> np.ndarray:
         w, phi = self.sectors[q]
@@ -151,15 +160,16 @@ class BlockDensityMatrix:
 
     ``blocks[q]`` is the C(n, q) x C(n, q) matrix over the canonical
     q-flip site lists of the subsystem, which ``labels(q)`` derives from
-    (n, q) rather than storing.  ``blocks`` is either a dict of dense
-    matrices or, for the rank-one sectors w phi phi^H of
-    ``reduce_single_mode``, a read-only mapping that keeps each sector
-    as its (w, phi) pair and builds a fresh dense block on every access,
-    caching none: the package reads such sectors one at a time, so at
-    most one dense sector is alive at once.  The diagonal, the block
-    weights and ``validate`` read (w, phi) in O(C(n, q)), and
-    ``block_abs_sum`` reads it with one complex row per distinct phase,
-    so no coherence measure builds a dense rank-one block.  For
+    (n, q) rather than storing.  ``blocks`` is either a read-only mapping
+    of read-only views of the dense matrices it was built from, so an
+    operator that has passed ``validate`` cannot be edited, or, for the
+    rank-one sectors w phi phi^H of ``reduce_single_mode``, a read-only
+    mapping that keeps each sector as its (w, phi) pair and builds a
+    fresh dense block on every access, caching none: the package reads
+    such sectors one at a time, so at most one dense sector is alive at
+    once.  The diagonal, the block weights and ``validate`` read (w, phi)
+    in O(C(n, q)), and ``block_abs_sum`` reads it with one complex row per
+    distinct phase, so no coherence measure builds a dense rank-one block.  For
     operators obtained from the dense oracle, ``off_block_residual``
     records the largest matrix element found between different flip
     sectors (structurally zero for magnon states).  A rank-one sector's
@@ -176,6 +186,10 @@ class BlockDensityMatrix:
     off_block_residual: float | None = None
     _factors: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
     _validated: bool = field(default=False, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not isinstance(self.blocks, _RankOneBlocks):
+            self.blocks = MappingProxyType({q: _read_only(b) for q, b in self.blocks.items()})
 
     @property
     def q_values(self) -> tuple[int, ...]:
@@ -262,17 +276,18 @@ class BlockDensityMatrix:
         rank-one sector w phi phi^H needs a phase vector of length
         C(n, q) and a finite w and phi; being real times a projector, it
         is Hermitian by construction and is never built densely here.
-        Hermiticity of a dense block is read off the block, through
-        ``np.asarray`` so that nested lists check like arrays.  The
-        Hermiticity residual max |b - b^H| is taken over row tiles of the
-        upper triangle, so it needs O(tile x d) scratch memory rather than
-        three d x d temporaries; it is exact, not a bound, because entries
-        (r, c) and (c, r) of b - b^H have the same modulus to the last bit
-        (see ``_hermiticity_residual``).  Only ``reduce`` attaches Gram
-        factors.  A factor V with fewer rows than columns gives a
-        sector's lowest eigenvalue as min(0, lowest eigenvalue of V V^H):
-        by the Schmidt decomposition V V^H carries the block's nonzero
-        spectrum, and the block has da - db zeros besides.  Without such
+        Hermiticity of a dense block is read off the block, which the
+        constructor took through ``np.asarray``, so nested lists check
+        like arrays.  The Hermiticity residual max |b - b^H| is taken
+        over row tiles of the upper triangle, so it needs O(tile x d)
+        scratch memory rather than three d x d temporaries; it is exact,
+        not a bound, because entries (r, c) and (c, r) of b - b^H have the
+        same modulus to the last bit (see ``_hermiticity_residual``).  Only
+        ``reduce`` attaches Gram factors.  A factor V with fewer rows than
+        columns gives a sector's lowest eigenvalue as min(0, lowest
+        eigenvalue of V V^H): by the Schmidt decomposition V V^H carries
+        the block's nonzero spectrum, and the block has da - db zeros
+        besides.  Without such
         a factor it is the least entry of ``block_spectrum``, in closed
         form for a rank-one sector and from the dense block for any other.
         Every comparison fails on NaN.  An operator that passes is marked,
@@ -284,7 +299,7 @@ class BlockDensityMatrix:
             dim = math.comb(self.n, q)
             rank_one = self._rank_one(q)
             if rank_one is None:
-                b = np.asarray(self.blocks[q])
+                b = self.blocks[q]
                 if b.ndim != 2 or b.shape[0] != b.shape[1]:
                     raise InternalConsistencyError(f"block q={q} is not square: shape {b.shape}")
                 if b.shape[0] != dim:

@@ -550,8 +550,10 @@ class TestNonFiniteOutputExits4:
 
         def poisoned(*args, **kwargs):
             rho = real(*args, **kwargs)
-            rho.blocks[1][0, 2] = complex(0.25, math.inf)
-            return rho
+            blocks = dict(rho.blocks)
+            blocks[1] = blocks[1].copy()
+            blocks[1][0, 2] = complex(0.25, math.inf)
+            return dataclasses.replace(rho, blocks=blocks)
 
         monkeypatch.setattr(cli, "reduce", poisoned)
         self.check_refused(capsys, tmp_path, "reduce", "--N", "8", "--m", "2", "--k", "1,3", "--n", "4", shown="inf")

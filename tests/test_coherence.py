@@ -207,6 +207,7 @@ BAD_PLAIN_MATRICES = {
     "nan-entry": (np.array([[0.5, np.nan], [np.nan, 0.5]]), r"^density matrix has non-finite entries$"),
     "non-hermitian": (np.array([[0.5, 1.0], [0.0, 0.5]]), r"^density matrix departs from Hermiticity beyond tolerance$"),
     "trace-5": (np.diag([3.0, 1.0, 1.0]), r"^density matrix trace departs from 1 by 4\.000e\+00$"),
+    "negative": (np.array([[0.9, 0.8], [0.8, 0.1]]), r"^density matrix has eigenvalue -3\.944e-01 below the floor$"),
 }
 
 
@@ -217,6 +218,12 @@ class TestPlainMatrixEntry:
         matrix, message = bad
         with pytest.raises(DomainError, match=message):
             fn(matrix)
+
+    def test_positivity_is_held_to_the_block_floor(self):
+        # the floor validate applies to a block: -2e-11 passes, -2e-10 does not
+        assert c_l1(np.diag([1.0 + 2e-11, -2e-11])) < 1e-10
+        with pytest.raises(DomainError, match=r"^density matrix has eigenvalue -2\.000e-10 below the floor$"):
+            c_r(np.diag([1.0 + 2e-10, -2e-10]))
 
     @pytest.mark.parametrize("fn", PUBLIC_FUNCTIONS, ids=lambda fn: fn.__name__)
     def test_a_plain_matrix_is_checked_once_per_call(self, fn, monkeypatch):

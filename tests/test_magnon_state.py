@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from itertools import permutations
 
 import numpy as np
@@ -350,6 +352,104 @@ class TestSubsetPermanents:
         ranks = np.r_[0:3, 65533:65539, len(rows) - 3:len(rows)]
         want = model.exact_permanents(model.count_polynomials(idx, N, rows[ranks]), N)
         assert float(np.abs(table[ranks] - want).max()) <= self.bound(N, idx)
+
+    @staticmethod
+    def per_call(monkeypatch, idx, N):
+        """The whole-chain table with no plan retained or read."""
+        with monkeypatch.context() as mp:
+            mp.setattr(magnon_state, "_plan", None)
+            mp.setattr(magnon_state, "_PLAN_ENTRY_CEILING", 0)
+            table = _subset_permanents(idx, N, range(1, N + 1))
+            assert magnon_state._plan is None
+        return table
+
+    @staticmethod
+    def plan_arrays(plan):
+        return [a for level in plan.levels for a in level] + [plan.last, plan.base]
+
+    def test_plan_is_built_once_per_chain_and_keeps_every_bit(self, monkeypatch):
+        monkeypatch.setattr(magnon_state, "_plan", None)
+        rng = np.random.default_rng(2020)
+        lone = MomentumVector(14, (1, 3, 3, 6, 9, 12))
+        lone_value = amplitude_f(lone, (2, 3, 5, 8, 11, 14))
+        depths = []
+        for N, m in ((16, 10), (16, 12), (16, 11), (22, 5), (16, 11)):
+            before = magnon_state._plan
+            for idx in (tuple(rng.integers(0, N, size=m).tolist()), tuple(rng.choice(N, size=m, replace=False).tolist())):
+                got = _subset_permanents(idx, N, range(1, N + 1))
+                want = self.per_call(monkeypatch, idx, N)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+                assert amplitude_f(lone, (2, 3, 5, 8, 11, 14)) == lone_value
+            plan = magnon_state._plan
+            depths.append((plan.N, len(plan.levels)))
+            if before is not None and before.N == N:
+                # a deeper m extends the plan, reusing every level it had
+                assert all(a is b for a, b in zip(self.plan_arrays(before)[:-2], self.plan_arrays(plan)))
+                assert (plan is before) == (m <= len(before.levels))
+        assert depths == [(16, 10), (16, 12), (16, 12), (22, 5), (16, 11)]
+
+    def test_concurrent_callers_keep_every_bit(self, monkeypatch):
+        # threads that deepen, replace and replay the plan under a short
+        # switch interval; each must read a whole plan, never a half-built one
+        monkeypatch.setattr(magnon_state, "_plan", None)
+        rng = np.random.default_rng(7)
+        cases = [(N, tuple(rng.integers(0, N, size=m).tolist())) for N, m in ((12, 5), (12, 8), (13, 6), (12, 7), (13, 9))]
+        want = [self.per_call(monkeypatch, idx, N).view(np.uint64) for N, idx in cases]
+        bad = []
+
+        def worker(order):
+            for c in order:
+                N, idx = cases[c]
+                if not np.array_equal(_subset_permanents(idx, N, range(1, N + 1)).view(np.uint64), want[c]):
+                    bad.append(cases[c])
+
+        orders = [[int(c) for c in rng.permutation(len(cases))] * 8 for _ in range(6)]
+        threads = [threading.Thread(target=worker, args=(order,)) for order in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
+
+    def test_plan_over_the_ceiling_is_not_retained(self, monkeypatch):
+        monkeypatch.setattr(magnon_state, "_plan", None)
+        idx = (1, 2, 2, 5, 7, 11, 13, 13, 14, 15)
+        want = self.per_call(monkeypatch, idx, 16)
+        monkeypatch.setattr(magnon_state, "_PLAN_ENTRY_CEILING", magnon_state._plan_entries(16, 10) - 1)
+        got = _subset_permanents(idx, 16, range(1, 17))
+        assert magnon_state._plan is None
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # a plan that fits stays as it is while a deeper one is refused
+        _subset_permanents(idx[:9], 16, range(1, 17))
+        kept = magnon_state._plan
+        assert len(kept.levels) == 9
+        assert np.array_equal(_subset_permanents(idx, 16, range(1, 17)).view(np.uint64), want.view(np.uint64))
+        assert magnon_state._plan is kept
+
+    def test_plan_arrays_are_read_only(self, monkeypatch):
+        monkeypatch.setattr(magnon_state, "_plan", None)
+        _subset_permanents((0, 1, 1, 4, 6, 9, 9), 12, range(1, 13))
+        arrays = self.plan_arrays(magnon_state._plan)
+        assert len(arrays) == 2 * 7 + 2
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            arrays[0][0, 0] = 1
+
+    def test_lone_site_lists_leave_the_plan_alone(self, monkeypatch):
+        monkeypatch.setattr(magnon_state, "_plan", None)
+        for sites in ((1, 3, 4, 6, 8, 9, 12), tuple(range(1, 13))):
+            amplitude_f(MomentumVector(12, (2, 2, 3, 5, 7, 8, 11, 0, 0, 1, 6, 4)[:len(sites)]), sites)
+        assert magnon_state._plan is None
+        _subset_permanents((0, 1, 1, 4, 6, 9, 9), 12, range(1, 13))
+        plan = magnon_state._plan
+        amplitude_f(MomentumVector(12, (0, 1, 1, 4, 6, 9, 9)), (1, 3, 4, 6, 8, 9, 12))
+        assert magnon_state._plan is plan
 
     def test_widest_level_is_held_to_the_budget(self):
         # C(12, 8) = 495 amplitudes fit, but level 6 holds C(12, 6) = 924

@@ -699,6 +699,24 @@ class TestBlockDensityMatrix:
         with pytest.raises(DomainError, match="non-finite"):
             c_r(b)
 
+    def test_a_validated_operator_cannot_be_edited(self):
+        source = {0: np.array([[0.5]]), 1: np.array([[0.5]])}
+        rho = BlockDensityMatrix(1, source).validate()
+        with pytest.raises(TypeError):
+            rho.blocks[1] = np.array([[2.0]])
+        with pytest.raises(ValueError, match="read-only"):
+            rho.blocks[1][0, 0] = 2.0
+        assert rho.total_trace() == 1.0 and c_l1(rho) == c_r(rho) == 0.0
+        # the blocks are views: nothing was copied, and the source is still the caller's
+        assert np.shares_memory(rho.blocks[1], source[1]) and source[1].flags.writeable
+        reduced = reduce(build_state(MagnonStateSpec(8, 2, MomentumVector(8, (1, 3)))), SubsystemSpec.prefix(8, 3))
+        assert not any(reduced.blocks[q].flags.writeable for q in reduced.q_values)
+        single = reduce_single_mode(10, 3, 4, 0.7)
+        with pytest.raises(TypeError):
+            single.blocks.sectors[1] = (0.0, np.zeros(3))
+        with pytest.raises(ValueError, match="read-only"):
+            single.blocks.sectors[1][1][0] = 2.0
+
     def test_nested_list_blocks_validate_like_arrays(self):
         rho = BlockDensityMatrix(1, {0: [[0.5]], 1: [[0.5]]}).validate()
         assert rho.block_weights == {0: 0.5, 1: 0.5}
