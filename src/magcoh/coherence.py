@@ -6,11 +6,14 @@ once per call, when a public function receives it: one that is not
 square, has a non-finite entry, departs from Hermiticity by more than
 INPUT_HERMITICITY_TOL or from unit trace by more than TRACE_TOL, or has
 an eigenvalue below NEGATIVE_EIGENVALUE_FLOOR (the floor ``validate``
-holds a block to) is a DomainError.  A block operator is checked by its
-own ``validate``, once in its life: the package routes return operators
-that have passed it, and one that has not (built by hand) is validated
-on entry, a refusal again being a DomainError.  The private helpers take
-the checked input and check nothing again.
+holds a block to) is a DomainError.  The check keeps the spectrum it
+takes for that floor, so a plain matrix is diagonalised once per call.
+A block operator is checked by its own ``validate``, once in its life:
+the package routes return operators that have passed it, and one that
+has not (built by hand) is validated on entry, a refusal again being a
+DomainError.  Either kind of checked input answers the same reads
+(diagonal, descending spectrum, sum of |rho_ij|, basis dimension), which
+the private helpers call without checking anything again.
 Logarithms are natural throughout, so entropic quantities are in nats.
 The l1 measure sums |rho_ij| over all stored blocks and subtracts the
 trace; a rank-one sector w phi phi^H is summed from one complex row per
@@ -74,7 +77,32 @@ class CoherenceReport:
         return 1.0 + self.c_l1
 
 
-def _as_matrix(rho) -> np.ndarray:
+@dataclass(frozen=True)
+class _CheckedMatrix:
+    """A plain matrix that has passed the entry check, with the ascending
+    ``eigvalsh`` its positivity floor was read from; it answers the reads
+    a BlockDensityMatrix answers."""
+
+    a: np.ndarray
+    ascending: np.ndarray
+
+    def diagonal(self) -> np.ndarray:
+        return np.diag(self.a).real
+
+    def spectrum(self) -> np.ndarray:
+        return self.ascending[::-1]
+
+    def _abs_sum(self) -> float:
+        return float(np.abs(self.a).sum())
+
+    def _basis_dimension(self) -> int:
+        return self.a.shape[0]
+
+    def _dephased(self) -> np.ndarray:
+        return np.diag(np.diag(self.a))
+
+
+def _as_matrix(rho) -> _CheckedMatrix:
     a = np.asarray(rho, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"expected a square density matrix, got shape {a.shape}")
@@ -85,10 +113,11 @@ def _as_matrix(rho) -> np.ndarray:
     off = abs(np.trace(a) - 1.0)
     if not off <= TRACE_TOL:
         raise DomainError(f"density matrix trace departs from 1 by {off:.3e}")
-    lowest = float(np.linalg.eigvalsh(a).min())
+    ascending = np.linalg.eigvalsh(a)
+    lowest = float(ascending.min())
     if not lowest >= NEGATIVE_EIGENVALUE_FLOOR:
         raise DomainError(f"density matrix has eigenvalue {lowest:.3e} below the floor")
-    return a
+    return _CheckedMatrix(a, ascending)
 
 
 def _checked(rho):
@@ -104,26 +133,6 @@ def _checked(rho):
     return rho
 
 
-def _abs_sum(rho) -> float:
-    if not isinstance(rho, BlockDensityMatrix):
-        return float(np.abs(rho).sum())
-    # one sector at a time; a rank-one sector sums its distinct rows'
-    # moduli gathered into d x d, never its complex block
-    return sum(rho.block_abs_sum(q) for q in rho.q_values)
-
-
-def _diagonal(rho) -> np.ndarray:
-    if isinstance(rho, BlockDensityMatrix):
-        return rho.diagonal()
-    return np.diag(rho).real
-
-
-def _spectrum(rho) -> np.ndarray:
-    if isinstance(rho, BlockDensityMatrix):
-        return rho.spectrum()
-    return np.linalg.eigvalsh(rho)[::-1]
-
-
 def _entropy(values) -> float:
     # x ln x -> 0 below the floor
     kept = np.asarray(values, dtype=float)
@@ -133,19 +142,15 @@ def _entropy(values) -> float:
 
 def incoherent_part(rho):
     """Drop every off-diagonal element, keeping the container type."""
-    rho = _checked(rho)
-    if isinstance(rho, BlockDensityMatrix):
-        blocks = {q: np.diag(rho.block_diagonal(q)) for q in rho.q_values}
-        return BlockDensityMatrix(rho.n, blocks)
-    return np.diag(np.diag(rho))
+    return _checked(rho)._dephased()
 
 
 def _c_l1(rho) -> float:
-    return max(0.0, _abs_sum(rho) - 1.0)
+    return max(0.0, rho._abs_sum() - 1.0)
 
 
 def _c_r(rho) -> float:
-    return max(0.0, _entropy(_diagonal(rho)) - _entropy(_spectrum(rho)))
+    return max(0.0, _entropy(rho.diagonal()) - _entropy(rho.spectrum()))
 
 
 def c_l1(rho) -> float:
@@ -223,13 +228,7 @@ def averaged_coherence_single_mode(N: int, n: int, m: int, k: float, measure: st
     return float(law.p @ (dims - 1.0))
 
 
-def _basis_dimension(rho) -> int:
-    if isinstance(rho, BlockDensityMatrix):
-        return sum(math.comb(rho.n, q) for q in rho.q_values)
-    return rho.shape[0]
-
-
 def coherence_report(rho) -> CoherenceReport:
     """Evaluate C_l1 and C_r once and package them together."""
     rho = _checked(rho)
-    return CoherenceReport(c_l1=_c_l1(rho), c_r=_c_r(rho), basis_dimension=_basis_dimension(rho))
+    return CoherenceReport(c_l1=_c_l1(rho), c_r=_c_r(rho), basis_dimension=rho._basis_dimension())

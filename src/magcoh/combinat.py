@@ -86,7 +86,10 @@ def validate_sitelist(sites, n: int) -> SiteList:
     """Check a strictly increasing list of site indices within [1, n].
 
     Integer-valued floats are taken as their integers, inline rather than
-    by ``_as_int``: ``reduce`` runs this twice per amplitude.
+    by ``_as_int``, so a bad entry is refused as a site index.  This runs
+    on each miss of the rank cache, for each ``SubsystemSpec`` and for
+    each lone site list; the halves ``reduce`` ranks are lists of plain
+    ints, so it checks one only on a cache miss, not per amplitude.
     """
     out = []
     for s in sites:

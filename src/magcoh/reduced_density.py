@@ -231,6 +231,17 @@ class BlockDensityMatrix:
         _, first, row_of = np.unique(phi, return_index=True, return_inverse=True)
         return float(np.abs(_rank_one_rows(w, phi[first], phi))[row_of].sum())
 
+    def _abs_sum(self) -> float:
+        """Sum of |rho_ij| over every sector, read one sector at a time."""
+        return sum(self.block_abs_sum(q) for q in self.q_values)
+
+    def _basis_dimension(self) -> int:
+        return sum(math.comb(self.n, q) for q in self.q_values)
+
+    def _dephased(self) -> "BlockDensityMatrix":
+        """The operator with every off-diagonal element dropped."""
+        return BlockDensityMatrix(self.n, {q: np.diag(self.block_diagonal(q)) for q in self.q_values})
+
     def _weight(self, q: int) -> float:
         return float(self.block_diagonal(q).sum().real)
 

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import error_model as model
 from magcoh import (
@@ -235,15 +237,67 @@ class TestPlainMatrixEntry:
             shapes.append(a.shape)
             return residual(a)
 
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def solve(a):
+            solved.append(a.shape)
+            return eigvalsh(a)
+
         # both module names, so a second check in either module would count
         monkeypatch.setattr(coherence, "_hermiticity_residual", record)
         monkeypatch.setattr(reduced_density, "_hermiticity_residual", record)
+        # one spectrum serves the positivity floor and C_r alike
+        monkeypatch.setattr(np.linalg, "eigvalsh", solve)
         fn(random_density(np.random.default_rng(5), 6))
         assert shapes == [(6, 6)]
+        assert solved == [(6, 6)]
         # a block operator was checked when it was built
         shapes.clear()
         fn(block)
         assert shapes == []
+
+
+@st.composite
+def plain_densities(draw):
+    """A plain density matrix of dimension 1..12: full rank, rank-deficient
+    or diagonal (with zero populations), as an array or a nested list."""
+    d = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(("full", "rank-deficient", "diagonal")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "diagonal":
+        p = rng.random(d) * (rng.random(d) < 0.7)
+        p[rng.integers(d)] += 0.5
+        rho = np.diag(p / p.sum())
+    else:
+        rank = d if kind == "full" else int(rng.integers(1, d + 1))
+        a = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho).real
+    return rho.tolist() if draw(st.booleans()) else rho
+
+
+def oracle_entropy(values):
+    kept = values[values > coherence.EIGENVALUE_FLOOR]
+    return float(-(kept * np.log(kept)).sum()) if kept.size else 0.0
+
+
+@seed(140402)
+@settings(max_examples=200, deadline=None, database=None)
+@given(plain_densities())
+def test_plain_matrix_measures_match_a_dense_oracle_bit_for_bit(rho):
+    a = np.asarray(rho, dtype=np.complex128)
+    l1 = max(0.0, float(np.abs(a).sum()) - 1.0)
+    r = max(0.0, oracle_entropy(np.diag(a).real) - oracle_entropy(np.linalg.eigvalsh(a)[::-1]))
+    report = coherence_report(rho)
+    assert c_l1(rho).hex() == report.c_l1.hex() == l1.hex()
+    assert c_r(rho).hex() == report.c_r.hex() == r.hex()
+    assert c_ln(rho).hex() == report.c_ln.hex() == math.log1p(l1).hex()
+    assert effective_dimension(rho).hex() == report.effective_dimension.hex() == (1.0 + l1).hex()
+    assert report.basis_dimension == len(a)
+    flat = incoherent_part(rho)
+    assert type(flat) is np.ndarray
+    assert np.array_equal(flat.view(np.uint64), np.diag(np.diag(a)).view(np.uint64))
 
 
 # hand-built operators that fail validate: trace 2.1, and a block with
