@@ -13,13 +13,15 @@ the first one in rendering order, or an unknown type), so a refused
 document writes nothing; the second writes the text piece by piece as it
 is rendered.  No copy of the whole document is held, so peak memory
 follows the largest piece, not the size of the output.  Complex arrays
-(amplitude tables, density blocks) are nested [re, im] pairs, rendered
-one row per ``%.17g`` template call (a row longer than a few thousand
-pairs in pieces); site lists (the state basis, block labels) come from
-the combination iterator in row chunks through a ``%d`` row template; a
-reduction's sectors are read one at a time as they are rendered.  Thermo
-CSV rows are checked in one pass, then written in blocks of a few
-thousand lines.  Every byte is that of formatting each number on its own.
+(amplitude tables, density blocks) are nested [re, im] pairs, formatted
+a few thousand pairs at a time, across row boundaries, by the array
+formatter in ``_fmt`` (17 certified digits per float in numpy, CPython's
+own ``%.17g`` for the rest); site lists (the state basis, block labels)
+come from the combination iterator in row chunks through a ``%d`` row
+template; a reduction's sectors are read one at a time as they are
+rendered.  Thermo CSV rows are checked in one pass, then written in
+blocks of a few thousand lines through the same formatter.  Every byte
+is that of formatting each number on its own with ``%.17g``.
 """
 
 from __future__ import annotations
@@ -33,11 +35,12 @@ from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, combinations, filterfalse, islice
+from itertools import chain, combinations, islice
 
 import numpy as np
 
 from . import thermo
+from ._fmt import join_g17
 from .coherence import averaged_coherence_single_mode, coherence_report
 from .errors import InternalConsistencyError, DomainError, MagcohError
 from .magnon_state import MagnonStateSpec, MomentumVector, build_state, embed_full
@@ -64,9 +67,11 @@ def _fmt_float(x: float) -> str:
 
 
 # Items per written piece: site lists of a table, [re, im] pairs of a
-# complex row, or thermo CSV lines.  A piece is one string of at most a
-# few hundred kB.
-_PIECE = 4096
+# complex array, or thermo CSV lines.  It bounds the float kernel's
+# scratch, some 140-170 bytes per float: about 0.6 MB for a piece of
+# pairs and 1 MB for one of CSV lines, whose written text is a sixth of
+# that.
+_PIECE = 2048
 
 
 @dataclass(frozen=True)
@@ -96,29 +101,40 @@ def _complex_rows(obj: np.ndarray, render: bool) -> Iterator[str]:
     finite = np.isfinite(parts)
     if not finite.all():
         raise _non_finite(parts[~finite][0])
+    del finite
     if not render:
         return
-    # one "%.17g" template call per row, or per piece of a row wider than
-    # _PIECE pairs (a long amplitude vector)
-    pair = "[%.17g, %.17g]"
-    full = ", ".join([pair] * _PIECE)
-    last = ", ".join([pair] * (obj.shape[-1] % _PIECE))
-    step = 2 * _PIECE
-
-    def rows(a: np.ndarray) -> Iterator[str]:
-        yield "["
-        if a.ndim == 1:
-            for start in range(0, a.size, step):
-                piece = a[start : start + step]
-                yield ("" if start == 0 else ", ") + (full if piece.size == step else last) % tuple(piece.tolist())
-        else:
-            for i, r in enumerate(a):
-                if i:
-                    yield ", "
-                yield from rows(r)
-        yield "]"
-
-    yield from rows(parts)
+    if parts.size == 0:
+        # only brackets: "[]", or "[[], []]" for rows without pairs
+        yield json.dumps(parts.tolist())
+        return
+    # the text after each float: ", " after re, "], [" after im inside a
+    # row, the row brackets after a row's last im, and after the last im
+    # the closing brackets of the whole array
+    ndim, width = parts.ndim, parts.shape[-1] // 2
+    seps = [", ", "], [", "]" * (ndim + 1)]
+    seps += ["]" * (g + 1) + ", " + "[" * (g + 1) for g in range(1, ndim)]
+    total = parts.size // 2
+    pattern = np.tile(np.array([0, 1], dtype=np.intp), min(total, _PIECE))
+    flat = parts.reshape(-1)
+    yield "[" * (ndim + 1)
+    # the pairs in pieces of _PIECE, across row boundaries
+    for start in range(0, total, _PIECE):
+        stop = min(start + _PIECE, total)
+        codes = pattern[: 2 * (stop - start)].copy()
+        ends = np.arange((start // width + 1) * width - 1, stop, width)
+        if ends.size:
+            # a row ends after its last pair; g of its enclosing axes end with it
+            done = ends // width + 1
+            g = np.ones_like(done)
+            span = 1
+            for size in reversed(parts.shape[1:-1]):
+                span *= size
+                g += done % span == 0
+            codes[2 * (ends - start) + 1] = 2 + g
+        if stop == total:
+            codes[-1] = 2
+        yield join_g17(flat[2 * start : 2 * stop], seps, codes)
 
 
 def _site_list_rows(table: _SiteLists) -> Iterator[str]:
@@ -323,17 +339,22 @@ def cmd_coherence(args) -> int:
 
 def cmd_thermo(args) -> int:
     curve = thermo.sweep(args.epsilon0, args.beta_min, args.beta_max, args.count)
-    points, eps0 = curve.points, curve.epsilon0
-    # values in row order: every row is (*point, eps0), so the first row
-    # decides whether eps0 comes before a later row's non-finite value
-    first_row = (*points[0], eps0) if points else ()
-    bad = next(filterfalse(math.isfinite, chain(first_row, chain.from_iterable(points))), None)
-    if bad is not None:
-        raise _non_finite(bad)
-    # eps0 is the same in every row, so it is formatted once into the template
-    line = "%.17g,%.17g,%.17g," + _fmt_float(eps0) + "\n"
-    blocks = ("".join(map(line.__mod__, points[i : i + _PIECE])) for i in range(0, len(points), _PIECE))
-    _write(chain(("beta_c,u,heat_capacity,epsilon0\n",), blocks), args.output)
+    points = curve.points
+    table = np.fromiter(chain.from_iterable(points), dtype=np.float64, count=3 * len(points)).reshape(-1, 3)
+    # values in row order: every row is (*point, eps0), so eps0 comes after
+    # the first row's point and before any later row's values
+    finite = np.isfinite(table)
+    if not finite[:1].all():
+        raise _non_finite(table[:1][~finite[:1]][0])
+    line_end = "," + _fmt_float(curve.epsilon0) + "\n"
+    if not finite.all():
+        raise _non_finite(table[~finite][0])
+    del finite
+    seps = (",", line_end)
+    pattern = np.tile(np.array([0, 0, 1], dtype=np.intp), min(len(points), _PIECE))
+    blocks = (table[i : i + _PIECE].reshape(-1) for i in range(0, len(table), _PIECE))
+    lines = (join_g17(block, seps, pattern[: block.size]) for block in blocks)
+    _write(chain(("beta_c,u,heat_capacity,epsilon0\n",), lines), args.output)
     return 0
 
 

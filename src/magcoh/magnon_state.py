@@ -90,9 +90,13 @@ def _resolve_budget(budget: int | None, default: int) -> int:
     return budget
 
 
+# Largest m summed over all m! permutations; guards memory, as each row chunk gathers rows x m! phases.
 _DIRECT_PERMANENT_LIMIT = 4
+# Largest m the subset DP takes on; guards time, as a permanent walks all 2^m index subsets.
 _PERMANENT_LIMIT = 20
+# Site-list rows per chunk of the permutation and Ryser kernels; guards their rows x m! and rows x m^2 temporaries.
 _CHUNK_ROWS = 4096
+# DP slots per slice when a level is copied or phase-twisted; guards the temporaries of those passes.
 _CHUNK_SLOTS = 1 << 16
 
 

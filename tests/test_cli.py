@@ -395,19 +395,43 @@ class TestRenderer:
             cli._render_json({"matrix": a})
 
 
-def oracle_rendering(obj) -> str:
+def oracle_rendering(obj, array=per_float_rendering) -> str:
     # the document oracle: per-float arrays, json for strings, ints and site lists
     if isinstance(obj, np.ndarray):
-        return per_float_rendering(obj)
+        return array(obj)
     if isinstance(obj, cli._SiteLists):
         return json.dumps([list(l) for l in enumerate_combinations(obj.n, obj.m)])
     if isinstance(obj, float):
         return f"{obj:.17g}"
     if isinstance(obj, list):
-        return "[" + ", ".join(oracle_rendering(v) for v in obj) + "]"
+        return "[" + ", ".join(oracle_rendering(v, array) for v in obj) + "]"
     if isinstance(obj, dict):
-        return "{" + ", ".join(json.dumps(k) + ": " + oracle_rendering(v) for k, v in obj.items()) + "}"
+        return "{" + ", ".join(json.dumps(k) + ": " + oracle_rendering(v, array) for k, v in obj.items()) + "}"
     return json.dumps(obj)
+
+
+def template_rendering(a: np.ndarray) -> str:
+    # the row-template renderer the array formatter replaced: one
+    # "[%.17g, %.17g]" template call per row, or per _PIECE pairs of a
+    # longer row
+    pair = "[%.17g, %.17g]"
+    full = ", ".join([pair] * cli._PIECE)
+    last = ", ".join([pair] * (a.shape[-1] % cli._PIECE))
+    step = 2 * cli._PIECE
+
+    def rows(p: np.ndarray) -> str:
+        if p.ndim == 1:
+            pieces = (p[i : i + step] for i in range(0, p.size, step))
+            return "[" + ", ".join((full if q.size == step else last) % tuple(q.tolist()) for q in pieces) + "]"
+        return "[" + ", ".join(rows(r) for r in p) + "]"
+
+    return rows(np.ascontiguousarray(a, dtype=np.complex128).view(np.float64))
+
+
+def template_thermo(curve) -> str:
+    # the line-template CSV writer the array formatter replaced
+    line = "%.17g,%.17g,%.17g," + f"{curve.epsilon0:.17g}" + "\n"
+    return "beta_c,u,heat_capacity,epsilon0\n" + "".join(map(line.__mod__, curve.points))
 
 
 @st.composite
@@ -474,6 +498,43 @@ class TestStreamingWriter:
         with mock.patch.object(cli, "_PIECE", piece):
             code, out, _ = run(capsys, "thermo", "--epsilon0", "1.5", "--beta-min", "-2", "--beta-max", "3", "--count", "9")
         assert (code, out) == (0, expected)
+
+    def test_arrays_write_the_bytes_of_the_row_templates(self, capsys, tmp_path):
+        rng = np.random.default_rng(2207)
+        piece = cli._PIECE
+
+        def block(*shape):
+            parts = rng.standard_normal(shape + (2,)) * 10.0 ** rng.uniform(-8, 8, shape + (2,))
+            # subnormal, zero and negative-zero entries among the normal ones
+            spots = rng.random(parts.shape)
+            parts[spots < 0.05] = rng.choice([5e-324, -5e-324, 1.5e-310, -2.2250738585072009e-308])
+            parts[(spots >= 0.05) & (spots < 0.1)] = 0.0
+            parts[(spots >= 0.1) & (spots < 0.15)] = -0.0
+            return parts.view(np.complex128)[..., 0]
+
+        doc = {
+            "small": block(9, 7),
+            "wide": block(3, piece + 5),
+            "vector": block(2 * piece),
+            "rows": block(5 * piece // 7 + 1, 7),
+            "after": [0.5, -0.0],
+        }
+        expected = oracle_rendering(doc, template_rendering) + "\n"
+        assert expected == oracle_rendering(doc) + "\n"
+        cli._emit(doc, str(tmp_path / "doc.json"))
+        cli._emit(doc, None)
+        assert capsys.readouterr().out == expected
+        assert (tmp_path / "doc.json").read_bytes() == expected.encode()
+
+    def test_thermo_writes_the_bytes_of_the_line_template(self, capsys, tmp_path):
+        # beyond |beta| = 1e280 and past the piece boundaries
+        count = 2 * cli._PIECE + 3
+        argv = ["thermo", "--epsilon0", "0.7", "--beta-min=-1e300", "--beta-max=1e300", "--count", str(count)]
+        expected = template_thermo(thermo.sweep(0.7, -1e300, 1e300, count))
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (0, expected)
+        assert main([*argv, "-o", str(tmp_path / "sweep.csv")]) == 0
+        assert (tmp_path / "sweep.csv").read_bytes() == expected.encode()
 
     def test_unknown_type_is_refused_before_anything_is_written(self, capsys, tmp_path):
         doc = {"ok": [1, 2.5], "bad": {1, 2}}
