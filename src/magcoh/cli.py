@@ -9,19 +9,20 @@ so identical invocations produce byte-identical output.
 
 Output is streamed.  A JSON document is walked twice: the first walk
 raises any error the rendering can raise (a non-finite float, named as
-the first one in rendering order, or an unknown type), so a refused
+the first one in rendering order, an unknown type, or a complex array
+that is neither a vector nor a matrix), so a refused
 document writes nothing; the second writes the text piece by piece as it
 is rendered.  No copy of the whole document is held, so peak memory
 follows the largest piece, not the size of the output.  Complex arrays
-(amplitude tables, density blocks) are nested [re, im] pairs, formatted
-a few thousand pairs at a time, across row boundaries, by the array
-formatter in ``_fmt`` (17 certified digits per float in numpy, CPython's
-own ``%.17g`` for the rest); site lists (the state basis, block labels)
-come from the combination iterator in row chunks through a ``%d`` row
-template; a reduction's sectors are read one at a time as they are
-rendered.  Thermo CSV rows are checked in one pass, then written in
-blocks of a few thousand lines through the same formatter.  Every byte
-is that of formatting each number on its own with ``%.17g``.
+(amplitude tables, density blocks, as nested [re, im] pairs) and the
+thermo CSV (the sweep's record array) are row-major float tables, which
+one loop writes a few thousand pairs or lines at a time through the
+array formatter in ``_fmt`` (17 certified digits per float in numpy,
+CPython's own ``%.17g`` for the rest); site lists (the state basis,
+block labels) come from the combination iterator in row chunks through
+a ``%d`` row template; a reduction's sectors are read one at a time as
+they are rendered.  Every byte is that of formatting each number on its
+own with ``%.17g``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import math
 import os
 import sys
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, combinations, islice
@@ -95,7 +96,29 @@ class _Lazy:
         self.read = read
 
 
+def _float_pieces(values: np.ndarray, head: str, group: int, seps: Sequence[str]) -> Iterator[str]:
+    """``head``, then the text of a float64 array read as a row-major
+    table (a 1-D array is one row), written _PIECE groups of ``group``
+    floats at a time.  The text after a float is seps[0] inside a group,
+    seps[1] after a group, seps[2] after a row and seps[3] after the
+    last float; a row is a whole number of groups."""
+    flat = values.reshape(-1)
+    width, step = values.shape[-1], _PIECE * group
+    yield head
+    for start in range(0, flat.size, step):
+        stop = min(start + step, flat.size)
+        # start is a whole number of groups; a row's end overrides a group's
+        codes = np.zeros(stop - start, dtype=np.intp)
+        codes[group - 1 :: group] = 1
+        codes[(width - 1 - start) % width :: width] = 2
+        if stop == flat.size:
+            codes[-1] = 3
+        yield join_g17(flat[start:stop], seps, codes)
+
+
 def _complex_rows(obj: np.ndarray, render: bool) -> Iterator[str]:
+    if obj.ndim not in (1, 2):
+        raise InternalConsistencyError(f"cannot serialize a {obj.ndim}-d complex array")
     # real and imaginary parts interleaved along the last axis
     parts = np.ascontiguousarray(obj, dtype=np.complex128).view(np.float64)
     finite = np.isfinite(parts)
@@ -108,33 +131,10 @@ def _complex_rows(obj: np.ndarray, render: bool) -> Iterator[str]:
         # only brackets: "[]", or "[[], []]" for rows without pairs
         yield json.dumps(parts.tolist())
         return
-    # the text after each float: ", " after re, "], [" after im inside a
-    # row, the row brackets after a row's last im, and after the last im
-    # the closing brackets of the whole array
-    ndim, width = parts.ndim, parts.shape[-1] // 2
-    seps = [", ", "], [", "]" * (ndim + 1)]
-    seps += ["]" * (g + 1) + ", " + "[" * (g + 1) for g in range(1, ndim)]
-    total = parts.size // 2
-    pattern = np.tile(np.array([0, 1], dtype=np.intp), min(total, _PIECE))
-    flat = parts.reshape(-1)
-    yield "[" * (ndim + 1)
-    # the pairs in pieces of _PIECE, across row boundaries
-    for start in range(0, total, _PIECE):
-        stop = min(start + _PIECE, total)
-        codes = pattern[: 2 * (stop - start)].copy()
-        ends = np.arange((start // width + 1) * width - 1, stop, width)
-        if ends.size:
-            # a row ends after its last pair; g of its enclosing axes end with it
-            done = ends // width + 1
-            g = np.ones_like(done)
-            span = 1
-            for size in reversed(parts.shape[1:-1]):
-                span *= size
-                g += done % span == 0
-            codes[2 * (ends - start) + 1] = 2 + g
-        if stop == total:
-            codes[-1] = 2
-        yield join_g17(flat[2 * start : 2 * stop], seps, codes)
+    # [re, im] pairs in rows; the pieces cross row boundaries
+    ndim = parts.ndim
+    seps = (", ", "], [", "]" * ndim + ", " + "[" * ndim, "]" * (ndim + 1))
+    yield from _float_pieces(parts, "[" * (ndim + 1), 2, seps)
 
 
 def _site_list_rows(table: _SiteLists) -> Iterator[str]:
@@ -156,8 +156,9 @@ def _chunks(obj, render: bool = True) -> Iterator[str]:
 
     With ``render`` false the walk visits the same values in the same
     order and raises the same errors (a non-finite float, an unknown
-    type), but skips formatting arrays and site lists and yields nothing
-    for them: the writer's checking pass.
+    type, a complex array of another rank), but skips formatting arrays
+    and site lists and yields nothing for them: the writer's checking
+    pass.
     """
     if isinstance(obj, _Lazy):
         obj = obj.read()
@@ -285,7 +286,7 @@ def cmd_reduce(args) -> int:
             raise DomainError("the single-mode route needs all momentum indices equal")
         if sub.sites != tuple(range(1, sub.n + 1)):
             raise DomainError("the single-mode route labels its basis by prefix blocks; use --n")
-        k_value = 2.0 * math.pi * spec.k.indices[0] / spec.N
+        k_value = float(spec.k.values[0])
         reduced = reduce_single_mode(spec.N, sub.n, spec.m, k_value, budget=args.budget)
     else:
         reduced = oracle_partial_trace(embed_full(build_state(spec, budget=args.budget)), sub)
@@ -322,7 +323,7 @@ def cmd_coherence(args) -> int:
         "average_gaps": None,
     }
     if spec.k.is_constant():
-        k_value = 2.0 * math.pi * spec.k.indices[0] / spec.N
+        k_value = float(spec.k.values[0])
         averages = {
             name: averaged_coherence_single_mode(spec.N, kept.n, spec.m, k_value, name)
             for name in ("r", "l1", "ln")
@@ -339,8 +340,7 @@ def cmd_coherence(args) -> int:
 
 def cmd_thermo(args) -> int:
     curve = thermo.sweep(args.epsilon0, args.beta_min, args.beta_max, args.count)
-    points = curve.points
-    table = np.fromiter(chain.from_iterable(points), dtype=np.float64, count=3 * len(points)).reshape(-1, 3)
+    table = np.asarray(curve.points).view(np.float64).reshape(-1, 3)
     # values in row order: every row is (*point, eps0), so eps0 comes after
     # the first row's point and before any later row's values
     finite = np.isfinite(table)
@@ -350,11 +350,8 @@ def cmd_thermo(args) -> int:
     if not finite.all():
         raise _non_finite(table[~finite][0])
     del finite
-    seps = (",", line_end)
-    pattern = np.tile(np.array([0, 0, 1], dtype=np.intp), min(len(points), _PIECE))
-    blocks = (table[i : i + _PIECE].reshape(-1) for i in range(0, len(table), _PIECE))
-    lines = (join_g17(block, seps, pattern[: block.size]) for block in blocks)
-    _write(chain(("beta_c,u,heat_capacity,epsilon0\n",), lines), args.output)
+    seps = (",", line_end, line_end, line_end)
+    _write(_float_pieces(table, "beta_c,u,heat_capacity,epsilon0\n", 3, seps), args.output)
     return 0
 
 

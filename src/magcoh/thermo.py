@@ -7,7 +7,8 @@ u = m eps0 / N, and for long chains the coherence per site approaches
 the binary entropy s(u / eps0), so the conjugate temperature and the
 heat capacity are exactly those of a classical two-level gas: the
 energy density follows the logistic curve in beta and the heat
-capacity shows the Schottky peak near eps0 beta ~ 2.4.
+capacity shows the Schottky peak near eps0 beta ~ 2.4.  ``sweep``
+tabulates both over a beta grid as one read-only record array.
 
 Inverse temperatures carry units of inverse energy; entropic
 quantities are in nats.
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .combinat import _as_int, admissible_q, binary_entropy, sector_law
 from .errors import DivergenceError, DomainError
 
 __all__ = [
-    "ThermoPoint",
     "ThermoCurve",
     "BetaDecomposition",
     "internal_energy",
@@ -42,16 +41,15 @@ __all__ = [
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-class ThermoPoint(NamedTuple):
-    beta_c: float
-    u: float
-    heat_capacity: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThermoCurve:
+    """A two-level sweep at ``epsilon0``: ``points`` is a read-only record
+    array, one row per grid point, of float64 fields ``beta_c``, ``u`` and
+    ``heat_capacity``.  An array has no tuple equality, so curves compare
+    by identity."""
+
     epsilon0: float
-    points: tuple[ThermoPoint, ...]
+    points: np.recarray
 
 
 @dataclass(frozen=True)
@@ -235,17 +233,18 @@ def sweep(epsilon0: float, beta_min: float, beta_max: float, count: int) -> Ther
 
     The inputs are checked once; the whole grid then goes through one
     array evaluation of the two-level law, which gives each point the
-    same bits as ``energy_from_beta`` and ``heat_capacity``, and the
-    points are built from its arrays at the end.
+    same bits as ``energy_from_beta`` and ``heat_capacity``.  The grid
+    and the two arrays become the columns of the curve's record array.
     """
     _check_epsilon0(epsilon0)
     count = _as_int(count, "point count")
     if count < 1:
         raise DomainError(f"point count must be a positive integer, got {count!r}")
-    if count > 1 and not beta_min < beta_max:
-        raise DomainError(f"need beta_min < beta_max, got [{beta_min}, {beta_max}]")
+    # a NaN endpoint fails the order test too, so finiteness is tested first
     if not (math.isfinite(beta_min) and math.isfinite(beta_max)):
         raise DomainError("sweep endpoints must be finite")
+    if count > 1 and not beta_min < beta_max:
+        raise DomainError(f"need beta_min < beta_max, got [{beta_min}, {beta_max}]")
     # finite endpoints can still overflow linspace's step; that is
     # reported as the non-finite grid point below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -254,5 +253,6 @@ def sweep(epsilon0: float, beta_min: float, beta_max: float, count: int) -> Ther
     if not finite.all():
         _check_beta(float(grid[~finite][0]))
     u, c = _two_level(grid, epsilon0)
-    points = tuple(map(ThermoPoint, grid.tolist(), u.tolist(), c.tolist()))
+    points = np.rec.fromarrays((grid, u, c), names=("beta_c", "u", "heat_capacity"))
+    points.flags.writeable = False
     return ThermoCurve(epsilon0, points)

@@ -283,6 +283,13 @@ class TestThermoCommand:
         assert out == ""
         assert err == "error[domain]: inverse temperature must be finite, got nan\n"
 
+    @pytest.mark.parametrize("edge", [("--beta-min", "nan"), ("--beta-max", "nan"), ("--beta-min", "inf")])
+    def test_non_finite_endpoint_is_named_before_the_order(self, capsys, edge):
+        argv = {"--beta-min": "0", "--beta-max": "1", **dict([edge])}
+        code, out, err = run(capsys, "thermo", "--epsilon0", "1", *(a for kv in argv.items() for a in kv), "--count", "5")
+        assert (code, out) == (2, "")
+        assert err == "error[domain]: sweep endpoints must be finite\n"
+
 
 class TestVerifyCommand:
     def test_default_suite_passes(self, capsys):
@@ -431,7 +438,7 @@ def template_rendering(a: np.ndarray) -> str:
 def template_thermo(curve) -> str:
     # the line-template CSV writer the array formatter replaced
     line = "%.17g,%.17g,%.17g," + f"{curve.epsilon0:.17g}" + "\n"
-    return "beta_c,u,heat_capacity,epsilon0\n" + "".join(map(line.__mod__, curve.points))
+    return "beta_c,u,heat_capacity,epsilon0\n" + "".join(map(line.__mod__, curve.points.tolist()))
 
 
 @st.composite
@@ -544,6 +551,15 @@ class TestStreamingWriter:
         assert capsys.readouterr().out == ""
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("shape", [(), (2, 2, 2)])
+    def test_complex_array_of_other_rank_is_refused_before_anything_is_written(self, capsys, tmp_path, shape):
+        doc = {"ok": np.ones(3, dtype=np.complex128), "bad": np.zeros(shape, dtype=np.complex128)}
+        for path in (None, tmp_path / "out"):
+            with pytest.raises(InternalConsistencyError, match=f"^cannot serialize a {len(shape)}-d complex array$"):
+                cli._emit(doc, None if path is None else str(path))
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -636,9 +652,9 @@ class TestNonFiniteOutputExits4:
 
         def poisoned(*args, **kwargs):
             curve = real(*args, **kwargs)
-            points = list(curve.points)
-            points[2] = points[2]._replace(heat_capacity=-math.inf)
-            return dataclasses.replace(curve, points=tuple(points))
+            points = curve.points.copy()
+            points.heat_capacity[2] = -math.inf
+            return dataclasses.replace(curve, points=points)
 
         monkeypatch.setattr(thermo, "sweep", poisoned)
         self.check_refused(

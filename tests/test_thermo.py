@@ -315,10 +315,10 @@ class TestSweep:
         ],
     )
     def test_points_are_the_per_point_oracle_bit_for_bit(self, eps, lo, hi, count):
-        curve = sweep(eps, lo, hi, count)
-        for p in curve.points:
-            want = two_level_oracle(p.beta_c, eps)
-            assert (p.u.hex(), p.heat_capacity.hex()) == (want[0].hex(), want[1].hex()), p.beta_c
+        # the rows as Python floats, so the oracle's arithmetic is CPython's
+        for beta, u, c in sweep(eps, lo, hi, count).points.tolist():
+            want = two_level_oracle(beta, eps)
+            assert (u.hex(), c.hex()) == (want[0].hex(), want[1].hex()), beta
 
     def test_random_grids_are_the_per_point_oracle_bit_for_bit(self):
         rng = random.Random(1529)
@@ -326,9 +326,9 @@ class TestSweep:
             eps = 10.0 ** rng.uniform(-3.0, 3.0)
             lo = rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-2, 3)
             hi = lo + rng.uniform(0.0, 1.0) * 10.0 ** rng.randint(-2, 3) + 1e-9
-            for p in sweep(eps, lo, hi, rng.choice((1, 2, 3, 17, 401))).points:
-                want = two_level_oracle(p.beta_c, eps)
-                assert (p.u.hex(), p.heat_capacity.hex()) == (want[0].hex(), want[1].hex())
+            for beta, u, c in sweep(eps, lo, hi, rng.choice((1, 2, 3, 17, 401))).points.tolist():
+                want = two_level_oracle(beta, eps)
+                assert (u.hex(), c.hex()) == (want[0].hex(), want[1].hex())
 
     def test_huge_beta_heat_capacity_is_zero(self):
         # (eps0 beta)^2 overflows where exp(-|eps0 beta|) is already 0
@@ -349,3 +349,35 @@ class TestSweep:
         # finite endpoints whose difference overflows give a non-finite grid
         with pytest.raises(DomainError, match="inverse temperature"):
             sweep(1.0, -1.7e308, 1.7e308, 3)
+
+    @pytest.mark.parametrize("lo,hi", [(math.nan, 1.0), (0.0, math.nan), (math.inf, 1.0), (0.0, -math.inf)])
+    @pytest.mark.parametrize("count", [1, 5])
+    def test_non_finite_endpoint_is_named_before_the_order(self, lo, hi, count):
+        # a NaN or a reversed infinite endpoint also fails the order test
+        with pytest.raises(DomainError, match="^sweep endpoints must be finite$"):
+            sweep(1.0, lo, hi, count)
+
+    def test_points_are_one_read_only_record_array(self):
+        points = sweep(1.5, -1.0, 1.0, 5).points
+        assert isinstance(points, np.recarray)
+        assert points.dtype.names == ("beta_c", "u", "heat_capacity")
+        assert points.dtype.fields["u"][0] == np.float64
+        row = points[1]
+        assert isinstance(row.u, float) and isinstance(row.heat_capacity, float)
+        writes = [
+            lambda: points.__setitem__(0, (0.0, 0.0, 0.0)),
+            lambda: points.u.__setitem__(0, 0.0),
+            lambda: setattr(points, "heat_capacity", np.zeros(5)),
+            lambda: setattr(row, "u", 0.0),
+        ]
+        for write in writes:
+            with pytest.raises(ValueError, match="read-only"):
+                write()
+
+    @pytest.mark.parametrize("eps,lo,hi,count", [(0.7, -4.0, 4.0, 2001), (1.0, -1e300, 1e300, 17), (2.0, 0.5, 0.5, 1)])
+    def test_columns_are_the_kernel_arrays_by_hex(self, eps, lo, hi, count):
+        points = sweep(eps, lo, hi, count).points
+        grid = np.linspace(lo, hi, count) if count > 1 else np.array([lo])
+        u, c = thermo._two_level(grid, eps)
+        for column, want in ((points.beta_c, grid), (points.u, u), (points.heat_capacity, c)):
+            assert list(map(float.hex, column.tolist())) == list(map(float.hex, want.tolist()))
