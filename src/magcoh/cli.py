@@ -35,7 +35,7 @@ import sys
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import chain, combinations, islice
 
 import numpy as np
@@ -375,7 +375,10 @@ def _add_state_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("-o", "--output", default=None, help="write to a file instead of stdout")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process: ``parse_args``
+    keeps no state between calls, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="magcoh",
         description="Exact magnon states, block reductions, coherence measures and two-level thermodynamics",

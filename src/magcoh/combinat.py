@@ -8,7 +8,8 @@ order, lexicographic on 1-based site indices; every matrix basis in
 this package refers back to it.  ``rank_combination`` keeps its most
 recent ranks in a bounded ``functools.lru_cache`` (``_RANK_CACHE_SIZE``
 entries), since ``reduce`` ranks the same subsystem and complement
-halves many times over.
+halves many times over; a tuple of plain ints reaches that cache after
+one C-level pass over its entries, with no copy and no per-entry check.
 
 All functions here are pure and safe for concurrent use; the rank
 cache is too, since ``lru_cache`` guards its own bookkeeping and only
@@ -86,19 +87,26 @@ def validate_sitelist(sites, n: int) -> SiteList:
     """Check a strictly increasing list of site indices within [1, n].
 
     Integer-valued floats are taken as their integers, inline rather than
-    by ``_as_int``, so a bad entry is refused as a site index.  This runs
-    on each miss of the rank cache, for each ``SubsystemSpec`` and for
-    each lone site list; the halves ``reduce`` ranks are lists of plain
-    ints, so it checks one only on a cache miss, not per amplitude.
+    by ``_as_int``, so a bad entry is refused as a site index.  Complex
+    entries are refused by type, numpy's included: ``int`` would take
+    ``np.complex128(1)`` to 1 with only a warning.  This runs on each
+    miss of the rank cache, for each ``SubsystemSpec`` and for each lone
+    site list, and before the cache lookup for any rank key that is not
+    all ints; the halves ``reduce`` ranks are tuples of plain ints, so it
+    checks one only on a cache miss, not per amplitude.
     """
     out = []
     for s in sites:
-        try:
-            i = int(s)
-            if i != s:
-                raise ValueError
-        except (TypeError, ValueError, OverflowError):
-            raise DomainError(f"site indices must be integers, got {s!r}") from None
+        i = s
+        if type(s) is not int:
+            try:
+                if isinstance(s, (complex, np.complexfloating)):
+                    raise TypeError
+                i = int(s)
+                if i != s:
+                    raise ValueError
+            except (TypeError, ValueError, OverflowError):
+                raise DomainError(f"site indices must be integers, got {s!r}") from None
         out.append(i)
     for a, b in zip(out, out[1:]):
         if a >= b:
@@ -188,17 +196,37 @@ def rank_combination(sites, n: int) -> int:
     Ranks are memoised in a bounded LRU cache of ``_RANK_CACHE_SIZE``
     entries keyed by (sites, n), because ``reduce`` ranks each subsystem
     and complement half many times.  Only successful results are kept,
-    and only under keys of plain ints: n goes through ``_as_int`` and a
-    site list with any entry that is not an int is validated to ints
-    before the lookup, so invalid input always misses and raises its
-    DomainError.  A generator is materialised once.
+    and only under keys of ints: n goes through ``_as_int``, and a tuple
+    is used as the key as it stands once ``type(sum(key)) is int`` shows
+    in one C-level pass that every entry is an int (bools included, as
+    ``isinstance`` has them).  An entry that equals an int without being
+    one (1.0, ``np.int64(1)``, ``Fraction(1)``, 1+0j) makes the sum
+    another type, and a sum that raises (a string, None) counts as no;
+    such a key is validated to ints before the lookup, so invalid input
+    always misses and raises its DomainError, and ``_rank`` validates
+    again on every miss.  Any other iterable is copied to a tuple first,
+    so a generator is materialised once, except that an ndarray goes
+    straight to validation: its entries are numpy scalars, never ints,
+    and adding narrow ones could overflow.  A list or tuple of narrow
+    numpy integer scalars still takes the sum, so numpy may warn of an
+    overflow there before the key is validated and ranked as usual.
     """
     if type(n) is not int:
         n = _as_int(n, "n")
-    key = sites if type(sites) is tuple else tuple(sites)
-    if not all(map(int.__instancecheck__, key)):
-        key = validate_sitelist(key, n)
-    return _rank(key, n)
+    if type(sites) is tuple:
+        key = sites
+    elif isinstance(sites, np.ndarray):
+        return _rank(validate_sitelist(sites, n), n)
+    else:
+        key = tuple(sites)
+    try:
+        exact = type(sum(key)) is int
+    except Exception:
+        # the entries' own addition may raise anything (a TypeError,
+        # Decimal's InvalidOperation, a numpy warning made an error);
+        # validation then gives the key its refusal
+        exact = False
+    return _rank(key if exact else validate_sitelist(key, n), n)
 
 
 @lru_cache(maxsize=_RANK_CACHE_SIZE)

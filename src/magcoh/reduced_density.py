@@ -350,10 +350,12 @@ def reduce(state: AmplitudeTable, sub: SubsystemSpec, budget: int | None = None)
     selected, each side is compressed by its nonzero mask (already
     increasing, since the rows are), ranked, and stored with one
     fancy-index assignment.  The ranks still come from
-    ``rank_combination``, one call per half of every site list, through
-    its validation and its LRU cache: a closed-form rank over the
-    position arrays would drop those calls, and the benchmark counts
-    them.  The position scratch is freed before the Gram products.
+    ``rank_combination``, one call per half of every site list, each
+    half a tuple of plain ints taken straight from the compressed table,
+    so a call costs one exactness pass and one probe of its LRU cache:
+    a closed-form rank over the position arrays would drop those calls,
+    and the benchmark counts them.  The position scratch is freed before
+    the Gram products.
 
     The factors V are attached to the result before ``validate`` runs, so
     it checks positivity on the smaller side of each sector (the
@@ -411,9 +413,15 @@ def _scatter(state: AmplitudeTable, sub: SubsystemSpec, sector: range) -> dict[i
 def _side_ranks(pos: np.ndarray, q: int, n: int) -> np.ndarray:
     """Rank among the q-lists of {1, ..., n} of each row's nonzero
     entries, for a position table whose rows each hold q nonzero entries
-    in increasing order; one ``rank_combination`` call per row."""
-    lists = pos[pos > 0].reshape(len(pos), q).tolist()
-    return np.fromiter(map(rank_combination, lists, repeat(n)), dtype=np.intp, count=len(lists))
+    in increasing order; one ``rank_combination`` call per row.
+
+    Each row goes to it as a tuple of plain ints, so the call is one
+    cache probe: ``zip`` over the columns of the compressed table builds
+    the tuples in C, one at a time, and q = 0 rows are the empty tuple.
+    """
+    rows = len(pos)
+    keys = zip(*pos[pos > 0].reshape(rows, q).T.tolist()) if q else repeat((), rows)
+    return np.fromiter(map(rank_combination, keys, repeat(n)), dtype=np.intp, count=rows)
 
 
 def reduce_single_mode(N: int, n: int, m: int, k: float, budget: int | None = None) -> BlockDensityMatrix:

@@ -256,6 +256,16 @@ class TestThermoCommand:
         _, second, _ = run(capsys, *args)
         assert first == second
 
+    def test_one_parser_serves_every_call_in_a_process(self, capsys):
+        args = ("thermo", "--epsilon0", "1.5", "--beta-min", "-2", "--beta-max", "2", "--count", "11")
+        code, first, _ = run(capsys, *args)
+        assert code == 0
+        code, out, _ = run(capsys, "verify")
+        assert code == 0 and out.strip().splitlines()[-1].endswith("families passed")
+        code, again, _ = run(capsys, *args)
+        assert (code, again) == (0, first)
+        assert cli.build_parser() is cli.build_parser()
+
     def test_domain_exit(self, capsys):
         code, _, err = run(capsys, "thermo", "--epsilon0", "-1", "--beta-min", "0", "--beta-max", "1", "--count", "5")
         assert code == 2

@@ -2,6 +2,8 @@ import itertools
 import math
 import sys
 import threading
+import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +37,7 @@ from magcoh import (
 )
 from magcoh import combinat
 from magcoh.combinat import _RANK_CACHE_SIZE, EXACT_LIMIT, _site_sums, combination_array
+from magcoh.reduced_density import _side_ranks
 
 
 def per_slot_rank(sites, n):
@@ -445,6 +448,49 @@ class TestRankCache:
         assert combinat._rank.cache_info().currsize == 1
         with pytest.raises(DomainError, match="among -1 sites"):
             rank_combination((), -1)
+
+    def test_exactness_pass_refuses_or_normalises_every_inexact_key(self):
+        # each key comes after (1, 2) is cached, so a key equal to it would hit
+        combinat._rank.cache_clear()
+        assert rank_combination((1, 2), 5) == 0
+        for sites in [(1 + 0j, 2), (np.complex128(1), 2), ("1", 2), (1, None), (Decimal("inf"), Decimal("-inf"))]:
+            with pytest.raises(DomainError, match="must be integers"):
+                rank_combination(sites, 5)
+        gen = (s for s in (1.0, 2))
+        for sites in [(np.int64(1), 2), (Fraction(1), 2), (True, 2), gen]:
+            assert rank_combination(sites, 5) == 0
+        assert next(gen, None) is None
+        assert combinat._rank.cache_info().currsize == 1
+        with pytest.raises(DomainError, match=r"lie in \[1, 5\]"):
+            rank_combination((1, 2**70), 5)
+        assert combinat._rank.cache_info().currsize == 1
+
+    def test_narrow_numpy_arrays_rank_without_a_warning(self):
+        # a uint8 sum of these sites would overflow
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert rank_combination(np.array([100, 200], dtype=np.uint8), 255) == per_slot_rank((100, 200), 255)
+        assert caught == []
+
+    @seed(2511)
+    @settings(deadline=None, database=None)
+    @given(st.data())
+    def test_side_ranks_are_the_per_slot_rank_of_every_row(self, data):
+        # a position table as reduce compresses it: q increasing nonzero
+        # positions per row, scattered among zero columns
+        n = data.draw(st.integers(0, 12), label="n")
+        q = data.draw(st.integers(0, n), label="q")
+        width = data.draw(st.integers(q, q + 4), label="width")
+        dtype = data.draw(st.sampled_from([np.uint8, np.uint16, np.int64]), label="dtype")
+        picks = data.draw(st.lists(st.tuples(st.permutations(range(1, n + 1)), st.permutations(range(width))), max_size=6))
+        pos = np.zeros((len(picks), width), dtype=dtype)
+        want = []
+        for r, (sites, cols) in enumerate(picks):
+            sites = sorted(sites[:q])
+            pos[r, sorted(cols[:q])] = sites
+            want.append(per_slot_rank(tuple(sites), n))
+        got = _side_ranks(pos, q, n)
+        assert got.dtype == np.intp and got.tolist() == want
 
     def test_every_iterable_ranks_alike(self):
         for n, m in [(7, 3), (9, 4)]:
