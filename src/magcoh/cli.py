@@ -36,11 +36,11 @@ from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import chain, combinations, islice
+from itertools import chain, islice
 
 import numpy as np
 
-from . import thermo
+from . import combinat, thermo
 from ._fmt import join_g17
 from .coherence import averaged_coherence_single_mode, coherence_report
 from .errors import InternalConsistencyError, DomainError, MagcohError
@@ -140,7 +140,7 @@ def _complex_rows(obj: np.ndarray, render: bool) -> Iterator[str]:
 def _site_list_rows(table: _SiteLists) -> Iterator[str]:
     # "%d" gives the bytes of str(int), so each row reads as a list of ints
     template = "[" + ", ".join(["%d"] * table.m) + "]"
-    rows = combinations(range(1, table.n + 1), table.m)
+    rows = combinat._iter_combinations(table.n, table.m)
     yield "["
     sep = ""
     while chunk := list(islice(rows, _PIECE)):

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinat import _as_int, sector_law
+from .combinat import _as_int, _as_real, sector_law
 from .errors import DomainError, InfeasibilityError, InternalConsistencyError
 from .reduced_density import (
     INPUT_HERMITICITY_TOL,
@@ -205,15 +205,15 @@ def averaged_coherence_single_mode(N: int, n: int, m: int, k: float, measure: st
 
     The wavenumber k only rotates phases inside each sector and drops
     out of every measure; it is accepted to mirror the direct route, and
-    a non-finite k is a DomainError there as here.  The l1 average
+    is read by the same finite-real check, so a complex, string or
+    non-finite k is a DomainError there as here.  The l1 average
     raises InfeasibilityError once some C(n, q) leaves the float range.
     Integer-valued floats N, n and m are taken as their integers.
     """
     if measure not in ("r", "l1", "ln"):
         raise DomainError(f"measure must be one of 'r', 'l1', 'ln', got {measure!r}")
     N, n, m = _as_int(N, "N"), _as_int(n, "n"), _as_int(m, "m")
-    if not math.isfinite(k):
-        raise DomainError(f"wavenumber must be finite, got {k}")
+    _as_real(k, "wavenumber")
     law = sector_law(N, n, m)
     if measure != "l1":
         return float(law.p @ law.log_dim)

@@ -10,6 +10,9 @@ recent ranks in a bounded ``functools.lru_cache`` (``_RANK_CACHE_SIZE``
 entries), since ``reduce`` ranks the same subsystem and complement
 halves many times over; a tuple of plain ints reaches that cache after
 one C-level pass over its entries, with no copy and no per-entry check.
+Every integer argument of the package, site indices included, is read
+by ``_as_int`` and every real one by ``_as_real``, so each kind of
+argument has one rule and one refusal.
 
 All functions here are pure and safe for concurrent use; the rank
 cache is too, since ``lru_cache`` guards its own bookkeeping and only
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations as _lex_combinations
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -58,14 +61,46 @@ _RANK_CACHE_SIZE = 1 << 14
 
 
 def _as_int(x, name: str) -> int:
-    """``x`` as an int when it is integer-valued (2.0 -> 2), else DomainError."""
+    """``x`` as an int when it is integer-valued (2.0 -> 2), else DomainError.
+
+    Every integer argument of the package comes through here, site
+    indices included, so one rule holds throughout: an int passes as it
+    stands, any other value that ``int`` maps to an equal int (4.0,
+    ``np.int64(4)``, ``Fraction(4)``) passes as that int, and anything
+    else is refused.  Complex values are refused by type, numpy's
+    included: ``int`` would take ``np.complex128(4)`` to 4 with only a
+    warning.
+    """
+    if type(x) is int:
+        return x
     try:
-        i = int(x)
+        if isinstance(x, (complex, np.complexfloating)) or (i := int(x)) != x:
+            raise ValueError
     except (TypeError, ValueError, OverflowError):
         raise DomainError(f"{name} must be an integer, got {x!r}") from None
-    if i != x:
-        raise DomainError(f"{name} must be an integer, got {x!r}")
     return i
+
+
+def _as_real(x, name: str) -> float:
+    """``x`` as a float when it is a finite real number, else DomainError.
+
+    Every real argument of the package comes through here.  Complex
+    values (numpy's included) and strings are refused by type, since
+    ``float`` would take ``np.complex128(1)`` to 1.0 with only a warning
+    and ``"1"`` to 1.0; NaN and +-inf are refused as non-finite.  The
+    value itself is kept: a float passes as it stands, and any other
+    real (an int, ``np.float64``) as ``float`` of it.
+    """
+    if type(x) is not float:
+        try:
+            if isinstance(x, (complex, np.complexfloating, str, bytes)):
+                raise TypeError
+            x = float(x)
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError(f"{name} must be a finite real number, got {x!r}") from None
+    if not math.isfinite(x):
+        raise DomainError(f"{name} must be finite, got {x}")
+    return x
 
 
 def log_binomial(n: int, k: int) -> float:
@@ -86,28 +121,17 @@ def log_binomial(n: int, k: int) -> float:
 def validate_sitelist(sites, n: int) -> SiteList:
     """Check a strictly increasing list of site indices within [1, n].
 
-    Integer-valued floats are taken as their integers, inline rather than
-    by ``_as_int``, so a bad entry is refused as a site index.  Complex
-    entries are refused by type, numpy's included: ``int`` would take
-    ``np.complex128(1)`` to 1 with only a warning.  This runs on each
-    miss of the rank cache, for each ``SubsystemSpec`` and for each lone
-    site list, and before the cache lookup for any rank key that is not
-    all ints; the halves ``reduce`` ranks are tuples of plain ints, so it
-    checks one only on a cache miss, not per amplitude.
+    Each entry that is not an int goes through ``_as_int``, so
+    integer-valued floats and numpy integers are taken as their ints and
+    a complex entry is refused by type.  This runs on each miss of the
+    rank cache, for each ``SubsystemSpec`` and for each lone site list,
+    and before the cache lookup for any rank key that is not all ints
+    or floats; the halves ``reduce`` ranks are tuples of plain ints, so
+    it checks one only on a cache miss, not per amplitude.
     """
     out = []
     for s in sites:
-        i = s
-        if type(s) is not int:
-            try:
-                if isinstance(s, (complex, np.complexfloating)):
-                    raise TypeError
-                i = int(s)
-                if i != s:
-                    raise ValueError
-            except (TypeError, ValueError, OverflowError):
-                raise DomainError(f"site indices must be integers, got {s!r}") from None
-        out.append(i)
+        out.append(s if type(s) is int else _as_int(s, "site index"))
     for a, b in zip(out, out[1:]):
         if a >= b:
             raise DomainError(f"site indices must be strictly increasing, got {tuple(out)}")
@@ -116,12 +140,18 @@ def validate_sitelist(sites, n: int) -> SiteList:
     return tuple(out)
 
 
+def _iter_combinations(n: int, m: int):
+    """The m-element site lists of {1, ..., n} as tuples, in the canonical
+    lexicographic order every basis of the package refers to."""
+    return combinations(range(1, n + 1), m)
+
+
 def enumerate_combinations(n: int, m: int) -> list[SiteList]:
     """All m-element site lists from {1, ..., n} in lexicographic order."""
     n, m = _as_int(n, "n"), _as_int(m, "m")
     if n < 0 or m < 0 or m > n:
         raise DomainError(f"cannot enumerate {m}-subsets of {n} sites")
-    return list(_lex_combinations(range(1, n + 1), m))
+    return list(_iter_combinations(n, m))
 
 
 def combination_array(n: int, m: int) -> np.ndarray:
@@ -196,35 +226,29 @@ def rank_combination(sites, n: int) -> int:
     Ranks are memoised in a bounded LRU cache of ``_RANK_CACHE_SIZE``
     entries keyed by (sites, n), because ``reduce`` ranks each subsystem
     and complement half many times.  Only successful results are kept,
-    and only under keys of ints: n goes through ``_as_int``, and a tuple
-    is used as the key as it stands once ``type(sum(key)) is int`` shows
-    in one C-level pass that every entry is an int (bools included, as
-    ``isinstance`` has them).  An entry that equals an int without being
-    one (1.0, ``np.int64(1)``, ``Fraction(1)``, 1+0j) makes the sum
-    another type, and a sum that raises (a string, None) counts as no;
-    such a key is validated to ints before the lookup, so invalid input
-    always misses and raises its DomainError, and ``_rank`` validates
-    again on every miss.  Any other iterable is copied to a tuple first,
-    so a generator is materialised once, except that an ndarray goes
-    straight to validation: its entries are numpy scalars, never ints,
-    and adding narrow ones could overflow.  A list or tuple of narrow
-    numpy integer scalars still takes the sum, so numpy may warn of an
-    overflow there before the key is validated and ranked as usual.
+    and only under keys equal to a key of ints: n goes through
+    ``_as_int``, and a tuple is used as the key as it stands once
+    ``type(sum(key, 0.0)) is float`` shows in one C-level pass that its
+    entries add up to a Python float, as ints, bools and floats do.  Such
+    a key equals, with the same hash, the int key it validates to, so it
+    ranks alike, and ``_rank`` validates it on every miss, so 1.5 is
+    refused there and never cached.  Any other entry makes the sum
+    another type or raises: a numpy integer scalar makes it a numpy
+    float64, whose additions cannot overflow, so no width of numpy
+    integer warns here; a complex value makes it complex; a string or
+    None raises.  Such a key is validated to ints before the lookup, so
+    1+0j, which equals 1, cannot hit the cache, and invalid input always
+    raises its DomainError.  Any other iterable, an ndarray included, is
+    copied to a tuple first, so a generator is materialised once.
     """
     if type(n) is not int:
         n = _as_int(n, "n")
-    if type(sites) is tuple:
-        key = sites
-    elif isinstance(sites, np.ndarray):
-        return _rank(validate_sitelist(sites, n), n)
-    else:
-        key = tuple(sites)
+    key = sites if type(sites) is tuple else tuple(sites)
     try:
-        exact = type(sum(key)) is int
+        exact = type(sum(key, 0.0)) is float
     except Exception:
         # the entries' own addition may raise anything (a TypeError,
-        # Decimal's InvalidOperation, a numpy warning made an error);
-        # validation then gives the key its refusal
+        # Decimal's InvalidOperation); validation then gives the key its refusal
         exact = False
     return _rank(key if exact else validate_sitelist(key, n), n)
 
@@ -355,6 +379,7 @@ def sector_law(N: int, n: int, m: int) -> SectorLaw:
 
 def binary_entropy(x: float) -> float:
     """s(x) = -x ln x - (1-x) ln(1-x) in nats, with s(0) = s(1) = 0."""
+    x = _as_real(x, "binary entropy argument")
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"binary entropy needs x in [0, 1], got {x}")
     total = 0.0

@@ -51,7 +51,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .combinat import SiteList, _as_int, _site_sums, combination_array, enumerate_combinations, validate_sitelist
+from .combinat import SiteList, _as_int, _as_real, _site_sums, combination_array, enumerate_combinations, validate_sitelist
 from .errors import DomainError, InfeasibilityError, NullStateError
 
 __all__ = [
@@ -81,11 +81,16 @@ NULL_STATE_THRESHOLD = 1e-20
 
 
 def _resolve_budget(budget: int | None, default: int) -> int:
-    """``budget``, or ``default`` when it is None; a budget below 1 is a
-    DomainError rather than a ceiling nothing fits under."""
+    """``budget``, or ``default`` when it is None.
+
+    Every budget argument of the package comes through here.  A budget is
+    an integer read by ``_as_int`` (so 2.5, NaN, +-inf and complex values
+    are DomainErrors, not ceilings that everything or nothing fits
+    under), and one below 1 is a DomainError too.
+    """
     if budget is None:
         return default
-    if budget < 1:
+    if (budget := _as_int(budget, "budget")) < 1:
         raise DomainError(f"budget must be at least 1, got {budget}")
     return budget
 
@@ -122,7 +127,7 @@ class MomentumVector:
     @classmethod
     def constant(cls, N: int, index: int, m: int) -> "MomentumVector":
         """m copies of the same grid index: a single-mode momentum choice."""
-        return cls(N, (index,) * m)
+        return cls(N, (index,) * _as_int(m, "flip count"))
 
     @property
     def m(self) -> int:
@@ -155,8 +160,7 @@ class MagnonStateSpec:
             raise DomainError(f"momentum grid N={self.k.N} does not match chain N={self.N}")
         if self.k.m != self.m:
             raise DomainError(f"need {self.m} momentum indices, got {self.k.m}")
-        if not self.J > 0:
-            raise DomainError(f"coupling must be positive, got J={self.J}")
+        object.__setattr__(self, "J", _coupling(self.J))
 
 
 @dataclass(frozen=True)
@@ -176,6 +180,8 @@ class AmplitudeTable:
     spec: MagnonStateSpec | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "N", _as_int(self.N, "chain length"))
+        object.__setattr__(self, "m", _as_int(self.m, "flip count"))
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         expected = math.comb(self.N, self.m)
         if amps.shape != (expected,):
@@ -184,6 +190,7 @@ class AmplitudeTable:
             )
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "normalization", _as_real(self.normalization, "normalization"))
         if not self.normalization > 0:
             raise DomainError(f"normalization must be positive, got {self.normalization}")
 
@@ -202,6 +209,7 @@ class FullStateVector:
     entries: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "N", _as_int(self.N, "chain length"))
         vec = np.asarray(self.entries, dtype=np.complex128)
         if vec.shape != (1 << self.N,):
             raise DomainError(f"full vector for N={self.N} needs 2^N entries, got shape {vec.shape}")
@@ -212,11 +220,17 @@ class FullStateVector:
         return float(np.linalg.norm(self.entries))
 
 
+def _coupling(J) -> float:
+    """J as a float when it is a finite real number above 0, else DomainError."""
+    if not (J := _as_real(J, "coupling")) > 0:
+        raise DomainError(f"coupling must be positive, got J={J}")
+    return J
+
+
 def dispersion(J: float, k: float) -> float:
     """Single-flip excitation energy 8 J sin^2(k/2)."""
-    if not J > 0:
-        raise DomainError(f"coupling must be positive, got J={J}")
-    s = math.sin(0.5 * k)
+    J = _coupling(J)
+    s = math.sin(0.5 * _as_real(k, "wavenumber"))
     return 8.0 * J * s * s
 
 
@@ -545,7 +559,8 @@ def build_state(spec: MagnonStateSpec, budget: int | None = None) -> AmplitudeTa
         Ceiling on stored amplitudes; defaults to AMPLITUDE_BUDGET.  It
         also caps the permanent route: m! m permutation entries for
         m <= 4, the widest level of the subset DP, C(N, j) with
-        j = min(m, N // 2), beyond.  A budget below 1 is a DomainError.
+        j = min(m, N // 2), beyond.  A budget that is not an integer of
+        at least 1 (``_resolve_budget``) is a DomainError.
 
     Returns
     -------
@@ -583,11 +598,9 @@ def single_mode_state(n: int, q: int, k: float) -> AmplitudeTable:
     reduction collapses to; q = 0 gives the trivial one-entry table.
     The phases come from the sector's site sums (``combinat._site_sums``),
     so no site-list table is built.  Integer-valued floats n and q are
-    taken as their integers; a non-finite k is a DomainError.
+    taken as their integers; k must be a finite real number.
     """
-    n, q = _as_int(n, "n"), _as_int(q, "q")
-    if not math.isfinite(k):
-        raise DomainError(f"wavenumber must be finite, got {k}")
+    n, q, k = _as_int(n, "n"), _as_int(q, "q"), _as_real(k, "wavenumber")
     if n < 1:
         raise DomainError(f"block size must be positive, got n={n}")
     if not 0 <= q <= n:
@@ -597,15 +610,25 @@ def single_mode_state(n: int, q: int, k: float) -> AmplitudeTable:
     return AmplitudeTable(n, q, pref * np.exp(1j * k * sums), pref)
 
 
+def _full_size(N: int, what: str) -> int:
+    """2^N, the length of a dense embedding, once it fits FULL_VECTOR_BUDGET;
+    ``what`` begins the InfeasibilityError's message."""
+    if (size := 1 << N) > FULL_VECTOR_BUDGET:
+        raise InfeasibilityError(f"{what} 2^{N} entries, budget is {FULL_VECTOR_BUDGET}")
+    return size
+
+
+def _bit_masks(n: int, m: int) -> np.ndarray:
+    """The int64 bit mask of each m-list of {1, ..., n} in canonical
+    order, site l at bit l - 1: its index in the 2^n product basis."""
+    return (np.int64(1) << (combination_array(n, m) - 1)).sum(axis=1)
+
+
 def embed_full(state: AmplitudeTable) -> FullStateVector:
     """Scatter an amplitude table into the dense 2^N product basis,
     which FULL_VECTOR_BUDGET caps."""
-    size = 1 << state.N
-    if size > FULL_VECTOR_BUDGET:
-        raise InfeasibilityError(f"dense embedding needs 2^{state.N} entries, budget is {FULL_VECTOR_BUDGET}")
-    masks = (np.int64(1) << (combination_array(state.N, state.m) - 1)).sum(axis=1)
-    entries = np.zeros(size, dtype=np.complex128)
-    entries[masks] = state.amplitudes
+    entries = np.zeros(_full_size(state.N, "dense embedding needs"), dtype=np.complex128)
+    entries[_bit_masks(state.N, state.m)] = state.amplitudes
     return FullStateVector(state.N, entries)
 
 
@@ -616,10 +639,8 @@ def apply_hamiltonian(v: FullStateVector, J: float = 1.0) -> FullStateVector:
     minus 2 J times the sum of bond-swapped copies of v.  Meant as the
     brute-force oracle; FULL_VECTOR_BUDGET caps the dense size.
     """
-    size = 1 << v.N
-    if size > FULL_VECTOR_BUDGET:
-        raise InfeasibilityError(f"dense operator application on 2^{v.N} entries, budget is {FULL_VECTOR_BUDGET}")
-    idx = np.arange(size)
+    J = _as_real(J, "coupling")
+    idx = np.arange(_full_size(v.N, "dense operator application on"))
     out = (J * v.N) * v.entries.copy()
     for l in range(v.N):
         r = (l + 1) % v.N

@@ -24,6 +24,7 @@ import numpy as np
 from .combinat import (
     SiteList,
     _as_int,
+    _as_real,
     _site_sums,
     admissible_q,
     combination_array,
@@ -35,9 +36,10 @@ from .combinat import (
 from .errors import DomainError, InfeasibilityError, InternalConsistencyError
 from .magnon_state import (
     AMPLITUDE_BUDGET,
-    FULL_VECTOR_BUDGET,
     AmplitudeTable,
     FullStateVector,
+    _bit_masks,
+    _full_size,
     _resolve_budget,
 )
 
@@ -188,6 +190,7 @@ class BlockDensityMatrix:
     _validated: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.n = _as_int(self.n, "n")
         if not isinstance(self.blocks, _RankOneBlocks):
             self.blocks = MappingProxyType({q: _read_only(b) for q, b in self.blocks.items()})
 
@@ -334,6 +337,14 @@ class BlockDensityMatrix:
         return self
 
 
+def _check_blocks(n: int, qs, budget: int) -> None:
+    """Refuse, before any is built, a sector q whose C(n, q) x C(n, q)
+    block would exceed the budget."""
+    for q in qs:
+        if (d := math.comb(n, q)) * d > budget:
+            raise InfeasibilityError(f"sector q={q} needs a {d} x {d} block, budget is {budget}")
+
+
 def reduce(state: AmplitudeTable, sub: SubsystemSpec, budget: int | None = None) -> BlockDensityMatrix:
     """Reduced density operator of a subsystem, by direct coefficient sums.
 
@@ -360,7 +371,8 @@ def reduce(state: AmplitudeTable, sub: SubsystemSpec, budget: int | None = None)
     The factors V are attached to the result before ``validate`` runs, so
     it checks positivity on the smaller side of each sector (the
     complement side whenever db < da).  Both budget refusals come before
-    any allocation.  A budget below 1 is a DomainError.
+    any allocation.  A budget that is not an integer of at least 1 is a
+    DomainError.
     """
     budget = _resolve_budget(budget, AMPLITUDE_BUDGET)
     N, m = state.N, state.m
@@ -372,10 +384,7 @@ def reduce(state: AmplitudeTable, sub: SubsystemSpec, budget: int | None = None)
         raise InfeasibilityError(f"reduction scans {math.comb(N, m)} amplitudes, budget is {budget}")
     # each db x da buffer is a slice of the amplitude table, so only a
     # da x da block can outgrow the budget the table fits in
-    for q in sector:
-        da = math.comb(n, q)
-        if da * da > budget:
-            raise InfeasibilityError(f"sector q={q} needs a {da} x {da} block, budget is {budget}")
+    _check_blocks(n, sector, budget)
 
     buffers = _scatter(state, sub, sector)
     rho = BlockDensityMatrix(n, {q: v.T @ v.conj() for q, v in buffers.items()})
@@ -439,20 +448,16 @@ def reduce_single_mode(N: int, n: int, m: int, k: float, budget: int | None = No
     site-list table is built.  Being rank one, a sector has the spectrum
     (0, ..., 0, trace), read off the weight rather than diagonalised.  The
     budget still caps d x d, the size of a block when read, and every
-    sector is checked against it before any is built; a budget below 1
-    is a DomainError.  A non-finite k is a DomainError; integer-valued
-    floats N, n and m are taken as their integers.
+    sector is checked against it before any is built; a budget that is
+    not an integer of at least 1 is a DomainError, as is a k that is not
+    a finite real number; integer-valued floats N, n and m are taken as
+    their integers.
     """
-    N, n, m = _as_int(N, "N"), _as_int(n, "n"), _as_int(m, "m")
-    if not math.isfinite(k):
-        raise DomainError(f"wavenumber must be finite, got {k}")
+    N, n, m, k = _as_int(N, "N"), _as_int(n, "n"), _as_int(m, "m"), _as_real(k, "wavenumber")
     budget = _resolve_budget(budget, AMPLITUDE_BUDGET)
     law = sector_law(N, n, m)
     qs = law.q.tolist()
-    for q in qs:
-        dim = math.comb(n, q)
-        if dim * dim > budget:
-            raise InfeasibilityError(f"sector q={q} needs a {dim} x {dim} block, budget is {budget}")
+    _check_blocks(n, qs, budget)
     sums = _site_sums(n, qs[0], qs[-1])
     sectors = {q: (p / math.comb(n, q), np.exp(1j * k * s)) for q, p, s in zip(qs, law.p.tolist(), sums)}
     return BlockDensityMatrix(n, _RankOneBlocks(sectors)).validate()
@@ -471,17 +476,16 @@ def oracle_partial_trace(v: FullStateVector, sub: SubsystemSpec) -> BlockDensity
     N = v.N
     if sub.parent_N != N:
         raise DomainError(f"subsystem belongs to an N={sub.parent_N} chain, vector has N={N}")
-    if (1 << N) > FULL_VECTOR_BUDGET:
-        raise InfeasibilityError(f"oracle trace scans 2^{N} entries, budget is {FULL_VECTOR_BUDGET}")
+    size = _full_size(N, "oracle trace scans")
     n = sub.n
     if (1 << (2 * n)) > AMPLITUDE_BUDGET:
         raise InfeasibilityError(f"oracle trace builds a 2^{n} x 2^{n} operator, budget is {AMPLITUDE_BUDGET}")
 
-    idx = np.arange(1 << N)
-    a = np.zeros(1 << N, dtype=np.int64)
+    idx = np.arange(size)
+    a = np.zeros(size, dtype=np.int64)
     for i, s in enumerate(sub.sites):
         a |= ((idx >> (s - 1)) & 1) << i
-    b = np.zeros(1 << N, dtype=np.int64)
+    b = np.zeros(size, dtype=np.int64)
     for i, s in enumerate(sub.complement):
         b |= ((idx >> (s - 1)) & 1) << i
     grouped = np.zeros((1 << (N - n), 1 << n), dtype=np.complex128)
@@ -494,7 +498,7 @@ def oracle_partial_trace(v: FullStateVector, sub: SubsystemSpec) -> BlockDensity
 
     blocks: dict[int, np.ndarray] = {}
     for q in range(n + 1):
-        masks = (np.int64(1) << (combination_array(n, q) - 1)).sum(axis=1)
+        masks = _bit_masks(n, q)
         block = dense[np.ix_(masks, masks)]
         if np.abs(block).max() > 0.0:
             blocks[q] = block

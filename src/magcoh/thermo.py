@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinat import _as_int, admissible_q, binary_entropy, sector_law
+from .combinat import _as_int, _as_real, admissible_q, binary_entropy, sector_law
 from .errors import DivergenceError, DomainError
 
 __all__ = [
@@ -72,21 +72,22 @@ class BetaDecomposition:
         return abs(self.beta - self.beta_incoherent + self.beta_coherence)
 
 
-def _check_epsilon0(epsilon0: float) -> None:
-    if not epsilon0 > 0 or math.isinf(epsilon0):
+def _as_epsilon0(epsilon0) -> float:
+    """eps0 as a float when it is a finite real number above 0, else DomainError."""
+    if not (epsilon0 := _as_real(epsilon0, "single-flip energy")) > 0:
         raise DomainError(f"single-flip energy must be positive and finite, got {epsilon0}")
+    return epsilon0
 
 
 def internal_energy(N: int, n: int, m: int, epsilon0: float) -> float:
     """Mean block energy n m eps0 / N: q eps0 averaged over the sector law."""
     admissible_q(N, n, m)
-    _check_epsilon0(epsilon0)
-    return n * m * epsilon0 / N
+    return n * m * _as_epsilon0(epsilon0) / N
 
 
 def coherence_density(u: float, epsilon0: float) -> float:
     """Large-chain coherence per site, s(u / eps0) in nats."""
-    _check_epsilon0(epsilon0)
+    epsilon0, u = _as_epsilon0(epsilon0), _as_real(u, "energy density")
     if not 0.0 <= u <= epsilon0:
         raise DomainError(f"energy density must lie in [0, {epsilon0}], got {u}")
     return binary_entropy(u / epsilon0)
@@ -98,7 +99,7 @@ def beta_c(u: float, epsilon0: float) -> float:
     Positive below half filling, zero at u = eps0/2, negative above;
     the band edges are signalled as signed divergences.
     """
-    _check_epsilon0(epsilon0)
+    epsilon0, u = _as_epsilon0(epsilon0), _as_real(u, "energy density")
     if not 0.0 <= u <= epsilon0:
         raise DomainError(f"energy density must lie in [0, {epsilon0}], got {u}")
     if u == 0.0:
@@ -106,11 +107,6 @@ def beta_c(u: float, epsilon0: float) -> float:
     if u == epsilon0:
         raise DivergenceError("beta_c -> -infinity at the full band edge", sign=-1)
     return math.log(epsilon0 / u - 1.0) / epsilon0
-
-
-def _check_beta(beta: float) -> None:
-    if not math.isfinite(beta):
-        raise DomainError(f"inverse temperature must be finite, got {beta}")
 
 
 def _two_level(beta: np.ndarray, epsilon0: float) -> tuple[np.ndarray, np.ndarray]:
@@ -138,8 +134,7 @@ def _two_level(beta: np.ndarray, epsilon0: float) -> tuple[np.ndarray, np.ndarra
 
 def energy_from_beta(beta: float, epsilon0: float) -> float:
     """Logistic energy density eps0 / (exp(eps0 beta) + 1); inverse of beta_c."""
-    _check_epsilon0(epsilon0)
-    _check_beta(beta)
+    epsilon0, beta = _as_epsilon0(epsilon0), _as_real(beta, "inverse temperature")
     return float(_two_level(np.array([beta], dtype=np.float64), epsilon0)[0][0])
 
 
@@ -150,8 +145,7 @@ def heat_capacity(beta: float, epsilon0: float) -> float:
     beta, and vanishes at both temperature extremes: it is exactly 0
     once exp(-|eps0 beta|) underflows.
     """
-    _check_epsilon0(epsilon0)
-    _check_beta(beta)
+    epsilon0, beta = _as_epsilon0(epsilon0), _as_real(beta, "inverse temperature")
     return float(_two_level(np.array([beta], dtype=np.float64), epsilon0)[1][0])
 
 
@@ -162,7 +156,7 @@ def schottky_peak(epsilon0: float) -> tuple[float, float]:
     so the peak position scales as 1/eps0 while the peak height does
     not depend on eps0 at all.
     """
-    _check_epsilon0(epsilon0)
+    epsilon0 = _as_epsilon0(epsilon0)
     a, b = 0.5, 8.0
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
@@ -205,7 +199,7 @@ def beta_decomposition(N: int, n: int, m: int, epsilon0: float) -> BetaDecomposi
     the two-flip one.  Integer-valued floats N, n and m are taken as
     their integers.
     """
-    _check_epsilon0(epsilon0)
+    epsilon0 = _as_epsilon0(epsilon0)
     N, n, m = _as_int(N, "N"), _as_int(n, "n"), _as_int(m, "m")
     if m < 2 or m + 2 > N:
         raise DomainError(f"centered differences need m within [2, N - 2]; got m={m}, N={N}")
@@ -236,13 +230,15 @@ def sweep(epsilon0: float, beta_min: float, beta_max: float, count: int) -> Ther
     same bits as ``energy_from_beta`` and ``heat_capacity``.  The grid
     and the two arrays become the columns of the curve's record array.
     """
-    _check_epsilon0(epsilon0)
+    epsilon0 = _as_epsilon0(epsilon0)
     count = _as_int(count, "point count")
     if count < 1:
         raise DomainError(f"point count must be a positive integer, got {count!r}")
     # a NaN endpoint fails the order test too, so finiteness is tested first
-    if not (math.isfinite(beta_min) and math.isfinite(beta_max)):
-        raise DomainError("sweep endpoints must be finite")
+    try:
+        beta_min, beta_max = _as_real(beta_min, "beta_min"), _as_real(beta_max, "beta_max")
+    except DomainError:
+        raise DomainError("sweep endpoints must be finite") from None
     if count > 1 and not beta_min < beta_max:
         raise DomainError(f"need beta_min < beta_max, got [{beta_min}, {beta_max}]")
     # finite endpoints can still overflow linspace's step; that is
@@ -251,7 +247,8 @@ def sweep(epsilon0: float, beta_min: float, beta_max: float, count: int) -> Ther
         grid = np.linspace(beta_min, beta_max, count) if count > 1 else np.array([beta_min])
     finite = np.isfinite(grid)
     if not finite.all():
-        _check_beta(float(grid[~finite][0]))
+        # refuses the first non-finite grid point
+        _as_real(grid[~finite][0], "inverse temperature")
     u, c = _two_level(grid, epsilon0)
     points = np.rec.fromarrays((grid, u, c), names=("beta_c", "u", "heat_capacity"))
     points.flags.writeable = False

@@ -19,6 +19,7 @@ import numpy as np
 from . import coherence as coh
 from . import thermo
 from .combinat import (
+    _as_int,
     admissible_q,
     enumerate_combinations,
     hypergeometric_pmf,
@@ -402,8 +403,12 @@ def run_suite(N: int = 8, m: int = 2, seed: int = 7) -> list[FamilyResult]:
 
     N is capped at 14 because several families go through the dense
     2^N oracle; m must leave room for a proper subsystem, and the seed
-    must be non-negative, as numpy's generator requires.
+    must be non-negative, as numpy's generator requires.  N, m and the
+    seed are read by ``_as_int``, so integer-valued floats and numpy
+    integers run the suite of their ints, and any other value is a
+    DomainError.
     """
+    N, m, seed = _as_int(N, "N"), _as_int(m, "m"), _as_int(seed, "seed")
     if seed < 0:
         raise DomainError(f"suite needs a non-negative seed, got seed={seed}")
     if not 4 <= N <= 14:
