@@ -44,7 +44,7 @@ from . import combinat, thermo
 from ._fmt import join_g17
 from .coherence import averaged_coherence_single_mode, coherence_report
 from .errors import InternalConsistencyError, DomainError, MagcohError
-from .magnon_state import MagnonStateSpec, MomentumVector, build_state, embed_full
+from .magnon_state import MagnonStateSpec, MomentumVector, build_state
 from .reduced_density import (
     SubsystemSpec,
     oracle_partial_trace,
@@ -227,10 +227,7 @@ def _spec_from_args(args) -> MagnonStateSpec:
     indices = _parse_indices(args.k, "momentum")
     if len(indices) != args.m:
         raise DomainError(f"got {len(indices)} momentum indices for m={args.m}")
-    spec = MagnonStateSpec(args.N, args.m, MomentumVector(args.N, indices))
-    if args.budget is not None and args.budget < 1:
-        raise DomainError(f"--budget must be at least 1, got {args.budget}")
-    return spec
+    return MagnonStateSpec(args.N, args.m, MomentumVector(args.N, indices))
 
 
 def _spec_doc(spec: MagnonStateSpec) -> dict:
@@ -289,7 +286,7 @@ def cmd_reduce(args) -> int:
         k_value = float(spec.k.values[0])
         reduced = reduce_single_mode(spec.N, sub.n, spec.m, k_value, budget=args.budget)
     else:
-        reduced = oracle_partial_trace(embed_full(build_state(spec, budget=args.budget)), sub)
+        reduced = oracle_partial_trace(build_state(spec, budget=args.budget), sub)
     doc = {
         "spec": _spec_doc(spec),
         "subsystem": {"parent_N": sub.parent_N, "sites": list(sub.sites)},

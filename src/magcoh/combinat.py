@@ -121,14 +121,16 @@ def log_binomial(n: int, k: int) -> float:
 def validate_sitelist(sites, n: int) -> SiteList:
     """Check a strictly increasing list of site indices within [1, n].
 
-    Each entry that is not an int goes through ``_as_int``, so
+    n and each entry that is not an int go through ``_as_int``, so
     integer-valued floats and numpy integers are taken as their ints and
-    a complex entry is refused by type.  This runs on each miss of the
+    a complex value is refused by type.  This runs on each miss of the
     rank cache, for each ``SubsystemSpec`` and for each lone site list,
     and before the cache lookup for any rank key that is not all ints
     or floats; the halves ``reduce`` ranks are tuples of plain ints, so
     it checks one only on a cache miss, not per amplitude.
     """
+    if type(n) is not int:
+        n = _as_int(n, "n")
     out = []
     for s in sites:
         out.append(s if type(s) is int else _as_int(s, "site index"))

@@ -60,18 +60,17 @@ __all__ = [
     "MomentumVector",
     "MagnonStateSpec",
     "AmplitudeTable",
-    "FullStateVector",
     "dispersion",
     "momentum_grid",
     "amplitude_f",
     "build_state",
     "single_mode_state",
-    "embed_full",
     "apply_hamiltonian",
 ]
 
-# Default ceilings: amplitude tables and matrix buffers in complex entries,
-# dense 2^N embeddings separately since they grow much faster.
+# Default ceilings in complex entries: amplitude tables and matrix buffers,
+# and separately the 2^N-entry matrix of the oracle partial trace, which
+# grows much faster.
 AMPLITUDE_BUDGET = 10_000_000
 FULL_VECTOR_BUDGET = 2 ** 14
 
@@ -199,25 +198,6 @@ class AmplitudeTable:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-
-@dataclass(frozen=True)
-class FullStateVector:
-    """Dense state over the 2^N product basis; site l maps to bit l-1."""
-
-    N: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "N", _as_int(self.N, "chain length"))
-        vec = np.asarray(self.entries, dtype=np.complex128)
-        if vec.shape != (1 << self.N,):
-            raise DomainError(f"full vector for N={self.N} needs 2^N entries, got shape {vec.shape}")
-        vec.setflags(write=False)
-        object.__setattr__(self, "entries", vec)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.entries))
 
 
 def _coupling(J) -> float:
@@ -610,12 +590,9 @@ def single_mode_state(n: int, q: int, k: float) -> AmplitudeTable:
     return AmplitudeTable(n, q, pref * np.exp(1j * k * sums), pref)
 
 
-def _full_size(N: int, what: str) -> int:
-    """2^N, the length of a dense embedding, once it fits FULL_VECTOR_BUDGET;
-    ``what`` begins the InfeasibilityError's message."""
-    if (size := 1 << N) > FULL_VECTOR_BUDGET:
-        raise InfeasibilityError(f"{what} 2^{N} entries, budget is {FULL_VECTOR_BUDGET}")
-    return size
+# Longest chain whose site-list masks fit an int64, site l at bit l - 1;
+# bit 63 is the sign.
+_MASK_SITES = 63
 
 
 def _bit_masks(n: int, m: int) -> np.ndarray:
@@ -624,28 +601,27 @@ def _bit_masks(n: int, m: int) -> np.ndarray:
     return (np.int64(1) << (combination_array(n, m) - 1)).sum(axis=1)
 
 
-def embed_full(state: AmplitudeTable) -> FullStateVector:
-    """Scatter an amplitude table into the dense 2^N product basis,
-    which FULL_VECTOR_BUDGET caps."""
-    entries = np.zeros(_full_size(state.N, "dense embedding needs"), dtype=np.complex128)
-    entries[_bit_masks(state.N, state.m)] = state.amplitudes
-    return FullStateVector(state.N, entries)
+def apply_hamiltonian(state: AmplitudeTable, J: float = 1.0) -> np.ndarray:
+    """Apply H = -J sum_l sigma_l . sigma_{l+1} to an amplitude table a,
+    giving H a over the same C(N, m) site lists in canonical order.
 
-
-def apply_hamiltonian(v: FullStateVector, J: float = 1.0) -> FullStateVector:
-    """Apply H = -J sum_l sigma_l . sigma_{l+1} to a dense vector.
-
-    Uses sigma_l . sigma_{l+1} = 2 SWAP - 1, so the action is J N v
-    minus 2 J times the sum of bond-swapped copies of v.  Meant as the
-    brute-force oracle; FULL_VECTOR_BUDGET caps the dense size.
+    Uses sigma_l . sigma_{l+1} = 2 SWAP - 1, so the action is J N a minus
+    2 J times the sum of bond-swapped copies of a.  A swap keeps the flip
+    count, so each copy is one gather whose rows a sorted search of the
+    site-list bit masks finds.  Meant as the brute-force oracle; the masks
+    are int64, which holds chains up to N = 63.
     """
     J = _as_real(J, "coupling")
-    idx = np.arange(_full_size(v.N, "dense operator application on"))
-    out = (J * v.N) * v.entries.copy()
-    for l in range(v.N):
-        r = (l + 1) % v.N
-        bl = (idx >> l) & 1
-        br = (idx >> r) & 1
-        swapped = idx ^ (((bl ^ br) << l) | ((bl ^ br) << r))
-        out -= 2.0 * J * v.entries[swapped]
-    return FullStateVector(v.N, out)
+    N = state.N
+    if N > _MASK_SITES:
+        raise InfeasibilityError(f"site-list bit masks need {N} bits, int64 holds {_MASK_SITES}")
+    masks = _bit_masks(N, state.m)
+    order = np.argsort(masks)
+    a = state.amplitudes
+    out = (J * N) * a
+    for l in range(N):
+        r = (l + 1) % N
+        differ = ((masks >> l) ^ (masks >> r)) & 1
+        swapped = masks ^ ((differ << l) | (differ << r))
+        out -= 2.0 * J * a[order[np.searchsorted(masks, swapped, sorter=order)]]
+    return out

@@ -5,10 +5,10 @@ lists with different spin-up counts q, so the reduced operator is kept
 block by block: one Hermitian matrix per admissible q, over the C(n, q)
 q-flip site lists in the canonical combination order, which (n, q)
 alone determines.  The pure projector of a whole-chain state is the
-reduction to every site.  A dense bitmask partial
-trace over the full 2^N embedding gives an independent check of the
-combinatorial route, and a closed form covers single-mode states,
-whose block weights follow the hypergeometric law.
+reduction to every site.  A dense bitmask partial trace through the full
+2^N product basis gives an independent check of the combinatorial route,
+and a closed form covers single-mode states, whose block weights follow
+the hypergeometric law.
 """
 
 from __future__ import annotations
@@ -36,10 +36,9 @@ from .combinat import (
 from .errors import DomainError, InfeasibilityError, InternalConsistencyError
 from .magnon_state import (
     AMPLITUDE_BUDGET,
+    FULL_VECTOR_BUDGET,
     AmplitudeTable,
-    FullStateVector,
     _bit_masks,
-    _full_size,
     _resolve_budget,
 )
 
@@ -463,33 +462,34 @@ def reduce_single_mode(N: int, n: int, m: int, k: float, budget: int | None = No
     return BlockDensityMatrix(n, _RankOneBlocks(sectors)).validate()
 
 
-def oracle_partial_trace(v: FullStateVector, sub: SubsystemSpec) -> BlockDensityMatrix:
-    """Brute-force partial trace over the dense 2^N embedding.
+def oracle_partial_trace(state: AmplitudeTable, sub: SubsystemSpec) -> BlockDensityMatrix:
+    """Brute-force partial trace through the dense 2^N product basis.
 
-    Independent of the combinatorial route: reshapes the vector by
-    subsystem and complement bitmasks, forms the dense subsystem
-    operator, then projects it onto flip sectors.  The largest element
-    between different sectors is reported as ``off_block_residual``.
-    FULL_VECTOR_BUDGET caps the 2^N vector and AMPLITUDE_BUDGET the 4^n
-    dense operator.
+    Independent of the combinatorial route: places each amplitude in a
+    2^(N - n) x 2^n matrix by its complement and subsystem bits, forms
+    the dense subsystem operator, then projects it onto flip sectors.
+    The largest element between different sectors is reported as
+    ``off_block_residual``.  FULL_VECTOR_BUDGET caps that 2^N-entry
+    matrix and AMPLITUDE_BUDGET the 4^n dense operator.
     """
-    N = v.N
+    N = state.N
     if sub.parent_N != N:
-        raise DomainError(f"subsystem belongs to an N={sub.parent_N} chain, vector has N={N}")
-    size = _full_size(N, "oracle trace scans")
+        raise DomainError(f"subsystem belongs to an N={sub.parent_N} chain, state has N={N}")
+    if (1 << N) > FULL_VECTOR_BUDGET:
+        raise InfeasibilityError(f"oracle trace scans 2^{N} entries, budget is {FULL_VECTOR_BUDGET}")
     n = sub.n
     if (1 << (2 * n)) > AMPLITUDE_BUDGET:
         raise InfeasibilityError(f"oracle trace builds a 2^{n} x 2^{n} operator, budget is {AMPLITUDE_BUDGET}")
 
-    idx = np.arange(size)
-    a = np.zeros(size, dtype=np.int64)
+    masks = _bit_masks(N, state.m)
+    a = np.zeros(len(masks), dtype=np.int64)
     for i, s in enumerate(sub.sites):
-        a |= ((idx >> (s - 1)) & 1) << i
-    b = np.zeros(size, dtype=np.int64)
+        a |= ((masks >> (s - 1)) & 1) << i
+    b = np.zeros(len(masks), dtype=np.int64)
     for i, s in enumerate(sub.complement):
-        b |= ((idx >> (s - 1)) & 1) << i
+        b |= ((masks >> (s - 1)) & 1) << i
     grouped = np.zeros((1 << (N - n), 1 << n), dtype=np.complex128)
-    grouped[b, a] = v.entries
+    grouped[b, a] = state.amplitudes
     dense = grouped.T @ grouped.conj()
 
     pops = np.array([i.bit_count() for i in range(1 << n)], dtype=np.int64)

@@ -20,7 +20,6 @@ from magcoh import (
     AmplitudeTable,
     BlockDensityMatrix,
     DomainError,
-    FullStateVector,
     MagnonStateSpec,
     MomentumVector,
     SubsystemSpec,
@@ -35,7 +34,6 @@ from magcoh import (
     coherence_density,
     combinat,
     dispersion,
-    embed_full,
     energy_from_beta,
     enumerate_combinations,
     finite_size_coherence_density,
@@ -63,7 +61,6 @@ INT, REAL, BUDGET = "integer", "real", "budget"
 SPEC = MagnonStateSpec(8, 2, MomentumVector(8, (1, 3)))
 STATE = build_state(SPEC)
 SUB = SubsystemSpec.prefix(8, 3)
-VEC = embed_full(STATE)
 RHO = reduce(STATE, SUB)
 
 # values outside each kind; 2.5 is a real, so only integer slots refuse it
@@ -97,6 +94,7 @@ SLOTS = [
     Slot("combination_array.m", INT, 2, lambda x: combination_array(5, x)),
     Slot("rank_combination.site", INT, 3, lambda x: rank_combination((1, x), 5)),
     Slot("rank_combination.n", INT, 5, lambda x: rank_combination((1, 3), x)),
+    Slot("validate_sitelist.n", INT, 5, lambda x: combinat.validate_sitelist((1, 3), x)),
     Slot("unrank_combination.rank", INT, 4, lambda x: unrank_combination(x, 5, 2)),
     Slot("unrank_combination.n", INT, 5, lambda x: unrank_combination(4, x, 2)),
     Slot("unrank_combination.m", INT, 2, lambda x: unrank_combination(4, 5, x)),
@@ -126,12 +124,11 @@ SLOTS = [
     Slot("AmplitudeTable.N", INT, 8, lambda x: AmplitudeTable(x, 2, STATE.amplitudes, 1.0).N),
     Slot("AmplitudeTable.m", INT, 2, lambda x: AmplitudeTable(8, x, STATE.amplitudes, 1.0).m),
     Slot("AmplitudeTable.normalization", REAL, 2.0, lambda x: AmplitudeTable(8, 2, STATE.amplitudes, x).normalization),
-    Slot("FullStateVector.N", INT, 8, lambda x: FullStateVector(x, VEC.entries).N),
     Slot("build_state.budget", BUDGET, 1000, lambda x: build_state(SPEC, budget=x).amplitudes),
     Slot("single_mode_state.n", INT, 6, lambda x: single_mode_state(x, 2, 1.0).amplitudes),
     Slot("single_mode_state.q", INT, 2, lambda x: single_mode_state(6, x, 1.0).amplitudes),
     Slot("single_mode_state.k", REAL, 1.0, lambda x: single_mode_state(6, 2, x).amplitudes),
-    Slot("apply_hamiltonian.J", REAL, 2.0, lambda x: apply_hamiltonian(VEC, x).entries),
+    Slot("apply_hamiltonian.J", REAL, 2.0, lambda x: apply_hamiltonian(STATE, x)),
     Slot("SubsystemSpec.parent_N", INT, 8, lambda x: SubsystemSpec(x, (1, 3)).sites),
     Slot("SubsystemSpec.site", INT, 3, lambda x: SubsystemSpec(8, (1, x)).sites),
     Slot("SubsystemSpec.prefix.parent_N", INT, 8, lambda x: SubsystemSpec.prefix(x, 3).sites),
@@ -182,6 +179,7 @@ SLOTS = [
 ONCE_ACCEPTED = {
     "log_binomial-complex128": lambda: log_binomial(np.complex128(4), 2),
     "rank-n-complex128": lambda: rank_combination((1, 2), np.complex128(5)),
+    "validate_sitelist-n-str": lambda: combinat.validate_sitelist((1, 2), "5"),
     "build_state-budget-nan": lambda: build_state(SPEC, budget=NAN),
     "build_state-budget-inf": lambda: build_state(SPEC, budget=INF),
     "build_state-budget-complex": lambda: build_state(SPEC, budget=1 + 0j),

@@ -79,7 +79,7 @@ class TestStateCommand:
     def test_budget_below_one_is_a_domain_error(self, capsys, command, budget):
         code, out, err = run(capsys, command, "--N", "8", "--m", "2", "--k", "1,3", "--budget", budget)
         assert (code, out) == (2, "")
-        assert err == f"error[domain]: --budget must be at least 1, got {budget}\n"
+        assert err == f"error[domain]: budget must be at least 1, got {budget}\n"
 
     def test_budget_of_one_is_read_as_a_ceiling(self, capsys):
         code, _, err = run(capsys, "state", "--N", "8", "--m", "2", "--k", "1,3", "--budget", "1")

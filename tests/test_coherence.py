@@ -22,7 +22,6 @@ from magcoh import (
     c_r,
     coherence_report,
     effective_dimension,
-    embed_full,
     incoherent_part,
     max_coherence,
     oracle_partial_trace,
@@ -327,7 +326,7 @@ class TestBlockOperatorEntry:
         monkeypatch.setattr(BlockDensityMatrix, "validate", count)
         state = build_state(MagnonStateSpec(8, 2, MomentumVector(8, (1, 3))))
         sub = SubsystemSpec.prefix(8, 3)
-        routes = (reduce(state, sub), reduce_single_mode(30, 6, 15, 0.7), oracle_partial_trace(embed_full(state), sub))
+        routes = (reduce(state, sub), reduce_single_mode(30, 6, 15, 0.7), oracle_partial_trace(state, sub))
         hand_built = BlockDensityMatrix(1, {0: [[0.5]], 1: [[0.5]]})
         for rho in (*routes, hand_built):
             for fn in PUBLIC_FUNCTIONS:

@@ -10,6 +10,7 @@ import pytest
 
 import error_model as model
 from magcoh import (
+    AmplitudeTable,
     DomainError,
     InfeasibilityError,
     MagnonStateSpec,
@@ -19,7 +20,6 @@ from magcoh import (
     apply_hamiltonian,
     build_state,
     dispersion,
-    embed_full,
     momentum_grid,
     rank_combination,
     single_mode_state,
@@ -29,8 +29,6 @@ from magcoh.combinat import combination_array
 from magcoh.magnon_state import (
     _DIRECT_PERMANENT_LIMIT,
     AMPLITUDE_BUDGET,
-    FULL_VECTOR_BUDGET,
-    FullStateVector,
     _direct_permanents,
     _permanents,
     _ryser_permanents,
@@ -614,64 +612,101 @@ class TestSingleModeState:
             single_mode_state(6, 2, k)
 
 
-class TestFullEmbedding:
-    def test_two_site_one_flip(self):
-        st = build_state(MagnonStateSpec(2, 1, MomentumVector(2, (0,))))
-        vec = embed_full(st)
-        r = 1 / math.sqrt(2)
-        assert np.allclose(vec.entries, [0.0, r, r, 0.0])
+def dense_hamiltonian(N, entries, J):
+    """H = -J sum_l sigma_l . sigma_{l+1} on a dense 2^N vector, site l at
+    bit l - 1: J N v minus 2 J times each bond-swapped copy of v."""
+    idx = np.arange(1 << N)
+    out = (J * N) * entries.copy()
+    for l in range(N):
+        r = (l + 1) % N
+        bl = (idx >> l) & 1
+        br = (idx >> r) & 1
+        swapped = idx ^ (((bl ^ br) << l) | ((bl ^ br) << r))
+        out -= 2.0 * J * entries[swapped]
+    return out
 
-    def test_support_has_m_bits_set(self):
-        st = build_state(MagnonStateSpec(6, 2, MomentumVector(6, (1, 2))))
-        vec = embed_full(st)
-        for idx in np.nonzero(np.abs(vec.entries) > 1e-14)[0]:
-            assert int(idx).bit_count() == 2
-        assert abs(vec.norm() - 1.0) < 1e-12
 
-    def test_budget(self):
-        assert FULL_VECTOR_BUDGET == 2 ** 14
-        assert embed_full(build_state(MagnonStateSpec(14, 1, MomentumVector(14, (1,))))).entries.shape == (2 ** 14,)
-        st = build_state(MagnonStateSpec(15, 1, MomentumVector(15, (1,))))
-        with pytest.raises(InfeasibilityError, match=r"^dense embedding needs 2\^15 entries, budget is 16384$"):
-            embed_full(st)
+def product_indices(state):
+    """The 2^N product-basis index of each site list of the table."""
+    return np.array([sum(1 << (l - 1) for l in sites) for sites in state.basis()], dtype=np.int64)
+
+
+def embed(state):
+    """The table scattered into the dense 2^N product basis."""
+    entries = np.zeros(1 << state.N, dtype=np.complex128)
+    entries[product_indices(state)] = state.amplitudes
+    return entries
+
+
+def random_table(rng, N, m):
+    dim = math.comb(N, m)
+    return AmplitudeTable(N, m, rng.normal(size=dim) + 1j * rng.normal(size=dim), 1.0)
+
+
+def eigen_residual(N, indices):
+    """||H a - E a|| of the plane-wave table and its dispersion energy,
+    once on the table and once on its dense 2^N embedding."""
+    state = build_state(MagnonStateSpec(N, len(indices), MomentumVector(N, indices)))
+    energy = -N + sum(dispersion(1.0, 2.0 * math.pi * j / N) for j in indices)
+    table = float(np.linalg.norm(apply_hamiltonian(state) - energy * state.amplitudes))
+    vec = embed(state)
+    dense = float(np.linalg.norm(dense_hamiltonian(N, vec, 1.0) - energy * vec))
+    return table, dense
 
 
 class TestHamiltonian:
-    def test_polarised_ground_state(self):
-        # all spins down: every bond term gives -J
-        N = 5
-        vec = np.zeros(2 ** N, dtype=complex)
-        vec[0] = 1.0
-        out = apply_hamiltonian(FullStateVector(N, vec), J=1.0)
-        assert np.allclose(out.entries, -N * vec)
+    @pytest.mark.parametrize("N", range(1, 11))
+    def test_is_the_dense_action_bit_for_bit_on_the_sector(self, N):
+        rng = np.random.default_rng(N)
+        for m in range(N + 1):
+            for J in (1.0, 1.3):
+                state = random_table(rng, N, m)
+                want = dense_hamiltonian(N, embed(state), J)[product_indices(state)]
+                got = apply_hamiltonian(state, J)
+                assert got.dtype == np.complex128 and got.shape == state.amplitudes.shape
+                assert got.tobytes() == want.tobytes(), (N, m, J)
 
-    @pytest.mark.parametrize("N", [2, 4, 6, 9])
+    def test_polarised_ground_state(self):
+        # all spins down, the m = 0 table: every bond term gives -J
+        for N in (1, 5):
+            assert apply_hamiltonian(AmplitudeTable(N, 0, [1.0], 1.0), J=1.0).tolist() == [-N + 0j]
+
+    @pytest.mark.parametrize("N", [2, 4, 6, 9, 40, 63])
     def test_one_flip_eigenstates(self, N):
         for j in range(N):
             spec = MagnonStateSpec(N, 1, MomentumVector(N, (j,)))
-            vec = embed_full(build_state(spec))
+            state = build_state(spec)
             energy = -N + dispersion(1.0, 2.0 * math.pi * j / N)
-            out = apply_hamiltonian(vec, J=1.0)
-            assert np.linalg.norm(out.entries - energy * vec.entries) < 1e-12
+            assert np.linalg.norm(apply_hamiltonian(state, J=1.0) - energy * state.amplitudes) < 1e-12
 
-    def test_hermitian_on_random_vectors(self):
+    def test_refuses_chains_past_the_int64_masks(self):
+        with pytest.raises(InfeasibilityError, match=r"^site-list bit masks need 64 bits, int64 holds 63$"):
+            apply_hamiltonian(single_mode_state(64, 1, 0.5))
+
+    @pytest.mark.parametrize("N, m", [(6, 3), (9, 2), (12, 5)])
+    def test_hermitian_on_random_tables(self, N, m):
         rng = np.random.default_rng(5)
-        N = 6
         for _ in range(5):
-            u = rng.normal(size=2 ** N) + 1j * rng.normal(size=2 ** N)
-            v = rng.normal(size=2 ** N) + 1j * rng.normal(size=2 ** N)
-            hu = apply_hamiltonian(FullStateVector(N, u), J=1.3).entries
-            hv = apply_hamiltonian(FullStateVector(N, v), J=1.3).entries
-            assert abs(np.vdot(u, hv) - np.vdot(hu, v)) < 1e-9 * np.linalg.norm(u) * np.linalg.norm(v)
+            u, v = random_table(rng, N, m), random_table(rng, N, m)
+            hu, hv = apply_hamiltonian(u, J=1.3), apply_hamiltonian(v, J=1.3)
+            a, b = u.amplitudes, v.amplitudes
+            assert abs(np.vdot(a, hv) - np.vdot(hu, b)) < 1e-9 * np.linalg.norm(a) * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("N", range(4, 15))
+    def test_residual_text_is_the_dense_text(self, N):
+        # the norms sum C(N, m) and 2^N squares, so they may differ in the
+        # last bit; the printed residual may not
+        for k in [(j,) for j in range(N)] + [(1, 3)]:
+            table, dense = eigen_residual(N, k)
+            assert f"{table:.3e}" == f"{dense:.3e}", (N, k)
 
     def test_two_flip_residual_shrinks_with_dilution(self):
         """Finite-size two-flip tables are approximate eigenstates whose
         defect falls as the chain grows at fixed flip count."""
         residuals = []
-        for N in (8, 10, 12, 14):
+        for N in (8, 10, 12, 14, 20, 30):
             spec = MagnonStateSpec(N, 2, MomentumVector(N, (1, 3)))
-            vec = embed_full(build_state(spec))
+            state = build_state(spec)
             energy = -N + sum(dispersion(1.0, 2.0 * math.pi * j / N) for j in (1, 3))
-            out = apply_hamiltonian(vec)
-            residuals.append(float(np.linalg.norm(out.entries - energy * vec.entries)))
+            residuals.append(float(np.linalg.norm(apply_hamiltonian(state) - energy * state.amplitudes)))
         assert all(b < a for a, b in zip(residuals, residuals[1:]))

@@ -20,7 +20,6 @@ from magcoh import (
     NullStateError,
     SubsystemSpec,
     build_state,
-    embed_full,
     hypergeometric_pmf,
     incoherent_part,
     admissible_q,
@@ -35,7 +34,7 @@ from magcoh import (
 )
 from magcoh import coherence, combinat, reduced_density
 from magcoh.combinat import combination_array
-from magcoh.magnon_state import _DIRECT_PERMANENT_LIMIT, AmplitudeTable
+from magcoh.magnon_state import _DIRECT_PERMANENT_LIMIT, FULL_VECTOR_BUDGET, AmplitudeTable
 from magcoh.reduced_density import _HERMITICITY_TILE, _RankOneBlocks, _hermiticity_residual
 
 
@@ -135,12 +134,12 @@ class TestReduce:
     def test_matches_oracle_mixed_momenta(self):
         st = build_state(MagnonStateSpec(8, 2, MomentumVector(8, (1, 3))))
         sub = SubsystemSpec.prefix(8, 3)
-        assert block_distance(reduce(st, sub), oracle_partial_trace(embed_full(st), sub)) < 1e-10
+        assert block_distance(reduce(st, sub), oracle_partial_trace(st, sub)) < 1e-10
 
     def test_matches_oracle_scattered_sites(self):
         st = build_state(MagnonStateSpec(8, 3, MomentumVector(8, (1, 2, 5))))
         sub = SubsystemSpec(8, (2, 5, 7))
-        assert block_distance(reduce(st, sub), oracle_partial_trace(embed_full(st), sub)) < 1e-10
+        assert block_distance(reduce(st, sub), oracle_partial_trace(st, sub)) < 1e-10
 
     def test_matches_oracle_randomized(self):
         rng = np.random.default_rng(42)
@@ -151,7 +150,7 @@ class TestReduce:
             n = int(rng.integers(1, N))
             sub = SubsystemSpec(N, random_sites(rng, N, n))
             got = reduce(st, sub)
-            want = oracle_partial_trace(embed_full(st), sub)
+            want = oracle_partial_trace(st, sub)
             assert block_distance(got, want) < 1e-10
             assert want.off_block_residual < 1e-12
 
@@ -307,7 +306,7 @@ def test_reduce_matches_the_dense_oracle_on_random_specs(case):
         assert model.vanishes(model.count_polynomials(k, N, rows), N).all()
         return
     got = reduce(state, sub)
-    want = oracle_partial_trace(embed_full(state), sub)
+    want = oracle_partial_trace(state, sub)
     assert want.off_block_residual == 0.0
     assert set(want.q_values) <= set(got.q_values) == set(admissible_q(N, sub.n, m))
     T_f = permanent_steps(k)
@@ -616,18 +615,14 @@ class TestSingleModeClosedForm:
 
 class TestOracle:
     def test_polarised_product_state(self):
-        vec = np.zeros(2 ** 5, dtype=complex)
-        vec[0] = 1.0
-        from magcoh import FullStateVector
-
-        reduced = oracle_partial_trace(FullStateVector(5, vec), SubsystemSpec.prefix(5, 2))
+        reduced = oracle_partial_trace(AmplitudeTable(5, 0, [1.0], 1.0), SubsystemSpec.prefix(5, 2))
         assert reduced.q_values == (0,)
         assert np.allclose(reduced.blocks[0], [[1.0]])
         assert reduced.off_block_residual == 0.0
 
     def test_half_of_a_shared_flip(self):
         st = build_state(MagnonStateSpec(2, 1, MomentumVector(2, (0,))))
-        reduced = oracle_partial_trace(embed_full(st), SubsystemSpec.prefix(2, 1))
+        reduced = oracle_partial_trace(st, SubsystemSpec.prefix(2, 1))
         assert reduced.q_values == (0, 1)
         assert abs(reduced.blocks[0][0, 0] - 0.5) < 1e-14
         assert abs(reduced.blocks[1][0, 0] - 0.5) < 1e-14
@@ -635,12 +630,20 @@ class TestOracle:
     def test_complementary_blocks_share_their_spectrum(self):
         rng = np.random.default_rng(9)
         st = random_state(rng, 10, 2)
-        vec = embed_full(st)
         sub = SubsystemSpec(10, random_sites(rng, 10, 4))
-        left = oracle_partial_trace(vec, sub).spectrum()
-        right = oracle_partial_trace(vec, SubsystemSpec(10, sub.complement)).spectrum()
+        left = oracle_partial_trace(st, sub).spectrum()
+        right = oracle_partial_trace(st, SubsystemSpec(10, sub.complement)).spectrum()
         keep = max(int((left > 1e-12).sum()), int((right > 1e-12).sum()))
         assert np.abs(left[:keep] - right[:keep]).max() < 1e-8
+
+    def test_budget(self):
+        # the 2^(N - n) x 2^n grouped matrix is the only 2^N-sized array
+        assert FULL_VECTOR_BUDGET == 2 ** 14
+        st = build_state(MagnonStateSpec(14, 1, MomentumVector(14, (1,))))
+        assert oracle_partial_trace(st, SubsystemSpec.prefix(14, 2)).q_values == (0, 1)
+        st = build_state(MagnonStateSpec(15, 1, MomentumVector(15, (1,))))
+        with pytest.raises(InfeasibilityError, match=r"^oracle trace scans 2\^15 entries, budget is 16384$"):
+            oracle_partial_trace(st, SubsystemSpec.prefix(15, 2))
 
 
 class TestBlockDensityMatrix:
