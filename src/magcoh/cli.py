@@ -231,7 +231,8 @@ def _spec_from_args(args) -> MagnonStateSpec:
 
 
 def _spec_doc(spec: MagnonStateSpec) -> dict:
-    return {"N": spec.N, "m": spec.m, "k_indices": list(spec.k.indices), "J": spec.J}
+    # the CLI fixes J = 1; no state depends on it
+    return {"N": spec.N, "m": spec.m, "k_indices": list(spec.k.indices), "J": 1.0}
 
 
 def _subsystem_from_args(args, N: int) -> SubsystemSpec | None:

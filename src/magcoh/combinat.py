@@ -38,7 +38,6 @@ __all__ = [
     "enumerate_combinations",
     "combination_array",
     "rank_combination",
-    "unrank_combination",
     "admissible_q",
     "hypergeometric_pmf",
     "SectorLaw",
@@ -262,33 +261,6 @@ def _rank(sites: SiteList, n: int) -> int:
         raise DomainError(f"cannot rank a site list among {n} sites")
     m = len(t)
     return math.comb(n, m) - 1 - sum(math.comb(n - s, m - i) for i, s in enumerate(t))
-
-
-def unrank_combination(rank: int, n: int, m: int) -> SiteList:
-    """Site list at a given lexicographic rank; inverse of rank_combination.
-
-    Integer-valued floats are taken as their integers.
-    """
-    rank, n, m = _as_int(rank, "rank"), _as_int(n, "n"), _as_int(m, "m")
-    if n < 0 or m < 0 or m > n:
-        raise DomainError(f"cannot unrank {m}-subsets of {n} sites")
-    total = math.comb(n, m)
-    if not 0 <= rank < total:
-        raise DomainError(f"rank {rank} outside [0, {total}) for C({n}, {m})")
-    sites = []
-    prev = 0
-    rem = rank
-    for slots in range(m, 0, -1):
-        c = prev + 1
-        while True:
-            block = math.comb(n - c, slots - 1)
-            if rem < block:
-                break
-            rem -= block
-            c += 1
-        sites.append(c)
-        prev = c
-    return tuple(sites)
 
 
 def admissible_q(N: int, n: int, m: int) -> range:

@@ -143,12 +143,15 @@ class MomentumVector:
 
 @dataclass(frozen=True)
 class MagnonStateSpec:
-    """Full description of an m-flip plane-wave state on an N-site chain."""
+    """Full description of an m-flip plane-wave state on an N-site chain.
+
+    The state does not depend on the coupling J; the energies do, so J
+    is an argument of ``dispersion`` and ``apply_hamiltonian``.
+    """
 
     N: int
     m: int
     k: MomentumVector
-    J: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "N", _as_int(self.N, "chain length"))
@@ -159,7 +162,6 @@ class MagnonStateSpec:
             raise DomainError(f"momentum grid N={self.k.N} does not match chain N={self.N}")
         if self.k.m != self.m:
             raise DomainError(f"need {self.m} momentum indices, got {self.k.m}")
-        object.__setattr__(self, "J", _coupling(self.J))
 
 
 @dataclass(frozen=True)
@@ -176,7 +178,6 @@ class AmplitudeTable:
     m: int
     amplitudes: np.ndarray
     normalization: float
-    spec: MagnonStateSpec | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "N", _as_int(self.N, "chain length"))
@@ -534,7 +535,7 @@ def build_state(spec: MagnonStateSpec, budget: int | None = None) -> AmplitudeTa
     Parameters
     ----------
     spec : MagnonStateSpec
-        Chain length, flip count, momentum indices and coupling.
+        Chain length, flip count and momentum indices.
     budget : int, optional
         Ceiling on stored amplitudes; defaults to AMPLITUDE_BUDGET.  It
         also caps the permanent route: m! m permutation entries for
@@ -568,7 +569,7 @@ def build_state(spec: MagnonStateSpec, budget: int | None = None) -> AmplitudeTa
         )
     g = 1.0 / math.sqrt(weight)
     f *= g
-    return AmplitudeTable(spec.N, spec.m, f, g, spec)
+    return AmplitudeTable(spec.N, spec.m, f, g)
 
 
 def single_mode_state(n: int, q: int, k: float) -> AmplitudeTable:
@@ -609,9 +610,10 @@ def apply_hamiltonian(state: AmplitudeTable, J: float = 1.0) -> np.ndarray:
     2 J times the sum of bond-swapped copies of a.  A swap keeps the flip
     count, so each copy is one gather whose rows a sorted search of the
     site-list bit masks finds.  Meant as the brute-force oracle; the masks
-    are int64, which holds chains up to N = 63.
+    are int64, which holds chains up to N = 63.  J must be a finite real
+    above 0, as in ``dispersion``.
     """
-    J = _as_real(J, "coupling")
+    J = _coupling(J)
     N = state.N
     if N > _MASK_SITES:
         raise InfeasibilityError(f"site-list bit masks need {N} bits, int64 holds {_MASK_SITES}")

@@ -155,15 +155,16 @@ class _RankOneBlocks(Mapping):
         return len(self.sectors)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlockDensityMatrix:
     """Hermitian subsystem density operator keyed by spin-up count q.
 
     ``blocks[q]`` is the C(n, q) x C(n, q) matrix over the canonical
     q-flip site lists of the subsystem, which ``labels(q)`` derives from
-    (n, q) rather than storing.  ``blocks`` is either a read-only mapping
-    of read-only views of the dense matrices it was built from, so an
-    operator that has passed ``validate`` cannot be edited, or, for the
+    (n, q) rather than storing.  The operator is frozen, so no field can
+    be rebound after ``validate`` has passed it, and ``blocks`` is either
+    a read-only mapping of read-only views of the dense matrices it was
+    built from, so no entry can be edited either, or, for the
     rank-one sectors w phi phi^H of ``reduce_single_mode``, a read-only
     mapping that keeps each sector as its (w, phi) pair and builds a
     fresh dense block on every access, caching none: the package reads
@@ -189,9 +190,11 @@ class BlockDensityMatrix:
     _validated: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.n = _as_int(self.n, "n")
+        object.__setattr__(self, "n", _as_int(self.n, "n"))
+        if self.off_block_residual is not None:
+            object.__setattr__(self, "off_block_residual", _as_real(self.off_block_residual, "off_block_residual"))
         if not isinstance(self.blocks, _RankOneBlocks):
-            self.blocks = MappingProxyType({q: _read_only(b) for q, b in self.blocks.items()})
+            object.__setattr__(self, "blocks", MappingProxyType({q: _read_only(b) for q, b in self.blocks.items()}))
 
     @property
     def q_values(self) -> tuple[int, ...]:
@@ -332,7 +335,7 @@ class BlockDensityMatrix:
         off = abs(self.total_trace() - 1.0)
         if not off <= TRACE_TOL:
             raise InternalConsistencyError(f"total trace departs from 1 by {off:.3e}")
-        self._validated = True
+        object.__setattr__(self, "_validated", True)
         return self
 
 
@@ -387,7 +390,7 @@ def reduce(state: AmplitudeTable, sub: SubsystemSpec, budget: int | None = None)
 
     buffers = _scatter(state, sub, sector)
     rho = BlockDensityMatrix(n, {q: v.T @ v.conj() for q, v in buffers.items()})
-    rho._factors = buffers
+    object.__setattr__(rho, "_factors", buffers)
     return rho.validate()
 
 

@@ -38,7 +38,10 @@ __all__ = [
     "sweep",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# x = eps0 beta at the heat-capacity maximum.  With y = x / 2 the heat
+# capacity is y^2 / cosh^2 y, stationary where y tanh y = 1, that is
+# x tanh(x / 2) = 2; this is the float nearest its positive root.
+_SCHOTTKY_X = 2.3993572805154675
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,28 +153,12 @@ def heat_capacity(beta: float, epsilon0: float) -> float:
 
 
 def schottky_peak(epsilon0: float) -> tuple[float, float]:
-    """Locate the heat-capacity maximum; returns (beta_peak, peak_value).
+    """Heat-capacity maximum; returns (beta_peak, peak_value).
 
-    Golden-section search on the dimensionless variable x = eps0 beta,
-    so the peak position scales as 1/eps0 while the peak height does
-    not depend on eps0 at all.
+    The peak sits at x = eps0 beta = ``_SCHOTTKY_X``, so its position
+    scales as 1/eps0 while its height does not depend on eps0 at all.
     """
-    epsilon0 = _as_epsilon0(epsilon0)
-    a, b = 0.5, 8.0
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    gc, gd = heat_capacity(c, 1.0), heat_capacity(d, 1.0)
-    while b - a > 1e-10:
-        if gc > gd:
-            b, d, gd = d, c, gc
-            c = b - _GOLDEN * (b - a)
-            gc = heat_capacity(c, 1.0)
-        else:
-            a, c, gc = c, d, gd
-            d = a + _GOLDEN * (b - a)
-            gd = heat_capacity(d, 1.0)
-    x = 0.5 * (a + b)
-    return x / epsilon0, heat_capacity(x, 1.0)
+    return _SCHOTTKY_X / _as_epsilon0(epsilon0), heat_capacity(_SCHOTTKY_X, 1.0)
 
 
 def finite_size_coherence_density(N: int, n: int, m: int) -> float:

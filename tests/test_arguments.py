@@ -2,11 +2,13 @@
 a budget argument, one row per argument slot.
 
 The package reads each integer through ``combinat._as_int``, each real
-through ``combinat._as_real`` and each budget through
-``magnon_state._resolve_budget``.  So in every slot a value outside its
-kind is a DomainError, raised without a warning, and an equal value of
-another type (4.0 or np.int64(4) for the integer 4, np.float64(2.0) or
-2 for the real 2.0) gives the plain value's result bit for bit.
+through ``combinat._as_real``, each budget through
+``magnon_state._resolve_budget`` and each coupling J through
+``magnon_state._coupling``, the real rule with J > 0.  So in every slot a
+value outside its kind is a DomainError, raised without a warning, and
+an equal value of another type (4.0 or np.int64(4) for the integer 4,
+np.float64(2.0) or 2 for the real 2.0) gives the plain value's result
+bit for bit.
 """
 
 import math
@@ -51,12 +53,11 @@ from magcoh import (
     sector_law,
     single_mode_state,
     sweep,
-    unrank_combination,
 )
 from magcoh.combinat import combination_array
 
 NAN, INF = math.nan, math.inf
-INT, REAL, BUDGET = "integer", "real", "budget"
+INT, REAL, BUDGET, COUPLING = "integer", "real", "budget", "coupling"
 
 SPEC = MagnonStateSpec(8, 2, MomentumVector(8, (1, 3)))
 STATE = build_state(SPEC)
@@ -69,9 +70,11 @@ BAD = {
     REAL: [1 + 0j, np.complex128(1), NAN, INF, -INF, "1"],
 }
 BAD[BUDGET] = BAD[INT]
+BAD[COUPLING] = BAD[REAL] + [0.0, -0.0, -1.0]
 # the plain value of a slot in another type
 EQUAL = {INT: [float, np.int64], REAL: [np.float64, int]}
 EQUAL[BUDGET] = EQUAL[INT]
+EQUAL[COUPLING] = EQUAL[REAL]
 
 
 class Slot(NamedTuple):
@@ -95,9 +98,6 @@ SLOTS = [
     Slot("rank_combination.site", INT, 3, lambda x: rank_combination((1, x), 5)),
     Slot("rank_combination.n", INT, 5, lambda x: rank_combination((1, 3), x)),
     Slot("validate_sitelist.n", INT, 5, lambda x: combinat.validate_sitelist((1, 3), x)),
-    Slot("unrank_combination.rank", INT, 4, lambda x: unrank_combination(x, 5, 2)),
-    Slot("unrank_combination.n", INT, 5, lambda x: unrank_combination(4, x, 2)),
-    Slot("unrank_combination.m", INT, 2, lambda x: unrank_combination(4, 5, x)),
     Slot("admissible_q.N", INT, 8, lambda x: admissible_q(x, 3, 2)),
     Slot("admissible_q.n", INT, 3, lambda x: admissible_q(8, x, 2)),
     Slot("admissible_q.m", INT, 2, lambda x: admissible_q(8, 3, x)),
@@ -116,8 +116,7 @@ SLOTS = [
     Slot("MomentumVector.constant.m", INT, 2, lambda x: MomentumVector.constant(8, 1, x).indices),
     Slot("MagnonStateSpec.N", INT, 8, lambda x: MagnonStateSpec(x, 2, SPEC.k).N),
     Slot("MagnonStateSpec.m", INT, 2, lambda x: MagnonStateSpec(8, x, SPEC.k).m),
-    Slot("MagnonStateSpec.J", REAL, 2.0, lambda x: MagnonStateSpec(8, 2, SPEC.k, J=x).J),
-    Slot("dispersion.J", REAL, 2.0, lambda x: dispersion(x, 1.0)),
+    Slot("dispersion.J", COUPLING, 2.0, lambda x: dispersion(x, 1.0)),
     Slot("dispersion.k", REAL, 1.0, lambda x: dispersion(2.0, x)),
     Slot("momentum_grid.N", INT, 8, lambda x: momentum_grid(x)),
     Slot("amplitude_f.site", INT, 3, lambda x: amplitude_f(SPEC.k, (1, x))),
@@ -128,12 +127,18 @@ SLOTS = [
     Slot("single_mode_state.n", INT, 6, lambda x: single_mode_state(x, 2, 1.0).amplitudes),
     Slot("single_mode_state.q", INT, 2, lambda x: single_mode_state(6, x, 1.0).amplitudes),
     Slot("single_mode_state.k", REAL, 1.0, lambda x: single_mode_state(6, 2, x).amplitudes),
-    Slot("apply_hamiltonian.J", REAL, 2.0, lambda x: apply_hamiltonian(STATE, x)),
+    Slot("apply_hamiltonian.J", COUPLING, 2.0, lambda x: apply_hamiltonian(STATE, x)),
     Slot("SubsystemSpec.parent_N", INT, 8, lambda x: SubsystemSpec(x, (1, 3)).sites),
     Slot("SubsystemSpec.site", INT, 3, lambda x: SubsystemSpec(8, (1, x)).sites),
     Slot("SubsystemSpec.prefix.parent_N", INT, 8, lambda x: SubsystemSpec.prefix(x, 3).sites),
     Slot("SubsystemSpec.prefix.n", INT, 3, lambda x: SubsystemSpec.prefix(8, x).sites),
     Slot("BlockDensityMatrix.n", INT, 3, lambda x: _blocks(BlockDensityMatrix(x, dict(RHO.blocks)).validate())),
+    Slot(
+        "BlockDensityMatrix.off_block_residual",
+        REAL,
+        0.0,
+        lambda x: BlockDensityMatrix(3, dict(RHO.blocks), off_block_residual=x).off_block_residual,
+    ),
     Slot("reduce.budget", BUDGET, 1000, lambda x: _blocks(reduce(STATE, SUB, budget=x))),
     Slot("reduce_single_mode.N", INT, 8, lambda x: _blocks(reduce_single_mode(x, 3, 2, 1.0))),
     Slot("reduce_single_mode.n", INT, 3, lambda x: _blocks(reduce_single_mode(8, x, 2, 1.0))),
@@ -191,7 +196,6 @@ ONCE_ACCEPTED = {
     "heat_capacity-beta-complex": lambda: heat_capacity(1 + 0j, 1.0),
     "energy_from_beta-beta-str": lambda: energy_from_beta("1", 1.0),
     "internal_energy-epsilon0-complex128": lambda: internal_energy(8, 4, 2, np.complex128(1)),
-    "spec-J-inf": lambda: MagnonStateSpec(8, 2, SPEC.k, J=INF),
 }
 
 

@@ -409,6 +409,9 @@ class TestRenderer:
         a[2, 0] = complex(math.nan, 0.0)
         with pytest.raises(InternalConsistencyError, match=f"refusing to serialize non-finite value {shown}$"):
             cli._render_json({"matrix": a})
+        # a scalar float is refused the same way
+        with pytest.raises(InternalConsistencyError, match=f"refusing to serialize non-finite value {shown}$"):
+            cli._render_json({"w": 0.25, "weight": bad})
 
 
 def oracle_rendering(obj, array=per_float_rendering) -> str:

@@ -33,7 +33,6 @@ from magcoh import (
     sector_law,
     single_mode_state,
     sweep,
-    unrank_combination,
 )
 from magcoh import combinat
 from magcoh.combinat import _RANK_CACHE_SIZE, EXACT_LIMIT, _site_sums, combination_array
@@ -111,18 +110,11 @@ class TestCombinations:
         assert rank_combination((3, 4), 4) == 5
         assert rank_combination((), 5) == 0
 
-    def test_rank_unrank_round_trip(self):
-        for n, m in [(6, 3), (7, 2), (5, 5), (8, 1)]:
-            for r, l in enumerate(enumerate_combinations(n, m)):
-                assert rank_combination(l, n) == r
-                assert unrank_combination(r, n, m) == l
-
-    def test_rank_unrank_round_trip_is_exhaustive_to_twelve_sites(self):
+    def test_rank_is_the_listing_position_to_twelve_sites(self):
         for n in range(13):
             for m in range(n + 1):
                 for r, l in enumerate(enumerate_combinations(n, m)):
                     assert rank_combination(l, n) == r
-                    assert unrank_combination(r, n, m) == l
 
     @seed(2207)
     @settings(max_examples=400, deadline=None, database=None)
@@ -131,7 +123,6 @@ class TestCombinations:
         n, chosen = case
         sites = tuple(sorted(chosen))
         assert rank_combination(sites, n) == per_slot_rank(sites, n)
-        assert unrank_combination(per_slot_rank(sites, n), n, len(sites)) == sites
 
     def test_bad_sitelists_rejected(self):
         with pytest.raises(DomainError):
@@ -145,11 +136,7 @@ class TestCombinations:
         with pytest.raises(DomainError):
             rank_combination((1, 2.5), 5)
 
-    def test_unrank_domain(self):
-        with pytest.raises(DomainError):
-            unrank_combination(20, 6, 3)
-        with pytest.raises(DomainError):
-            unrank_combination(-1, 6, 3)
+    def test_enumerate_domain(self):
         with pytest.raises(DomainError):
             enumerate_combinations(3, 4)
 
@@ -325,7 +312,6 @@ NAN, INF = math.nan, math.inf
         lambda: admissible_q(8.5, 3, 2),
         lambda: admissible_q(8, 3, INF),
         lambda: combination_array(4.5, 2),
-        lambda: unrank_combination(0, 4.5, 2),
         lambda: single_mode_state(4.5, 2, 0.1),
         lambda: reduce_single_mode(10, 4.5, 3, 0.1),
         lambda: MagnonStateSpec(8, 2.5, MomentumVector(8, (1, 2))),
@@ -343,7 +329,7 @@ NAN, INF = math.nan, math.inf
         "subsystem-nan", "subsystem-none", "subsystem-str", "rank-nan", "rank-n-half", "rank-n-str",
         "momentum-inf", "momentum-str", "momentum-half", "max-coherence-nan", "sweep-count-nan",
         "enumerate-half", "enumerate-str", "admissible-half", "admissible-inf", "combination-array-half",
-        "unrank-half", "single-mode-state-half", "reduce-single-mode-half", "spec-m-half",
+        "single-mode-state-half", "reduce-single-mode-half", "spec-m-half",
         "momentum-n-str", "momentum-n-half", "momentum-grid-half", "subsystem-n-half", "prefix-half",
         "sector-law-half", "finite-size-half", "beta-decomposition-half", "averaged-half",
     ],
@@ -361,7 +347,6 @@ def test_integer_valued_floats_are_their_integers():
     assert SubsystemSpec(8, (2.0, 5.0)).sites == (2, 5)
     assert MomentumVector(8, (3.0,)).indices == (3,)
     assert np.array_equal(combination_array(4.0, 2), combination_array(4, 2))
-    assert unrank_combination(0, 4.0, 2) == unrank_combination(0, 4, 2)
     assert rank_combination((3, 4), 4.0) == rank_combination((3, 4), 4) == 5
     assert np.array_equal(single_mode_state(4.0, 2, 0.1).amplitudes, single_mode_state(4, 2, 0.1).amplitudes)
     by_float, by_int = reduce_single_mode(10, 4.0, 3, 0.1), reduce_single_mode(10, 4, 3, 0.1)
@@ -427,7 +412,7 @@ class TestRankCache:
         assert combinat._rank.cache_info().misses == 1
         assert rank_combination(sites, n) == want
         assert combinat._rank.cache_info().hits == 1
-        assert unrank_combination(rank_combination(list(sites), n), n, len(sites)) == sites
+        assert rank_combination(list(sites), n) == want
 
     def test_equal_keys_rank_alike_and_invalid_keys_still_raise(self):
         combinat._rank.cache_clear()

@@ -85,11 +85,12 @@ def test_dispersion_values():
     assert abs(dispersion(2.5, math.pi) - 20.0) < 1e-12
 
 
-def test_dispersion_needs_positive_coupling():
-    with pytest.raises(DomainError):
-        dispersion(0.0, 1.0)
-    with pytest.raises(DomainError):
-        dispersion(-1.0, 1.0)
+@pytest.mark.parametrize("J", [0.0, -0.0, -1.0])
+def test_energies_need_positive_coupling(J):
+    state = single_mode_state(6, 2, 0.5)
+    for call in (lambda: dispersion(J, 1.0), lambda: apply_hamiltonian(state, J)):
+        with pytest.raises(DomainError, match="^coupling must be positive"):
+            call()
 
 
 def test_momentum_grid():
@@ -114,6 +115,10 @@ class TestMomentumVector:
         with pytest.raises(DomainError):
             MomentumVector(4, (-1,))
 
+    def test_chain_length_must_be_positive(self):
+        with pytest.raises(DomainError, match=r"^chain length must be positive, got N=0$"):
+            MomentumVector(0, ())
+
     def test_constant_helper(self):
         k = MomentumVector.constant(6, 2, 3)
         assert k.indices == (2, 2, 2)
@@ -130,9 +135,21 @@ class TestSpec:
         with pytest.raises(DomainError):
             MagnonStateSpec(4, 1, MomentumVector(5, (1,)))
 
-    def test_rejects_non_positive_coupling(self):
-        with pytest.raises(DomainError):
-            MagnonStateSpec(4, 1, MomentumVector(4, (1,)), J=0.0)
+    def test_each_fact_has_one_field(self):
+        # J is an argument of the energies; N and m belong to the table
+        assert list(MagnonStateSpec.__dataclass_fields__) == ["N", "m", "k"]
+        assert list(AmplitudeTable.__dataclass_fields__) == ["N", "m", "amplitudes", "normalization"]
+
+
+class TestAmplitudeTable:
+    def test_refuses_a_table_of_the_wrong_shape(self):
+        with pytest.raises(DomainError, match=r"^amplitude table for N=4, m=1 needs shape \(4,\), got \(6,\)$"):
+            AmplitudeTable(4, 1, np.ones(6), 0.5)
+
+    @pytest.mark.parametrize("g", [0.0, -0.5])
+    def test_refuses_a_normalization_not_above_zero(self, g):
+        with pytest.raises(DomainError, match="^normalization must be positive"):
+            AmplitudeTable(4, 1, np.ones(4), g)
 
 
 class TestAmplitude:
@@ -149,6 +166,9 @@ class TestAmplitude:
         got = amplitude_f(k, (2, 5, 9))
         want = math.factorial(3) * np.exp(1j * kval * (2 + 5 + 9))
         assert abs(got - want) < 1e-12
+
+    def test_no_flip_is_the_empty_permanent(self):
+        assert amplitude_f(MomentumVector(5, ()), ()) == 1 + 0j
 
     def test_destructive_pair(self):
         # k = {0, pi} on sites {1, 2}: e^{0+2pi i} + e^{pi i} cancels
@@ -575,9 +595,9 @@ class TestBuildState:
             build_state(spec, budget=budget)
 
     def test_translation_moves_phases_not_moduli(self):
-        N, m = 8, 2
-        st = build_state(MagnonStateSpec(N, m, MomentumVector(N, (1, 3))))
-        phase = np.exp(1j * st.spec.k.values.sum())
+        N, m, k = 8, 2, MomentumVector(8, (1, 3))
+        st = build_state(MagnonStateSpec(N, m, k))
+        phase = np.exp(1j * k.values.sum())
         for r, l in enumerate(st.basis()):
             shifted = tuple(sorted(s % N + 1 for s in l))
             got = st.amplitudes[rank_combination(shifted, N)]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -32,6 +33,7 @@ from magcoh import (
     reduce_single_mode,
     sector_law,
 )
+import magcoh
 from magcoh import coherence, combinat, reduced_density
 from magcoh.combinat import combination_array
 from magcoh.magnon_state import _DIRECT_PERMANENT_LIMIT, FULL_VECTOR_BUDGET, AmplitudeTable
@@ -110,6 +112,8 @@ class TestSubsystemSpec:
             SubsystemSpec(5, (2, 2))
         with pytest.raises(DomainError):
             SubsystemSpec(5, (4, 6))
+        with pytest.raises(DomainError, match="^parent chain length must be positive, got 0$"):
+            SubsystemSpec(0, ())
 
 
 class TestReduce:
@@ -242,7 +246,7 @@ class TestPositivityFromTheSmallerSide:
             BlockDensityMatrix(2, negative).validate()
         # a factor with as many rows as columns leaves the dense block in charge
         rho = BlockDensityMatrix(2, negative)
-        rho._factors = {1: np.eye(2, dtype=complex)}
+        object.__setattr__(rho, "_factors", {1: np.eye(2, dtype=complex)})
         with pytest.raises(InternalConsistencyError, match="below the floor"):
             rho.validate()
 
@@ -341,7 +345,7 @@ def per_row_reduce(state, sub):
     on the factors of ``per_row_factors``."""
     factors = per_row_factors(state, sub)
     rho = BlockDensityMatrix(sub.n, {q: v.T @ v.conj() for q, v in factors.items()})
-    rho._factors = factors
+    object.__setattr__(rho, "_factors", factors)
     return rho.validate()
 
 
@@ -644,6 +648,17 @@ class TestOracle:
         st = build_state(MagnonStateSpec(15, 1, MomentumVector(15, (1,))))
         with pytest.raises(InfeasibilityError, match=r"^oracle trace scans 2\^15 entries, budget is 16384$"):
             oracle_partial_trace(st, SubsystemSpec.prefix(15, 2))
+        # within the 2^N scan, the 4^n dense operator has its own ceiling
+        st = build_state(MagnonStateSpec(12, 1, MomentumVector(12, (1,))))
+        with pytest.raises(
+            InfeasibilityError, match=r"^oracle trace builds a 2\^12 x 2\^12 operator, budget is 10000000$"
+        ):
+            oracle_partial_trace(st, SubsystemSpec.prefix(12, 12))
+
+    def test_refuses_another_chains_subsystem(self):
+        st = build_state(MagnonStateSpec(6, 1, MomentumVector(6, (1,))))
+        with pytest.raises(DomainError, match=r"^subsystem belongs to an N=7 chain, state has N=6$"):
+            oracle_partial_trace(st, SubsystemSpec.prefix(7, 2))
 
 
 class TestBlockDensityMatrix:
@@ -687,7 +702,7 @@ class TestBlockDensityMatrix:
             BlockDensityMatrix(1, nan_block).validate()
         # a wide Gram factor puts its own lowest eigenvalue in charge
         flat = BlockDensityMatrix(2, {1: np.full((2, 2), 0.5, dtype=complex)})
-        flat._factors = {1: np.array([[np.nan, 0.5]])}
+        object.__setattr__(flat, "_factors", {1: np.array([[np.nan, 0.5]])})
         with pytest.raises(InternalConsistencyError, match="eigenvalue nan"):
             flat.validate()
 
@@ -719,6 +734,15 @@ class TestBlockDensityMatrix:
             single.blocks.sectors[1] = (0.0, np.zeros(3))
         with pytest.raises(ValueError, match="read-only"):
             single.blocks.sectors[1][1][0] = 2.0
+
+    @pytest.mark.parametrize(
+        "name, value", [("blocks", {1: 5 * np.eye(3)}), ("n", 2), ("off_block_residual", 0.0), ("_validated", False)]
+    )
+    def test_no_field_of_a_validated_operator_can_be_rebound(self, name, value):
+        rho = reduce(build_state(MagnonStateSpec(8, 3, MomentumVector(8, (1, 2, 5)))), SubsystemSpec(8, (2, 3, 7)))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rho, name, value)
+        assert rho.total_trace() == pytest.approx(1.0)
 
     def test_nested_list_blocks_validate_like_arrays(self):
         rho = BlockDensityMatrix(1, {0: [[0.5]], 1: [[0.5]]}).validate()
@@ -757,6 +781,17 @@ class TestBlockDensityMatrix:
                 BlockDensityMatrix(2, {q: np.ones((1, 1), dtype=complex)}).validate()
         rho = BlockDensityMatrix(2, {1: flat}).validate()
         assert rho.labels(1) == [(1,), (2,)]
+
+
+# every dataclass the package exports, so a new mutable one fails here
+VALUE_TYPES = [t for t in map(magcoh.__dict__.get, magcoh.__all__) if dataclasses.is_dataclass(t)]
+
+
+@pytest.mark.parametrize("value_type", VALUE_TYPES, ids=[t.__name__ for t in VALUE_TYPES])
+def test_every_exported_value_type_is_frozen(value_type):
+    value = object.__new__(value_type)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, dataclasses.fields(value_type)[0].name, None)
 
 
 @seed(3302)

@@ -65,6 +65,11 @@ class TestDensityAndTemperature:
         assert abs(coherence_density(1.0, 2.0) - math.log(2.0)) < 1e-15
         assert abs(coherence_density(0.2, 2.0) - binary_entropy(0.1)) < 1e-15
 
+    @pytest.mark.parametrize("u", [-0.1, 2.1])
+    def test_coherence_density_needs_u_within_the_band(self, u):
+        with pytest.raises(DomainError, match=rf"^energy density must lie in \[0, 2.0\], got {u}$"):
+            coherence_density(u, 2.0)
+
     def test_beta_c_branches(self):
         eps = 1.3
         assert beta_c(eps / 2.0, eps) == 0.0
@@ -151,6 +156,31 @@ class TestSchottkyPeak:
     def test_peak_height_does_not_depend_on_the_splitting(self):
         values = {schottky_peak(eps)[1] for eps in (0.25, 1.0, 3.0, 11.0)}
         assert len(values) == 1
+
+    def test_location_solves_the_stationarity_condition(self):
+        # dC/dx = 0 at x tanh(x/2) = 2, to a few ulps, and no float
+        # beside the root's leaves a smaller residual
+        x = schottky_peak(1.0)[0]
+        residual = [abs(t * math.tanh(t / 2.0) - 2.0) for t in (math.nextafter(x, 0.0), x, math.nextafter(x, 3.0))]
+        assert residual[1] <= 4 * math.ulp(2.0)
+        assert residual[1] <= min(residual[0], residual[2])
+
+    def test_location_is_the_golden_section_maximum(self):
+        # the independent route: search x = eps0 beta for the largest C
+        golden = (math.sqrt(5.0) - 1.0) / 2.0
+        a, b = 0.5, 8.0
+        c, d = b - golden * (b - a), a + golden * (b - a)
+        gc, gd = heat_capacity(c, 1.0), heat_capacity(d, 1.0)
+        while b - a > 1e-10:
+            if gc > gd:
+                b, d, gd = d, c, gc
+                c = b - golden * (b - a)
+                gc = heat_capacity(c, 1.0)
+            else:
+                a, c, gc = c, d, gd
+                d = a + golden * (b - a)
+                gd = heat_capacity(d, 1.0)
+        assert abs(0.5 * (a + b) - schottky_peak(1.0)[0]) < 1e-8
 
     def test_it_is_actually_the_maximum(self):
         beta_peak, value = schottky_peak(1.0)
