@@ -51,7 +51,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .combinat import SiteList, _as_int, _as_real, _site_sums, combination_array, enumerate_combinations, validate_sitelist
+from .combinat import SiteList, _as_int, _as_real, _site_sums, combination_array, enumerate_combinations
 from .errors import DomainError, InfeasibilityError, NullStateError
 
 __all__ = [
@@ -61,8 +61,6 @@ __all__ = [
     "MagnonStateSpec",
     "AmplitudeTable",
     "dispersion",
-    "momentum_grid",
-    "amplitude_f",
     "build_state",
     "single_mode_state",
     "apply_hamiltonian",
@@ -96,7 +94,12 @@ def _resolve_budget(budget: int | None, default: int) -> int:
 
 # Largest m summed over all m! permutations; guards memory, as each row chunk gathers rows x m! phases.
 _DIRECT_PERMANENT_LIMIT = 4
-# Largest m the subset DP takes on; guards time, as a permanent walks all 2^m index subsets.
+# Largest m the subset DP takes on; guards time.  The DP over an n-site
+# chain costs sum_{j <= m} j C(n, j) additions, m 2^(m - 1) for a lone
+# m-site list, the sub-chain form no public route hands over; at 20 that
+# is 1.0e7 for a lone list and 4.2e8 for the whole chain at N = 25, the
+# longest whose widest level fits AMPLITUDE_BUDGET.  20! < 2^63 also keeps
+# every permanent's count of roots of unity within an int64.
 _PERMANENT_LIMIT = 20
 # Site-list rows per chunk of the permutation and Ryser kernels; guards their rows x m! and rows x m^2 temporaries.
 _CHUNK_ROWS = 4096
@@ -164,14 +167,15 @@ class MagnonStateSpec:
             raise DomainError(f"need {self.m} momentum indices, got {self.k.m}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AmplitudeTable:
     """Normalised amplitudes over the C(N, m) site lists in canonical order.
 
     ``normalization`` is the real scalar that multiplied the raw basis
     phases: the overall constant G for permanent-built states, the
     1/sqrt(C(n, q)) prefactor for directly constructed single-mode
-    tables.
+    tables.  An array has no tuple equality, so tables compare by
+    identity.
     """
 
     N: int
@@ -213,14 +217,6 @@ def dispersion(J: float, k: float) -> float:
     J = _coupling(J)
     s = math.sin(0.5 * _as_real(k, "wavenumber"))
     return 8.0 * J * s * s
-
-
-def momentum_grid(N: int) -> np.ndarray:
-    """The N allowed wavenumbers 2 pi j / N in [0, 2 pi)."""
-    N = _as_int(N, "chain length")
-    if N < 1:
-        raise DomainError(f"chain length must be positive, got N={N}")
-    return 2.0 * np.pi * np.arange(N) / N
 
 
 # Keeps one table, the m! x m int64 permutation indices of the latest m,
@@ -485,14 +481,16 @@ def _subset_permanents(indices, N: int, chain) -> np.ndarray:
 
 def _permanents(indices, N: int, chain, budget: int) -> np.ndarray:
     """Permanent of [exp(2 pi i idx_a s_b / N)] for every m-subset s of
-    the increasing site list ``chain``, in lexicographic order: one value
-    when ``chain`` is one site list, the whole table when it is 1..N.
+    the increasing site list ``chain``, in lexicographic order: the whole
+    table when ``chain`` is 1..N, as ``build_state`` asks, and one value
+    when it is one site list, a form only the tests hand over.
 
     The route is the permutation sum up to m = 4 and the subset DP
     beyond.  Each is held to what it spends: the permutation sum stores
     m! m permutation entries and the DP its widest level,
-    C(n, min(m, n // 2)) entries, both within ``budget``; the DP's 2^m
-    subsets of a lone site list stop at m = 20.
+    C(n, min(m, n // 2)) entries, both within ``budget``.  The DP's
+    sum_{j <= m} j C(n, j) additions, m 2^(m - 1) over a lone site list,
+    stop at m = 20.
     """
     m, n = len(indices), len(chain)
     if m == 0:
@@ -519,16 +517,6 @@ def _permanents(indices, N: int, chain, budget: int) -> np.ndarray:
     return _subset_permanents(indices, N, chain)
 
 
-def amplitude_f(k: MomentumVector, l) -> complex:
-    """Unnormalised amplitude of one site list: the permanent sum over
-    permutations of the wavenumbers, on the route ``build_state`` takes,
-    with its ceilings held to AMPLITUDE_BUDGET."""
-    sites = validate_sitelist(l, k.N)
-    if len(sites) != k.m:
-        raise DomainError(f"site list has {len(sites)} entries, momentum has {k.m}")
-    return complex(_permanents(k.indices, k.N, sites, AMPLITUDE_BUDGET)[0])
-
-
 def build_state(spec: MagnonStateSpec, budget: int | None = None) -> AmplitudeTable:
     """Construct the normalised m-flip plane-wave state table.
 
@@ -552,7 +540,8 @@ def build_state(spec: MagnonStateSpec, budget: int | None = None) -> AmplitudeTa
     ------
     InfeasibilityError
         If C(N, m) or the permanent route exceeds the budget, or m
-        exceeds the permanent limit of 20.
+        exceeds the permanent limit of 20, which holds the subset DP's
+        sum_{j <= m} j C(N, j) additions.
     NullStateError
         If the momentum choice interferes to the zero vector.
     """

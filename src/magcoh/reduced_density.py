@@ -155,7 +155,7 @@ class _RankOneBlocks(Mapping):
         return len(self.sectors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockDensityMatrix:
     """Hermitian subsystem density operator keyed by spin-up count q.
 
@@ -180,14 +180,15 @@ class BlockDensityMatrix:
     each block from its factor: ``_factors[q]`` is the db x da matrix V
     with ``blocks[q] = V.T @ V.conj()``, which ``validate`` uses to check
     positivity from the smaller side.  The constructor takes no factor,
-    so no caller can hand over one that disagrees with its block.
+    so no caller can hand over one that disagrees with its block.  A
+    block has no tuple equality, so operators compare by identity.
     """
 
     n: int
     blocks: Mapping[int, np.ndarray]
     off_block_residual: float | None = None
     _factors: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
-    _validated: bool = field(default=False, init=False, repr=False, compare=False)
+    _validated: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n", _as_int(self.n, "n"))

@@ -83,7 +83,12 @@ def _as_epsilon0(epsilon0) -> float:
 
 
 def internal_energy(N: int, n: int, m: int, epsilon0: float) -> float:
-    """Mean block energy n m eps0 / N: q eps0 averaged over the sector law."""
+    """Mean block energy n m eps0 / N: q eps0 averaged over the sector law.
+
+    N, n and m are read as Python integers, so a numpy integer's product
+    n m cannot overflow.
+    """
+    N, n, m = _as_int(N, "N"), _as_int(n, "n"), _as_int(m, "m")
     admissible_q(N, n, m)
     return n * m * _as_epsilon0(epsilon0) / N
 
@@ -168,7 +173,7 @@ def finite_size_coherence_density(N: int, n: int, m: int) -> float:
     to the binary entropy s(m / N) as the chain grows at fixed filling.
     """
     law = sector_law(N, n, m)
-    return float(law.p @ law.log_dim) / n
+    return float(law.p @ law.log_dim) / _as_int(n, "n")
 
 
 def _sector_entropies(N: int, n: int, m: int) -> tuple[float, float]:

@@ -6,9 +6,9 @@ through ``combinat._as_real``, each budget through
 ``magnon_state._resolve_budget`` and each coupling J through
 ``magnon_state._coupling``, the real rule with J > 0.  So in every slot a
 value outside its kind is a DomainError, raised without a warning, and
-an equal value of another type (4.0 or np.int64(4) for the integer 4,
-np.float64(2.0) or 2 for the real 2.0) gives the plain value's result
-bit for bit.
+an equal value of another type (4.0, np.int64(4) or np.int32(4) for the
+integer 4, np.float64(2.0) or 2 for the real 2.0) gives the plain value's
+result bit for bit.
 """
 
 import math
@@ -26,7 +26,6 @@ from magcoh import (
     MomentumVector,
     SubsystemSpec,
     admissible_q,
-    amplitude_f,
     apply_hamiltonian,
     averaged_coherence_single_mode,
     beta_c,
@@ -44,7 +43,6 @@ from magcoh import (
     internal_energy,
     log_binomial,
     max_coherence,
-    momentum_grid,
     rank_combination,
     reduce,
     reduce_single_mode,
@@ -72,7 +70,7 @@ BAD = {
 BAD[BUDGET] = BAD[INT]
 BAD[COUPLING] = BAD[REAL] + [0.0, -0.0, -1.0]
 # the plain value of a slot in another type
-EQUAL = {INT: [float, np.int64], REAL: [np.float64, int]}
+EQUAL = {INT: [float, np.int64, np.int32], REAL: [np.float64, int]}
 EQUAL[BUDGET] = EQUAL[INT]
 EQUAL[COUPLING] = EQUAL[REAL]
 
@@ -118,8 +116,6 @@ SLOTS = [
     Slot("MagnonStateSpec.m", INT, 2, lambda x: MagnonStateSpec(8, x, SPEC.k).m),
     Slot("dispersion.J", COUPLING, 2.0, lambda x: dispersion(x, 1.0)),
     Slot("dispersion.k", REAL, 1.0, lambda x: dispersion(2.0, x)),
-    Slot("momentum_grid.N", INT, 8, lambda x: momentum_grid(x)),
-    Slot("amplitude_f.site", INT, 3, lambda x: amplitude_f(SPEC.k, (1, x))),
     Slot("AmplitudeTable.N", INT, 8, lambda x: AmplitudeTable(x, 2, STATE.amplitudes, 1.0).N),
     Slot("AmplitudeTable.m", INT, 2, lambda x: AmplitudeTable(8, x, STATE.amplitudes, 1.0).m),
     Slot("AmplitudeTable.normalization", REAL, 2.0, lambda x: AmplitudeTable(8, 2, STATE.amplitudes, x).normalization),

@@ -27,7 +27,6 @@ from magcoh import (
     hypergeometric_pmf,
     log_binomial,
     max_coherence,
-    momentum_grid,
     rank_combination,
     reduce_single_mode,
     sector_law,
@@ -317,7 +316,6 @@ NAN, INF = math.nan, math.inf
         lambda: MagnonStateSpec(8, 2.5, MomentumVector(8, (1, 2))),
         lambda: MomentumVector("10", (1,)),
         lambda: MomentumVector(10.5, (1,)),
-        lambda: momentum_grid(3.5),
         lambda: SubsystemSpec(10.5, (1, 2)),
         lambda: SubsystemSpec.prefix(10, 3.5),
         lambda: sector_law(10, 4.5, 3),
@@ -330,7 +328,7 @@ NAN, INF = math.nan, math.inf
         "momentum-inf", "momentum-str", "momentum-half", "max-coherence-nan", "sweep-count-nan",
         "enumerate-half", "enumerate-str", "admissible-half", "admissible-inf", "combination-array-half",
         "single-mode-state-half", "reduce-single-mode-half", "spec-m-half",
-        "momentum-n-str", "momentum-n-half", "momentum-grid-half", "subsystem-n-half", "prefix-half",
+        "momentum-n-str", "momentum-n-half", "subsystem-n-half", "prefix-half",
         "sector-law-half", "finite-size-half", "beta-decomposition-half", "averaged-half",
     ],
 )
@@ -353,7 +351,6 @@ def test_integer_valued_floats_are_their_integers():
     assert by_float.n == 4 and all(np.array_equal(by_float.blocks[q], by_int.blocks[q]) for q in by_int.q_values)
     assert MagnonStateSpec(8.0, 2.0, MomentumVector(8, (1, 2))).m == 2
     assert MomentumVector(10.0, (1,)).N == 10 and type(MomentumVector(10.0, (1,)).N) is int
-    assert np.array_equal(momentum_grid(4.0), momentum_grid(4))
     assert SubsystemSpec(10.0, (1, 2)).complement == SubsystemSpec(10, (1, 2)).complement
     assert SubsystemSpec.prefix(10, 3.0).sites == (1, 2, 3)
     for by_float, by_int in zip(sector_law(10.0, 4.0, 3.0), sector_law(10, 4, 3)):

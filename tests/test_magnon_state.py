@@ -16,11 +16,9 @@ from magcoh import (
     MagnonStateSpec,
     MomentumVector,
     NullStateError,
-    amplitude_f,
     apply_hamiltonian,
     build_state,
     dispersion,
-    momentum_grid,
     rank_combination,
     single_mode_state,
 )
@@ -78,6 +76,14 @@ def one_row(kernel, k: MomentumVector, sites) -> complex:
     return complex(kernel(k.indices, k.N, np.array([sites], dtype=np.int64))[0])
 
 
+def lone_list(k: MomentumVector, sites) -> complex:
+    """The permanent of one site list on the route a table takes: the
+    dispatcher handed that list as its chain, within AMPLITUDE_BUDGET.
+    Up to m = 4 the chain positions are remapped to its sites; beyond,
+    the subset DP runs over the list itself."""
+    return complex(_permanents(k.indices, k.N, sites, AMPLITUDE_BUDGET)[0])
+
+
 def test_dispersion_values():
     assert dispersion(1.0, 0.0) == 0.0
     assert abs(dispersion(1.0, math.pi) - 8.0) < 1e-12
@@ -93,21 +99,19 @@ def test_energies_need_positive_coupling(J):
             call()
 
 
-def test_momentum_grid():
-    assert np.allclose(momentum_grid(2), [0.0, math.pi])
-    grid = momentum_grid(5)
-    assert len(grid) == 5
-    assert grid[0] == 0.0
-    assert np.all(grid >= 0.0) and np.all(grid < 2.0 * math.pi)
-    with pytest.raises(DomainError):
-        momentum_grid(0)
-
-
 class TestMomentumVector:
     def test_values_match_indices(self):
         k = MomentumVector(8, (0, 3, 7))
         assert np.allclose(k.values, 2.0 * math.pi * np.array([0, 3, 7]) / 8.0, atol=1e-15)
         assert k.m == 3
+
+    def test_values_of_every_index_are_the_grid(self):
+        # the N allowed wavenumbers 2 pi j / N, in [0, 2 pi)
+        assert np.allclose(MomentumVector(2, (0, 1)).values, [0.0, math.pi])
+        grid = MomentumVector(5, tuple(range(5))).values
+        assert len(grid) == 5
+        assert grid[0] == 0.0
+        assert np.all(grid >= 0.0) and np.all(grid < 2.0 * math.pi)
 
     def test_index_range_enforced(self):
         with pytest.raises(DomainError):
@@ -157,23 +161,23 @@ class TestAmplitude:
         k = MomentumVector(8, (3,))
         for l in (1, 4, 8):
             want = np.exp(1j * 2.0 * math.pi * 3 * l / 8.0)
-            assert abs(amplitude_f(k, (l,)) - want) < 1e-13
+            assert abs(lone_list(k, (l,)) - want) < 1e-13
 
     def test_constant_mode_closed_form(self):
         # all wavenumbers equal: f = m! exp(i k sum(l))
         k = MomentumVector(10, (3, 3, 3))
         kval = 2.0 * math.pi * 3 / 10.0
-        got = amplitude_f(k, (2, 5, 9))
+        got = lone_list(k, (2, 5, 9))
         want = math.factorial(3) * np.exp(1j * kval * (2 + 5 + 9))
         assert abs(got - want) < 1e-12
 
     def test_no_flip_is_the_empty_permanent(self):
-        assert amplitude_f(MomentumVector(5, ()), ()) == 1 + 0j
+        assert lone_list(MomentumVector(5, ()), ()) == 1 + 0j
 
     def test_destructive_pair(self):
         # k = {0, pi} on sites {1, 2}: e^{0+2pi i} + e^{pi i} cancels
         k = MomentumVector(4, (0, 2))
-        assert abs(amplitude_f(k, (1, 2))) < 1e-12
+        assert abs(lone_list(k, (1, 2))) < 1e-12
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
     def test_matches_brute_permutation_sum(self, m):
@@ -182,9 +186,12 @@ class TestAmplitude:
         for _ in range(6):
             k = random_momentum(rng, N, m)
             sites = tuple(sorted(int(s) + 1 for s in rng.choice(N, size=m, replace=False)))
-            got = amplitude_f(k, sites)
+            got = lone_list(k, sites)
             want = brute_phase_sum(k.values, np.array(sites))
             assert abs(got - want) <= 1e-10 * math.factorial(m)
+            if m <= _DIRECT_PERMANENT_LIMIT:
+                # the remapped chain positions are the sites, bit for bit
+                assert got == one_row(_direct_permanents, k, sites)
 
     @pytest.mark.parametrize("m", [3, 7, 8])
     def test_direct_and_ryser_agree(self, m):
@@ -206,7 +213,7 @@ class TestAmplitude:
         for _ in range(3):
             k = MomentumVector(N, tuple(int(x) for x in rng.integers(0, 4, size=m)))
             sites = tuple(sorted(int(s) + 1 for s in rng.choice(N, size=m, replace=False)))
-            default = amplitude_f(k, sites)
+            default = lone_list(k, sites)
             for kernel in (_ryser_permanents, _direct_permanents):
                 assert abs(default - one_row(kernel, k, sites)) <= 1e-10 * math.factorial(m)
 
@@ -224,7 +231,7 @@ class TestAmplitude:
         # a single row runs the same kernel over its own sites: both are
         # within gamma(T_dp) m! of exact
         k = MomentumVector(N, idx)
-        one = amplitude_f(k, tuple(sites[7]))
+        one = lone_list(k, tuple(sites[7]))
         assert abs(one - table[7]) <= 2 * model.gamma(model.dp_steps(idx)) * math.factorial(m)
         assert abs(one - one_row(_ryser_permanents, k, sites[7])) <= 1e-10 * math.factorial(m)
 
@@ -279,18 +286,14 @@ class TestAmplitude:
         rng = np.random.default_rng(m)
         sites = tuple(sorted(int(s) + 1 for s in rng.choice(N, size=m, replace=False)))
         k = MomentumVector.constant(N, j, m)
-        got = amplitude_f(k, sites)
+        got = lone_list(k, sites)
         want = math.factorial(m) * np.exp(2j * math.pi * (j * sum(sites) % N) / N)
         assert abs(got - want) <= model.gamma(model.dp_steps(k.indices)) * math.factorial(m)
-
-    def test_sitelist_must_match_mode_count(self):
-        with pytest.raises(DomainError):
-            amplitude_f(MomentumVector(6, (1, 2)), (1,))
 
     def test_permanent_size_limit(self):
         k = MomentumVector(64, tuple(range(21)))
         with pytest.raises(InfeasibilityError):
-            amplitude_f(k, tuple(range(1, 22)))
+            lone_list(k, tuple(range(1, 22)))
 
     def test_permutation_sum_is_held_to_the_budget(self, monkeypatch):
         # m = 4: 4! 4 = 96 permutation entries; the 5-row table fits 50
@@ -309,7 +312,7 @@ class TestAmplitude:
         k = MomentumVector(23, (1, 2, 2, 5, 7, 11, 13, 17, 19))
         sites = (1, 3, 4, 6, 9, 12, 15, 20, 22)
         direct = one_row(_direct_permanents, k, sites)
-        assert abs(direct - amplitude_f(k, sites)) <= 1e-10 * math.factorial(9)
+        assert abs(direct - lone_list(k, sites)) <= 1e-10 * math.factorial(9)
 
 
 def dp_kernel_cases():
@@ -361,7 +364,7 @@ class TestSubsetPermanents:
         rows = np.array([sorted(rng.choice(np.arange(1, chain + 1), size=m, replace=False)) for _ in range(3)])
         want = model.exact_permanents(model.count_polynomials(idx, chain, rows), chain)
         for row, value in zip(rows, want):
-            assert abs(amplitude_f(k, tuple(int(s) for s in row)) - value) <= self.bound(chain, idx)
+            assert abs(lone_list(k, tuple(int(s) for s in row)) - value) <= self.bound(chain, idx)
 
     @pytest.mark.parametrize("idx", [(1, 4, 4, 9, 13, 17, 17), (2, 3, 5, 7, 11, 13, 19)])
     def test_table_spanning_several_row_chunks(self, idx):
@@ -391,7 +394,7 @@ class TestSubsetPermanents:
         monkeypatch.setattr(magnon_state, "_plans", MappingProxyType({}))
         rng = np.random.default_rng(2020)
         lone = MomentumVector(14, (1, 3, 3, 6, 9, 12))
-        lone_value = amplitude_f(lone, (2, 3, 5, 8, 11, 14))
+        lone_value = lone_list(lone, (2, 3, 5, 8, 11, 14))
         depths = []
         for N, m in ((16, 10), (16, 12), (16, 11), (22, 5), (16, 11)):
             before = magnon_state._plans.get(N)
@@ -399,7 +402,7 @@ class TestSubsetPermanents:
                 got = _subset_permanents(idx, N, range(1, N + 1))
                 want = self.per_call(monkeypatch, idx, N)
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-                assert amplitude_f(lone, (2, 3, 5, 8, 11, 14)) == lone_value
+                assert lone_list(lone, (2, 3, 5, 8, 11, 14)) == lone_value
             plan = magnon_state._plans[N]
             depths.append((plan.N, len(plan.levels)))
             if before is not None:
@@ -508,11 +511,11 @@ class TestSubsetPermanents:
     def test_lone_site_lists_leave_the_plan_alone(self, monkeypatch):
         monkeypatch.setattr(magnon_state, "_plans", MappingProxyType({}))
         for sites in ((1, 3, 4, 6, 8, 9, 12), tuple(range(1, 13))):
-            amplitude_f(MomentumVector(12, (2, 2, 3, 5, 7, 8, 11, 0, 0, 1, 6, 4)[:len(sites)]), sites)
+            lone_list(MomentumVector(12, (2, 2, 3, 5, 7, 8, 11, 0, 0, 1, 6, 4)[:len(sites)]), sites)
         assert not magnon_state._plans
         _subset_permanents((0, 1, 1, 4, 6, 9, 9), 12, range(1, 13))
         plans = magnon_state._plans
-        amplitude_f(MomentumVector(12, (0, 1, 1, 4, 6, 9, 9)), (1, 3, 4, 6, 8, 9, 12))
+        lone_list(MomentumVector(12, (0, 1, 1, 4, 6, 9, 9)), (1, 3, 4, 6, 8, 9, 12))
         assert magnon_state._plans is plans
 
     def test_widest_level_is_held_to_the_budget(self):

@@ -794,6 +794,29 @@ def test_every_exported_value_type_is_frozen(value_type):
         setattr(value, dataclasses.fields(value_type)[0].name, None)
 
 
+_EQ_STATE = MagnonStateSpec(8, 2, MomentumVector(8, (1, 3)))
+# a builder of each exported value type with an array field: an array has
+# no tuple equality, so each must compare by identity
+ARRAY_VALUES = {
+    AmplitudeTable: lambda: build_state(_EQ_STATE),
+    BlockDensityMatrix: lambda: reduce(build_state(_EQ_STATE), SubsystemSpec(8, (2, 3, 7))),
+    magcoh.ThermoCurve: lambda: magcoh.sweep(1.0, -1.0, 1.0, 5),
+}
+
+
+def test_every_exported_value_type_with_an_array_field_is_listed():
+    holding = {t for t in VALUE_TYPES if any("array" in str(f.type) for f in dataclasses.fields(t))}
+    assert holding == set(ARRAY_VALUES)
+
+
+@pytest.mark.parametrize("value_type", list(ARRAY_VALUES), ids=[t.__name__ for t in ARRAY_VALUES])
+def test_every_exported_value_type_holding_arrays_compares_by_identity(value_type):
+    a, b = ARRAY_VALUES[value_type](), ARRAY_VALUES[value_type]()
+    assert type(a) is type(b) is value_type
+    assert a == a and not a == b and a != b
+    assert len({a, b, a}) == 2
+
+
 @seed(3302)
 @settings(max_examples=60, deadline=None, database=None)
 @given(route_pair_cases())

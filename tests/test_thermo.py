@@ -51,6 +51,13 @@ class TestInternalEnergy:
             avg = sum(q * eps * hypergeometric_pmf(N, n, m, q) for q in admissible_q(N, n, m))
             assert abs(internal_energy(N, n, m, eps) - avg) < 1e-12
 
+    @pytest.mark.parametrize("kind, value", [(np.int32, 60000), (np.int64, 4 * 10**9)])
+    def test_numpy_integers_are_their_python_integers(self, kind, value):
+        # n m overflows the numpy type, never the Python integer it stands for
+        x = kind(value)
+        got = internal_energy(x, x, x, 1.0)
+        assert type(got) is float and got == float(value)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             internal_energy(4, 5, 2, 1.0)
@@ -206,6 +213,10 @@ class TestFiniteSizeDensity:
         ]
         assert devs[0] > devs[1] > devs[2]
         assert devs[2] < 0.01
+
+    def test_numpy_integers_give_a_float(self):
+        got = finite_size_coherence_density(np.int64(40), np.int64(16), np.int64(6))
+        assert type(got) is float and got == finite_size_coherence_density(40, 16, 6)
 
     def test_intensive_under_doubling(self):
         limit = binary_entropy(0.15)
