@@ -194,10 +194,6 @@ def _chunks(obj, render: bool = True) -> Iterator[str]:
         raise InternalConsistencyError(f"cannot serialize {type(obj).__name__}")
 
 
-def _render_json(obj) -> str:
-    return "".join(_chunks(obj))
-
-
 def _write(chunks: Iterable[str], path: str | None) -> None:
     """Write text pieces to stdout, or to a new file at ``path``."""
     if path is None:

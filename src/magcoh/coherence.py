@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinat import _as_int, _as_real, sector_law
+from .combinat import _as_int, _as_real, _support_law, sector_law
 from .errors import DomainError, InfeasibilityError, InternalConsistencyError
 from .reduced_density import (
     INPUT_HERMITICITY_TOL,
@@ -197,8 +197,12 @@ def averaged_coherence_single_mode(N: int, n: int, m: int, k: float, measure: st
     so averaging the sector values over the hypergeometric weights gives
     sum_q p(q) ln C(n, q) for the relative-entropy measure and
     sum_q p(q) (C(n, q) - 1) for the l1 measure, each one dot product
-    over a single ``sector_law`` call.  The "ln" choice
-    averages ln C(n, q) the same way; the directly evaluated C_ln of the
+    over a single sector-law call.  The "ln" choice
+    averages ln C(n, q) the same way.  Terms of at most n ln 2 ("r" and
+    "ln") are summed over the law's float support
+    (``combinat._support_law``), which drops only weights that are
+    exactly 0.0; the l1 terms C(n, q) - 1 can exceed e^746, so l1 sums
+    the whole ``sector_law``.  The directly evaluated C_ln of the
     mixture is larger in general (strictly, unless one sector carries
     all the weight), so the two are reported separately rather than
     conflated.
@@ -214,9 +218,10 @@ def averaged_coherence_single_mode(N: int, n: int, m: int, k: float, measure: st
         raise DomainError(f"measure must be one of 'r', 'l1', 'ln', got {measure!r}")
     N, n, m = _as_int(N, "N"), _as_int(n, "n"), _as_int(m, "m")
     _as_real(k, "wavenumber")
-    law = sector_law(N, n, m)
     if measure != "l1":
+        law = _support_law(N, n, m)
         return float(law.p @ law.log_dim)
+    law = sector_law(N, n, m)
     try:
         dims = np.array([float(math.comb(n, q)) for q in law.q.tolist()])
     except OverflowError:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinat import _as_int, _as_real, admissible_q, binary_entropy, sector_law
+from .combinat import _as_int, _as_real, _support_law, admissible_q, binary_entropy
 from .errors import DivergenceError, DomainError
 
 __all__ = [
@@ -171,14 +171,18 @@ def finite_size_coherence_density(N: int, n: int, m: int) -> float:
 
     Averages ln C(n, q) over the sector law and divides by n; converges
     to the binary entropy s(m / N) as the chain grows at fixed filling.
+    The sum runs over the law's float support (``combinat._support_law``),
+    which drops only weights that are exactly 0.0, so a chain of 1e8
+    sites sums about 2e5 sectors rather than 3e7.
     """
-    law = sector_law(N, n, m)
+    law = _support_law(N, n, m)
     return float(law.p @ law.log_dim) / _as_int(n, "n")
 
 
 def _sector_entropies(N: int, n: int, m: int) -> tuple[float, float]:
-    # (block entropy, block coherence) of the single-mode reduction
-    law = sector_law(N, n, m)
+    # (block entropy, block coherence) of the single-mode reduction, summed
+    # over the law's float support: the dropped weights are exactly 0.0
+    law = _support_law(N, n, m)
     return -float(law.p @ law.log_p), float(law.p @ law.log_dim)
 
 

@@ -207,7 +207,7 @@ def _bits(x):
         return type(x).__name__, [_bits(v) for v in x]
     if isinstance(x, (bool, np.bool_, int, str, range)):
         return type(x).__name__, x
-    # the result records of beta_decomposition and run_suite
+    # the result records of sector_law, beta_decomposition and run_suite
     return type(x).__name__, _bits([getattr(x, f) for f in x.__dataclass_fields__])
 
 

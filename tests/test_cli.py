@@ -22,6 +22,11 @@ from magcoh.errors import InternalConsistencyError
 from magcoh.verify import FAMILY_NAMES, FamilyResult
 
 
+def render_json(doc) -> str:
+    """The whole JSON text the CLI streams for ``doc``."""
+    return "".join(cli._chunks(doc))
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
@@ -390,7 +395,7 @@ class TestRenderer:
     @settings(max_examples=300, deadline=None, database=None)
     @given(complex_arrays())
     def test_bulk_rendering_matches_the_per_float_oracle(self, a):
-        text = cli._render_json(a)
+        text = render_json(a)
         assert text == per_float_rendering(a)
         # parse_int=float keeps -0 and integral values as the floats they were
         parsed = np.array(json.loads(text, parse_int=float), dtype=np.float64).reshape(a.shape + (2,))
@@ -400,7 +405,7 @@ class TestRenderer:
         a = np.array([[1 + 2j, -0.5j], [0.1, 3]])
         doc = {"w": 0.25, "matrix": a, "labels": [[1], [2]]}
         expected = '{"w": 0.25, "matrix": ' + per_float_rendering(a) + ', "labels": [[1], [2]]}'
-        assert cli._render_json(doc) == expected
+        assert render_json(doc) == expected
 
     @pytest.mark.parametrize("bad,shown", [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")])
     def test_first_non_finite_float_is_named(self, bad, shown):
@@ -408,10 +413,10 @@ class TestRenderer:
         a[1, 2] = complex(0.0, bad)
         a[2, 0] = complex(math.nan, 0.0)
         with pytest.raises(InternalConsistencyError, match=f"refusing to serialize non-finite value {shown}$"):
-            cli._render_json({"matrix": a})
+            render_json({"matrix": a})
         # a scalar float is refused the same way
         with pytest.raises(InternalConsistencyError, match=f"refusing to serialize non-finite value {shown}$"):
-            cli._render_json({"w": 0.25, "weight": bad})
+            render_json({"w": 0.25, "weight": bad})
 
 
 def oracle_rendering(obj, array=per_float_rendering) -> str:
@@ -492,7 +497,7 @@ class TestStreamingWriter:
         target = tmp_path_factory.mktemp("doc") / "out.json"
         stdout = io.StringIO()
         with mock.patch.object(cli, "_PIECE", piece):
-            assert cli._render_json(doc) == expected
+            assert render_json(doc) == expected
             cli._emit(doc, str(target))
             with contextlib.redirect_stdout(stdout):
                 cli._emit(doc, None)
@@ -504,9 +509,9 @@ class TestStreamingWriter:
         with mock.patch.object(cli, "_PIECE", piece):
             for n in range(11):
                 for m in range(n + 1):
-                    today = cli._render_json([list(l) for l in enumerate_combinations(n, m)])
-                    assert cli._render_json(cli._SiteLists(n, m)) == today
-                    assert cli._render_json(combination_array(n, m).tolist()) == today
+                    today = render_json([list(l) for l in enumerate_combinations(n, m)])
+                    assert render_json(cli._SiteLists(n, m)) == today
+                    assert render_json(combination_array(n, m).tolist()) == today
 
     @pytest.mark.parametrize("piece", [1, 4, 4096])
     def test_thermo_blocks_read_like_one_line_per_point(self, capsys, piece):

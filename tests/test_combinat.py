@@ -8,13 +8,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import event, given, seed, settings
 from hypothesis import strategies as st
 
 import error_model as model
 from magcoh import (
     DomainError,
     InfeasibilityError,
+    InternalConsistencyError,
     MagnonStateSpec,
     MomentumVector,
     SubsystemSpec,
@@ -270,6 +271,115 @@ class TestSectorLaw:
             sector_law(2 ** 32, 3, 2)
 
 
+def whole_range_law(N, n, m):
+    """``sector_law`` in the one-function form it had before the law was
+    built over runs of the admissible range: the reference its arrays
+    must keep bit for bit."""
+    sector = admissible_q(N, n, m)
+    q = np.arange(sector.start, sector.stop, dtype=np.int64)
+    mode = min(max((n + 1) * (m + 1) // (N + 2), sector[0]), sector[-1]) - sector[0]
+    steps = q[:-1]
+    num = (n - steps) * (m - steps)
+    den = (steps + 1) * (N - n - m + steps + 1)
+    excess = ((n + 1) * (m + 1) - (N + 2) * (steps + 1)) / den
+    log_ratio = np.where(np.abs(excess) < 0.5, np.log1p(excess), np.log(num / den))
+    log_weight = combinat._log_ratio_cumsum(mode, log_ratio)
+    weight = np.exp(log_weight)
+    total = float(weight.sum())
+    log_dim = combinat._log_ratio_cumsum(mode, np.log((n - steps) / (steps + 1))) + log_binomial(n, int(q[mode]))
+    return q, weight / total, log_weight - math.log(total), log_dim
+
+
+LAW_FIELDS = ("q", "p", "log_p", "log_dim")
+
+
+def law_bytes(law):
+    return [getattr(law, f).tobytes() for f in LAW_FIELDS]
+
+
+class TestSupportLaw:
+    """``_support_law`` sums the law over its float support only."""
+
+    def test_whole_range_law_keeps_its_bits(self):
+        grid = {
+            (N, n, m)
+            for N in (1, 2, 9, 64, 65, 1_000, 3_001, 12_345, 100_000)
+            for n in (1, N // 7, N // 2, N - 1, N)
+            for m in (0, 1, N // 3, 3 * N // 10, N // 2, N - 2, N)
+            if 1 <= n <= N and 0 <= m <= N
+        }
+        for N, n, m in sorted(grid):
+            assert law_bytes(sector_law(N, n, m)) == [a.tobytes() for a in whole_range_law(N, n, m)], (N, n, m)
+
+    @seed(3401)
+    @settings(deadline=None, database=None)
+    @given(
+        st.one_of(
+            st.integers(1, 16_000).flatmap(lambda N: st.tuples(st.just(N), st.integers(1, N), st.integers(0, N))),
+            # s = min(n, m, N - n, N - m) >= 1,500, where the window truncates
+            st.integers(6_000, 16_000).flatmap(
+                lambda N: st.tuples(st.just(N), st.integers(N // 4, N - N // 4), st.integers(N // 4, N - N // 4))
+            ),
+        )
+    )
+    def test_window_holds_every_nonzero_weight_and_keeps_the_sums(self, triple):
+        N, n, m = triple
+        full, window = sector_law(N, n, m), combinat._support_law(N, n, m)
+        lo, hi = int(window.q[0]), int(window.q[-1])
+        nonzero = full.q[full.p != 0.0]
+        assert lo <= nonzero[0] and nonzero[-1] <= hi
+        # ln C(n, q) is summed from the same mode whatever the run
+        start = lo - int(full.q[0])
+        assert window.log_dim.tobytes() == full.log_dim[start : start + len(window.q)].tobytes()
+        entropy, avg_log = -float(window.p @ window.log_p), float(window.p @ window.log_dim)
+        event("window covers the range" if len(window.q) == len(full.q) else "window truncates")
+        if len(window.q) == len(full.q):
+            assert law_bytes(window) == law_bytes(full)
+            assert entropy == -float(full.p @ full.log_p) and avg_log == float(full.p @ full.log_dim)
+            return
+        # the error model of the whole law through one dot product of Q terms, as
+        # for the sums at N = 1e5 in test_thermo.py; the window's total has fewer terms
+        p, log_p, log_dim = model.exact_law(N, n, m)
+        rel_p, abs_log_p, abs_log_dim = model.sector_law_bounds(N, n, m, full)
+        want_entropy, want_avg_log = -math.fsum(p * log_p), math.fsum(p * log_dim)
+        Q = len(full.q)
+        tol_entropy = float(full.p @ (rel_p * np.abs(full.log_p) + abs_log_p)) + model.gamma(Q) * want_entropy
+        tol_avg_log = float(full.p @ (rel_p * full.log_dim + abs_log_dim)) + model.gamma(Q) * want_avg_log
+        assert abs(entropy - want_entropy) <= tol_entropy + 3.0 * model.U * (want_entropy + 1.0)
+        assert abs(avg_log - want_avg_log) <= tol_avg_log + 4.0 * model.U * want_avg_log
+
+    @pytest.mark.parametrize("N,n,m,entries", [(1_000, 500, 300, 301), (10_000, 5_000, 3_000, 2_133), (10**6, 5 * 10**5, 3 * 10**5, 21_341)])
+    def test_window_size(self, N, n, m, entries):
+        # covers the range while s = min(n, m, N - n, N - m) is below about 1,500
+        assert len(combinat._support_law(N, n, m).q) == entries
+
+    def test_a_run_that_cuts_a_nonzero_weight_is_refused(self):
+        N, n, m = 10_000, 5_000, 3_000
+        sector = admissible_q(N, n, m)
+        window, full = combinat._support_law(N, n, m), sector_law(N, n, m)
+        lo, hi = int(window.q[0]), int(window.q[-1])
+        nonzero = full.q[full.p != 0.0]
+        # each run starts or ends one past the outermost nonzero weight
+        for run in ((int(nonzero[0]) + 1, hi), (lo, int(nonzero[-1]) - 1)):
+            with pytest.raises(InternalConsistencyError, match="cuts off a nonzero weight"):
+                combinat._law(N, n, m, sector, *run)
+        assert law_bytes(combinat._law(N, n, m, sector, lo, hi)) == law_bytes(window)
+
+    def test_refusals_are_those_of_the_whole_law(self):
+        with pytest.raises(DomainError):
+            combinat._support_law(4, 2, 5)
+        with pytest.raises(DomainError, match="must be an integer"):
+            combinat._support_law(10, 4.5, 3)
+        with pytest.raises(InfeasibilityError, match="2\\^63"):
+            combinat._support_law(2 ** 32, 3, 2)
+
+    def test_arrays_are_read_only(self):
+        law = sector_law(8, 3, 2)
+        for field in LAW_FIELDS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(law, field)[0] = 0
+
+
 class TestBinaryEntropy:
     def test_pinned_values(self):
         assert binary_entropy(0.0) == 0.0
@@ -353,8 +463,9 @@ def test_integer_valued_floats_are_their_integers():
     assert MomentumVector(10.0, (1,)).N == 10 and type(MomentumVector(10.0, (1,)).N) is int
     assert SubsystemSpec(10.0, (1, 2)).complement == SubsystemSpec(10, (1, 2)).complement
     assert SubsystemSpec.prefix(10, 3.0).sites == (1, 2, 3)
-    for by_float, by_int in zip(sector_law(10.0, 4.0, 3.0), sector_law(10, 4, 3)):
-        assert np.array_equal(by_float, by_int)
+    by_float, by_int = sector_law(10.0, 4.0, 3.0), sector_law(10, 4, 3)
+    for field in LAW_FIELDS:
+        assert np.array_equal(getattr(by_float, field), getattr(by_int, field))
     assert finite_size_coherence_density(40.0, 16.0, 6.0) == finite_size_coherence_density(40, 16, 6)
     assert beta_decomposition(60.0, 20.0, 6.0, 1.0) == beta_decomposition(60, 20, 6, 1.0)
     for measure in ("r", "l1", "ln"):

@@ -801,6 +801,7 @@ ARRAY_VALUES = {
     AmplitudeTable: lambda: build_state(_EQ_STATE),
     BlockDensityMatrix: lambda: reduce(build_state(_EQ_STATE), SubsystemSpec(8, (2, 3, 7))),
     magcoh.ThermoCurve: lambda: magcoh.sweep(1.0, -1.0, 1.0, 5),
+    magcoh.SectorLaw: lambda: magcoh.sector_law(8, 3, 2),
 }
 
 

@@ -268,6 +268,33 @@ class TestSectorSumsAgainstExactIntegers:
         assert abs(got_avg_log - avg_log) <= tol_avg_log
 
 
+class TestThermodynamicSizes:
+    """n = N/2 and m = 3N/10 out to N = 1e8, where the whole admissible
+    range has 3e7 sectors; the sums read only the law's float support."""
+
+    @pytest.mark.parametrize("N", [10**6, 10**7, 10**8])
+    def test_density_falls_short_of_the_binary_entropy_by_order_ln_n_over_n(self, N):
+        n, m = N // 2, 3 * N // 10
+        gap = binary_entropy(m / N) - finite_size_coherence_density(N, n, m)
+        # about 0.52 ln n / n at these sizes
+        assert math.log(n) / (4 * n) <= gap <= math.log(n) / n
+
+    def test_beta_decomposition_at_1e8_sums_under_3e5_sectors(self, monkeypatch):
+        N, n, m = 10**8, 5 * 10**7, 3 * 10**7
+        sizes, support_law = [], thermo._support_law
+
+        def recording(*args):
+            law = support_law(*args)
+            sizes.append(len(law.q))
+            return law
+
+        monkeypatch.setattr(thermo, "_support_law", recording)
+        d = beta_decomposition(N, n, m, 1.0)
+        assert d.identity_residual <= d.truncation_bound
+        assert len(sizes) == 4 and max(sizes) < 3 * 10**5
+        assert len(admissible_q(N, n, m)) > 3 * 10**7
+
+
 class TestBetaDecomposition:
     def test_identity_holds_to_roundoff(self):
         d = beta_decomposition(60, 20, 6, 1.7)
