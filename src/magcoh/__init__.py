@@ -39,11 +39,8 @@ from .reduced_density import (
 )
 from .coherence import (
     CoherenceReport,
-    incoherent_part,
     c_l1,
     c_r,
-    c_ln,
-    effective_dimension,
     max_coherence,
     averaged_coherence_single_mode,
     coherence_report,
@@ -93,11 +90,8 @@ __all__ = [
     "reduce_single_mode",
     "oracle_partial_trace",
     "CoherenceReport",
-    "incoherent_part",
     "c_l1",
     "c_r",
-    "c_ln",
-    "effective_dimension",
     "max_coherence",
     "averaged_coherence_single_mode",
     "coherence_report",

@@ -318,16 +318,11 @@ def cmd_coherence(args) -> int:
     }
     if spec.k.is_constant():
         k_value = float(spec.k.values[0])
-        averages = {
-            name: averaged_coherence_single_mode(spec.N, kept.n, spec.m, k_value, name)
-            for name in ("r", "l1", "ln")
-        }
-        doc["single_mode_averages"] = {"c_r": averages["r"], "c_l1": averages["l1"], "c_ln": averages["ln"]}
-        doc["average_gaps"] = {
-            "c_r": report.c_r - averages["r"],
-            "c_l1": report.c_l1 - averages["l1"],
-            "c_ln": report.c_ln - averages["ln"],
-        }
+        # each report field c_<measure> beside the sector average of that measure
+        fields = ("c_r", "c_l1", "c_ln")
+        averages = {f: averaged_coherence_single_mode(spec.N, kept.n, spec.m, k_value, f[2:]) for f in fields}
+        doc["single_mode_averages"] = averages
+        doc["average_gaps"] = {f: getattr(report, f) - averages[f] for f in fields}
     _emit(doc, args.output)
     return 0
 

@@ -20,9 +20,13 @@ trace; a rank-one sector w phi phi^H is summed from one complex row per
 distinct phase, with the dense block's bits and without building the
 block (``BlockDensityMatrix.block_abs_sum``).  The relative-entropy
 measure subtracts the von Neumann entropy from the Shannon entropy of
-the diagonal; the log measure ln(1 + C_l1) gives up the entropic reading
-in exchange for additivity and O(d^2) cost.  Eigenvalues below
-EIGENVALUE_FLOOR are treated as exact zeros inside x ln x.
+the diagonal.  Two quantities follow from C_l1 and are read off a
+``CoherenceReport``, their one public name: the log measure
+C_ln = ln(1 + C_l1), which gives up the entropic reading in exchange
+for additivity and O(d^2) cost, and the effective dimension 1 + C_l1,
+the number of basis states the operator coherently explores.
+Eigenvalues below EIGENVALUE_FLOOR are treated as exact zeros inside
+x ln x.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinat import _as_int, _as_real, _support_law, sector_law
+from .combinat import _as_int, _as_real, _comb_exceeds, _sector, _support_law, sector_law
 from .errors import DomainError, InfeasibilityError, InternalConsistencyError
 from .reduced_density import (
     INPUT_HERMITICITY_TOL,
@@ -46,11 +50,8 @@ from .reduced_density import (
 __all__ = [
     "EIGENVALUE_FLOOR",
     "CoherenceReport",
-    "incoherent_part",
     "c_l1",
     "c_r",
-    "c_ln",
-    "effective_dimension",
     "max_coherence",
     "averaged_coherence_single_mode",
     "coherence_report",
@@ -70,10 +71,12 @@ class CoherenceReport:
 
     @property
     def c_ln(self) -> float:
+        """ln(1 + C_l1); additive over tensor products of maximally coherent states."""
         return math.log1p(self.c_l1)
 
     @property
     def effective_dimension(self) -> float:
+        """1 + C_l1: how many basis states the operator coherently explores."""
         return 1.0 + self.c_l1
 
 
@@ -97,9 +100,6 @@ class _CheckedMatrix:
 
     def _basis_dimension(self) -> int:
         return self.a.shape[0]
-
-    def _dephased(self) -> np.ndarray:
-        return np.diag(np.diag(self.a))
 
 
 def _as_matrix(rho) -> _CheckedMatrix:
@@ -140,11 +140,6 @@ def _entropy(values) -> float:
     return float(-(kept * np.log(kept)).sum()) if kept.size else 0.0
 
 
-def incoherent_part(rho):
-    """Drop every off-diagonal element, keeping the container type."""
-    return _checked(rho)._dephased()
-
-
 def _c_l1(rho) -> float:
     return max(0.0, rho._abs_sum() - 1.0)
 
@@ -161,16 +156,6 @@ def c_l1(rho) -> float:
 def c_r(rho) -> float:
     """Relative entropy of coherence: S(diag(rho)) - S(rho), in nats."""
     return _c_r(_checked(rho))
-
-
-def c_ln(rho) -> float:
-    """ln(1 + C_l1); additive over tensor products of maximally coherent states."""
-    return math.log1p(c_l1(rho))
-
-
-def effective_dimension(rho) -> float:
-    """1 + C_l1: how many basis states the operator coherently explores."""
-    return 1.0 + c_l1(rho)
 
 
 def max_coherence(d: int) -> tuple[float, float]:
@@ -211,7 +196,8 @@ def averaged_coherence_single_mode(N: int, n: int, m: int, k: float, measure: st
     out of every measure; it is accepted to mirror the direct route, and
     is read by the same finite-real check, so a complex, string or
     non-finite k is a DomainError there as here.  The l1 average
-    raises InfeasibilityError once some C(n, q) leaves the float range.
+    raises InfeasibilityError once some C(n, q) leaves the float range,
+    decided from n and the admissible range before the law is built.
     Integer-valued floats N, n and m are taken as their integers.
     """
     if measure not in ("r", "l1", "ln"):
@@ -221,15 +207,16 @@ def averaged_coherence_single_mode(N: int, n: int, m: int, k: float, measure: st
     if measure != "l1":
         law = _support_law(N, n, m)
         return float(law.p @ law.log_dim)
-    law = sector_law(N, n, m)
-    try:
-        dims = np.array([float(math.comb(n, q)) for q in law.q.tolist()])
-    except OverflowError:
-        # the widest admissible sector, nearest n/2, is one that overflows
-        q = min(max(n // 2, int(law.q[0])), int(law.q[-1]))
+    sector = _sector(N, n, m)
+    # the widest admissible sector, nearest n/2, overflows first; float()
+    # of an integer from 2^1024 - 2^970 on rounds to 2^1024 and overflows
+    q = min(max(n // 2, sector[0]), sector[-1])
+    if _comb_exceeds(n, q, 2**1024 - 2**970 - 1):
         raise InfeasibilityError(
             f"C({n}, {q}) exceeds the float range (max {sys.float_info.max:.6g}), so the l1 average is not representable"
-        ) from None
+        )
+    law = sector_law(N, n, m)
+    dims = np.array([float(math.comb(n, q)) for q in law.q.tolist()])
     return float(law.p @ (dims - 1.0))
 
 

@@ -121,6 +121,37 @@ def log_binomial(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
+def _comb_exceeds(n: int, q: int, bound: int) -> bool:
+    """Whether C(n, q) > bound, for 0 <= q <= n and bound >= 1, without
+    forming a binomial much past the bound.
+
+    Steps C(n, i + 1) = C(n, i) (n - i) / (i + 1), exact in integers, for
+    i below j = min(q, n - q), and stops once one passes the bound.  The
+    steps rise, since i < j <= n / 2, and C(n, i) >= (n / i)^i >= 2^i, so
+    there are at most log2(bound) + 1 of them, whatever n and q.
+    """
+    c = 1
+    for i in range(min(q, n - q)):
+        c = c * (n - i) // (i + 1)
+        if c > bound:
+            return True
+    return False
+
+
+# Digits of the longest count a refusal prints in full: CPython's default
+# int-to-str limit, past which str() of an int raises ValueError.
+_TEXT_DIGITS = 4300
+
+
+def _binomial_past(n: int, q: int, bound: int) -> str | None:
+    """None if C(n, q) <= bound; else C(n, q) in decimal for a refusal
+    message, or ">10^4300" past ``_TEXT_DIGITS`` digits.  Both tests are
+    ``_comb_exceeds``, so the binomial of a wide sector is never formed."""
+    if not _comb_exceeds(n, q, bound):
+        return None
+    return f">10^{_TEXT_DIGITS}" if _comb_exceeds(n, q, 10**_TEXT_DIGITS) else str(math.comb(n, q))
+
+
 def validate_sitelist(sites, n: int) -> SiteList:
     """Check a strictly increasing list of site indices within [1, n].
 

@@ -51,7 +51,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .combinat import SiteList, _as_int, _as_real, _site_sums, combination_array, enumerate_combinations
+from .combinat import SiteList, _as_int, _as_real, _binomial_past, _site_sums, combination_array, enumerate_combinations
 from .errors import DomainError, InfeasibilityError, NullStateError
 
 __all__ = [
@@ -90,6 +90,13 @@ def _resolve_budget(budget: int | None, default: int) -> int:
     if (budget := _as_int(budget, "budget")) < 1:
         raise DomainError(f"budget must be at least 1, got {budget}")
     return budget
+
+
+def _check_table(n: int, q: int, budget: int) -> None:
+    """Refuse a table of the C(n, q) q-lists of n sites past the budget,
+    deciding it without forming a binomial much past the budget."""
+    if (count := _binomial_past(n, q, budget)) is not None:
+        raise InfeasibilityError(f"state table needs {count} amplitudes, budget is {budget}")
 
 
 # Largest m summed over all m! permutations; guards memory, as each row chunk gathers rows x m! phases.
@@ -547,9 +554,7 @@ def build_state(spec: MagnonStateSpec, budget: int | None = None) -> AmplitudeTa
     """
     budget = _resolve_budget(budget, AMPLITUDE_BUDGET)
     N, k = spec.N, spec.k
-    dim = math.comb(N, spec.m)
-    if dim > budget:
-        raise InfeasibilityError(f"state table needs {dim} amplitudes, budget is {budget}")
+    _check_table(N, spec.m, budget)
     f = _permanents(k.indices, N, range(1, N + 1), budget)
     weight = float(np.vdot(f, f).real)
     if weight < NULL_STATE_THRESHOLD:
@@ -567,14 +572,17 @@ def single_mode_state(n: int, q: int, k: float) -> AmplitudeTable:
     This is the pure state each magnon-number block of a single-mode
     reduction collapses to; q = 0 gives the trivial one-entry table.
     The phases come from the sector's site sums (``combinat._site_sums``),
-    so no site-list table is built.  Integer-valued floats n and q are
-    taken as their integers; k must be a finite real number.
+    so no site-list table is built.  A table of more than AMPLITUDE_BUDGET
+    entries is an InfeasibilityError, refused before any is built, as
+    ``build_state`` refuses it.  Integer-valued floats n and q are taken
+    as their integers; k must be a finite real number.
     """
     n, q, k = _as_int(n, "n"), _as_int(q, "q"), _as_real(k, "wavenumber")
     if n < 1:
         raise DomainError(f"block size must be positive, got n={n}")
     if not 0 <= q <= n:
         raise DomainError(f"flip count must satisfy 0 <= q <= n, got q={q}, n={n}")
+    _check_table(n, q, AMPLITUDE_BUDGET)
     (sums,) = _site_sums(n, q, q)
     pref = 1.0 / math.sqrt(len(sums))
     return AmplitudeTable(n, q, pref * np.exp(1j * k * sums), pref)

@@ -25,6 +25,8 @@ from .combinat import (
     SiteList,
     _as_int,
     _as_real,
+    _binomial_past,
+    _sector,
     _site_sums,
     admissible_q,
     combination_array,
@@ -244,10 +246,6 @@ class BlockDensityMatrix:
     def _basis_dimension(self) -> int:
         return sum(math.comb(self.n, q) for q in self.q_values)
 
-    def _dephased(self) -> "BlockDensityMatrix":
-        """The operator with every off-diagonal element dropped."""
-        return BlockDensityMatrix(self.n, {q: np.diag(self.block_diagonal(q)) for q in self.q_values})
-
     def _weight(self, q: int) -> float:
         return float(self.block_diagonal(q).sum().real)
 
@@ -340,12 +338,26 @@ class BlockDensityMatrix:
         return self
 
 
-def _check_blocks(n: int, qs, budget: int) -> None:
-    """Refuse, before any is built, a sector q whose C(n, q) x C(n, q)
-    block would exceed the budget."""
-    for q in qs:
-        if (d := math.comb(n, q)) * d > budget:
-            raise InfeasibilityError(f"sector q={q} needs a {d} x {d} block, budget is {budget}")
+def _check_blocks(n: int, qs: range, budget: int) -> None:
+    """Refuse, before any is built, the first sector q of ``qs`` whose
+    C(n, q) x C(n, q) block would exceed the budget.
+
+    That block exceeds it when C(n, q) exceeds isqrt(budget).  C(n, q)
+    rises up to q = n // 2 and falls beyond, so the widest sector of
+    ``qs`` is top = min(qs[-1], max(qs[0], n // 2)) and the walk from
+    qs[0] stops there.  It is short: a passing q <= n / 2 has
+    2^q <= C(n, q) <= isqrt(budget), so at most log2(budget) / 2 + 1
+    sectors pass before one fails or top is reached.  Each test is a
+    product that stops past the bound (``combinat._binomial_past``), so
+    no binomial of a wide sector is formed.
+    """
+    side, q = math.isqrt(budget), qs[0]
+    top = min(qs[-1], max(q, n // 2))
+    while (d := _binomial_past(n, q, side)) is None:
+        if q == top:
+            return
+        q += 1
+    raise InfeasibilityError(f"sector q={q} needs a {d} x {d} block, budget is {budget}")
 
 
 def reduce(state: AmplitudeTable, sub: SubsystemSpec, budget: int | None = None) -> BlockDensityMatrix:
@@ -451,16 +463,17 @@ def reduce_single_mode(N: int, n: int, m: int, k: float, budget: int | None = No
     site-list table is built.  Being rank one, a sector has the spectrum
     (0, ..., 0, trace), read off the weight rather than diagonalised.  The
     budget still caps d x d, the size of a block when read, and every
-    sector is checked against it before any is built; a budget that is
-    not an integer of at least 1 is a DomainError, as is a k that is not
-    a finite real number; integer-valued floats N, n and m are taken as
-    their integers.
+    sector is checked against it from n and the admissible range alone,
+    after the sector law's own refusals and before the law or any sector
+    is built; a budget that is not an integer of at least 1 is a
+    DomainError, as is a k that is not a finite real number;
+    integer-valued floats N, n and m are taken as their integers.
     """
     N, n, m, k = _as_int(N, "N"), _as_int(n, "n"), _as_int(m, "m"), _as_real(k, "wavenumber")
     budget = _resolve_budget(budget, AMPLITUDE_BUDGET)
+    _check_blocks(n, _sector(N, n, m), budget)
     law = sector_law(N, n, m)
     qs = law.q.tolist()
-    _check_blocks(n, qs, budget)
     sums = _site_sums(n, qs[0], qs[-1])
     sectors = {q: (p / math.comb(n, q), np.exp(1j * k * s)) for q, p, s in zip(qs, law.p.tolist(), sums)}
     return BlockDensityMatrix(n, _RankOneBlocks(sectors)).validate()

@@ -266,9 +266,9 @@ def _fam_single_mode_contiguity(N, m, rng):
 def _fam_zero_iff_diagonal(N, m, rng):
     diag = np.diag(rng.random(6) + 0.1)
     diag = diag / np.trace(diag)
-    flat = max(coh.c_l1(diag), coh.c_r(diag), coh.c_ln(diag))
+    flat = max(coh.c_l1(diag), coh.c_r(diag), math.log1p(coh.c_l1(diag)))
     rho = _random_density(rng, 6)
-    alive = min(coh.c_l1(rho), coh.c_r(rho), coh.c_ln(rho))
+    alive = min(coh.c_l1(rho), coh.c_r(rho), math.log1p(coh.c_l1(rho)))
     ok = flat <= 1e-14 and alive > 1e-10
     return ok, flat, f"smallest off-diagonal response {alive:.3e}"
 
@@ -325,8 +325,8 @@ def _fam_effective_dimension_multiplicativity(N, m, rng):
     worst = 0.0
     for d1, d2 in ((2, 3), (3, 4)):
         top = np.kron(np.full((d1, d1), 1.0 / d1), np.full((d2, d2), 1.0 / d2)).astype(np.complex128)
-        worst = max(worst, abs(coh.effective_dimension(top) - d1 * d2))
-        worst = max(worst, abs(coh.c_ln(top) - math.log(d1) - math.log(d2)))
+        worst = max(worst, abs(1.0 + coh.c_l1(top) - d1 * d2))
+        worst = max(worst, abs(math.log1p(coh.c_l1(top)) - math.log(d1) - math.log(d2)))
     return _done(worst, 1e-10)
 
 

@@ -24,7 +24,6 @@ from magcoh import (
     binary_entropy,
     build_state,
     c_l1,
-    c_ln,
     c_r,
     coherence_report,
     dispersion,
@@ -126,7 +125,7 @@ def test_c03_single_site_blocks_are_incoherent(capsys):
             state = _random_state(rng, N, m)
             site = int(rng.integers(1, N + 1))
             reduced = reduce(state, SubsystemSpec(N, (site,)))
-            worst = max(worst, c_l1(reduced), c_r(reduced), c_ln(reduced))
+            worst = max(worst, c_l1(reduced), c_r(reduced), coherence_report(reduced).c_ln)
         assert worst < 1e-14, worst
         return f"largest single-site measure {worst:.2e}"
 

@@ -18,11 +18,8 @@ from magcoh import (
     averaged_coherence_single_mode,
     build_state,
     c_l1,
-    c_ln,
     c_r,
     coherence_report,
-    effective_dimension,
-    incoherent_part,
     max_coherence,
     oracle_partial_trace,
     reduce,
@@ -52,25 +49,6 @@ def top_state(d):
     return np.full((d, d), 1.0 / d, dtype=complex)
 
 
-class TestIncoherentPart:
-    def test_diagonal_fixed_point(self):
-        rho = np.diag([0.2, 0.3, 0.5]).astype(complex)
-        assert np.array_equal(incoherent_part(rho), rho)
-
-    def test_kills_off_diagonals(self):
-        rho = top_state(4)
-        flat = incoherent_part(rho)
-        assert np.allclose(flat, np.eye(4) / 4.0)
-        assert abs(np.trace(flat) - 1.0) < 1e-14
-
-    def test_block_container_preserved(self):
-        reduced = reduce_single_mode(8, 3, 2, 0.7)
-        flat = incoherent_part(reduced)
-        assert flat.q_values == reduced.q_values
-        assert abs(flat.total_trace() - 1.0) < 1e-12
-        assert c_l1(flat) < 1e-14
-
-
 class TestMeasures:
     def test_single_site_reductions_carry_no_coherence(self):
         rng = np.random.default_rng(21)
@@ -80,15 +58,16 @@ class TestMeasures:
             reduced = reduce(random_state(rng, N, m), SubsystemSpec.prefix(N, 1))
             assert c_l1(reduced) < 1e-14
             assert c_r(reduced) < 1e-14
-            assert c_ln(reduced) < 1e-14
+            assert coherence_report(reduced).c_ln < 1e-14
 
     def test_maximally_coherent_values(self):
         for d in (2, 5, 8):
             rho = top_state(d)
             assert abs(c_l1(rho) - (d - 1.0)) < 1e-12
             assert abs(c_r(rho) - math.log(d)) < 1e-12
-            assert abs(c_ln(rho) - math.log(d)) < 1e-12
-            assert abs(effective_dimension(rho) - d) < 1e-12
+            report = coherence_report(rho)
+            assert abs(report.c_ln - math.log(d)) < 1e-12
+            assert abs(report.effective_dimension - d) < 1e-12
 
     def test_full_chain_state_is_maximally_coherent(self):
         spec = MagnonStateSpec(8, 2, MomentumVector.constant(8, 1, 2))
@@ -106,7 +85,7 @@ class TestMeasures:
         rho = random_density(rng, 6)
         assert c_l1(rho) > 1e-6
         assert c_r(rho) > 1e-6
-        assert c_ln(rho) > 1e-6
+        assert coherence_report(rho).c_ln > 1e-6
 
     def test_upper_bounds(self):
         rng = np.random.default_rng(23)
@@ -118,7 +97,7 @@ class TestMeasures:
     def test_log_measure_tracks_l1(self):
         rng = np.random.default_rng(24)
         rho = random_density(rng, 5)
-        assert abs(c_ln(rho) - math.log1p(c_l1(rho))) < 1e-14
+        assert abs(coherence_report(rho).c_ln - math.log1p(c_l1(rho))) < 1e-14
 
     def test_phase_rotation_invariance(self):
         rng = np.random.default_rng(25)
@@ -126,7 +105,7 @@ class TestMeasures:
         phases = np.exp(1j * rng.uniform(0, 2 * math.pi, size=6))
         u = np.diag(phases)
         rotated = u @ rho @ u.conj().T
-        for measure in (c_l1, c_r, c_ln):
+        for measure in (c_l1, c_r, lambda x: coherence_report(x).c_ln):
             assert abs(measure(rotated) - measure(rho)) < 1e-10
 
     def test_convexity_of_l1_and_r(self):
@@ -164,7 +143,7 @@ class TestMeasures:
     def test_non_hermitian_plain_matrix_is_a_domain_error(self):
         # c_l1 read 1.0 here while coherence_report refused the matrix
         skewed = np.array([[0.5, 1.0], [0.0, 0.5]])
-        for measure in (c_l1, c_r, c_ln, effective_dimension, coherence_report):
+        for measure in (c_l1, c_r, coherence_report):
             with pytest.raises(DomainError, match="departs from Hermiticity"):
                 measure(skewed)
         # within INPUT_HERMITICITY_TOL the matrix is accepted
@@ -177,7 +156,7 @@ class TestMeasures:
             c_l1(2 * np.eye(3))
         for scale in (2.0, 0.5, 1.0 + 1e-9):
             for rho in (scale * np.eye(3) / 3.0, scale * top_state(3)):
-                for measure in (c_l1, c_r, c_ln, effective_dimension, coherence_report):
+                for measure in (c_l1, c_r, coherence_report):
                     with pytest.raises(DomainError, match="trace departs from 1"):
                         measure(rho)
         # within TRACE_TOL the matrix is accepted
@@ -195,12 +174,12 @@ class TestMeasures:
         assert abs(c_r(rho) - want) < 1e-10
 
     def test_additivity_of_the_log_measure(self):
-        rho = np.kron(top_state(2), top_state(3))
-        assert abs(c_ln(rho) - math.log(2) - math.log(3)) < 1e-12
-        assert abs(effective_dimension(rho) - 6.0) < 1e-12
+        report = coherence_report(np.kron(top_state(2), top_state(3)))
+        assert abs(report.c_ln - math.log(2) - math.log(3)) < 1e-12
+        assert abs(report.effective_dimension - 6.0) < 1e-12
 
 
-PUBLIC_FUNCTIONS = (c_l1, c_r, c_ln, effective_dimension, coherence_report, incoherent_part)
+PUBLIC_FUNCTIONS = (c_l1, c_r, coherence_report)
 
 # one input per refusal of the entry check, each with the whole message
 BAD_PLAIN_MATRICES = {
@@ -291,12 +270,9 @@ def test_plain_matrix_measures_match_a_dense_oracle_bit_for_bit(rho):
     report = coherence_report(rho)
     assert c_l1(rho).hex() == report.c_l1.hex() == l1.hex()
     assert c_r(rho).hex() == report.c_r.hex() == r.hex()
-    assert c_ln(rho).hex() == report.c_ln.hex() == math.log1p(l1).hex()
-    assert effective_dimension(rho).hex() == report.effective_dimension.hex() == (1.0 + l1).hex()
+    assert report.c_ln.hex() == math.log1p(l1).hex()
+    assert report.effective_dimension.hex() == (1.0 + l1).hex()
     assert report.basis_dimension == len(a)
-    flat = incoherent_part(rho)
-    assert type(flat) is np.ndarray
-    assert np.array_equal(flat.view(np.uint64), np.diag(np.diag(a)).view(np.uint64))
 
 
 # hand-built operators that fail validate: trace 2.1, and a block with
@@ -376,8 +352,8 @@ class TestDistinctRowSum:
         want = max(0.0, sum(dense) - 1.0)
         report = coherence_report(rho)
         assert c_l1(rho).hex() == report.c_l1.hex() == want.hex()
-        assert c_ln(rho).hex() == report.c_ln.hex() == math.log1p(want).hex()
-        assert effective_dimension(rho).hex() == report.effective_dimension.hex() == (1.0 + want).hex()
+        assert report.c_ln.hex() == math.log1p(want).hex()
+        assert report.effective_dimension.hex() == (1.0 + want).hex()
 
     @pytest.mark.parametrize("k", [0.0, 0.7, math.pi])
     def test_single_mode_report_builds_no_dense_block(self, k, monkeypatch):
@@ -464,11 +440,11 @@ class TestAveragedClosedForm:
         N, n, m = 8, 4, 2
         k = 0.5
         avg = averaged_coherence_single_mode(N, n, m, k, "ln")
-        direct = c_ln(reduce_single_mode(N, n, m, k))
+        direct = coherence_report(reduce_single_mode(N, n, m, k)).c_ln
         assert direct > avg + 1e-3
         # degenerate case: a single admissible sector closes the gap
         avg_pure = averaged_coherence_single_mode(8, 8, 2, k, "ln")
-        direct_pure = c_ln(reduce_single_mode(8, 8, 2, k))
+        direct_pure = coherence_report(reduce_single_mode(8, 8, 2, k)).c_ln
         assert abs(direct_pure - avg_pure) < 1e-10
 
     def test_measure_name_checked(self):

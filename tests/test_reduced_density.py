@@ -22,7 +22,6 @@ from magcoh import (
     SubsystemSpec,
     build_state,
     hypergeometric_pmf,
-    incoherent_part,
     admissible_q,
     averaged_coherence_single_mode,
     c_l1,
@@ -556,10 +555,8 @@ class TestSingleModeClosedForm:
         spectrum = rank_one_spectrum(dense)
         assert np.array_equal(rho.spectrum(), spectrum)
         assert rho.purity() == dense.purity()
-        flat, dense_flat = incoherent_part(rho), incoherent_part(dense)
         for q in rho.q_values:
             assert np.array_equal(rho.blocks[q], dense.blocks[q])
-            assert np.array_equal(flat.blocks[q], dense_flat.blocks[q])
         # the dense blocks' report, with their rank-one spectrum in closed form
         c_r = max(0.0, coherence._entropy(dense.diagonal()) - coherence._entropy(spectrum))
         assert coherence_report(rho) == CoherenceReport(c_l1(dense), c_r, coherence_report(dense).basis_dimension)
