@@ -145,11 +145,15 @@ _TEXT_DIGITS = 4300
 
 def _binomial_past(n: int, q: int, bound: int) -> str | None:
     """None if C(n, q) <= bound; else C(n, q) in decimal for a refusal
-    message, or ">10^4300" past ``_TEXT_DIGITS`` digits.  Both tests are
-    ``_comb_exceeds``, so the binomial of a wide sector is never formed."""
+    message, or, past ``_TEXT_DIGITS`` digits, "10^4300" or ">10^4300".
+    Every test is ``_comb_exceeds``, so the binomial of a wide sector is
+    never formed."""
     if not _comb_exceeds(n, q, bound):
         return None
-    return f">10^{_TEXT_DIGITS}" if _comb_exceeds(n, q, 10**_TEXT_DIGITS) else str(math.comb(n, q))
+    limit = 10**_TEXT_DIGITS
+    if not _comb_exceeds(n, q, limit - 1):
+        return str(math.comb(n, q))
+    return f">10^{_TEXT_DIGITS}" if _comb_exceeds(n, q, limit) else f"10^{_TEXT_DIGITS}"
 
 
 def validate_sitelist(sites, n: int) -> SiteList:

@@ -26,6 +26,7 @@ from magcoh import (
     reduce_single_mode,
     sector_law,
 )
+import magcoh
 from magcoh import coherence, reduced_density
 
 
@@ -87,6 +88,15 @@ class TestMeasures:
         assert c_r(rho) > 1e-6
         assert coherence_report(rho).c_ln > 1e-6
 
+    def test_a_dephased_block_operator_reports_no_coherence(self):
+        reduced = reduce_single_mode(8, 3, 2, 0.7)
+        flat = BlockDensityMatrix(reduced.n, {q: np.diag(np.diag(b)) for q, b in reduced.blocks.items()})
+        report = coherence_report(flat)
+        assert report.c_l1 < 1e-14 and report.c_r < 1e-14
+        assert report.c_ln < 1e-14 and abs(report.effective_dimension - 1.0) < 1e-14
+        assert report.basis_dimension == coherence_report(reduced).basis_dimension
+        assert coherence_report(reduced).c_l1 > 1e-6
+
     def test_upper_bounds(self):
         rng = np.random.default_rng(23)
         for d in (3, 5, 7):
@@ -105,7 +115,7 @@ class TestMeasures:
         phases = np.exp(1j * rng.uniform(0, 2 * math.pi, size=6))
         u = np.diag(phases)
         rotated = u @ rho @ u.conj().T
-        for measure in (c_l1, c_r, lambda x: coherence_report(x).c_ln):
+        for measure in (c_l1, c_r, c_ln):
             assert abs(measure(rotated) - measure(rho)) < 1e-10
 
     def test_convexity_of_l1_and_r(self):
@@ -179,7 +189,24 @@ class TestMeasures:
         assert abs(report.effective_dimension - 6.0) < 1e-12
 
 
-PUBLIC_FUNCTIONS = (c_l1, c_r, coherence_report)
+def c_ln(rho):
+    """C_ln, read off the report, its one public name."""
+    return coherence_report(rho).c_ln
+
+
+def effective_dimension(rho):
+    """1 + C_l1, read off the report, its one public name."""
+    return coherence_report(rho).effective_dimension
+
+
+PUBLIC_FUNCTIONS = (c_l1, c_r, c_ln, effective_dimension, coherence_report)
+
+
+@pytest.mark.parametrize("name", ("c_ln", "effective_dimension", "incoherent_part"))
+def test_a_retired_name_is_not_public(name):
+    for module in (magcoh, coherence):
+        assert name not in module.__all__
+        assert not hasattr(module, name)
 
 # one input per refusal of the entry check, each with the whole message
 BAD_PLAIN_MATRICES = {

@@ -166,6 +166,32 @@ def test_the_first_failing_sector_is_found_in_a_wide_range():
     assert reduce_single_mode(40, 12, 37, K, budget=220 * 220).q_values == (9, 10, 11, 12)
 
 
+@seed(351)
+@settings(deadline=None, database=None)
+@given(n=st.integers(0, 3_000), data=st.data())
+def test_the_stopped_product_decides_a_binomial_against_its_bound(n, data):
+    q = data.draw(st.integers(0, n))
+    c = math.comb(n, q)
+    for bound in {1, max(1, c - 1), c, c + 1, c * 2}:
+        assert combinat._comb_exceeds(n, q, bound) is (c > bound), (n, q, bound)
+
+
+def test_a_count_prints_in_full_up_to_the_int_to_str_limit():
+    limit = 10**4300
+    assert combinat._binomial_past(10, 3, 120) is None
+    assert combinat._binomial_past(10, 3, 119) == "120"
+    # C(n, 1) = n: 4300 digits print in full, and 10^4300 has 4301
+    assert combinat._binomial_past(limit - 1, 1, 1) == str(limit - 1)
+    assert combinat._binomial_past(limit, 1, 1) == "10^4300"
+    assert combinat._binomial_past(limit + 1, 1, 1) == ">10^4300"
+    assert combinat._binomial_past(limit + 1, limit, 1) == ">10^4300"
+
+
+def test_a_table_of_10_to_the_4300_amplitudes_is_refused_in_bounded_form():
+    with pytest.raises(InfeasibilityError, match=rf"^state table needs 10\^4300 amplitudes, budget is {AMPLITUDE_BUDGET}$"):
+        single_mode_state(10**4300, 1, K)
+
+
 def run_infeasible(capsys, argv):
     code = main(argv)
     out, err = capsys.readouterr()
