@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinat import _as_int, _as_real, _comb_exceeds, _sector, _support_law, sector_law
+from .combinat import _as_int, _as_real, _comb_exceeds, _sector, sector_law
 from .errors import DomainError, InfeasibilityError, InternalConsistencyError
 from .reduced_density import (
     INPUT_HERMITICITY_TOL,
@@ -182,12 +182,11 @@ def averaged_coherence_single_mode(N: int, n: int, m: int, k: float, measure: st
     so averaging the sector values over the hypergeometric weights gives
     sum_q p(q) ln C(n, q) for the relative-entropy measure and
     sum_q p(q) (C(n, q) - 1) for the l1 measure, each one dot product
-    over a single sector-law call.  The "ln" choice
-    averages ln C(n, q) the same way.  Terms of at most n ln 2 ("r" and
-    "ln") are summed over the law's float support
-    (``combinat._support_law``), which drops only weights that are
-    exactly 0.0; the l1 terms C(n, q) - 1 can exceed e^746, so l1 sums
-    the whole ``sector_law``.  The directly evaluated C_ln of the
+    over a single ``sector_law`` call.  The "ln" choice averages
+    ln C(n, q) the same way.  The law spans its float support, which
+    drops only weights that are exactly 0.0, and every l1 term that
+    passes the float-range refusal is finite, so no measure loses a
+    term.  The directly evaluated C_ln of the
     mixture is larger in general (strictly, unless one sector carries
     all the weight), so the two are reported separately rather than
     conflated.
@@ -204,18 +203,18 @@ def averaged_coherence_single_mode(N: int, n: int, m: int, k: float, measure: st
         raise DomainError(f"measure must be one of 'r', 'l1', 'ln', got {measure!r}")
     N, n, m = _as_int(N, "N"), _as_int(n, "n"), _as_int(m, "m")
     _as_real(k, "wavenumber")
-    if measure != "l1":
-        law = _support_law(N, n, m)
-        return float(law.p @ law.log_dim)
-    sector = _sector(N, n, m)
-    # the widest admissible sector, nearest n/2, overflows first; float()
-    # of an integer from 2^1024 - 2^970 on rounds to 2^1024 and overflows
-    q = min(max(n // 2, sector[0]), sector[-1])
-    if _comb_exceeds(n, q, 2**1024 - 2**970 - 1):
-        raise InfeasibilityError(
-            f"C({n}, {q}) exceeds the float range (max {sys.float_info.max:.6g}), so the l1 average is not representable"
-        )
+    if measure == "l1":
+        sector = _sector(N, n, m)
+        # the widest admissible sector, nearest n/2, overflows first; float()
+        # of an integer from 2^1024 - 2^970 on rounds to 2^1024 and overflows
+        q = min(max(n // 2, sector[0]), sector[-1])
+        if _comb_exceeds(n, q, 2**1024 - 2**970 - 1):
+            raise InfeasibilityError(
+                f"C({n}, {q}) exceeds the float range (max {sys.float_info.max:.6g}), so the l1 average is not representable"
+            )
     law = sector_law(N, n, m)
+    if measure != "l1":
+        return float(law.p @ law.log_dim)
     dims = np.array([float(math.comb(n, q)) for q in law.q.tolist()])
     return float(law.p @ (dims - 1.0))
 

@@ -399,7 +399,8 @@ def _law(N: int, n: int, m: int, sector: range, lo: int, hi: int) -> SectorLaw:
 
 
 def sector_law(N: int, n: int, m: int) -> SectorLaw:
-    """Hypergeometric sector law of an n-site block, vectorised over q.
+    """Hypergeometric sector law of an n-site block over its float
+    support, vectorised over q.
 
     Builds ln p from the mode outward as a cumulative sum of the exact
     ratio p(q+1)/p(q) = (n-q)(m-q) / ((q+1)(N-n-m+q+1)), whose excess
@@ -407,34 +408,28 @@ def sector_law(N: int, n: int, m: int) -> SectorLaw:
     near the mode each step is log1p of that small quotient, so its
     rounding error is proportional to the step, not a fixed u.  ln C(n, q) is
     summed the same way from ``log_binomial(n, q_mode)``.  The weights
-    are normalised by their sum, so no lgamma error enters p.  The law
-    covers the whole admissible range, float underflows included.
+    are normalised by their sum, so no lgamma error enters p.
+
+    The law covers the flip counts whose float64 weight can be nonzero:
+    q in [floor(mu - t), ceil(mu + t)] within the admissible range, with
+    mu = n m / N, s = min(n, m, N - n, N - m), R the number of admissible
+    q and t = sqrt(s (746 + ln R) / 2) + 2.  Hoeffding's inequality for
+    sampling without replacement (W. Hoeffding, JASA 58, 13, 1963,
+    sec. 6), applied to whichever of the block, the flips or their
+    complements is smallest, bounds the tail beyond mu +- d by
+    exp(-2 d^2 / s); the mode carries at least 1/R, so p(q)/p(mode) <
+    R exp(-2 (q - mu)^2 / s) < exp(-746) < 2^-1075 outside the window,
+    and ``np.exp`` gives exactly 0.0 there.  So the window drops only
+    exact zeros of the law over the whole admissible range, which has
+    s + 1 entries and holds mu.  While s < 380, t >= s and the window is
+    that whole range, so the arrays are those of the whole-range law bit
+    for bit; where the window is shorter, only the normalising total's
+    summation order differs, and a chain of 1e8 sites sums about 2e5
+    sectors rather than 3e7.
 
     Raises InfeasibilityError when (N+2)^2 exceeds int64, where the
     ratio's integer numerator and denominator would no longer be exact.
     Integer-valued floats are taken as their integers.
-    """
-    N, n, m = _as_int(N, "N"), _as_int(n, "n"), _as_int(m, "m")
-    sector = _sector(N, n, m)
-    return _law(N, n, m, sector, sector[0], sector[-1])
-
-
-def _support_law(N: int, n: int, m: int) -> SectorLaw:
-    """The sector law over the flip counts whose float64 weight can be
-    nonzero: q in [floor(mu - t), ceil(mu + t)] within the admissible range.
-
-    Here mu = n m / N, s = min(n, m, N - n, N - m), R is the number of
-    admissible q and t = sqrt(s (746 + ln R) / 2) + 2.  Hoeffding's
-    inequality for sampling without replacement (W. Hoeffding, JASA 58,
-    13, 1963, sec. 6), applied to whichever of the block, the flips or
-    their complements is smallest, bounds the tail beyond mu +- d by
-    exp(-2 d^2 / s); the mode carries at least 1/R, so p(q)/p(mode) <
-    R exp(-2 (q - mu)^2 / s) < exp(-746) < 2^-1075 outside the window,
-    and ``np.exp`` gives exactly 0.0 there.  So the window drops only
-    exact zeros of ``sector_law``: where it covers the admissible range
-    (s below about 1,500) the two laws are the same arrays, and
-    elsewhere only the normalising total's summation order differs.
-    Refusals are those of ``sector_law``.
     """
     N, n, m = _as_int(N, "N"), _as_int(n, "n"), _as_int(m, "m")
     sector = _sector(N, n, m)

@@ -453,7 +453,12 @@ def reduce_single_mode(N: int, n: int, m: int, k: float, budget: int | None = No
 
     Each admissible sector is the pure equal-weight phase state on q
     flips, carrying its hypergeometric weight, all of which come from
-    one ``sector_law`` call; no amplitude table is ever built, so this
+    one ``sector_law`` call.  That law spans its float support, which is
+    the whole admissible range while s = min(n, m, N - n, N - m) < 380,
+    and every block the default budget admits has s below that; only a
+    larger caller budget can reach a law that leaves out sectors, and
+    those are exactly the sectors of weight 0.0.  No amplitude table is
+    ever built, so this
     route scales to chains far beyond the general one.  A sector of
     dimension d is kept as its weight p/d and its phase vector phi,
     phi_l = exp(ik sum(l)); its dense block (p/d) phi phi^H is built

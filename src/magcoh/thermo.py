@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinat import _as_int, _as_real, _support_law, admissible_q, binary_entropy
+from .combinat import _as_int, _as_real, admissible_q, binary_entropy, sector_law
 from .errors import DivergenceError, DomainError
 
 __all__ = [
@@ -171,19 +171,12 @@ def finite_size_coherence_density(N: int, n: int, m: int) -> float:
 
     Averages ln C(n, q) over the sector law and divides by n; converges
     to the binary entropy s(m / N) as the chain grows at fixed filling.
-    The sum runs over the law's float support (``combinat._support_law``),
-    which drops only weights that are exactly 0.0, so a chain of 1e8
-    sites sums about 2e5 sectors rather than 3e7.
+    The sum runs over the law's float support (``sector_law``), which
+    drops only weights that are exactly 0.0, so a chain of 1e8 sites
+    sums about 2e5 sectors rather than 3e7.
     """
-    law = _support_law(N, n, m)
+    law = sector_law(N, n, m)
     return float(law.p @ law.log_dim) / _as_int(n, "n")
-
-
-def _sector_entropies(N: int, n: int, m: int) -> tuple[float, float]:
-    # (block entropy, block coherence) of the single-mode reduction, summed
-    # over the law's float support: the dropped weights are exactly 0.0
-    law = _support_law(N, n, m)
-    return -float(law.p @ law.log_p), float(law.p @ law.log_dim)
 
 
 def beta_decomposition(N: int, n: int, m: int, epsilon0: float) -> BetaDecomposition:
@@ -192,8 +185,10 @@ def beta_decomposition(N: int, n: int, m: int, epsilon0: float) -> BetaDecomposi
     Block energy moves in exact steps of n eps0 / N when the flip count
     changes by one, so derivatives are taken over one flip either way,
     and the truncation bound is estimated by comparing that stencil with
-    the two-flip one.  Integer-valued floats N, n and m are taken as
-    their integers.
+    the two-flip one.  The block entropy -sum p ln p and the block
+    coherence sum p ln C(n, q) at each shifted flip count are dot
+    products over one ``sector_law``.  Integer-valued floats N, n and m
+    are taken as their integers.
     """
     epsilon0 = _as_epsilon0(epsilon0)
     N, n, m = _as_int(N, "N"), _as_int(n, "n"), _as_int(m, "m")
@@ -202,7 +197,8 @@ def beta_decomposition(N: int, n: int, m: int, epsilon0: float) -> BetaDecomposi
     values = {}
     for shift in (-2, -1, 1, 2):
         mm = m + shift
-        entropy, avg_log = _sector_entropies(N, n, mm)
+        law = sector_law(N, n, mm)
+        entropy, avg_log = -float(law.p @ law.log_p), float(law.p @ law.log_dim)
         values[shift] = (entropy, entropy + avg_log, avg_log, internal_energy(N, n, mm, epsilon0))
 
     def slope(component: int, h: int) -> float:

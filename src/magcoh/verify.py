@@ -24,7 +24,6 @@ from .combinat import (
     combination_array,
     enumerate_combinations,
     hypergeometric_pmf,
-    log_binomial,
     rank_combination,
 )
 from .errors import DomainError, NullStateError

@@ -35,16 +35,17 @@ def gamma(T: float) -> float:
 
 
 def anchor(N: int, n: int, m: int) -> int:
-    """Index of the mode the law is summed outward from."""
+    """Flip count q of the mode the law is summed outward from."""
     q_min, q_max = max(0, m - (N - n)), min(n, m)
-    return min(max((n + 1) * (m + 1) // (N + 2), q_min), q_max) - q_min
+    return min(max((n + 1) * (m + 1) // (N + 2), q_min), q_max)
 
 
 def sector_law_bounds(N: int, n: int, m: int, law):
-    """Per-sector bounds: relative error of p, absolute errors of ln p and ln C(n, q)."""
-    a = anchor(N, n, m)
-    steps = np.abs(np.arange(len(law.q)) - a)
-    drop = np.abs(law.log_p[a] - law.log_p)
+    """Per-sector bounds: relative error of p, absolute errors of ln p and
+    ln C(n, q), for a law over any run of q that holds the mode."""
+    mode = anchor(N, n, m)
+    steps = np.abs(law.q - mode)
+    drop = np.abs(law.log_p[mode - law.q[0]] - law.log_p)
     log_weight = 2.0 * U * (steps + 1) * (drop + 1)
     rel_weight = log_weight + 2.0 * U
     rel_total = float(law.p @ rel_weight) + gamma(len(law.q))
@@ -56,7 +57,8 @@ def sector_law_bounds(N: int, n: int, m: int, law):
 
 
 def exact_law(N: int, n: int, m: int):
-    """Correctly rounded p(q), ln p(q) and ln C(n, q) over the admissible range.
+    """Correctly rounded p(q), ln p(q) and ln C(n, q) over the admissible
+    range; index them by q - max(0, m - (N - n)) to align them with a law.
 
     Walks the exact integer recurrences C(N-n, m-q) C(n, q) and C(n, q)
     in q, so the whole law costs one pass of small big-integer products.

@@ -15,6 +15,7 @@ from magcoh import (
     MomentumVector,
     NullStateError,
     SubsystemSpec,
+    admissible_q,
     averaged_coherence_single_mode,
     build_state,
     c_l1,
@@ -447,8 +448,10 @@ class TestAveragedClosedForm:
         # more.  The oracle sums correctly rounded p and logs (within
         # 2 ulps) exactly with fsum.
         for N, n, m in ((8, 4, 2), (100_000, 6, 31_259), (100_000, 50_000, 31_259)):
-            p, _, log_dim = model.exact_law(N, n, m)
             law = sector_law(N, n, m)
+            # the exact law at the law's own flip counts
+            at = law.q - admissible_q(N, n, m)[0]
+            p, _, log_dim = (a[at] for a in model.exact_law(N, n, m))
             rel_p, _, abs_log_dim = model.sector_law_bounds(N, n, m, law)
             extra = model.gamma(len(p)) + 4.0 * model.U
             want = math.fsum(p * log_dim)

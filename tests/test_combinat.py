@@ -221,11 +221,11 @@ class TestSectorLaw:
     def test_matches_exact_integers_around_the_mode_and_in_the_tails(self, N, n, m):
         law = sector_law(N, n, m)
         rel_p, abs_log_p, abs_log_dim = model.sector_law_bounds(N, n, m, law)
-        a = model.anchor(N, n, m)
-        last = len(law.q) - 1
-        picks = {0, last, *(min(max(a + d, 0), last) for d in (-400, -120, -30, -4, 0, 3, 25, 110, 380))}
-        for i in sorted(picks):
-            q = int(law.q[i])
+        first, last = int(law.q[0]), int(law.q[-1])
+        mode = model.anchor(N, n, m)
+        picks = {first, last, *(min(max(mode + d, first), last) for d in (-400, -120, -30, -4, 0, 3, 25, 110, 380))}
+        for q in sorted(picks):
+            i = q - first
             count, total = math.comb(N - n, m - q) * math.comb(n, q), math.comb(N, m)
             exact = count / total
             # the oracle is correctly rounded, so it adds u on its side
@@ -272,9 +272,9 @@ class TestSectorLaw:
 
 
 def whole_range_law(N, n, m):
-    """``sector_law`` in the one-function form it had before the law was
-    built over runs of the admissible range: the reference its arrays
-    must keep bit for bit."""
+    """The sector law over the whole admissible range in the one-function
+    form it had before the law was built over runs of that range: the
+    reference the whole-run kernel must keep bit for bit."""
     sector = admissible_q(N, n, m)
     q = np.arange(sector.start, sector.stop, dtype=np.int64)
     mode = min(max((n + 1) * (m + 1) // (N + 2), sector[0]), sector[-1]) - sector[0]
@@ -297,8 +297,15 @@ def law_bytes(law):
     return [getattr(law, f).tobytes() for f in LAW_FIELDS]
 
 
+def whole_run(N, n, m):
+    """``combinat._law`` over the whole admissible range: the law before
+    the window drops its exact zeros."""
+    sector = admissible_q(N, n, m)
+    return combinat._law(N, n, m, sector, sector[0], sector[-1])
+
+
 class TestSupportLaw:
-    """``_support_law`` sums the law over its float support only."""
+    """``sector_law`` spans the law's float support only."""
 
     def test_whole_range_law_keeps_its_bits(self):
         grid = {
@@ -309,7 +316,7 @@ class TestSupportLaw:
             if 1 <= n <= N and 0 <= m <= N
         }
         for N, n, m in sorted(grid):
-            assert law_bytes(sector_law(N, n, m)) == [a.tobytes() for a in whole_range_law(N, n, m)], (N, n, m)
+            assert law_bytes(whole_run(N, n, m)) == [a.tobytes() for a in whole_range_law(N, n, m)], (N, n, m)
 
     @seed(3401)
     @settings(deadline=None, database=None)
@@ -324,7 +331,7 @@ class TestSupportLaw:
     )
     def test_window_holds_every_nonzero_weight_and_keeps_the_sums(self, triple):
         N, n, m = triple
-        full, window = sector_law(N, n, m), combinat._support_law(N, n, m)
+        full, window = whole_run(N, n, m), sector_law(N, n, m)
         lo, hi = int(window.q[0]), int(window.q[-1])
         nonzero = full.q[full.p != 0.0]
         assert lo <= nonzero[0] and nonzero[-1] <= hi
@@ -350,13 +357,14 @@ class TestSupportLaw:
 
     @pytest.mark.parametrize("N,n,m,entries", [(1_000, 500, 300, 301), (10_000, 5_000, 3_000, 2_133), (10**6, 5 * 10**5, 3 * 10**5, 21_341)])
     def test_window_size(self, N, n, m, entries):
-        # covers the range while s = min(n, m, N - n, N - m) is below about 1,500
-        assert len(combinat._support_law(N, n, m).q) == entries
+        # covers the range whenever s = min(n, m, N - n, N - m) < 380, and up to
+        # s near 1,500 when the mean n m / N sits mid-range
+        assert len(sector_law(N, n, m).q) == entries
 
     def test_a_run_that_cuts_a_nonzero_weight_is_refused(self):
         N, n, m = 10_000, 5_000, 3_000
         sector = admissible_q(N, n, m)
-        window, full = combinat._support_law(N, n, m), sector_law(N, n, m)
+        window, full = sector_law(N, n, m), whole_run(N, n, m)
         lo, hi = int(window.q[0]), int(window.q[-1])
         nonzero = full.q[full.p != 0.0]
         # each run starts or ends one past the outermost nonzero weight
@@ -366,12 +374,66 @@ class TestSupportLaw:
         assert law_bytes(combinat._law(N, n, m, sector, lo, hi)) == law_bytes(window)
 
     def test_refusals_are_those_of_the_whole_law(self):
+        # decided on the admissible range, before the window is sized
         with pytest.raises(DomainError):
-            combinat._support_law(4, 2, 5)
+            sector_law(4, 2, 5)
         with pytest.raises(DomainError, match="must be an integer"):
-            combinat._support_law(10, 4.5, 3)
+            sector_law(10, 4.5, 3)
         with pytest.raises(InfeasibilityError, match="2\\^63"):
-            combinat._support_law(2 ** 32, 3, 2)
+            sector_law(2 ** 32, 3, 2)
+
+    @seed(3701)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        st.integers(1, 20_000).flatmap(
+            lambda N: st.tuples(
+                st.just(N),
+                st.one_of(st.integers(1, min(N, 60)), st.integers(max(1, N - 60), N), st.integers(1, N)),
+                st.one_of(st.integers(0, min(N, 60)), st.integers(max(0, N - 60), N), st.integers(0, N)),
+            )
+        ),
+        st.floats(-4.0, 4.0),
+    )
+    def test_an_admitted_reduction_reads_the_whole_range(self, triple, k):
+        # every sector the default budget admits has s < 380, where the
+        # window is the whole admissible range
+        N, n, m = triple
+        try:
+            reduced = reduce_single_mode(N, n, m, k)
+        except InfeasibilityError:
+            event("refused by the budget")
+            return
+        event("admitted")
+        sector = admissible_q(N, n, m)
+        assert reduced.q_values == tuple(sector)
+        whole = whole_run(N, n, m)
+        sums = _site_sums(n, sector[0], sector[-1])
+        for q, p, s in zip(sector, whole.p.tolist(), sums):
+            w, phi = reduced.blocks.sectors[q]
+            assert w.hex() == (p / math.comb(n, q)).hex(), q
+            assert phi.tobytes() == np.exp(1j * k * s).tobytes(), q
+
+    @seed(3702)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        st.integers(1, 1_030).flatmap(lambda n: st.tuples(st.integers(n, 40_000), st.just(n))).flatmap(
+            lambda Nn: st.tuples(st.just(Nn[0]), st.just(Nn[1]), st.integers(0, Nn[0]))
+        )
+    )
+    def test_the_l1_average_is_the_whole_range_sum_where_the_window_covers_it(self, triple):
+        N, n, m = triple
+        try:
+            got = averaged_coherence_single_mode(N, n, m, 0.0, "l1")
+        except InfeasibilityError:
+            event("C(n, q) leaves the float range")
+            return
+        whole = whole_run(N, n, m)
+        if len(sector_law(N, n, m).q) < len(whole.q):
+            event("window truncates")
+            return
+        event("window covers the range")
+        dims = np.array([float(math.comb(n, q)) for q in whole.q.tolist()])
+        assert got.hex() == float(whole.p @ (dims - 1.0)).hex()
 
     def test_arrays_are_read_only(self):
         law = sector_law(8, 3, 2)

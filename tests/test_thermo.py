@@ -255,11 +255,12 @@ class TestSectorSumsAgainstExactIntegers:
         assert abs(got - avg_log / self.n) <= tol
 
     def test_block_entropy_and_coherence(self, exact, bounds):
+        # the two dot products beta_decomposition takes at each flip count
         p, log_p, log_dim = exact
         law, (rel_p, abs_log_p, abs_log_dim) = bounds
         entropy, avg_log = -math.fsum(p * log_p), math.fsum(p * log_dim)
-        got_entropy, got_avg_log = thermo._sector_entropies(self.N, self.n, self.m)
-        Q = len(p)
+        got_entropy, got_avg_log = -float(law.p @ law.log_p), float(law.p @ law.log_dim)
+        Q = len(law.q)
         tol_entropy = float(law.p @ (rel_p * np.abs(law.log_p) + abs_log_p)) + model.gamma(Q) * entropy
         tol_entropy += 3.0 * model.U * (entropy + 1.0)
         tol_avg_log = float(law.p @ (rel_p * law.log_dim + abs_log_dim)) + model.gamma(Q) * avg_log
@@ -281,14 +282,14 @@ class TestThermodynamicSizes:
 
     def test_beta_decomposition_at_1e8_sums_under_3e5_sectors(self, monkeypatch):
         N, n, m = 10**8, 5 * 10**7, 3 * 10**7
-        sizes, support_law = [], thermo._support_law
+        sizes, support_law = [], thermo.sector_law
 
         def recording(*args):
             law = support_law(*args)
             sizes.append(len(law.q))
             return law
 
-        monkeypatch.setattr(thermo, "_support_law", recording)
+        monkeypatch.setattr(thermo, "sector_law", recording)
         d = beta_decomposition(N, n, m, 1.0)
         assert d.identity_residual <= d.truncation_bound
         assert len(sizes) == 4 and max(sizes) < 3 * 10**5
