@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinat import _as_int, _as_real, _comb_exceeds, _sector, sector_law
+from .combinat import _as_int, _as_real, _comb_exceeds, _int_text, _sector, sector_law
 from .errors import DomainError, InfeasibilityError, InternalConsistencyError
 from .reduced_density import (
     INPUT_HERMITICITY_TOL,
@@ -165,7 +165,7 @@ def max_coherence(d: int) -> tuple[float, float]:
     """
     d = _as_int(d, "dimension")
     if d < 1:
-        raise DomainError(f"dimension must be a positive integer, got {d!r}")
+        raise DomainError(f"dimension must be a positive integer, got {_int_text(d)}")
     try:
         l1 = float(d - 1)
     except OverflowError:

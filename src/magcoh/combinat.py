@@ -22,6 +22,7 @@ stores results that depend on nothing but the key.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from itertools import combinations
 
@@ -100,7 +101,8 @@ def _as_real(x, name: str) -> float:
                 raise TypeError
             x = float(x)
         except (TypeError, ValueError, OverflowError):
-            raise DomainError(f"{name} must be a finite real number, got {x!r}") from None
+            got = _int_text(x) if isinstance(x, int) else repr(x)
+            raise DomainError(f"{name} must be a finite real number, got {got}") from None
     if not math.isfinite(x):
         raise DomainError(f"{name} must be finite, got {x}")
     return x
@@ -109,16 +111,21 @@ def _as_real(x, name: str) -> float:
 def log_binomial(n: int, k: int) -> float:
     """ln C(n, k); exact log below EXACT_LIMIT, log-gamma beyond.
 
-    Integer-valued floats are taken as their integers.
+    An n whose lnGamma(n + 1) leaves the float range (n + 1 past about
+    2e305) is an InfeasibilityError.  Integer-valued floats are taken as
+    their integers.
     """
     n, k = _as_int(n, "n"), _as_int(k, "k")
     if n < 0:
-        raise DomainError(f"binomial needs n >= 0, got n={n}")
+        raise DomainError(f"binomial needs n >= 0, got n={_int_text(n)}")
     if k < 0 or k > n:
-        raise DomainError(f"binomial needs 0 <= k <= n, got n={n}, k={k}")
+        raise DomainError(f"binomial needs 0 <= k <= n, got n={_int_text(n)}, k={_int_text(k)}")
     if n <= EXACT_LIMIT:
         return math.log(math.comb(n, k))
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+    try:
+        return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+    except OverflowError:
+        raise InfeasibilityError(f"ln C(n, k) at n={_int_text(n)} takes a log-gamma past the float range") from None
 
 
 def _comb_exceeds(n: int, q: int, bound: int) -> bool:
@@ -138,22 +145,35 @@ def _comb_exceeds(n: int, q: int, bound: int) -> bool:
     return False
 
 
-# Digits of the longest count a refusal prints in full: CPython's default
+# Digits of the longest integer a message prints in full: CPython's default
 # int-to-str limit, past which str() of an int raises ValueError.
 _TEXT_DIGITS = 4300
 
 
+def _int_text(x) -> str:
+    """An int, or a tuple of ints, as a message prints it: in decimal,
+    except that an int of more digits than ``_TEXT_DIGITS`` prints as
+    "10^4300" or ">10^4300", with "-" or "<-" in front when negative."""
+    if isinstance(x, tuple):
+        items = ", ".join(map(_int_text, x))
+        return f"({items},)" if len(x) == 1 else f"({items})"
+    limit = 10**_TEXT_DIGITS
+    if -limit < x < limit:
+        return str(x)
+    if abs(x) == limit:
+        return f"{'-' if x < 0 else ''}10^{_TEXT_DIGITS}"
+    return f"{'>' if x > 0 else '<-'}10^{_TEXT_DIGITS}"
+
+
 def _binomial_past(n: int, q: int, bound: int) -> str | None:
-    """None if C(n, q) <= bound; else C(n, q) in decimal for a refusal
-    message, or, past ``_TEXT_DIGITS`` digits, "10^4300" or ">10^4300".
+    """None if C(n, q) <= bound; else C(n, q) as ``_int_text`` prints it.
     Every test is ``_comb_exceeds``, so the binomial of a wide sector is
     never formed."""
     if not _comb_exceeds(n, q, bound):
         return None
-    limit = 10**_TEXT_DIGITS
-    if not _comb_exceeds(n, q, limit - 1):
-        return str(math.comb(n, q))
-    return f">10^{_TEXT_DIGITS}" if _comb_exceeds(n, q, limit) else f"10^{_TEXT_DIGITS}"
+    if _comb_exceeds(n, q, 10**_TEXT_DIGITS):
+        return f">10^{_TEXT_DIGITS}"
+    return _int_text(math.comb(n, q))
 
 
 def validate_sitelist(sites, n: int) -> SiteList:
@@ -174,9 +194,9 @@ def validate_sitelist(sites, n: int) -> SiteList:
         out.append(s if type(s) is int else _as_int(s, "site index"))
     for a, b in zip(out, out[1:]):
         if a >= b:
-            raise DomainError(f"site indices must be strictly increasing, got {tuple(out)}")
+            raise DomainError(f"site indices must be strictly increasing, got {_int_text(tuple(out))}")
     if out and (out[0] < 1 or out[-1] > n):
-        raise DomainError(f"site indices must lie in [1, {n}], got {tuple(out)}")
+        raise DomainError(f"site indices must lie in [1, {_int_text(n)}], got {_int_text(tuple(out))}")
     return tuple(out)
 
 
@@ -187,10 +207,16 @@ def _iter_combinations(n: int, m: int):
 
 
 def enumerate_combinations(n: int, m: int) -> list[SiteList]:
-    """All m-element site lists from {1, ..., n} in lexicographic order."""
+    """All m-element site lists from {1, ..., n} in lexicographic order.
+
+    More than ``sys.maxsize`` lists, which no list can index, is an
+    InfeasibilityError, refused before any is built.
+    """
     n, m = _as_int(n, "n"), _as_int(m, "m")
     if n < 0 or m < 0 or m > n:
-        raise DomainError(f"cannot enumerate {m}-subsets of {n} sites")
+        raise DomainError(f"cannot enumerate {_int_text(m)}-subsets of {_int_text(n)} sites")
+    if (count := _binomial_past(n, m, sys.maxsize)) is not None:
+        raise InfeasibilityError(f"{count} site lists exceed the {sys.maxsize} entries a list can index")
     return list(_iter_combinations(n, m))
 
 
@@ -204,12 +230,20 @@ def combination_array(n: int, m: int) -> np.ndarray:
     the (j-1)-lists of {f + 1, ..., nn}, which are the last C(nn - f,
     j - 1) rows of level j - 1 (the lists of {f, ..., nn - 1}) plus 1.
     So each level is one shifted slice copy per leading site.  m > n
-    gives a (0, m) table; negative n or m is a DomainError.
+    gives a (0, m) table; negative n or m is a DomainError, and a table
+    past ``sys.maxsize`` bytes, which no array can index, an
+    InfeasibilityError, refused before any level is built.
     Integer-valued floats are taken as their integers.
     """
     n, m = _as_int(n, "n"), _as_int(m, "m")
     if n < 0 or m < 0:
-        raise DomainError(f"cannot tabulate {m}-subsets of {n} sites")
+        raise DomainError(f"cannot tabulate {_int_text(m)}-subsets of {_int_text(n)} sites")
+    # numpy caps the bytes of the rows times m int64 columns, and of the
+    # columns alone when there are no rows; the final level is the widest
+    if 8 * m > sys.maxsize or (m <= n and _comb_exceeds(n, m, sys.maxsize // (8 * max(m, 1)))):
+        raise InfeasibilityError(
+            f"a table of the {_int_text(m)}-subsets of {_int_text(n)} sites exceeds the {sys.maxsize} bytes an array can index"
+        )
     if m > n:
         return np.zeros((0, m), dtype=np.int64)
     prev = np.zeros((1, 0), dtype=np.int64)
@@ -297,7 +331,7 @@ def rank_combination(sites, n: int) -> int:
 def _rank(sites: SiteList, n: int) -> int:
     t = validate_sitelist(sites, n)
     if n < 0:
-        raise DomainError(f"cannot rank a site list among {n} sites")
+        raise DomainError(f"cannot rank a site list among {_int_text(n)} sites")
     m = len(t)
     return math.comb(n, m) - 1 - sum(math.comb(n - s, m - i) for i, s in enumerate(t))
 
@@ -310,9 +344,9 @@ def admissible_q(N: int, n: int, m: int) -> range:
     """
     N, n, m = _as_int(N, "N"), _as_int(n, "n"), _as_int(m, "m")
     if not 1 <= n <= N:
-        raise DomainError(f"block size must satisfy 1 <= n <= N, got n={n}, N={N}")
+        raise DomainError(f"block size must satisfy 1 <= n <= N, got n={_int_text(n)}, N={_int_text(N)}")
     if not 0 <= m <= N:
-        raise DomainError(f"flip count must satisfy 0 <= m <= N, got m={m}, N={N}")
+        raise DomainError(f"flip count must satisfy 0 <= m <= N, got m={_int_text(m)}, N={_int_text(N)}")
     return range(max(0, m - (N - n)), min(n, m) + 1)
 
 
@@ -332,7 +366,9 @@ def hypergeometric_pmf(N: int, n: int, m: int, q: int) -> float:
     """
     q = _as_int(q, "q")
     if q not in admissible_q(N, n, m):
-        raise DomainError(f"q={q} outside the admissible range for N={N}, n={n}, m={m}")
+        raise DomainError(
+            f"q={_int_text(q)} outside the admissible range for N={_int_text(N)}, n={_int_text(n)}, m={_int_text(m)}"
+        )
     return math.exp(log_binomial(N - n, m - q) + log_binomial(n, q) - log_binomial(N, m))
 
 
@@ -367,7 +403,7 @@ def _sector(N: int, n: int, m: int) -> range:
     # the admissible range of a law the int64 ratios can build
     sector = admissible_q(N, n, m)
     if (N + 2) ** 2 >= 2 ** 63:
-        raise InfeasibilityError(f"sector law at N={N} needs (N+2)^2 < 2^63 for exact int64 ratios")
+        raise InfeasibilityError(f"sector law at N={_int_text(N)} needs (N+2)^2 < 2^63 for exact int64 ratios")
     return sector
 
 

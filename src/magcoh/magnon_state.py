@@ -43,6 +43,7 @@ it took.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -51,7 +52,16 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .combinat import SiteList, _as_int, _as_real, _binomial_past, _site_sums, combination_array, enumerate_combinations
+from .combinat import (
+    SiteList,
+    _as_int,
+    _as_real,
+    _binomial_past,
+    _int_text,
+    _site_sums,
+    combination_array,
+    enumerate_combinations,
+)
 from .errors import DomainError, InfeasibilityError, NullStateError
 
 __all__ = [
@@ -88,7 +98,7 @@ def _resolve_budget(budget: int | None, default: int) -> int:
     if budget is None:
         return default
     if (budget := _as_int(budget, "budget")) < 1:
-        raise DomainError(f"budget must be at least 1, got {budget}")
+        raise DomainError(f"budget must be at least 1, got {_int_text(budget)}")
     return budget
 
 
@@ -96,7 +106,7 @@ def _check_table(n: int, q: int, budget: int) -> None:
     """Refuse a table of the C(n, q) q-lists of n sites past the budget,
     deciding it without forming a binomial much past the budget."""
     if (count := _binomial_past(n, q, budget)) is not None:
-        raise InfeasibilityError(f"state table needs {count} amplitudes, budget is {budget}")
+        raise InfeasibilityError(f"state table needs {count} amplitudes, budget is {_int_text(budget)}")
 
 
 # Largest m summed over all m! permutations; guards memory, as each row chunk gathers rows x m! phases.
@@ -124,19 +134,27 @@ class MomentumVector:
     def __post_init__(self):
         object.__setattr__(self, "N", _as_int(self.N, "chain length"))
         if self.N < 1:
-            raise DomainError(f"chain length must be positive, got N={self.N}")
+            raise DomainError(f"chain length must be positive, got N={_int_text(self.N)}")
         clean = []
         for j in self.indices:
             i = _as_int(j, "momentum index")
             if not 0 <= i < self.N:
-                raise DomainError(f"momentum index {i} outside [0, {self.N})")
+                raise DomainError(f"momentum index {_int_text(i)} outside [0, {_int_text(self.N)})")
             clean.append(i)
         object.__setattr__(self, "indices", tuple(clean))
 
     @classmethod
     def constant(cls, N: int, index: int, m: int) -> "MomentumVector":
-        """m copies of the same grid index: a single-mode momentum choice."""
-        return cls(N, (index,) * _as_int(m, "flip count"))
+        """m copies of the same grid index: a single-mode momentum choice.
+
+        A negative m is a DomainError, and an m past ``sys.maxsize``, which
+        no tuple can index, an InfeasibilityError.
+        """
+        if (m := _as_int(m, "flip count")) < 0:
+            raise DomainError(f"flip count must be non-negative, got m={_int_text(m)}")
+        if m > sys.maxsize:
+            raise InfeasibilityError(f"m={_int_text(m)} indices exceed the {sys.maxsize} entries a tuple can index")
+        return cls(N, (index,) * m)
 
     @property
     def m(self) -> int:
@@ -167,11 +185,11 @@ class MagnonStateSpec:
         object.__setattr__(self, "N", _as_int(self.N, "chain length"))
         object.__setattr__(self, "m", _as_int(self.m, "flip count"))
         if not 1 <= self.m <= self.N:
-            raise DomainError(f"flip count must satisfy 1 <= m <= N, got m={self.m}, N={self.N}")
+            raise DomainError(f"flip count must satisfy 1 <= m <= N, got m={_int_text(self.m)}, N={_int_text(self.N)}")
         if self.k.N != self.N:
-            raise DomainError(f"momentum grid N={self.k.N} does not match chain N={self.N}")
+            raise DomainError(f"momentum grid N={_int_text(self.k.N)} does not match chain N={_int_text(self.N)}")
         if self.k.m != self.m:
-            raise DomainError(f"need {self.m} momentum indices, got {self.k.m}")
+            raise DomainError(f"need {_int_text(self.m)} momentum indices, got {self.k.m}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,10 +212,16 @@ class AmplitudeTable:
         object.__setattr__(self, "N", _as_int(self.N, "chain length"))
         object.__setattr__(self, "m", _as_int(self.m, "flip count"))
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        expected = math.comb(self.N, self.m)
+        try:
+            expected = math.comb(self.N, self.m)
+        except ValueError:
+            raise DomainError(
+                f"amplitude table needs N >= 0 and m >= 0, got N={_int_text(self.N)}, m={_int_text(self.m)}"
+            ) from None
         if amps.shape != (expected,):
             raise DomainError(
-                f"amplitude table for N={self.N}, m={self.m} needs shape ({expected},), got {amps.shape}"
+                f"amplitude table for N={_int_text(self.N)}, m={_int_text(self.m)} needs shape"
+                f" ({_int_text(expected)},), got {amps.shape}"
             )
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -506,7 +530,8 @@ def _permanents(indices, N: int, chain, budget: int) -> np.ndarray:
         perms = math.factorial(m)
         if perms * m > budget:
             raise InfeasibilityError(
-                f"permutation sum stores m! = {perms} orderings of {m} indices, {perms * m} entries; budget is {budget}"
+                f"permutation sum stores m! = {perms} orderings of {m} indices, {perms * m} entries;"
+                f" budget is {_int_text(budget)}"
             )
         sites = combination_array(n, m)
         if chain[-1] != n:
@@ -519,7 +544,7 @@ def _permanents(indices, N: int, chain, budget: int) -> np.ndarray:
     size = math.comb(n, widest)
     if size > budget:
         raise InfeasibilityError(
-            f"permanent table level {widest} holds C({n}, {widest}) = {size} entries, budget is {budget}"
+            f"permanent table level {widest} holds C({n}, {widest}) = {size} entries, budget is {_int_text(budget)}"
         )
     return _subset_permanents(indices, N, chain)
 
@@ -579,9 +604,9 @@ def single_mode_state(n: int, q: int, k: float) -> AmplitudeTable:
     """
     n, q, k = _as_int(n, "n"), _as_int(q, "q"), _as_real(k, "wavenumber")
     if n < 1:
-        raise DomainError(f"block size must be positive, got n={n}")
+        raise DomainError(f"block size must be positive, got n={_int_text(n)}")
     if not 0 <= q <= n:
-        raise DomainError(f"flip count must satisfy 0 <= q <= n, got q={q}, n={n}")
+        raise DomainError(f"flip count must satisfy 0 <= q <= n, got q={_int_text(q)}, n={_int_text(n)}")
     _check_table(n, q, AMPLITUDE_BUDGET)
     (sums,) = _site_sums(n, q, q)
     pref = 1.0 / math.sqrt(len(sums))
@@ -613,7 +638,7 @@ def apply_hamiltonian(state: AmplitudeTable, J: float = 1.0) -> np.ndarray:
     J = _coupling(J)
     N = state.N
     if N > _MASK_SITES:
-        raise InfeasibilityError(f"site-list bit masks need {N} bits, int64 holds {_MASK_SITES}")
+        raise InfeasibilityError(f"site-list bit masks need {_int_text(N)} bits, int64 holds {_MASK_SITES}")
     masks = _bit_masks(N, state.m)
     order = np.argsort(masks)
     a = state.amplitudes

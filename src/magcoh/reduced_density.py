@@ -14,6 +14,7 @@ the hypergeometric law.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -26,6 +27,7 @@ from .combinat import (
     _as_int,
     _as_real,
     _binomial_past,
+    _int_text,
     _sector,
     _site_sums,
     admissible_q,
@@ -99,7 +101,7 @@ class SubsystemSpec:
     def __post_init__(self):
         object.__setattr__(self, "parent_N", _as_int(self.parent_N, "parent chain length"))
         if self.parent_N < 1:
-            raise DomainError(f"parent chain length must be positive, got {self.parent_N}")
+            raise DomainError(f"parent chain length must be positive, got {_int_text(self.parent_N)}")
         clean = validate_sitelist(self.sites, self.parent_N)
         if not clean:
             raise DomainError("subsystem needs at least one site")
@@ -107,8 +109,11 @@ class SubsystemSpec:
 
     @classmethod
     def prefix(cls, parent_N: int, n: int) -> "SubsystemSpec":
-        """The contiguous block {1, ..., n}."""
-        return cls(parent_N, tuple(range(1, _as_int(n, "n") + 1)))
+        """The contiguous block {1, ..., n}; an n past ``sys.maxsize``,
+        which no tuple can index, is an InfeasibilityError."""
+        if (n := _as_int(n, "n")) > sys.maxsize:
+            raise InfeasibilityError(f"n={_int_text(n)} sites exceed the {sys.maxsize} entries a tuple can index")
+        return cls(parent_N, tuple(range(1, n + 1)))
 
     @property
     def n(self) -> int:
@@ -310,7 +315,7 @@ class BlockDensityMatrix:
         """
         for q in self.q_values:
             if not 0 <= q <= self.n:
-                raise InternalConsistencyError(f"block q={q} lies outside [0, {self.n}]")
+                raise InternalConsistencyError(f"block q={_int_text(q)} lies outside [0, {_int_text(self.n)}]")
             dim = math.comb(self.n, q)
             rank_one = self._rank_one(q)
             if rank_one is None:
@@ -318,14 +323,18 @@ class BlockDensityMatrix:
                 if b.ndim != 2 or b.shape[0] != b.shape[1]:
                     raise InternalConsistencyError(f"block q={q} is not square: shape {b.shape}")
                 if b.shape[0] != dim:
-                    raise InternalConsistencyError(f"block q={q} has {b.shape[0]} rows, not C({self.n}, {q}) = {dim}")
+                    raise InternalConsistencyError(
+                        f"block q={q} has {b.shape[0]} rows, not C({_int_text(self.n)}, {q}) = {_int_text(dim)}"
+                    )
                 herm = _hermiticity_residual(b)
                 if not herm <= BLOCK_HERMITICITY_TOL:
                     raise InternalConsistencyError(f"block q={q} departs from Hermiticity by {herm:.3e}")
             else:
                 w, phi = rank_one
                 if phi.shape != (dim,):
-                    raise InternalConsistencyError(f"rank-one block q={q} has a phase vector of shape {phi.shape}, not ({dim},)")
+                    raise InternalConsistencyError(
+                        f"rank-one block q={q} has a phase vector of shape {phi.shape}, not ({_int_text(dim)},)"
+                    )
                 if not (math.isfinite(w) and np.isfinite(phi).all()):
                     raise InternalConsistencyError(f"rank-one block q={q} has a non-finite weight or phase")
             lowest = self._lowest_eigenvalue(q)
@@ -357,7 +366,7 @@ def _check_blocks(n: int, qs: range, budget: int) -> None:
         if q == top:
             return
         q += 1
-    raise InfeasibilityError(f"sector q={q} needs a {d} x {d} block, budget is {budget}")
+    raise InfeasibilityError(f"sector q={q} needs a {d} x {d} block, budget is {_int_text(budget)}")
 
 
 def reduce(state: AmplitudeTable, sub: SubsystemSpec, budget: int | None = None) -> BlockDensityMatrix:
@@ -392,11 +401,11 @@ def reduce(state: AmplitudeTable, sub: SubsystemSpec, budget: int | None = None)
     budget = _resolve_budget(budget, AMPLITUDE_BUDGET)
     N, m = state.N, state.m
     if sub.parent_N != N:
-        raise DomainError(f"subsystem belongs to an N={sub.parent_N} chain, state has N={N}")
+        raise DomainError(f"subsystem belongs to an N={_int_text(sub.parent_N)} chain, state has N={_int_text(N)}")
     n = sub.n
     sector = admissible_q(N, n, m)
     if math.comb(N, m) > budget:
-        raise InfeasibilityError(f"reduction scans {math.comb(N, m)} amplitudes, budget is {budget}")
+        raise InfeasibilityError(f"reduction scans {math.comb(N, m)} amplitudes, budget is {_int_text(budget)}")
     # each db x da buffer is a slice of the amplitude table, so only a
     # da x da block can outgrow the budget the table fits in
     _check_blocks(n, sector, budget)
@@ -496,7 +505,7 @@ def oracle_partial_trace(state: AmplitudeTable, sub: SubsystemSpec) -> BlockDens
     """
     N = state.N
     if sub.parent_N != N:
-        raise DomainError(f"subsystem belongs to an N={sub.parent_N} chain, state has N={N}")
+        raise DomainError(f"subsystem belongs to an N={_int_text(sub.parent_N)} chain, state has N={_int_text(N)}")
     if (1 << N) > FULL_VECTOR_BUDGET:
         raise InfeasibilityError(f"oracle trace scans 2^{N} entries, budget is {FULL_VECTOR_BUDGET}")
     n = sub.n

@@ -17,12 +17,13 @@ quantities are in nats.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .combinat import _as_int, _as_real, admissible_q, binary_entropy, sector_law
-from .errors import DivergenceError, DomainError
+from .combinat import _as_int, _as_real, _int_text, admissible_q, binary_entropy, sector_law
+from .errors import DivergenceError, DomainError, InfeasibilityError
 
 __all__ = [
     "ThermoCurve",
@@ -86,11 +87,16 @@ def internal_energy(N: int, n: int, m: int, epsilon0: float) -> float:
     """Mean block energy n m eps0 / N: q eps0 averaged over the sector law.
 
     N, n and m are read as Python integers, so a numpy integer's product
-    n m cannot overflow.
+    n m cannot overflow; one past the float range is an
+    InfeasibilityError.
     """
     N, n, m = _as_int(N, "N"), _as_int(n, "n"), _as_int(m, "m")
     admissible_q(N, n, m)
-    return n * m * _as_epsilon0(epsilon0) / N
+    epsilon0 = _as_epsilon0(epsilon0)
+    try:
+        return n * m * epsilon0 / N
+    except OverflowError:
+        raise InfeasibilityError(f"mean block energy at N={_int_text(N)} leaves the float range") from None
 
 
 def coherence_density(u: float, epsilon0: float) -> float:
@@ -193,7 +199,7 @@ def beta_decomposition(N: int, n: int, m: int, epsilon0: float) -> BetaDecomposi
     epsilon0 = _as_epsilon0(epsilon0)
     N, n, m = _as_int(N, "N"), _as_int(n, "n"), _as_int(m, "m")
     if m < 2 or m + 2 > N:
-        raise DomainError(f"centered differences need m within [2, N - 2]; got m={m}, N={N}")
+        raise DomainError(f"centered differences need m within [2, N - 2]; got m={_int_text(m)}, N={_int_text(N)}")
     values = {}
     for shift in (-2, -1, 1, 2):
         mm = m + shift
@@ -225,7 +231,10 @@ def sweep(epsilon0: float, beta_min: float, beta_max: float, count: int) -> Ther
     epsilon0 = _as_epsilon0(epsilon0)
     count = _as_int(count, "point count")
     if count < 1:
-        raise DomainError(f"point count must be a positive integer, got {count!r}")
+        raise DomainError(f"point count must be a positive integer, got {_int_text(count)}")
+    # the record array holds three float64 fields per point
+    if 24 * count > sys.maxsize:
+        raise InfeasibilityError(f"{_int_text(count)} points exceed the {sys.maxsize} bytes an array can index")
     # a NaN endpoint fails the order test too, so finiteness is tested first
     try:
         beta_min, beta_max = _as_real(beta_min, "beta_min"), _as_real(beta_max, "beta_max")

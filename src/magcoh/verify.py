@@ -20,6 +20,7 @@ from . import coherence as coh
 from . import thermo
 from .combinat import (
     _as_int,
+    _int_text,
     admissible_q,
     combination_array,
     enumerate_combinations,
@@ -413,10 +414,10 @@ def run_suite(N: int = 8, m: int = 2, seed: int = 7) -> list[FamilyResult]:
     """
     N, m, seed = _as_int(N, "N"), _as_int(m, "m"), _as_int(seed, "seed")
     if seed < 0:
-        raise DomainError(f"suite needs a non-negative seed, got seed={seed}")
+        raise DomainError(f"suite needs a non-negative seed, got seed={_int_text(seed)}")
     if not 4 <= N <= 14:
-        raise DomainError(f"suite needs 4 <= N <= 14 for the dense oracle families, got N={N}")
+        raise DomainError(f"suite needs 4 <= N <= 14 for the dense oracle families, got N={_int_text(N)}")
     if not 1 <= m <= N - 1:
-        raise DomainError(f"suite needs 1 <= m <= N - 1, got m={m}")
+        raise DomainError(f"suite needs 1 <= m <= N - 1, got m={_int_text(m)}")
     rng = np.random.default_rng(seed)
     return [FamilyResult(name, *family(N, m, rng)) for name, family in _FAMILIES.items()]

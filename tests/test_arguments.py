@@ -8,10 +8,14 @@ through ``combinat._as_real``, each budget through
 value outside its kind is a DomainError, raised without a warning, and
 an equal value of another type (4.0, np.int64(4) or np.int32(4) for the
 integer 4, np.float64(2.0) or 2 for the real 2.0) gives the plain value's
-result bit for bit.
+result bit for bit.  An int of 5,001 digits, past CPython's 4,300-digit
+int-to-str limit, either gives a result or is a MagcohError whose message
+prints: no slot lets it escape as a bare ValueError, OverflowError or
+MemoryError.
 """
 
 import math
+import time
 import warnings
 from typing import Callable, NamedTuple
 
@@ -22,6 +26,7 @@ from magcoh import (
     AmplitudeTable,
     BlockDensityMatrix,
     DomainError,
+    MagcohError,
     MagnonStateSpec,
     MomentumVector,
     SubsystemSpec,
@@ -53,6 +58,7 @@ from magcoh import (
     sweep,
 )
 from magcoh.combinat import combination_array
+from magcoh.verify import FAMILY_NAMES
 
 NAN, INF = math.nan, math.inf
 INT, REAL, BUDGET, COUPLING = "integer", "real", "budget", "coupling"
@@ -195,6 +201,24 @@ ONCE_ACCEPTED = {
 }
 
 
+# the slots that give a result at +10**5000: the plain value's, since the
+# huge value is a chain length or budget the call never reaches, except
+# run_suite's seed, which draws another suite
+HUGE_RETURNS = {
+    "rank_combination.n",
+    "validate_sitelist.n",
+    "admissible_q.N",
+    "MomentumVector.N",
+    "MomentumVector.constant.N",
+    "build_state.budget",
+    "SubsystemSpec.parent_N",
+    "SubsystemSpec.prefix.parent_N",
+    "reduce.budget",
+    "reduce_single_mode.budget",
+}
+HUGE = 10**5000
+
+
 def _bits(x):
     """An image of a result that is equal only when every bit is."""
     if isinstance(x, (float, np.floating)):
@@ -250,3 +274,27 @@ def test_an_equal_value_of_another_type_gives_the_same_bits(slot, convert):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _bits(slot.call(convert(slot.plain))) == want
+
+
+@pytest.mark.parametrize(
+    "slot, sign",
+    [(s, sign) for s in SLOTS for sign in (1, -1)],
+    ids=[f"{s.name}-{'+' if sign > 0 else '-'}10**5000" for s in SLOTS for sign in (1, -1)],
+)
+def test_an_int_past_the_str_limit_is_refused_or_gives_todays_result(slot, sign):
+    combinat._rank.cache_clear()
+    start = time.perf_counter()
+    try:
+        got = slot.call(sign * HUGE)
+    except MagcohError as err:
+        assert str(err)
+        returned = False
+    else:
+        returned = True
+    assert time.perf_counter() - start < 1.0
+    if slot.name == "run_suite.seed" and sign > 0:
+        assert [r.name for r in got] == list(FAMILY_NAMES) and all(r.passed for r in got)
+    else:
+        assert returned == (slot.name in HUGE_RETURNS and sign > 0)
+        if returned:
+            assert _bits(got) == _bits(slot.call(slot.plain))

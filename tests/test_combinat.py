@@ -383,7 +383,7 @@ class TestSupportLaw:
             sector_law(2 ** 32, 3, 2)
 
     @seed(3701)
-    @settings(max_examples=150, deadline=None, database=None)
+    @settings(max_examples=200, deadline=None, database=None)
     @given(
         st.integers(1, 20_000).flatmap(
             lambda N: st.tuples(
@@ -414,7 +414,7 @@ class TestSupportLaw:
             assert phi.tobytes() == np.exp(1j * k * s).tobytes(), q
 
     @seed(3702)
-    @settings(max_examples=150, deadline=None, database=None)
+    @settings(max_examples=200, deadline=None, database=None)
     @given(
         st.integers(1, 1_030).flatmap(lambda n: st.tuples(st.integers(n, 40_000), st.just(n))).flatmap(
             lambda Nn: st.tuples(st.just(Nn[0]), st.just(Nn[1]), st.integers(0, Nn[0]))
