@@ -151,16 +151,18 @@ _TEXT_DIGITS = 4300
 
 
 def _int_text(x) -> str:
-    """An int, or a tuple of ints, as a message prints it: in decimal,
-    except that an int of more digits than ``_TEXT_DIGITS`` prints as
-    "10^4300" or ">10^4300", with "-" or "<-" in front when negative."""
+    """An int, or a tuple of ints, as a message prints it: ``str(x)``,
+    except that an int of more digits than ``_TEXT_DIGITS``, where str()
+    raises, prints as "10^4300" or ">10^4300", with "-" or "<-" in front
+    when negative."""
+    try:
+        return str(x)
+    except ValueError:
+        pass
     if isinstance(x, tuple):
         items = ", ".join(map(_int_text, x))
         return f"({items},)" if len(x) == 1 else f"({items})"
-    limit = 10**_TEXT_DIGITS
-    if -limit < x < limit:
-        return str(x)
-    if abs(x) == limit:
+    if abs(x) == 10**_TEXT_DIGITS:
         return f"{'-' if x < 0 else ''}10^{_TEXT_DIGITS}"
     return f"{'>' if x > 0 else '<-'}10^{_TEXT_DIGITS}"
 
@@ -242,7 +244,7 @@ def combination_array(n: int, m: int) -> np.ndarray:
     # columns alone when there are no rows; the final level is the widest
     if 8 * m > sys.maxsize or (m <= n and _comb_exceeds(n, m, sys.maxsize // (8 * max(m, 1)))):
         raise InfeasibilityError(
-            f"a table of the {_int_text(m)}-subsets of {_int_text(n)} sites exceeds the {sys.maxsize} bytes an array can index"
+            f"{_int_text(m)}-subsets of {_int_text(n)} sites exceed the {sys.maxsize} bytes an array can index"
         )
     if m > n:
         return np.zeros((0, m), dtype=np.int64)

@@ -530,8 +530,7 @@ def _permanents(indices, N: int, chain, budget: int) -> np.ndarray:
         perms = math.factorial(m)
         if perms * m > budget:
             raise InfeasibilityError(
-                f"permutation sum stores m! = {perms} orderings of {m} indices, {perms * m} entries;"
-                f" budget is {_int_text(budget)}"
+                f"permutation sum stores m! = {perms} orderings of {m} indices, {perms * m} entries; budget is {budget}"
             )
         sites = combination_array(n, m)
         if chain[-1] != n:
@@ -544,7 +543,7 @@ def _permanents(indices, N: int, chain, budget: int) -> np.ndarray:
     size = math.comb(n, widest)
     if size > budget:
         raise InfeasibilityError(
-            f"permanent table level {widest} holds C({n}, {widest}) = {size} entries, budget is {_int_text(budget)}"
+            f"permanent table level {widest} holds C({n}, {widest}) = {size} entries, budget is {budget}"
         )
     return _subset_permanents(indices, N, chain)
 

@@ -405,7 +405,7 @@ def reduce(state: AmplitudeTable, sub: SubsystemSpec, budget: int | None = None)
     n = sub.n
     sector = admissible_q(N, n, m)
     if math.comb(N, m) > budget:
-        raise InfeasibilityError(f"reduction scans {math.comb(N, m)} amplitudes, budget is {_int_text(budget)}")
+        raise InfeasibilityError(f"reduction scans {math.comb(N, m)} amplitudes, budget is {budget}")
     # each db x da buffer is a slice of the amplitude table, so only a
     # da x da block can outgrow the budget the table fits in
     _check_blocks(n, sector, budget)
