@@ -332,9 +332,7 @@ class BlockDensityMatrix:
             else:
                 w, phi = rank_one
                 if phi.shape != (dim,):
-                    raise InternalConsistencyError(
-                        f"rank-one block q={q} has a phase vector of shape {phi.shape}, not ({_int_text(dim)},)"
-                    )
+                    raise InternalConsistencyError(f"rank-one block q={q} has a phase vector of shape {phi.shape}, not ({dim},)")
                 if not (math.isfinite(w) and np.isfinite(phi).all()):
                     raise InternalConsistencyError(f"rank-one block q={q} has a non-finite weight or phase")
             lowest = self._lowest_eigenvalue(q)
