@@ -40,10 +40,6 @@ from itertools import chain
 
 import numpy as np
 
-# Fewer entries than this go through one CPython template call: below it
-# the fixed cost of the array pass exceeds CPython's per-entry cost.
-_MIN_ARRAY = 256
-
 # |x| in [_LOW, _HIGH) takes the array path; 10**(16-e) and its remainder
 # are then normal doubles.
 _LOW, _HIGH = 1e-280, 1e280
@@ -135,9 +131,6 @@ def join_g17(values: np.ndarray, seps: Sequence[str], codes: np.ndarray) -> str:
     NUL or SOH bytes.
     """
     n = values.size
-    if n < _MIN_ARRAY:
-        line = ["%.17g" + sep.replace("%", "%%") for sep in seps]
-        return "".join(map(line.__getitem__, codes.tolist())) % tuple(values.tolist())
     t = _tables()
     a = np.abs(values)
     ok = a >= _LOW

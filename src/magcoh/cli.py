@@ -330,15 +330,11 @@ def cmd_coherence(args) -> int:
 def cmd_thermo(args) -> int:
     curve = thermo.sweep(args.epsilon0, args.beta_min, args.beta_max, args.count)
     table = np.asarray(curve.points).view(np.float64).reshape(-1, 3)
-    # values in row order: every row is (*point, eps0), so eps0 comes after
-    # the first row's point and before any later row's values
-    finite = np.isfinite(table)
-    if not finite[:1].all():
-        raise _non_finite(table[:1][~finite[:1]][0])
+    # sweep refuses a non-finite eps0, so the first non-finite value in row
+    # order is the first the rendering, each row (*point, eps0), meets
+    if not np.isfinite(table).all():
+        raise _non_finite(table[~np.isfinite(table)][0])
     line_end = "," + _fmt_float(curve.epsilon0) + "\n"
-    if not finite.all():
-        raise _non_finite(table[~finite][0])
-    del finite
     seps = (",", line_end, line_end, line_end)
     _write(_float_pieces(table, "beta_c,u,heat_capacity,epsilon0\n", 3, seps), args.output)
     return 0

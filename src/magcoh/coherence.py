@@ -200,7 +200,7 @@ def averaged_coherence_single_mode(N: int, n: int, m: int, k: float, measure: st
     Integer-valued floats N, n and m are taken as their integers.
     """
     if measure not in ("r", "l1", "ln"):
-        raise DomainError(f"measure must be one of 'r', 'l1', 'ln', got {measure!r}")
+        raise DomainError(f"measure must be one of 'r', 'l1', 'ln', got {_int_text(measure)}")
     N, n, m = _as_int(N, "N"), _as_int(n, "n"), _as_int(m, "m")
     _as_real(k, "wavenumber")
     if measure == "l1":

@@ -81,7 +81,7 @@ def _as_int(x, name: str) -> int:
         if isinstance(x, (complex, np.complexfloating)) or (i := int(x)) != x:
             raise ValueError
     except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"{name} must be an integer, got {x!r}") from None
+        raise DomainError(f"{name} must be an integer, got {_int_text(x)}") from None
     return i
 
 
@@ -101,8 +101,7 @@ def _as_real(x, name: str) -> float:
                 raise TypeError
             x = float(x)
         except (TypeError, ValueError, OverflowError):
-            got = _int_text(x) if isinstance(x, int) else repr(x)
-            raise DomainError(f"{name} must be a finite real number, got {got}") from None
+            raise DomainError(f"{name} must be a finite real number, got {_int_text(x)}") from None
     if not math.isfinite(x):
         raise DomainError(f"{name} must be finite, got {x}")
     return x
@@ -151,17 +150,21 @@ _TEXT_DIGITS = 4300
 
 
 def _int_text(x) -> str:
-    """An int, or a tuple of ints, as a message prints it: ``str(x)``,
-    except that an int of more digits than ``_TEXT_DIGITS``, where str()
-    raises, prints as "10^4300" or ">10^4300", with "-" or "<-" in front
-    when negative."""
+    """An int, a tuple of ints or a refused value as a message prints it:
+    ``str(x)`` for an integer (numpy's included) or a tuple, ``repr(x)``
+    for any other value.  An int of more digits than ``_TEXT_DIGITS``,
+    where str() raises, prints as "10^4300" or ">10^4300", with "-" or
+    "<-" in front when negative, and any other value whose repr raises as
+    its type "past the 4300-digit limit"."""
     try:
-        return str(x)
+        return str(x) if isinstance(x, (int, np.integer, tuple)) else repr(x)
     except ValueError:
         pass
     if isinstance(x, tuple):
         items = ", ".join(map(_int_text, x))
         return f"({items},)" if len(x) == 1 else f"({items})"
+    if not isinstance(x, int):
+        return f"{type(x).__name__} past the {_TEXT_DIGITS}-digit limit"
     if abs(x) == 10**_TEXT_DIGITS:
         return f"{'-' if x < 0 else ''}10^{_TEXT_DIGITS}"
     return f"{'>' if x > 0 else '<-'}10^{_TEXT_DIGITS}"

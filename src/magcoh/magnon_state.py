@@ -21,11 +21,11 @@ j C(N, j) additions for all C(N, m) rows together, where per-row Ryser
 costs m 2^m per row.  The largest group of mu equal indices enters in
 closed form, mu! exp(i k sum(l)), so a single-mode table costs C(N, m) m.
 The subset ranks and site sums of the DP depend on the chain alone, so
-a plan of them is kept per chain 1..N, one for each N within a shared
-entry ceiling, and reused across momenta.
+one plan of them is kept, for the chain 1..N asked for last, and reused
+across momenta.
 On a 2-vCPU Xeon a whole N = 16, m = 10..12 table takes 1.3-1.8 ms with
-the plan kept, against 4.4-5.0 ms when the plan is built (once per chain
-or deepening) or its ranks recomputed.  One at N = 26, m = 8 with
+the plan kept, against 4.4-5.0 ms when the plan is built (once per new
+chain or deepening) or its ranks recomputed.  One at N = 26, m = 8 with
 distinct indices, whose plan is over the ceiling, takes 0.22 s.
 ``_permanents`` picks the route, and holds it to its ceiling, for every
 caller.  Ryser's 2^m inclusion-exclusion, ``_ryser_permanents``, is no
@@ -34,21 +34,19 @@ permutation sum against, called directly.
 
 Tables are immutable after construction; everything here is pure and
 safe to call concurrently.  The two caches are too: the permutation
-table and the subset plans are read-only arrays, and the plans are
-replaced, extended or evicted only by rebinding one module-level
-read-only mapping whole, so a concurrent caller keeps reading the plan
-it took.
+table and the subset plan are read-only arrays, and the plan is
+replaced or extended only by rebinding one module-level name to a new
+frozen plan, so a concurrent caller keeps reading the plan it took, and
+a racing rebind can only drop a plan that the next call rebuilds.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from types import MappingProxyType
 
 import numpy as np
 
@@ -212,16 +210,17 @@ class AmplitudeTable:
         object.__setattr__(self, "N", _as_int(self.N, "chain length"))
         object.__setattr__(self, "m", _as_int(self.m, "flip count"))
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        try:
-            expected = math.comb(self.N, self.m)
-        except ValueError:
+        if self.N < 0 or self.m < 0:
             raise DomainError(
                 f"amplitude table needs N >= 0 and m >= 0, got N={_int_text(self.N)}, m={_int_text(self.m)}"
-            ) from None
-        if amps.shape != (expected,):
+            )
+        # C(N, m), 0 for m > N, is formed only when it is at most the entry
+        # count, so the check costs at most min(m, N - m) integer steps
+        past = _binomial_past(self.N, self.m, max(amps.size, 1))
+        if past is not None or amps.shape != (math.comb(self.N, self.m),):
             raise DomainError(
                 f"amplitude table for N={_int_text(self.N)}, m={_int_text(self.m)} needs shape"
-                f" ({_int_text(expected)},), got {amps.shape}"
+                f" ({past or math.comb(self.N, self.m)},), got {amps.shape}"
             )
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -311,8 +310,8 @@ def _ryser_permanents(indices, N: int, sites: np.ndarray) -> np.ndarray:
     return out
 
 
-# Ceiling on the index entries the retained subset-DP plans hold
-# together, which guards process memory: 2^20 int32 entries are 4 MiB.
+# Ceiling on the index entries of the retained subset-DP plan, which
+# guards process memory: 2^20 int32 entries are 4 MiB.
 # The plan of the chain 1..N to depth m holds sum_{j<m} (j + 2) C(N, j + 1)
 # entries plus the C(N, m) + C(N, m - 1) it extends from: 586 k at
 # N = 16, m = 12, 235 k at N = 22, m = 5 and 370 k at N = 24, m = 5, but
@@ -338,35 +337,15 @@ class _SubsetPlan:
     base: np.ndarray
 
 
-# The retained plans, keyed by the N of the chain 1..N that build_state
-# asks for, oldest first.  A plan is added, extended or evicted by
-# rebinding this name to a new read-only mapping, never by writing into
-# one or into arrays a concurrent reader may hold.
-_plans: MappingProxyType[int, _SubsetPlan] = MappingProxyType({})
-# Held by writers only, so no concurrent rebind drops another's new plan.
-_plans_lock = threading.Lock()
+# The one retained plan, for the chain 1..N that build_state asked for
+# last.  It is replaced or extended by rebinding this name, never by
+# writing into arrays a concurrent reader may hold.
+_plan: _SubsetPlan | None = None
 
 
 def _plan_entries(N: int, m: int) -> int:
     """Index entries of the plan of the chain 1..N to depth m."""
     return sum((j + 2) * math.comb(N, j + 1) for j in range(m)) + math.comb(N, m) + math.comb(N, m - 1)
-
-
-def _retain(plan: _SubsetPlan) -> None:
-    """Rebind ``_plans`` with ``plan`` as the newest entry for its N, then
-    evict the oldest others until all fit _PLAN_ENTRY_CEILING together."""
-    global _plans
-    with _plans_lock:
-        plans = {N: p for N, p in _plans.items() if N != plan.N}
-        plans[plan.N] = plan
-        entries = {N: _plan_entries(N, len(p.levels)) for N, p in plans.items()}
-        total = sum(entries.values())
-        for N in list(plans)[:-1]:
-            if total <= _PLAN_ENTRY_CEILING:
-                break
-            total -= entries[N]
-            del plans[N]
-        _plans = MappingProxyType(plans)
 
 
 class _ChunkDrops:
@@ -395,19 +374,20 @@ def _subset_levels(N: int, chain, m: int, slots: bool):
     dropping slot i < j gives child t of the parent's own slot-i drop.
 
     None of this depends on the momenta.  The whole chain 1..N with m < N,
-    a ``build_state`` table, replays the plan retained for N and grows it
-    to depth m when that plan fits _PLAN_ENTRY_CEILING; plans of other N
-    stay retained while all fit the ceiling together.  Any other
+    a ``build_state`` table, replays the retained plan when it is that of
+    N, and grows it to depth m, or builds the plan of N in its place,
+    when that plan fits _PLAN_ENTRY_CEILING.  Any other
     chain, and a plan over the ceiling, computes each level and drops it:
     its slot drops only when ``slots``, and those of its last level one
     row chunk at a time.  Either way the ranks are the same integers.
     """
+    global _plan
     n = len(chain)
     itype = np.int32 if math.comb(n, min(m, n // 2)) <= np.iinfo(np.int32).max else np.int64
     stype = np.int32 if N < 2 ** 30 else np.int64
     keep = n == N > m and _plan_entries(N, m) <= _PLAN_ENTRY_CEILING
-    plan = _plans.get(N) if keep else None
-    levels = plan.levels if plan is not None else ()
+    plan = _plan if keep else None
+    levels = plan.levels if plan is not None and plan.N == N else ()
     for drops, total in levels[:m]:
         yield drops[-1], drops, total
     if len(levels) >= m:
@@ -449,7 +429,7 @@ def _subset_levels(N: int, chain, m: int, slots: bool):
         last, total, drops, base = t, level_total, new_drops, child_base
     if keep:
         last.flags.writeable = base.flags.writeable = False
-        _retain(_SubsetPlan(N, levels + tuple(grown), last, base))
+        _plan = _SubsetPlan(N, levels + tuple(grown), last, base)
 
 
 def _subset_permanents(indices, N: int, chain) -> np.ndarray:

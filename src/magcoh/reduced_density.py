@@ -110,9 +110,13 @@ class SubsystemSpec:
     @classmethod
     def prefix(cls, parent_N: int, n: int) -> "SubsystemSpec":
         """The contiguous block {1, ..., n}; an n past ``sys.maxsize``,
-        which no tuple can index, is an InfeasibilityError."""
+        which no tuple can index, is an InfeasibilityError, and one past
+        the chain a DomainError, both refused before any site is listed."""
         if (n := _as_int(n, "n")) > sys.maxsize:
             raise InfeasibilityError(f"n={_int_text(n)} sites exceed the {sys.maxsize} entries a tuple can index")
+        if n > _as_int(parent_N, "parent chain length"):
+            # the last site alone, which the chain's own checks refuse
+            return cls(parent_N, (n,))
         return cls(parent_N, tuple(range(1, n + 1)))
 
     @property

@@ -15,8 +15,10 @@ MemoryError.
 """
 
 import math
+import re
 import time
 import warnings
+from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -298,3 +300,43 @@ def test_an_int_past_the_str_limit_is_refused_or_gives_todays_result(slot, sign)
         assert returned == (slot.name in HUGE_RETURNS and sign > 0)
         if returned:
             assert _bits(got) == _bits(slot.call(slot.plain))
+
+
+# refusals that once listed, walked or formed what they refuse, or whose
+# message held a value whose repr raises past the int-to-str limit
+HUGE_FRACTION = Fraction(HUGE, 3)
+SIZE_REFUSALS = {
+    "prefix-past-the-chain": (
+        lambda: SubsystemSpec.prefix(8, 3 * 10**6),
+        r"^site indices must lie in \[1, 8\], got \(3000000,\)$",
+    ),
+    "amplitude-table-past-its-array": (
+        lambda: AmplitudeTable(2 * 10**6, 10**6, np.ones(1), 1.0),
+        r"^amplitude table for N=2000000, m=1000000 needs shape \(>10\^4300,\), got \(1,\)$",
+    ),
+    "log_binomial-huge-fraction": (
+        lambda: log_binomial(HUGE_FRACTION, 2),
+        r"^n must be an integer, got Fraction past the 4300-digit limit$",
+    ),
+    "admissible_q-huge-fraction": (
+        lambda: admissible_q(HUGE_FRACTION, 2, 1),
+        r"^N must be an integer, got Fraction past the 4300-digit limit$",
+    ),
+    "dispersion-huge-fraction": (
+        lambda: dispersion(2.0, HUGE_FRACTION),
+        r"^wavenumber must be a finite real number, got Fraction past the 4300-digit limit$",
+    ),
+    "averaged_coherence_single_mode-measure-huge-fraction": (
+        lambda: averaged_coherence_single_mode(8, 3, 2, 1.0, HUGE_FRACTION),
+        r"^measure must be one of 'r', 'l1', 'ln', got Fraction past the 4300-digit limit$",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", SIZE_REFUSALS.values(), ids=SIZE_REFUSALS.keys())
+def test_a_refusal_neither_builds_nor_prints_what_it_refuses(call, message):
+    start = time.perf_counter()
+    with pytest.raises(MagcohError) as err:
+        call()
+    assert time.perf_counter() - start < 1.0
+    assert re.match(message, str(err.value)), str(err.value)

@@ -7,15 +7,13 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from magcoh import _fmt
 from magcoh._fmt import join_g17
 
 SEP = "|"
 
 
 def render(values) -> list[str]:
-    """Each entry's text from one array call, which takes the array path
-    once there are _MIN_ARRAY entries."""
+    """Each entry's text from one array call."""
     values = np.asarray(values, dtype=np.float64)
     text = join_g17(values, [SEP], np.zeros(values.size, dtype=np.intp))
     assert text.endswith(SEP) or values.size == 0
@@ -24,7 +22,6 @@ def render(values) -> list[str]:
 
 def assert_exact(values) -> None:
     values = np.asarray(values, dtype=np.float64).ravel()
-    assert values.size >= _fmt._MIN_ARRAY
     got = render(values)
     expected = ["%.17g" % v for v in values.tolist()]
     wrong = [(v.hex(), g, e) for v, g, e in zip(values.tolist(), got, expected) if g != e]
@@ -59,25 +56,18 @@ def true_ties(rng: np.random.Generator) -> np.ndarray:
     return np.concatenate([ties, -ties, ties * 2.0**-600, ties * 2.0**600])
 
 
-def padded(values: list[float]) -> np.ndarray:
-    # repeated up to the array path's minimum length
-    return np.resize(np.array(values, dtype=np.float64), max(len(values), _fmt._MIN_ARRAY))
-
-
 class TestExactDigits:
     @seed(2201)
     @settings(deadline=None, database=None)
-    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=80))
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=80))
     def test_any_finite_float(self, values):
-        assert_exact(padded(values))
+        assert_exact(values)
 
     @seed(2202)
     @settings(deadline=None, database=None)
-    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=80))
+    @given(st.lists(st.integers(0, 2**64 - 1), max_size=80))
     def test_any_finite_bit_pattern(self, bits):
-        values = finite(np.array(bits, dtype=np.uint64))
-        if values.size:
-            assert_exact(padded(values.tolist()))
+        assert_exact(finite(np.array(bits, dtype=np.uint64)))
 
     def test_seeded_random_bit_patterns(self):
         rng = np.random.default_rng(2203)
@@ -97,12 +87,12 @@ class TestExactDigits:
         assert_exact(np.concatenate([powers, -powers]))
 
     def test_extremes_and_zeros(self):
-        assert_exact(padded([5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.0, -0.0]))
-        assert render(padded([0.0, -0.0]))[:2] == ["0", "-0"]
+        assert_exact([5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.0, -0.0])
+        assert render([0.0, -0.0]) == ["0", "-0"]
 
     def test_switch_points_of_the_g_format(self):
         # below 1e-4 and from 1e17 on, %g turns to scientific notation
-        assert_exact(padded(with_neighbours([1e-5, 1e-4, 1e16, 1e17, -1e-5, -1e-4, -1e16, -1e17]).tolist()))
+        assert_exact(with_neighbours([1e-5, 1e-4, 1e16, 1e17, -1e-5, -1e-4, -1e16, -1e17]))
 
     def test_exact_ties_at_seventeen_digits(self):
         ties = true_ties(np.random.default_rng(2205))
@@ -116,18 +106,15 @@ class TestExactDigits:
 
 class TestSeparators:
     def test_each_entry_is_followed_by_its_separator(self):
-        values = np.linspace(-3.0, 7.0, 3 * _fmt._MIN_ARRAY)
-        seps = ["", ", ", "], [", ",1.5\n"]
+        values = np.linspace(-3.0, 7.0, 768)
+        seps = ["", ", ", "], [", ",1.5\n", "%s%%"]
         codes = np.arange(values.size) % len(seps)
-        expected = "".join("%.17g" % v + seps[c] for v, c in zip(values.tolist(), codes.tolist()))
-        assert join_g17(values, seps, codes) == expected
-        # the short path, formatted entry by entry
-        assert join_g17(values[:5], seps, codes[:5]) == "".join(
-            "%.17g" % v + seps[c] for v, c in zip(values[:5].tolist(), codes[:5].tolist())
-        )
+        for end in (5, values.size):
+            expected = "".join("%.17g" % v + seps[c] for v, c in zip(values[:end].tolist(), codes[:end].tolist()))
+            assert join_g17(values[:end], seps, codes[:end]) == expected
 
-    @pytest.mark.parametrize("n", [0, 1, _fmt._MIN_ARRAY - 1, _fmt._MIN_ARRAY])
-    def test_lengths_around_the_array_path(self, n):
+    @pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 4097])
+    def test_every_length_takes_the_one_path(self, n):
         values = np.arange(n) * -0.1
         assert join_g17(values, [";"], np.zeros(n, dtype=np.intp)) == "".join(
             "%.17g;" % v for v in values.tolist()

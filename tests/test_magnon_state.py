@@ -1,9 +1,8 @@
+import dataclasses
 import math
 import sys
 import threading
-import time
 from itertools import permutations
-from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -380,10 +379,10 @@ class TestSubsetPermanents:
     def per_call(monkeypatch, idx, N):
         """The whole-chain table with no plan retained or read."""
         with monkeypatch.context() as mp:
-            mp.setattr(magnon_state, "_plans", MappingProxyType({}))
+            mp.setattr(magnon_state, "_plan", None)
             mp.setattr(magnon_state, "_PLAN_ENTRY_CEILING", 0)
             table = _subset_permanents(idx, N, range(1, N + 1))
-            assert not magnon_state._plans
+            assert magnon_state._plan is None
         return table
 
     @staticmethod
@@ -391,48 +390,41 @@ class TestSubsetPermanents:
         return [a for level in plan.levels for a in level] + [plan.last, plan.base]
 
     def test_plan_is_built_once_per_chain_and_keeps_every_bit(self, monkeypatch):
-        monkeypatch.setattr(magnon_state, "_plans", MappingProxyType({}))
+        monkeypatch.setattr(magnon_state, "_plan", None)
         rng = np.random.default_rng(2020)
         lone = MomentumVector(14, (1, 3, 3, 6, 9, 12))
         lone_value = lone_list(lone, (2, 3, 5, 8, 11, 14))
         depths = []
         for N, m in ((16, 10), (16, 12), (16, 11), (22, 5), (16, 11)):
-            before = magnon_state._plans.get(N)
+            before = magnon_state._plan
             for idx in (tuple(rng.integers(0, N, size=m).tolist()), tuple(rng.choice(N, size=m, replace=False).tolist())):
                 got = _subset_permanents(idx, N, range(1, N + 1))
                 want = self.per_call(monkeypatch, idx, N)
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
                 assert lone_list(lone, (2, 3, 5, 8, 11, 14)) == lone_value
-            plan = magnon_state._plans[N]
+            plan = magnon_state._plan
             depths.append((plan.N, len(plan.levels)))
-            if before is not None:
+            if before is not None and before.N == N:
                 # a deeper m extends the plan, reusing every level it had
                 assert all(a is b for a, b in zip(self.plan_arrays(before)[:-2], self.plan_arrays(plan)))
                 assert (plan is before) == (m <= len(before.levels))
-        # the N = 16 plan stays retained beside the N = 22 one
-        assert depths == [(16, 10), (16, 12), (16, 12), (22, 5), (16, 12)]
-        assert list(magnon_state._plans) == [16, 22]
+        # the N = 22 plan replaced the N = 16 one, which is built anew to depth 11
+        assert depths == [(16, 10), (16, 12), (16, 12), (22, 5), (16, 11)]
 
-    def test_oldest_plan_is_evicted_first(self, monkeypatch):
-        monkeypatch.setattr(magnon_state, "_plans", MappingProxyType({}))
-        entries = magnon_state._plan_entries
-        # room for the N = 22 and N = 24 plans at m = 5, not for a third
-        monkeypatch.setattr(magnon_state, "_PLAN_ENTRY_CEILING", entries(22, 5) + entries(24, 5))
-        rng = np.random.default_rng(2121)
-        # a deeper plan is the newest: at N = 20, m = 6 it evicts N = 22
-        steps = (((22, 5), [22]), ((24, 5), [22, 24]), ((20, 5), [24, 20]), ((22, 5), [20, 22]), ((20, 6), [20]))
-        for (N, m), kept in steps:
-            idx = tuple(rng.integers(0, N, size=m).tolist())
-            got = _subset_permanents(idx, N, range(1, N + 1))
-            assert list(magnon_state._plans) == kept
-            assert sum(entries(key, len(p.levels)) for key, p in magnon_state._plans.items()) <= magnon_state._PLAN_ENTRY_CEILING
-            want = self.per_call(monkeypatch, idx, N)
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    def test_alternating_chains_keep_every_bit(self, monkeypatch):
+        # reduce-scatter's m = 5 builds alternate N = 22 and 24, so each
+        # rebuilds the plan the other replaced
+        monkeypatch.setattr(magnon_state, "_plan", None)
+        first = {}
+        for N in (22, 24, 22):
+            bits = build_state(MagnonStateSpec(N, 5, MomentumVector(N, (1, 4, 6, 9, 13)))).amplitudes.view(np.uint64)
+            assert (magnon_state._plan.N, len(magnon_state._plan.levels)) == (N, 5)
+            assert np.array_equal(bits, first.setdefault(N, bits))
 
     def test_concurrent_callers_keep_every_bit(self, monkeypatch):
         # threads that deepen, replace and replay the plan under a short
         # switch interval; each must read a whole plan, never a half-built one
-        monkeypatch.setattr(magnon_state, "_plans", MappingProxyType({}))
+        monkeypatch.setattr(magnon_state, "_plan", None)
         rng = np.random.default_rng(7)
         # N = 16, 22 and 24 interleave, as reduce-scatter's m = 5 builds do
         shapes = ((12, 5), (12, 8), (13, 6), (12, 7), (13, 9), (16, 6), (22, 5), (24, 5))
@@ -459,64 +451,47 @@ class TestSubsetPermanents:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert bad == []
-        # every chain's plan fits beside the others, so none was lost to a race
-        assert sorted(magnon_state._plans) == [12, 13, 16, 22, 24]
-
-    def test_concurrent_retains_lose_no_plan(self, monkeypatch):
-        # a sleep in the entry count forces a thread switch inside each
-        # read-modify-write of the plan mapping
-        monkeypatch.setattr(magnon_state, "_plans", MappingProxyType({}))
-        entries = magnon_state._plan_entries
-
-        def slow(N, m):
-            time.sleep(0.01)
-            return entries(N, m)
-
-        monkeypatch.setattr(magnon_state, "_plan_entries", slow)
-        chains = (12, 13, 14, 15)
-        threads = [threading.Thread(target=_subset_permanents, args=((1, 2, 3, 4, 5), N, range(1, N + 1))) for N in chains]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert not any(t.is_alive() for t in threads)
-        assert sorted(magnon_state._plans) == list(chains)
+        # the plan left retained is a whole one, of a chain that was asked for
+        plan = magnon_state._plan
+        assert plan.N in {N for N, _ in shapes}
+        assert len(plan.levels) <= max(m for N, m in shapes if N == plan.N)
 
     def test_plan_over_the_ceiling_is_not_retained(self, monkeypatch):
-        monkeypatch.setattr(magnon_state, "_plans", MappingProxyType({}))
+        monkeypatch.setattr(magnon_state, "_plan", None)
         idx = (1, 2, 2, 5, 7, 11, 13, 13, 14, 15)
         want = self.per_call(monkeypatch, idx, 16)
         monkeypatch.setattr(magnon_state, "_PLAN_ENTRY_CEILING", magnon_state._plan_entries(16, 10) - 1)
         got = _subset_permanents(idx, 16, range(1, 17))
-        assert not magnon_state._plans
+        assert magnon_state._plan is None
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         # a plan that fits stays as it is while a deeper one is refused
         _subset_permanents(idx[:9], 16, range(1, 17))
-        kept = magnon_state._plans[16]
+        kept = magnon_state._plan
         assert len(kept.levels) == 9
         assert np.array_equal(_subset_permanents(idx, 16, range(1, 17)).view(np.uint64), want.view(np.uint64))
-        assert magnon_state._plans[16] is kept
+        assert magnon_state._plan is kept
 
     def test_plan_arrays_are_read_only(self, monkeypatch):
-        monkeypatch.setattr(magnon_state, "_plans", MappingProxyType({}))
+        monkeypatch.setattr(magnon_state, "_plan", None)
         _subset_permanents((0, 1, 1, 4, 6, 9, 9), 12, range(1, 13))
-        with pytest.raises(TypeError):
-            magnon_state._plans[13] = magnon_state._plans[12]
-        arrays = self.plan_arrays(magnon_state._plans[12])
+        plan = magnon_state._plan
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.N = 13
+        arrays = self.plan_arrays(plan)
         assert len(arrays) == 2 * 7 + 2
         assert not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError, match="read-only"):
             arrays[0][0, 0] = 1
 
     def test_lone_site_lists_leave_the_plan_alone(self, monkeypatch):
-        monkeypatch.setattr(magnon_state, "_plans", MappingProxyType({}))
+        monkeypatch.setattr(magnon_state, "_plan", None)
         for sites in ((1, 3, 4, 6, 8, 9, 12), tuple(range(1, 13))):
             lone_list(MomentumVector(12, (2, 2, 3, 5, 7, 8, 11, 0, 0, 1, 6, 4)[:len(sites)]), sites)
-        assert not magnon_state._plans
+        assert magnon_state._plan is None
         _subset_permanents((0, 1, 1, 4, 6, 9, 9), 12, range(1, 13))
-        plans = magnon_state._plans
+        plan = magnon_state._plan
         lone_list(MomentumVector(12, (0, 1, 1, 4, 6, 9, 9)), (1, 3, 4, 6, 8, 9, 12))
-        assert magnon_state._plans is plans
+        assert magnon_state._plan is plan
 
     def test_widest_level_is_held_to_the_budget(self):
         # C(12, 8) = 495 amplitudes fit, but level 6 holds C(12, 6) = 924
