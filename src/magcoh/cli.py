@@ -33,7 +33,7 @@ import math
 import os
 import sys
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import chain, islice
@@ -83,17 +83,6 @@ class _SiteLists:
 
     n: int
     m: int
-
-
-class _Lazy:
-    """A document value read when it is rendered, afresh on each walk, so
-    that a value built on demand (a rank-one sector's dense block) is
-    alive only while it is checked or written."""
-
-    __slots__ = ("read",)
-
-    def __init__(self, read: Callable[[], object]):
-        self.read = read
 
 
 def _float_pieces(values: np.ndarray, head: str, group: int, seps: Sequence[str]) -> Iterator[str]:
@@ -152,7 +141,10 @@ def _site_list_rows(table: _SiteLists) -> Iterator[str]:
 def _chunks(obj, render: bool = True) -> Iterator[str]:
     """The JSON text of ``obj`` in pieces: a scalar or key per piece, a
     complex array one row (or one _PIECE pairs of a longer row) per
-    piece, a site-list table _PIECE rows per piece.
+    piece, a site-list table _PIECE rows per piece.  A callable value is
+    called when it is reached, afresh on each walk, so a value built on
+    demand (a rank-one sector's dense block) is alive only while it is
+    checked or written.
 
     With ``render`` false the walk visits the same values in the same
     order and raises the same errors (a non-finite float, an unknown
@@ -160,8 +152,8 @@ def _chunks(obj, render: bool = True) -> Iterator[str]:
     and site lists and yields nothing for them: the writer's checking
     pass.
     """
-    if isinstance(obj, _Lazy):
-        obj = obj.read()
+    if callable(obj):
+        obj = obj()
     if obj is None:
         yield "null"
     elif isinstance(obj, bool):
@@ -220,10 +212,7 @@ def _parse_indices(text: str, what: str) -> tuple[int, ...]:
 
 
 def _spec_from_args(args) -> MagnonStateSpec:
-    indices = _parse_indices(args.k, "momentum")
-    if len(indices) != args.m:
-        raise DomainError(f"got {len(indices)} momentum indices for m={args.m}")
-    return MagnonStateSpec(args.N, args.m, MomentumVector(args.N, indices))
+    return MagnonStateSpec(args.N, args.m, MomentumVector(args.N, _parse_indices(args.k, "momentum")))
 
 
 def _spec_doc(spec: MagnonStateSpec) -> dict:
@@ -251,7 +240,7 @@ def _blocks_doc(reduced) -> list:
             "dimension": math.comb(reduced.n, q),
             "weight": weights[q],
             "labels": _SiteLists(reduced.n, q),
-            "matrix": _Lazy(partial(reduced.blocks.__getitem__, q)),
+            "matrix": partial(reduced.blocks.__getitem__, q),
         }
         for q in reduced.q_values
     ]
@@ -288,7 +277,7 @@ def cmd_reduce(args) -> int:
         "spec": _spec_doc(spec),
         "subsystem": {"parent_N": sub.parent_N, "sites": list(sub.sites)},
         "method": args.method,
-        "trace": reduced.total_trace(),
+        "trace": sum(reduced.block_weights.values()),
         "off_block_residual": reduced.off_block_residual,
         "blocks": _blocks_doc(reduced),
     }

@@ -12,8 +12,8 @@ A block operator is checked by its own ``validate``, once in its life:
 the package routes return operators that have passed it, and one that
 has not (built by hand) is validated on entry, a refusal again being a
 DomainError.  Either kind of checked input answers the same reads
-(diagonal, descending spectrum, sum of |rho_ij|, basis dimension), which
-the private helpers call without checking anything again.
+(diagonal, descending spectrum, sum of |rho_ij|), which the private
+helpers call without checking anything again.
 Logarithms are natural throughout, so entropic quantities are in nats.
 The l1 measure sums |rho_ij| over all stored blocks and subtracts the
 trace; a rank-one sector w phi phi^H is summed from one complex row per
@@ -98,9 +98,6 @@ class _CheckedMatrix:
     def _abs_sum(self) -> float:
         return float(np.abs(self.a).sum())
 
-    def _basis_dimension(self) -> int:
-        return self.a.shape[0]
-
 
 def _as_matrix(rho) -> _CheckedMatrix:
     a = np.asarray(rho, dtype=np.complex128)
@@ -144,8 +141,8 @@ def _c_l1(rho) -> float:
     return max(0.0, rho._abs_sum() - 1.0)
 
 
-def _c_r(rho) -> float:
-    return max(0.0, _entropy(rho.diagonal()) - _entropy(rho.spectrum()))
+def _c_r(rho, diagonal: np.ndarray) -> float:
+    return max(0.0, _entropy(diagonal) - _entropy(rho.spectrum()))
 
 
 def c_l1(rho) -> float:
@@ -155,7 +152,8 @@ def c_l1(rho) -> float:
 
 def c_r(rho) -> float:
     """Relative entropy of coherence: S(diag(rho)) - S(rho), in nats."""
-    return _c_r(_checked(rho))
+    rho = _checked(rho)
+    return _c_r(rho, rho.diagonal())
 
 
 def max_coherence(d: int) -> tuple[float, float]:
@@ -220,6 +218,8 @@ def averaged_coherence_single_mode(N: int, n: int, m: int, k: float, measure: st
 
 
 def coherence_report(rho) -> CoherenceReport:
-    """Evaluate C_l1 and C_r once and package them together."""
+    """Evaluate C_l1 and C_r once and package them together; the basis
+    dimension is the length of the diagonal C_r reads."""
     rho = _checked(rho)
-    return CoherenceReport(c_l1=_c_l1(rho), c_r=_c_r(rho), basis_dimension=rho._basis_dimension())
+    diagonal = rho.diagonal()
+    return CoherenceReport(c_l1=_c_l1(rho), c_r=_c_r(rho, diagonal), basis_dimension=len(diagonal))

@@ -107,6 +107,14 @@ def _as_real(x, name: str) -> float:
     return x
 
 
+def _finite(x: float, name: str) -> float:
+    """A computed ``x`` when it is finite, else an InfeasibilityError
+    saying that ``name`` leaves the float range."""
+    if not math.isfinite(x):
+        raise InfeasibilityError(f"{name} leaves the float range")
+    return x
+
+
 def log_binomial(n: int, k: int) -> float:
     """ln C(n, k); exact log below EXACT_LIMIT, log-gamma beyond.
 
@@ -150,19 +158,15 @@ _TEXT_DIGITS = 4300
 
 
 def _int_text(x) -> str:
-    """An int, a tuple of ints or a refused value as a message prints it:
-    ``str(x)`` for an integer (numpy's included) or a tuple, ``repr(x)``
-    for any other value.  An int of more digits than ``_TEXT_DIGITS``,
+    """An int or a refused value as a message prints it: ``str(x)`` for
+    an integer (numpy's included), ``repr(x)`` for any other value.  An int of more digits than ``_TEXT_DIGITS``,
     where str() raises, prints as "10^4300" or ">10^4300", with "-" or
     "<-" in front when negative, and any other value whose repr raises as
     its type "past the 4300-digit limit"."""
     try:
-        return str(x) if isinstance(x, (int, np.integer, tuple)) else repr(x)
+        return str(x) if isinstance(x, (int, np.integer)) else repr(x)
     except ValueError:
         pass
-    if isinstance(x, tuple):
-        items = ", ".join(map(_int_text, x))
-        return f"({items},)" if len(x) == 1 else f"({items})"
     if not isinstance(x, int):
         return f"{type(x).__name__} past the {_TEXT_DIGITS}-digit limit"
     if abs(x) == 10**_TEXT_DIGITS:
@@ -186,7 +190,11 @@ def validate_sitelist(sites, n: int) -> SiteList:
 
     n and each entry that is not an int go through ``_as_int``, so
     integer-valued floats and numpy integers are taken as their ints and
-    a complex value is refused by type.  This runs on each miss of the
+    a complex value is refused by type.  One pass checks each entry in
+    turn, that it is an integer, exceeds the entry before it and lies in
+    [1, n], and stops at the first that breaks a rule; the message names
+    that entry, or that pair, and the list's length, so a long refused
+    list is neither walked past its fault nor printed.  This runs on each miss of the
     rank cache, for each ``SubsystemSpec`` and for each lone site list,
     and before the cache lookup for any rank key that is not all ints
     or floats; the halves ``reduce`` ranks are tuples of plain ints, so
@@ -194,14 +202,20 @@ def validate_sitelist(sites, n: int) -> SiteList:
     """
     if type(n) is not int:
         n = _as_int(n, "n")
-    out = []
+    sites, out = tuple(sites), []
     for s in sites:
-        out.append(s if type(s) is int else _as_int(s, "site index"))
-    for a, b in zip(out, out[1:]):
-        if a >= b:
-            raise DomainError(f"site indices must be strictly increasing, got {_int_text(tuple(out))}")
-    if out and (out[0] < 1 or out[-1] > n):
-        raise DomainError(f"site indices must lie in [1, {_int_text(n)}], got {_int_text(tuple(out))}")
+        if type(s) is not int:
+            s = _as_int(s, "site index")
+        if out and s <= out[-1]:
+            raise DomainError(
+                f"site indices must be strictly increasing, got {_int_text(out[-1])} then {_int_text(s)}"
+                f" at entry {len(out) + 1} of {len(sites)}"
+            )
+        if not 1 <= s <= n:
+            raise DomainError(
+                f"site indices must lie in [1, {_int_text(n)}], got {_int_text(s)} at entry {len(out) + 1} of {len(sites)}"
+            )
+        out.append(s)
     return tuple(out)
 
 
@@ -317,14 +331,17 @@ def rank_combination(sites, n: int) -> int:
     integer warns here; a complex value makes it complex; a string or
     None raises.  Such a key is validated to ints before the lookup, so
     1+0j, which equals 1, cannot hit the cache, and invalid input always
-    raises its DomainError.  Any other iterable, an ndarray included, is
-    copied to a tuple first, so a generator is materialised once.
+    raises its DomainError.  So is a key longer than n, which no site list
+    of n sites is, so its refusal stops at its first fault instead of
+    summing and hashing the whole tuple.  Any other iterable, an ndarray
+    included, is copied to a tuple first, so a generator is materialised
+    once.
     """
     if type(n) is not int:
         n = _as_int(n, "n")
     key = sites if type(sites) is tuple else tuple(sites)
     try:
-        exact = type(sum(key, 0.0)) is float
+        exact = len(key) <= n and type(sum(key, 0.0)) is float
     except Exception:
         # the entries' own addition may raise anything (a TypeError,
         # Decimal's InvalidOperation); validation then gives the key its refusal

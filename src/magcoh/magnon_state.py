@@ -51,14 +51,13 @@ from itertools import permutations
 import numpy as np
 
 from .combinat import (
-    SiteList,
     _as_int,
     _as_real,
     _binomial_past,
+    _finite,
     _int_text,
     _site_sums,
     combination_array,
-    enumerate_combinations,
 )
 from .errors import DomainError, InfeasibilityError, NullStateError
 
@@ -192,7 +191,8 @@ class MagnonStateSpec:
 
 @dataclass(frozen=True, eq=False)
 class AmplitudeTable:
-    """Normalised amplitudes over the C(N, m) site lists in canonical order.
+    """Normalised amplitudes over the C(N, m) site lists in canonical
+    order, ``enumerate_combinations(N, m)``.
 
     ``normalization`` is the real scalar that multiplied the raw basis
     phases: the overall constant G for permanent-built states, the
@@ -228,12 +228,6 @@ class AmplitudeTable:
         if not self.normalization > 0:
             raise DomainError(f"normalization must be positive, got {self.normalization}")
 
-    def basis(self) -> list[SiteList]:
-        return enumerate_combinations(self.N, self.m)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 def _coupling(J) -> float:
     """J as a float when it is a finite real number above 0, else DomainError."""
@@ -243,10 +237,15 @@ def _coupling(J) -> float:
 
 
 def dispersion(J: float, k: float) -> float:
-    """Single-flip excitation energy 8 J sin^2(k/2)."""
+    """Single-flip excitation energy 8 J sin^2(k/2); one past the float
+    range is an InfeasibilityError."""
     J = _coupling(J)
     s = math.sin(0.5 * _as_real(k, "wavenumber"))
-    return 8.0 * J * s * s
+    energy = 8.0 * J * s * s
+    if energy == math.inf:
+        # 8 J can overflow where the energy, at most 8 J, does not
+        energy = 8.0 * (J * s * s)
+    return _finite(energy, "single-flip energy")
 
 
 # Keeps one table, the m! x m int64 permutation indices of the latest m,

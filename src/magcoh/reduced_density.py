@@ -23,7 +23,6 @@ from types import MappingProxyType
 import numpy as np
 
 from .combinat import (
-    SiteList,
     _as_int,
     _as_real,
     _binomial_past,
@@ -32,7 +31,6 @@ from .combinat import (
     _site_sums,
     admissible_q,
     combination_array,
-    enumerate_combinations,
     rank_combination,
     sector_law,
     validate_sitelist,
@@ -171,9 +169,10 @@ class BlockDensityMatrix:
     """Hermitian subsystem density operator keyed by spin-up count q.
 
     ``blocks[q]`` is the C(n, q) x C(n, q) matrix over the canonical
-    q-flip site lists of the subsystem, which ``labels(q)`` derives from
-    (n, q) rather than storing.  The operator is frozen, so no field can
-    be rebound after ``validate`` has passed it, and ``blocks`` is either
+    q-flip site lists of the subsystem, ``enumerate_combinations(n, q)``,
+    which (n, q) determines, so no block stores them.  The operator is
+    frozen, so no field can be rebound after ``validate`` has passed it,
+    and ``blocks`` is either
     a read-only mapping of read-only views of the dense matrices it was
     built from, so no entry can be edited either, or, for the
     rank-one sectors w phi phi^H of ``reduce_single_mode``, a read-only
@@ -212,10 +211,6 @@ class BlockDensityMatrix:
     def q_values(self) -> tuple[int, ...]:
         return tuple(sorted(self.blocks))
 
-    def labels(self, q: int) -> list[SiteList]:
-        """Basis of sector q: the q-flip site lists of {1, ..., n}, in order."""
-        return enumerate_combinations(self.n, q)
-
     def _rank_one(self, q: int) -> tuple[float, np.ndarray] | None:
         """(w, phi) of sector q if it is kept in that form, else None."""
         return self.blocks.sectors[q] if isinstance(self.blocks, _RankOneBlocks) else None
@@ -252,18 +247,12 @@ class BlockDensityMatrix:
         """Sum of |rho_ij| over every sector, read one sector at a time."""
         return sum(self.block_abs_sum(q) for q in self.q_values)
 
-    def _basis_dimension(self) -> int:
-        return sum(math.comb(self.n, q) for q in self.q_values)
-
     def _weight(self, q: int) -> float:
         return float(self.block_diagonal(q).sum().real)
 
     @property
     def block_weights(self) -> dict[int, float]:
         return {q: self._weight(q) for q in self.q_values}
-
-    def total_trace(self) -> float:
-        return sum(self.block_weights.values())
 
     def diagonal(self) -> np.ndarray:
         """Populations in the canonical basis, blocks in ascending q."""
@@ -342,7 +331,7 @@ class BlockDensityMatrix:
             lowest = self._lowest_eigenvalue(q)
             if not lowest >= NEGATIVE_EIGENVALUE_FLOOR:
                 raise InternalConsistencyError(f"block q={q} has eigenvalue {lowest:.3e} below the floor")
-        off = abs(self.total_trace() - 1.0)
+        off = abs(sum(self.block_weights.values()) - 1.0)
         if not off <= TRACE_TOL:
             raise InternalConsistencyError(f"total trace departs from 1 by {off:.3e}")
         object.__setattr__(self, "_validated", True)
@@ -406,8 +395,8 @@ def reduce(state: AmplitudeTable, sub: SubsystemSpec, budget: int | None = None)
         raise DomainError(f"subsystem belongs to an N={_int_text(sub.parent_N)} chain, state has N={_int_text(N)}")
     n = sub.n
     sector = admissible_q(N, n, m)
-    if math.comb(N, m) > budget:
-        raise InfeasibilityError(f"reduction scans {math.comb(N, m)} amplitudes, budget is {budget}")
+    if state.amplitudes.size > budget:
+        raise InfeasibilityError(f"reduction scans {state.amplitudes.size} amplitudes, budget is {budget}")
     # each db x da buffer is a slice of the amplitude table, so only a
     # da x da block can outgrow the budget the table fits in
     _check_blocks(n, sector, budget)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinat import _as_int, _as_real, _int_text, admissible_q, binary_entropy, sector_law
+from .combinat import _as_int, _as_real, _finite, _int_text, admissible_q, binary_entropy, sector_law
 from .errors import DivergenceError, DomainError, InfeasibilityError
 
 __all__ = [
@@ -87,16 +87,21 @@ def internal_energy(N: int, n: int, m: int, epsilon0: float) -> float:
     """Mean block energy n m eps0 / N: q eps0 averaged over the sector law.
 
     N, n and m are read as Python integers, so a numpy integer's product
-    n m cannot overflow; one past the float range is an
-    InfeasibilityError.
+    n m cannot overflow; one past the float range, or a mean energy past
+    it, is an InfeasibilityError.
     """
     N, n, m = _as_int(N, "N"), _as_int(n, "n"), _as_int(m, "m")
     admissible_q(N, n, m)
     epsilon0 = _as_epsilon0(epsilon0)
+    name = f"mean block energy at N={_int_text(N)}"
     try:
-        return n * m * epsilon0 / N
+        energy = n * m * epsilon0 / N
+        if energy == math.inf:
+            # n m eps0 can overflow where the mean, at most m eps0, does not
+            energy = n * m / N * epsilon0
     except OverflowError:
-        raise InfeasibilityError(f"mean block energy at N={_int_text(N)} leaves the float range") from None
+        raise InfeasibilityError(f"{name} leaves the float range") from None
+    return _finite(energy, name)
 
 
 def coherence_density(u: float, epsilon0: float) -> float:
@@ -111,7 +116,9 @@ def beta_c(u: float, epsilon0: float) -> float:
     """Coherence inverse temperature ln(eps0/u - 1) / eps0.
 
     Positive below half filling, zero at u = eps0/2, negative above;
-    the band edges are signalled as signed divergences.
+    the band edges are signalled as signed divergences.  Where eps0/u
+    overflows, the log is taken as ln(eps0 - u) - ln(u); a result past
+    the float range is an InfeasibilityError.
     """
     epsilon0, u = _as_epsilon0(epsilon0), _as_real(u, "energy density")
     if not 0.0 <= u <= epsilon0:
@@ -120,7 +127,9 @@ def beta_c(u: float, epsilon0: float) -> float:
         raise DivergenceError("beta_c -> +infinity at the empty band edge", sign=+1)
     if u == epsilon0:
         raise DivergenceError("beta_c -> -infinity at the full band edge", sign=-1)
-    return math.log(epsilon0 / u - 1.0) / epsilon0
+    ratio = epsilon0 / u
+    log_odds = math.log(ratio - 1.0) if ratio < math.inf else math.log(epsilon0 - u) - math.log(u)
+    return _finite(log_odds / epsilon0, "beta_c")
 
 
 def _two_level(beta: np.ndarray, epsilon0: float) -> tuple[np.ndarray, np.ndarray]:
@@ -167,9 +176,10 @@ def schottky_peak(epsilon0: float) -> tuple[float, float]:
     """Heat-capacity maximum; returns (beta_peak, peak_value).
 
     The peak sits at x = eps0 beta = ``_SCHOTTKY_X``, so its position
-    scales as 1/eps0 while its height does not depend on eps0 at all.
+    scales as 1/eps0 while its height does not depend on eps0 at all; a
+    position past the float range is an InfeasibilityError.
     """
-    return _SCHOTTKY_X / _as_epsilon0(epsilon0), heat_capacity(_SCHOTTKY_X, 1.0)
+    return _finite(_SCHOTTKY_X / _as_epsilon0(epsilon0), "heat-capacity peak beta"), heat_capacity(_SCHOTTKY_X, 1.0)
 
 
 def finite_size_coherence_density(N: int, n: int, m: int) -> float:
@@ -194,7 +204,8 @@ def beta_decomposition(N: int, n: int, m: int, epsilon0: float) -> BetaDecomposi
     the two-flip one.  The block entropy -sum p ln p and the block
     coherence sum p ln C(n, q) at each shifted flip count are dot
     products over one ``sector_law``.  Integer-valued floats N, n and m
-    are taken as their integers.
+    are taken as their integers.  A field past the float range, as at an
+    eps0 so small that 1/eps0 overflows, is an InfeasibilityError.
     """
     epsilon0 = _as_epsilon0(epsilon0)
     N, n, m = _as_int(N, "N"), _as_int(n, "n"), _as_int(m, "m")
@@ -209,14 +220,18 @@ def beta_decomposition(N: int, n: int, m: int, epsilon0: float) -> BetaDecomposi
 
     def slope(component: int, h: int) -> float:
         du = values[h][3] - values[-h][3]
-        return (values[h][component] - values[-h][component]) / du
+        # an energy step that underflows to 0 leaves a slope past the float range
+        return (values[h][component] - values[-h][component]) / du if du else math.inf
 
     beta = slope(0, 1)
     beta_incoherent = slope(1, 1)
     beta_coherence = slope(2, 1)
     bound = sum(abs(slope(i, 1) - slope(i, 2)) / 3.0 for i in range(3))
     bound += 1e-13 * (1.0 + abs(beta) + abs(beta_incoherent) + abs(beta_coherence))
-    return BetaDecomposition(beta, beta_incoherent, beta_coherence, bound)
+    split = BetaDecomposition(beta, beta_incoherent, beta_coherence, bound)
+    for name, value in vars(split).items():
+        _finite(value, name)
+    return split
 
 
 def sweep(epsilon0: float, beta_min: float, beta_max: float, count: int) -> ThermoCurve:

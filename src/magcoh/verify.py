@@ -154,7 +154,7 @@ def _fam_combination_enumeration(N, m, rng):
 # ------------------------------------------------------------- state layer
 
 def _fam_state_normalization(N, m, rng):
-    worst = max(abs(_random_state(rng, N, m).norm() - 1.0) for _ in range(5))
+    worst = max(abs(float(np.linalg.norm(_random_state(rng, N, m).amplitudes)) - 1.0) for _ in range(5))
     return _done(worst, 1e-10)
 
 
@@ -199,7 +199,7 @@ def _fam_translation_covariance(N, m, rng):
     spec, state = _random_spec_state(rng, N, m)
     phase = np.exp(1j * spec.k.values.sum())
     worst = 0.0
-    for r, l in enumerate(state.basis()):
+    for r, l in enumerate(enumerate_combinations(N, m)):
         shifted = tuple(sorted(s % N + 1 for s in l))
         got = state.amplitudes[rank_combination(shifted, N)]
         worst = max(worst, abs(got - phase * state.amplitudes[r]))

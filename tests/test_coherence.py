@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import error_model as model
 from magcoh import (
+    AmplitudeTable,
     BlockDensityMatrix,
     DomainError,
     InfeasibilityError,
@@ -203,11 +204,19 @@ def effective_dimension(rho):
 PUBLIC_FUNCTIONS = (c_l1, c_r, c_ln, effective_dimension, coherence_report)
 
 
-@pytest.mark.parametrize("name", ("c_ln", "effective_dimension", "incoherent_part"))
-def test_a_retired_name_is_not_public(name):
-    for module in (magcoh, coherence):
-        assert name not in module.__all__
-        assert not hasattr(module, name)
+@pytest.mark.parametrize(
+    "owner, name",
+    [
+        *((module, name) for module in (magcoh, coherence) for name in ("c_ln", "effective_dimension", "incoherent_part")),
+        (AmplitudeTable, "basis"),
+        (AmplitudeTable, "norm"),
+        (BlockDensityMatrix, "labels"),
+        (BlockDensityMatrix, "total_trace"),
+    ],
+)
+def test_a_retired_name_is_not_public(owner, name):
+    assert name not in getattr(owner, "__all__", ())
+    assert not hasattr(owner, name)
 
 # one input per refusal of the entry check, each with the whole message
 BAD_PLAIN_MATRICES = {

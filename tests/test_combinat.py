@@ -584,10 +584,10 @@ class TestRankCache:
         assert combinat._rank.cache_info().currsize == 1
         for sites, text in [
             ((1, 2.5), "must be an integer"),
-            ((2, 2), "strictly increasing"),
+            ((2, 2), r"^site indices must be strictly increasing, got 2 then 2 at entry 2 of 2$"),
             ((1, NAN), "must be an integer"),
             ((1 + 0j, 2), "must be an integer"),
-            ((1, 6), r"lie in \[1, 5\]"),
+            ((1, 6), r"^site indices must lie in \[1, 5\], got 6 at entry 2 of 2$"),
         ]:
             with pytest.raises(DomainError, match=text):
                 rank_combination(sites, 5)

@@ -9,11 +9,13 @@ from magcoh import thermo
 from magcoh import (
     DivergenceError,
     DomainError,
+    InfeasibilityError,
     admissible_q,
     beta_c,
     beta_decomposition,
     binary_entropy,
     coherence_density,
+    dispersion,
     energy_from_beta,
     finite_size_coherence_density,
     heat_capacity,
@@ -346,6 +348,35 @@ class TestBetaDecomposition:
     def test_a_non_integer_m_is_named_before_it_is_shifted(self):
         with pytest.raises(DomainError, match=r"^m must be an integer, got 2\.5$"):
             beta_decomposition(10, 4, 2.5, 1.0)
+
+
+# inputs at the edges of the float range: (call, its finite result, or the
+# quantity an InfeasibilityError names)
+FLOAT_RANGE_EDGES = {
+    # eps0 / u overflows, so the log is taken as ln(eps0 - u) - ln(u)
+    "beta_c-subnormal-u": (lambda: beta_c(5e-324, 1.0), 744.4400719213812),
+    "beta_c-past-the-range": (lambda: beta_c(1e-320, 1e-310), "beta_c"),
+    "schottky_peak-subnormal-eps0": (lambda: schottky_peak(1e-320)[0], "heat-capacity peak beta"),
+    "dispersion-past-the-range": (lambda: dispersion(1e308, 3.0), "single-flip energy"),
+    # 8 J overflows, the energy does not
+    "dispersion-8J-overflows": (lambda: dispersion(3e307, 0.1), 8.0 * (3e307 * math.sin(0.05) ** 2)),
+    "internal_energy-past-the-range": (lambda: internal_energy(10, 10, 10, 1e308), "mean block energy at N=10"),
+    # n m eps0 overflows, the mean does not
+    "internal_energy-nm-eps0-overflows": (lambda: internal_energy(100, 10, 10, 1e307), 1e307),
+    "beta_decomposition-huge-eps0": (lambda: beta_decomposition(10, 5, 4, 1e308), "mean block energy at N=10"),
+    # an energy step that underflows to 0, and slopes past the range
+    "beta_decomposition-subnormal-eps0": (lambda: beta_decomposition(10, 5, 4, 5e-324), "beta"),
+    "beta_decomposition-tiny-eps0": (lambda: beta_decomposition(1000, 500, 400, 1e-310), "beta_incoherent"),
+}
+
+
+@pytest.mark.parametrize("call, want", FLOAT_RANGE_EDGES.values(), ids=FLOAT_RANGE_EDGES.keys())
+def test_a_result_is_finite_or_infeasible(call, want):
+    if isinstance(want, str):
+        with pytest.raises(InfeasibilityError, match=rf"^{want} leaves the float range$"):
+            call()
+    else:
+        assert call() == want
 
 
 class TestSweep:
