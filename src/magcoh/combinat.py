@@ -159,10 +159,11 @@ _TEXT_DIGITS = 4300
 
 def _int_text(x) -> str:
     """An int or a refused value as a message prints it: ``str(x)`` for
-    an integer (numpy's included), ``repr(x)`` for any other value.  An int of more digits than ``_TEXT_DIGITS``,
-    where str() raises, prints as "10^4300" or ">10^4300", with "-" or
-    "<-" in front when negative, and any other value whose repr raises as
-    its type "past the 4300-digit limit"."""
+    an integer (numpy's included), ``repr(x)`` for any other value.  An
+    int of more digits than ``_TEXT_DIGITS``, where str() raises, prints
+    as "10^4300" or ">10^4300", with "-" or "<-" in front when negative,
+    and any other value whose repr raises as its type "past the 4300-digit
+    limit"."""
     try:
         return str(x) if isinstance(x, (int, np.integer)) else repr(x)
     except ValueError:
@@ -194,11 +195,12 @@ def validate_sitelist(sites, n: int) -> SiteList:
     turn, that it is an integer, exceeds the entry before it and lies in
     [1, n], and stops at the first that breaks a rule; the message names
     that entry, or that pair, and the list's length, so a long refused
-    list is neither walked past its fault nor printed.  This runs on each miss of the
-    rank cache, for each ``SubsystemSpec`` and for each lone site list,
-    and before the cache lookup for any rank key that is not all ints
-    or floats; the halves ``reduce`` ranks are tuples of plain ints, so
-    it checks one only on a cache miss, not per amplitude.
+    list is neither walked past its fault nor printed.  This runs on each
+    miss of the rank cache, for each ``SubsystemSpec`` and for each lone
+    site list, and before the cache lookup for any rank key that is not
+    all ints or floats, or is longer than n; the halves ``reduce`` ranks
+    are tuples of plain ints, so it checks one only on a cache miss, not
+    per amplitude.
     """
     if type(n) is not int:
         n = _as_int(n, "n")
@@ -213,7 +215,8 @@ def validate_sitelist(sites, n: int) -> SiteList:
             )
         if not 1 <= s <= n:
             raise DomainError(
-                f"site indices must lie in [1, {_int_text(n)}], got {_int_text(s)} at entry {len(out) + 1} of {len(sites)}"
+                f"site indices must lie in [1, {_int_text(n)}], got {_int_text(s)}"
+                f" at entry {len(out) + 1} of {len(sites)}"
             )
         out.append(s)
     return tuple(out)

@@ -172,14 +172,13 @@ class BlockDensityMatrix:
     q-flip site lists of the subsystem, ``enumerate_combinations(n, q)``,
     which (n, q) determines, so no block stores them.  The operator is
     frozen, so no field can be rebound after ``validate`` has passed it,
-    and ``blocks`` is either
-    a read-only mapping of read-only views of the dense matrices it was
-    built from, so no entry can be edited either, or, for the
-    rank-one sectors w phi phi^H of ``reduce_single_mode``, a read-only
-    mapping that keeps each sector as its (w, phi) pair and builds a
-    fresh dense block on every access, caching none: the package reads
-    such sectors one at a time, so at most one dense sector is alive at
-    once.  The diagonal, the block weights and ``validate`` read (w, phi)
+    and ``blocks`` is either a read-only mapping of read-only views of the
+    dense matrices it was built from, so no entry can be edited either, or,
+    for the rank-one sectors w phi phi^H of ``reduce_single_mode``, a
+    read-only mapping that keeps each sector as its (w, phi) pair and
+    builds a fresh dense block on every access, caching none: the package
+    reads such sectors one at a time, so at most one dense sector is alive
+    at once.  The diagonal, the block weights and ``validate`` read (w, phi)
     in O(C(n, q)), and ``block_abs_sum`` reads it with one complex row per
     distinct phase, so no coherence measure builds a dense rank-one block.  For
     operators obtained from the dense oracle, ``off_block_residual``
