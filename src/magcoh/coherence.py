@@ -48,7 +48,6 @@ from .reduced_density import (
 )
 
 __all__ = [
-    "EIGENVALUE_FLOOR",
     "CoherenceReport",
     "c_l1",
     "c_r",

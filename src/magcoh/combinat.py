@@ -36,12 +36,8 @@ from dataclasses import dataclass
 from .errors import DomainError, InfeasibilityError, InternalConsistencyError
 
 __all__ = [
-    "EXACT_LIMIT",
-    "SiteList",
     "log_binomial",
-    "validate_sitelist",
     "enumerate_combinations",
-    "combination_array",
     "rank_combination",
     "admissible_q",
     "hypergeometric_pmf",

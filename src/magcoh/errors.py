@@ -5,6 +5,15 @@ domain violations exit 2, infeasible-but-valid requests exit 3, and
 internal consistency failures exit 4.
 """
 
+__all__ = [
+    "MagcohError",
+    "DomainError",
+    "InfeasibilityError",
+    "InternalConsistencyError",
+    "NullStateError",
+    "DivergenceError",
+]
+
 
 class MagcohError(Exception):
     """Base class for all errors raised by this package."""

@@ -21,23 +21,23 @@ j C(N, j) additions for all C(N, m) rows together, where per-row Ryser
 costs m 2^m per row.  The largest group of mu equal indices enters in
 closed form, mu! exp(i k sum(l)), so a single-mode table costs C(N, m) m.
 The subset ranks and site sums of the DP depend on the chain alone, so
-one plan of them is kept, for the chain 1..N asked for last, and reused
-across momenta.
-On a 2-vCPU Xeon a whole N = 16, m = 10..12 table takes 1.3-1.8 ms with
-the plan kept, against 4.4-5.0 ms when the plan is built (once per new
-chain or deepening) or its ranks recomputed.  One at N = 26, m = 8 with
-distinct indices, whose plan is over the ceiling, takes 0.22 s.
+one plan of them, for the (N, depth) asked for last, is cached and
+replayed across momenta: every subset of a chain up to 16 sites, so one
+plan serves every m there, and the m levels asked for on a longer chain.
+On a 2-vCPU Xeon a whole N = 16, m = 10..12 table takes 2.2-2.6 ms with
+the plan cached, against 8.9-9.1 ms when its every-subset plan is built
+first (once per new chain); a one-off m = 5 table there pays that build
+too, 6.5 ms against 0.8 ms for levels 1..5 alone.  One at N = 26, m = 8
+with distinct indices, whose plan is over the ceiling, takes 0.22 s.
 ``_permanents`` picks the route, and holds it to its ceiling, for every
 caller.  Ryser's 2^m inclusion-exclusion, ``_ryser_permanents``, is no
 route: it is the reference that ``verify`` and the tests check the
 permutation sum against, called directly.
 
 Tables are immutable after construction; everything here is pure and
-safe to call concurrently.  The two caches are too: the permutation
-table and the subset plan are read-only arrays, and the plan is
-replaced or extended only by rebinding one module-level name to a new
-frozen plan, so a concurrent caller keeps reading the plan it took, and
-a racing rebind can only drop a plan that the next call rebuilds.
+safe to call concurrently.  The two caches are too: each is a one-entry
+``lru_cache`` of read-only arrays, so a concurrent caller keeps reading
+the arrays it took, and a racing call can at worst build one again.
 """
 
 from __future__ import annotations
@@ -62,8 +62,6 @@ from .combinat import (
 from .errors import DomainError, InfeasibilityError, NullStateError
 
 __all__ = [
-    "AMPLITUDE_BUDGET",
-    "FULL_VECTOR_BUDGET",
     "MomentumVector",
     "MagnonStateSpec",
     "AmplitudeTable",
@@ -309,42 +307,33 @@ def _ryser_permanents(indices, N: int, sites: np.ndarray) -> np.ndarray:
     return out
 
 
-# Ceiling on the index entries of the retained subset-DP plan, which
-# guards process memory: 2^20 int32 entries are 4 MiB.
-# The plan of the chain 1..N to depth m holds sum_{j<m} (j + 2) C(N, j + 1)
-# entries plus the C(N, m) + C(N, m - 1) it extends from: 586 k at
-# N = 16, m = 12, 235 k at N = 22, m = 5 and 370 k at N = 24, m = 5, but
-# 23.6 M at N = 26, m = 8, which is computed per call instead.
+# Ceiling on the index entries of a retained subset-DP plan, which guards
+# process memory: 2^20 int32 entries are 4 MiB.  The plan of the chain
+# 1..N to depth d holds sum_{j<d} (j + 2) C(N, j + 1) entries: 590 k for
+# every subset of N = 16 (depth 15) but 1.25 M at N = 17, so a chain up
+# to 16 sites keeps every level and a longer one the depth asked for,
+# 201 k at N = 22, m = 5 and 317 k at N = 24, m = 5.  At N = 18, m = 9
+# (1.34 M) and N = 26, m = 8 (21.4 M) the levels are computed per call.
 _PLAN_ENTRY_CEILING = 1 << 20
 
 
-@dataclass(frozen=True)
-class _SubsetPlan:
-    """The index tables of the subset DP over the chain 1..N, levels 1 to
-    ``len(levels)``; every array is read-only.
-
-    ``levels[j]`` is (drops, total) for the (j + 1)-subsets: drops[i, r]
-    is the rank one level down of subset r less its slot i, so the last
-    row is the parent, and total[r] is its site sum mod N.  ``last`` (the
-    deepest level's last chain positions) and ``base`` (its parents'
-    first-child offsets) are what a deeper level is grown from.
-    """
-
-    N: int
-    levels: tuple[tuple[np.ndarray, np.ndarray], ...]
-    last: np.ndarray
-    base: np.ndarray
+def _plan_entries(N: int, depth: int) -> int:
+    """Index entries of the plan of the chain 1..N to ``depth``."""
+    return sum((j + 2) * math.comb(N, j + 1) for j in range(depth))
 
 
-# The one retained plan, for the chain 1..N that build_state asked for
-# last.  It is replaced or extended by rebinding this name, never by
-# writing into arrays a concurrent reader may hold.
-_plan: _SubsetPlan | None = None
-
-
-def _plan_entries(N: int, m: int) -> int:
-    """Index entries of the plan of the chain 1..N to depth m."""
-    return sum((j + 2) * math.comb(N, j + 1) for j in range(m)) + math.comb(N, m) + math.comb(N, m - 1)
+# Keeps one plan, that of the (N, depth) asked for last.
+@lru_cache(maxsize=1)
+def _chain_plan(N: int, depth: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Levels 1 to ``depth`` of the subset DP over the chain 1..N as
+    read-only (drops, total) pairs: drops[i, r] is the rank one level down
+    of subset r less its slot i, so the last row is the parent, and
+    total[r] is its site sum mod N."""
+    levels = []
+    for _, drops, total in _computed_levels(N, range(1, N + 1), depth, True, keep=True):
+        drops.flags.writeable = total.flags.writeable = False
+        levels.append((drops, total))
+    return tuple(levels)
 
 
 class _ChunkDrops:
@@ -362,44 +351,45 @@ class _ChunkDrops:
 
 
 def _subset_levels(N: int, chain, m: int, slots: bool):
-    """Yield (parent, drops, total) for levels 1..m of the subset DP over
-    the increasing site list ``chain``: the parent rank of each subset,
-    its slot-drop ranks drops[i, rows] for slots i below the last, and its
+    """(parent, drops, total) for levels 1..m of the subset DP over the
+    increasing site list ``chain``: the parent rank of each subset, its
+    slot-drop ranks drops[i, rows] for slots i below the last, and its
     site sum mod N.
+
+    None of this depends on the momenta.  The whole chain 1..N with m < N,
+    a ``build_state`` table, replays the first m levels of ``_chain_plan``
+    when its plan fits _PLAN_ENTRY_CEILING: every level up to N - 1, which
+    every chain up to 16 sites fits, else levels 1..m.  Any other chain,
+    and a plan over the ceiling, runs ``_computed_levels``, with slot drops
+    only when ``slots``.  Either way the ranks are the same integers.
+    """
+    if len(chain) == N > m:
+        depth = N - 1 if _plan_entries(N, N - 1) <= _PLAN_ENTRY_CEILING else m
+        if _plan_entries(N, depth) <= _PLAN_ENTRY_CEILING:
+            return ((drops[-1], drops, total) for drops, total in _chain_plan(N, depth)[:m])
+    return _computed_levels(N, chain, m, slots)
+
+
+def _computed_levels(N: int, chain, m: int, slots: bool, keep: bool = False):
+    """Yield (parent, drops, total) for levels 1..m of the subset DP over
+    ``chain``, each computed from the one below and then dropped.
 
     A level-(j+1) subset is a level-j parent plus one larger chain
     position t, so the children of each parent are contiguous and every
     "one site removed" rank is a gather: dropping t gives the parent, and
     dropping slot i < j gives child t of the parent's own slot-i drop.
-
-    None of this depends on the momenta.  The whole chain 1..N with m < N,
-    a ``build_state`` table, replays the retained plan when it is that of
-    N, and grows it to depth m, or builds the plan of N in its place,
-    when that plan fits _PLAN_ENTRY_CEILING.  Any other
-    chain, and a plan over the ceiling, computes each level and drops it:
-    its slot drops only when ``slots``, and those of its last level one
-    row chunk at a time.  Either way the ranks are the same integers.
+    Slot drops are built only when ``slots``, and those of the last level
+    one row chunk at a time (``_ChunkDrops``) unless ``keep`` asks for
+    every level whole, as a retained plan holds them.
     """
-    global _plan
     n = len(chain)
     itype = np.int32 if math.comb(n, min(m, n // 2)) <= np.iinfo(np.int32).max else np.int64
     stype = np.int32 if N < 2 ** 30 else np.int64
-    keep = n == N > m and _plan_entries(N, m) <= _PLAN_ENTRY_CEILING
-    plan = _plan if keep else None
-    levels = plan.levels if plan is not None and plan.N == N else ()
-    for drops, total in levels[:m]:
-        yield drops[-1], drops, total
-    if len(levels) >= m:
-        return
-    if levels:
-        (drops, total), last, base = levels[-1], plan.last, plan.base
-    else:
-        # level 0: the empty subset, its "last position" -1, its site sum 0
-        drops, total, base = None, np.zeros(1, dtype=stype), None
-        last = np.full(1, -1, dtype=itype)
+    # level 0: the empty subset, its "last position" -1, its site sum 0
+    drops, total, base = None, np.zeros(1, dtype=stype), None
+    last = np.full(1, -1, dtype=itype)
     sites = (np.asarray(chain, dtype=np.int64) % N).astype(stype)
-    grown = []
-    for j in range(len(levels), m):
+    for j in range(m):
         counts = (n - 1) - last
         parent = np.repeat(np.arange(len(last), dtype=itype), counts)
         child_base = np.cumsum(counts, dtype=itype)  # child rank = child_base[parent] + t
@@ -421,14 +411,8 @@ def _subset_levels(N: int, chain, m: int, slots: bool):
         else:
             new_drops = chunked if slots else None
         del chunked  # else it keeps the level below alive through the next one
-        if keep:
-            new_drops.flags.writeable = level_total.flags.writeable = False
-            grown.append((new_drops, level_total))
         yield parent, new_drops, level_total
         last, total, drops, base = t, level_total, new_drops, child_base
-    if keep:
-        last.flags.writeable = base.flags.writeable = False
-        _plan = _SubsetPlan(N, levels + tuple(grown), last, base)
 
 
 def _subset_permanents(indices, N: int, chain) -> np.ndarray:
@@ -442,7 +426,7 @@ def _subset_permanents(indices, N: int, chain) -> np.ndarray:
     T_{j+1}(S') is the sum over s in S' of w^(k s) T_j(S' - s).
 
     The ranks of S' - s and the site sums come from ``_subset_levels``,
-    which replays the retained plan of the chain 1..N rather than
+    which replays the cached plan of the chain 1..N rather than
     recomputing them; this numeric pass reads them in the same order
     either way, so every table keeps its bits.  Levels are stored
     untwisted, T_j(S) = w^(c sum S) W_j(S) with c the ``twist``, so a

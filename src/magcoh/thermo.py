@@ -87,8 +87,10 @@ def internal_energy(N: int, n: int, m: int, epsilon0: float) -> float:
     """Mean block energy n m eps0 / N: q eps0 averaged over the sector law.
 
     N, n and m are read as Python integers, so a numpy integer's product
-    n m cannot overflow; one past the float range, or a mean energy past
-    it, is an InfeasibilityError.
+    n m cannot overflow.  Where n m, N or the float expression leaves the
+    float range, the mean is taken in exact integers; a mean past the
+    float range, or a nonzero one that rounds to 0, is an
+    InfeasibilityError.
     """
     N, n, m = _as_int(N, "N"), _as_int(n, "n"), _as_int(m, "m")
     admissible_q(N, n, m)
@@ -100,7 +102,18 @@ def internal_energy(N: int, n: int, m: int, epsilon0: float) -> float:
             # n m eps0 can overflow where the mean, at most m eps0, does not
             energy = n * m / N * epsilon0
     except OverflowError:
-        raise InfeasibilityError(f"{name} leaves the float range") from None
+        energy = math.inf
+    if energy == math.inf:
+        # n m, N or n m / N past the float range: the mean as one correctly
+        # rounded integer quotient, eps0 = p / q exactly, refused where it
+        # overflows too or a nonzero mean rounds to 0
+        p, q = epsilon0.as_integer_ratio()
+        try:
+            energy = n * m * p / (N * q)
+        except OverflowError:
+            energy = math.inf
+        if energy == 0.0 < n * m:
+            energy = math.inf
     return _finite(energy, name)
 
 

@@ -46,7 +46,7 @@ from .reduced_density import (
 )
 from .thermo import _two_level
 
-__all__ = ["FamilyResult", "run_suite", "FAMILY_NAMES"]
+__all__ = ["FamilyResult", "run_suite"]
 
 
 @dataclass(frozen=True)

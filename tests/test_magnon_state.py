@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import sys
 import threading
@@ -27,6 +26,7 @@ from magcoh.combinat import combination_array
 from magcoh.magnon_state import (
     _DIRECT_PERMANENT_LIMIT,
     AMPLITUDE_BUDGET,
+    _chain_plan,
     _direct_permanents,
     _permanents,
     _ryser_permanents,
@@ -378,54 +378,76 @@ class TestSubsetPermanents:
 
     @staticmethod
     def per_call(monkeypatch, idx, N):
-        """The whole-chain table with no plan retained or read."""
+        """The whole-chain table with no plan built or read."""
         with monkeypatch.context() as mp:
-            mp.setattr(magnon_state, "_plan", None)
             mp.setattr(magnon_state, "_PLAN_ENTRY_CEILING", 0)
+            before = _chain_plan.cache_info()
             table = _subset_permanents(idx, N, range(1, N + 1))
-            assert magnon_state._plan is None
+            assert _chain_plan.cache_info() == before
         return table
 
-    @staticmethod
-    def plan_arrays(plan):
-        return [a for level in plan.levels for a in level] + [plan.last, plan.base]
-
     def test_plan_is_built_once_per_chain_and_keeps_every_bit(self, monkeypatch):
-        monkeypatch.setattr(magnon_state, "_plan", None)
+        _chain_plan.cache_clear()
         rng = np.random.default_rng(2020)
         lone = MomentumVector(14, (1, 3, 3, 6, 9, 12))
         lone_value = lone_list(lone, (2, 3, 5, 8, 11, 14))
-        depths = []
+        builds = []
         for N, m in ((16, 10), (16, 12), (16, 11), (22, 5), (16, 11)):
-            before = magnon_state._plan
+            misses = _chain_plan.cache_info().misses
             for idx in (tuple(rng.integers(0, N, size=m).tolist()), tuple(rng.choice(N, size=m, replace=False).tolist())):
                 got = _subset_permanents(idx, N, range(1, N + 1))
                 want = self.per_call(monkeypatch, idx, N)
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
                 assert lone_list(lone, (2, 3, 5, 8, 11, 14)) == lone_value
-            plan = magnon_state._plan
-            depths.append((plan.N, len(plan.levels)))
-            if before is not None and before.N == N:
-                # a deeper m extends the plan, reusing every level it had
-                assert all(a is b for a, b in zip(self.plan_arrays(before)[:-2], self.plan_arrays(plan)))
-                assert (plan is before) == (m <= len(before.levels))
-        # the N = 22 plan replaced the N = 16 one, which is built anew to depth 11
-        assert depths == [(16, 10), (16, 12), (16, 12), (22, 5), (16, 11)]
+            builds.append(_chain_plan.cache_info().misses - misses)
+        # one whole-chain plan serves every m at N = 16; the N = 22 plan
+        # replaced it, so it is built anew
+        assert builds == [1, 0, 0, 1, 1]
 
-    def test_alternating_chains_keep_every_bit(self, monkeypatch):
+    def test_every_m_at_16_sites_replays_one_plan(self, monkeypatch):
+        _chain_plan.cache_clear()
+        rng = np.random.default_rng(16)
+        for m in range(5, 16):
+            for idx in (tuple(rng.integers(0, 16, size=m).tolist()), tuple(rng.choice(16, size=m, replace=False).tolist())):
+                got = _subset_permanents(idx, 16, range(1, 17))
+                want = self.per_call(monkeypatch, idx, 16)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        info = _chain_plan.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 21, 1)
+        assert len(_chain_plan(16, 15)) == 15
+
+    def test_longer_chains_keep_the_depth_asked_for(self, monkeypatch):
+        # N = 17 is the first chain whose every-subset plan is over the ceiling
+        assert magnon_state._plan_entries(16, 15) <= magnon_state._PLAN_ENTRY_CEILING
+        assert magnon_state._plan_entries(17, 16) > magnon_state._PLAN_ENTRY_CEILING
+        _chain_plan.cache_clear()
+        rng = np.random.default_rng(17)
+        misses = []
+        # m = 11 holds 1.12 M entries, over the ceiling, so it builds no plan
+        for m in (5, 10, 10, 11, 5):
+            idx = tuple(rng.integers(0, 17, size=m).tolist())
+            got = _subset_permanents(idx, 17, range(1, 18))
+            want = self.per_call(monkeypatch, idx, 17)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            misses.append(_chain_plan.cache_info().misses)
+        assert misses == [1, 2, 2, 2, 3]
+        assert [len(drops) for drops, _ in _chain_plan(17, 5)] == [1, 2, 3, 4, 5]
+        assert _chain_plan.cache_info().misses == 3
+
+    def test_alternating_chains_keep_every_bit(self):
         # reduce-scatter's m = 5 builds alternate N = 22 and 24, so each
         # rebuilds the plan the other replaced
-        monkeypatch.setattr(magnon_state, "_plan", None)
+        _chain_plan.cache_clear()
         first = {}
-        for N in (22, 24, 22):
+        for calls, N in enumerate((22, 24, 22), 1):
             bits = build_state(MagnonStateSpec(N, 5, MomentumVector(N, (1, 4, 6, 9, 13)))).amplitudes.view(np.uint64)
-            assert (magnon_state._plan.N, len(magnon_state._plan.levels)) == (N, 5)
+            assert _chain_plan.cache_info().misses == calls
             assert np.array_equal(bits, first.setdefault(N, bits))
 
     def test_concurrent_callers_keep_every_bit(self, monkeypatch):
-        # threads that deepen, replace and replay the plan under a short
+        # threads that build, replace and replay the plan under a short
         # switch interval; each must read a whole plan, never a half-built one
-        monkeypatch.setattr(magnon_state, "_plan", None)
+        _chain_plan.cache_clear()
         rng = np.random.default_rng(7)
         # N = 16, 22 and 24 interleave, as reduce-scatter's m = 5 builds do
         shapes = ((12, 5), (12, 8), (13, 6), (12, 7), (13, 9), (16, 6), (22, 5), (24, 5))
@@ -452,47 +474,51 @@ class TestSubsetPermanents:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert bad == []
-        # the plan left retained is a whole one, of a chain that was asked for
-        plan = magnon_state._plan
-        assert plan.N in {N for N, _ in shapes}
-        assert len(plan.levels) <= max(m for N, m in shapes if N == plan.N)
+        # one plan is left cached, and the next caller of each chain reads a whole one
+        assert _chain_plan.cache_info().currsize == 1
+        worker(range(len(cases)))
+        assert bad == []
 
     def test_plan_over_the_ceiling_is_not_retained(self, monkeypatch):
-        monkeypatch.setattr(magnon_state, "_plan", None)
+        _chain_plan.cache_clear()
         idx = (1, 2, 2, 5, 7, 11, 13, 13, 14, 15)
         want = self.per_call(monkeypatch, idx, 16)
         monkeypatch.setattr(magnon_state, "_PLAN_ENTRY_CEILING", magnon_state._plan_entries(16, 10) - 1)
         got = _subset_permanents(idx, 16, range(1, 17))
-        assert magnon_state._plan is None
+        assert _chain_plan.cache_info().currsize == 0
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        # a plan that fits stays as it is while a deeper one is refused
+        # under a ceiling below the whole-chain plan a depth-9 plan is kept,
+        # and stays as it is while a deeper one is refused
         _subset_permanents(idx[:9], 16, range(1, 17))
-        kept = magnon_state._plan
-        assert len(kept.levels) == 9
+        kept = _chain_plan.cache_info()
+        assert (kept.misses, kept.currsize) == (1, 1)
         assert np.array_equal(_subset_permanents(idx, 16, range(1, 17)).view(np.uint64), want.view(np.uint64))
-        assert magnon_state._plan is kept
+        assert _chain_plan.cache_info() == kept
+        assert len(_chain_plan(16, 9)) == 9
+        assert _chain_plan.cache_info().hits == kept.hits + 1
 
-    def test_plan_arrays_are_read_only(self, monkeypatch):
-        monkeypatch.setattr(magnon_state, "_plan", None)
+    def test_plan_arrays_are_read_only(self):
+        _chain_plan.cache_clear()
         _subset_permanents((0, 1, 1, 4, 6, 9, 9), 12, range(1, 13))
-        plan = magnon_state._plan
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            plan.N = 13
-        arrays = self.plan_arrays(plan)
-        assert len(arrays) == 2 * 7 + 2
+        plan = _chain_plan(12, 11)
+        assert _chain_plan.cache_info().misses == 1
+        with pytest.raises(TypeError):
+            plan[0] = plan[1]
+        arrays = [a for level in plan for a in level]
+        assert len(arrays) == 2 * 11
         assert not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError, match="read-only"):
             arrays[0][0, 0] = 1
 
-    def test_lone_site_lists_leave_the_plan_alone(self, monkeypatch):
-        monkeypatch.setattr(magnon_state, "_plan", None)
+    def test_lone_site_lists_leave_the_plan_alone(self):
+        _chain_plan.cache_clear()
         for sites in ((1, 3, 4, 6, 8, 9, 12), tuple(range(1, 13))):
             lone_list(MomentumVector(12, (2, 2, 3, 5, 7, 8, 11, 0, 0, 1, 6, 4)[:len(sites)]), sites)
-        assert magnon_state._plan is None
+        assert _chain_plan.cache_info().misses == 0
         _subset_permanents((0, 1, 1, 4, 6, 9, 9), 12, range(1, 13))
-        plan = magnon_state._plan
+        info = _chain_plan.cache_info()
         lone_list(MomentumVector(12, (0, 1, 1, 4, 6, 9, 9)), (1, 3, 4, 6, 8, 9, 12))
-        assert magnon_state._plan is plan
+        assert _chain_plan.cache_info() == info
 
     def test_widest_level_is_held_to_the_budget(self):
         # C(12, 8) = 495 amplitudes fit, but level 6 holds C(12, 6) = 924

@@ -363,6 +363,9 @@ FLOAT_RANGE_EDGES = {
     "internal_energy-past-the-range": (lambda: internal_energy(10, 10, 10, 1e308), "mean block energy at N=10"),
     # n m eps0 overflows, the mean does not
     "internal_energy-nm-eps0-overflows": (lambda: internal_energy(100, 10, 10, 1e307), 1e307),
+    # n m alone is past the float range, the mean is not
+    "internal_energy-nm-past-the-range": (lambda: internal_energy(10**400, 10**400, 1, 1.0), 1.0),
+    "internal_energy-nm-and-N-past-the-range": (lambda: internal_energy(10**400, 10**400, 10**400, 1e-300), 1e100),
     "beta_decomposition-huge-eps0": (lambda: beta_decomposition(10, 5, 4, 1e308), "mean block energy at N=10"),
     # an energy step that underflows to 0, and slopes past the range
     "beta_decomposition-subnormal-eps0": (lambda: beta_decomposition(10, 5, 4, 5e-324), "beta"),
