@@ -12,8 +12,10 @@ A block operator is checked by its own ``validate``, once in its life:
 the package routes return operators that have passed it, and one that
 has not (built by hand) is validated on entry, a refusal again being a
 DomainError.  Either kind of checked input answers the same reads
-(diagonal, descending spectrum, sum of |rho_ij|), which the private
-helpers call without checking anything again.
+(diagonal, descending spectrum, sum of |rho_ij|, and all three per
+sector from one read of it, which ``coherence_report`` takes so that a
+factored sector is built densely once), which the private helpers call
+without checking anything again.
 Logarithms are natural throughout, so entropic quantities are in nats.
 The l1 measure sums |rho_ij| over all stored blocks and subtracts the
 trace; a rank-one sector w phi phi^H is summed from one complex row per
@@ -97,6 +99,10 @@ class _CheckedMatrix:
     def _abs_sum(self) -> float:
         return float(np.abs(self.a).sum())
 
+    def _reads(self) -> list[tuple[np.ndarray, float, np.ndarray]]:
+        """The one "sector": populations, sum of |rho_ij|, ascending spectrum."""
+        return [(self.diagonal(), self._abs_sum(), self.ascending)]
+
 
 def _as_matrix(rho) -> _CheckedMatrix:
     a = np.asarray(rho, dtype=np.complex128)
@@ -136,23 +142,23 @@ def _entropy(values) -> float:
     return float(-(kept * np.log(kept)).sum()) if kept.size else 0.0
 
 
-def _c_l1(rho) -> float:
-    return max(0.0, rho._abs_sum() - 1.0)
+def _c_l1(abs_sum: float) -> float:
+    return max(0.0, abs_sum - 1.0)
 
 
-def _c_r(rho, diagonal: np.ndarray) -> float:
-    return max(0.0, _entropy(diagonal) - _entropy(rho.spectrum()))
+def _c_r(diagonal: np.ndarray, spectrum: np.ndarray) -> float:
+    return max(0.0, _entropy(diagonal) - _entropy(spectrum))
 
 
 def c_l1(rho) -> float:
     """Sum of |rho_ij| minus the trace; zero exactly on diagonal operators."""
-    return _c_l1(_checked(rho))
+    return _c_l1(_checked(rho)._abs_sum())
 
 
 def c_r(rho) -> float:
     """Relative entropy of coherence: S(diag(rho)) - S(rho), in nats."""
     rho = _checked(rho)
-    return _c_r(rho, rho.diagonal())
+    return _c_r(rho.diagonal(), rho.spectrum())
 
 
 def max_coherence(d: int) -> tuple[float, float]:
@@ -218,7 +224,17 @@ def averaged_coherence_single_mode(N: int, n: int, m: int, k: float, measure: st
 
 def coherence_report(rho) -> CoherenceReport:
     """Evaluate C_l1 and C_r once and package them together; the basis
-    dimension is the length of the diagonal C_r reads."""
-    rho = _checked(rho)
-    diagonal = rho.diagonal()
-    return CoherenceReport(c_l1=_c_l1(rho), c_r=_c_r(rho, diagonal), basis_dimension=len(diagonal))
+    dimension is the length of the diagonal C_r reads.
+
+    Each sector is read once, in ascending q, for its populations, its
+    sum of |rho_ij| and its spectrum, so a factored sector is built
+    densely once and dropped before the next.  The parts are then
+    concatenated, sorted and summed in the order ``c_l1`` and ``c_r``
+    take them, so the report carries their bits.
+    """
+    diagonals, abs_sums, spectra = zip(*_checked(rho)._reads())
+    diagonal = np.concatenate(diagonals)
+    spectrum = np.sort(np.concatenate(spectra))[::-1]
+    return CoherenceReport(
+        c_l1=_c_l1(sum(abs_sums)), c_r=_c_r(diagonal, spectrum), basis_dimension=len(diagonal)
+    )

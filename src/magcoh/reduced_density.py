@@ -4,11 +4,14 @@ Tracing out the complement of an n-site subsystem never mixes site
 lists with different spin-up counts q, so the reduced operator is kept
 block by block: one Hermitian matrix per admissible q, over the C(n, q)
 q-flip site lists in the canonical combination order, which (n, q)
-alone determines.  The pure projector of a whole-chain state is the
-reduction to every site.  A dense bitmask partial trace through the full
-2^N product basis gives an independent check of the combinatorial route,
-and a closed form covers single-mode states, whose block weights follow
-the hypergeometric law.
+alone determines.  The general route keeps each block as its Gram
+factor and the single-mode route as its weight and phase vector, each
+building a dense block only when it is read, so at most one dense
+sector is alive at a time.  The pure projector of a whole-chain state
+is the reduction to every site.  A dense bitmask partial trace through
+the full 2^N product basis gives an independent check of the
+combinatorial route, and a closed form covers single-mode states, whose
+block weights follow the hypergeometric law.
 """
 
 from __future__ import annotations
@@ -141,14 +144,24 @@ def _rank_one_rows(w: float, rows: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return w * np.outer(rows, phi.conj())
 
 
-class _RankOneBlocks(Mapping):
-    """Read-only sectors w phi phi^H, kept as their (w, phi) pairs.
+class _LazyBlocks(Mapping):
+    """Read-only sectors kept in a factored form, ``sectors[q]``, in a
+    read-only mapping.  Each ``self[q]`` builds a fresh dense block and
+    caches nothing, so a caller that reads one sector at a time holds one
+    dense block at a time."""
 
-    ``sectors[q]`` is the real weight w and a read-only view of the phase
-    vector phi of sector q, in a read-only mapping.  Each ``self[q]``
-    builds a fresh dense block and caches nothing, so a caller that reads
-    one sector at a time holds one dense block at a time.
-    """
+    sectors: Mapping[int, object]
+
+    def __iter__(self):
+        return iter(self.sectors)
+
+    def __len__(self) -> int:
+        return len(self.sectors)
+
+
+class _RankOneBlocks(_LazyBlocks):
+    """Sectors w phi phi^H, kept as their (w, phi) pairs: ``sectors[q]``
+    is the real weight w and a read-only view of the phase vector phi."""
 
     def __init__(self, sectors: dict[int, tuple[float, np.ndarray]]):
         self.sectors = MappingProxyType({q: (w, _read_only(phi)) for q, (w, phi) in sectors.items()})
@@ -157,11 +170,21 @@ class _RankOneBlocks(Mapping):
         w, phi = self.sectors[q]
         return _rank_one_rows(w, phi, phi)
 
-    def __iter__(self):
-        return iter(self.sectors)
 
-    def __len__(self) -> int:
-        return len(self.sectors)
+class _GramBlocks(_LazyBlocks):
+    """Sectors V^T conj(V), kept as their Gram factors: ``sectors[q]`` is
+    a read-only view of the db x da factor V, and ``self[q]`` a fresh,
+    read-only ``V.T @ V.conj()``, so a block cannot disagree with its
+    factor."""
+
+    def __init__(self, factors: dict[int, np.ndarray]):
+        self.sectors = MappingProxyType({q: _read_only(v) for q, v in factors.items()})
+
+    def __getitem__(self, q: int) -> np.ndarray:
+        v = self.sectors[q]
+        b = v.T @ v.conj()
+        b.flags.writeable = False
+        return b
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,38 +195,45 @@ class BlockDensityMatrix:
     q-flip site lists of the subsystem, ``enumerate_combinations(n, q)``,
     which (n, q) determines, so no block stores them.  The operator is
     frozen, so no field can be rebound after ``validate`` has passed it,
-    and ``blocks`` is either a read-only mapping of read-only views of the
-    dense matrices it was built from, so no entry can be edited either, or,
-    for the rank-one sectors w phi phi^H of ``reduce_single_mode``, a
-    read-only mapping that keeps each sector as its (w, phi) pair and
-    builds a fresh dense block on every access, caching none: the package
-    reads such sectors one at a time, so at most one dense sector is alive
-    at once.  The diagonal, the block weights and ``validate`` read (w, phi)
-    in O(C(n, q)), and ``block_abs_sum`` reads it with one complex row per
-    distinct phase, so no coherence measure builds a dense rank-one block.  For
-    operators obtained from the dense oracle, ``off_block_residual``
+    and ``blocks`` is a read-only mapping of one of three kinds, so no
+    entry can be edited either:
+
+    - read-only views of the dense matrices it was built from;
+    - for ``reduce``, each sector V^T conj(V) kept as its read-only db x da
+      Gram factor V, with every read building a fresh, read-only
+      ``V.T @ V.conj()``, so a block cannot disagree with its factor;
+    - for ``reduce_single_mode``, each rank-one sector w phi phi^H kept as
+      its (w, phi) pair, with every read building a fresh dense block.
+
+    The last two cache no dense block: the package reads their sectors one
+    at a time, so at most one dense sector is alive at once, and a
+    validated ``reduce`` operator holds only its factors (0.65 MiB where
+    the dense blocks take 14.1 MiB at (N, m, n) = (24, 5, 12)).  The
+    rank-one diagonal, block weights and checks read (w, phi) in
+    O(C(n, q)), and ``block_abs_sum`` reads it with one complex row per
+    distinct phase, so no coherence measure builds a dense rank-one block.
+    For operators obtained from the dense oracle, ``off_block_residual``
     records the largest matrix element found between different flip
     sectors (structurally zero for magnon states).  A rank-one sector's
     spectrum is read off its weight; every other sector is diagonalised
-    when asked.  Only ``reduce`` attaches Gram factors, after building
-    each block from its factor: ``_factors[q]`` is the db x da matrix V
-    with ``blocks[q] = V.T @ V.conj()``, which ``validate`` uses to check
-    positivity from the smaller side.  The constructor takes no factor,
-    so no caller can hand over one that disagrees with its block.  A
-    block has no tuple equality, so operators compare by identity.
+    when asked.  The constructor has no factor argument: a Gram sector
+    is handed over as its factor alone, so no caller can pair a block
+    with a factor it disagrees with.  A block has no tuple equality, so
+    operators compare by identity.
     """
 
     n: int
     blocks: Mapping[int, np.ndarray]
     off_block_residual: float | None = None
-    _factors: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
     _validated: bool = field(default=False, init=False, repr=False)
+    # the weight of each sector, summed by the validate that passed
+    _weights: dict[int, float] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n", _as_int(self.n, "n"))
         if self.off_block_residual is not None:
             object.__setattr__(self, "off_block_residual", _as_real(self.off_block_residual, "off_block_residual"))
-        if not isinstance(self.blocks, _RankOneBlocks):
+        if not isinstance(self.blocks, _LazyBlocks):
             object.__setattr__(self, "blocks", MappingProxyType({q: _read_only(b) for q, b in self.blocks.items()}))
 
     @property
@@ -215,10 +245,14 @@ class BlockDensityMatrix:
         return self.blocks.sectors[q] if isinstance(self.blocks, _RankOneBlocks) else None
 
     def block_diagonal(self, q: int) -> np.ndarray:
-        """Diagonal of sector q, complex, with the dense block's bits."""
+        """Diagonal of sector q, complex, with the dense block's bits.
+
+        A dense block's diagonal is copied out, since ``np.diag`` returns a
+        view that would keep a freshly built block alive.
+        """
         rank_one = self._rank_one(q)
         if rank_one is None:
-            return np.diag(self.blocks[q])
+            return np.diag(self.blocks[q]).copy()
         w, phi = rank_one
         return w * (phi * phi.conj())
 
@@ -251,6 +285,10 @@ class BlockDensityMatrix:
 
     @property
     def block_weights(self) -> dict[int, float]:
+        """Trace of each sector: once ``validate`` has passed, the weights
+        it summed, so no sector is read again."""
+        if self._validated:
+            return dict(self._weights)
         return {q: self._weight(q) for q in self.q_values}
 
     def diagonal(self) -> np.ndarray:
@@ -270,16 +308,73 @@ class BlockDensityMatrix:
         parts = [self.block_spectrum(q) for q in self.q_values]
         return np.sort(np.concatenate(parts))[::-1]
 
-    def purity(self) -> float:
-        return sum(float(np.vdot(b, b).real) for b in self.blocks.values())
+    def _sector_reads(self, q: int) -> tuple[np.ndarray, float, np.ndarray]:
+        """The populations, sum of |b_ij| and ascending spectrum of sector
+        q, with the bits of ``block_diagonal(q).real``, ``block_abs_sum``
+        and ``block_spectrum``, from one read of a dense sector, which is
+        dropped on return."""
+        if self._rank_one(q) is not None:
+            return self.block_diagonal(q).real, self.block_abs_sum(q), self.block_spectrum(q)
+        b = self.blocks[q]
+        return np.diag(b).real.copy(), float(np.abs(b).sum()), np.linalg.eigvalsh(b)
 
-    def _lowest_eigenvalue(self, q: int) -> float:
-        v = self._factors.get(q)
+    def _reads(self) -> list[tuple[np.ndarray, float, np.ndarray]]:
+        """``_sector_reads`` of every sector, in ascending q."""
+        return [self._sector_reads(q) for q in self.q_values]
+
+    def purity(self) -> float:
+        # map hands each block on and drops it before the next is built,
+        # where a generator's loop variable would keep two alive
+        return sum(map(_square_sum, self.blocks.values()))
+
+    def _lowest_eigenvalue(self, q: int, block: np.ndarray) -> float:
+        """Lowest eigenvalue of the dense sector q, whose block is ``block``.
+
+        A Gram factor V with fewer rows than columns gives it as min(0,
+        lowest eigenvalue of V V^H): by the Schmidt decomposition V V^H
+        carries the block's nonzero spectrum, and the block has da - db
+        zeros besides.  Otherwise it is the least entry of the block's
+        ``eigvalsh``.
+        """
+        v = self.blocks.sectors[q] if isinstance(self.blocks, _GramBlocks) else None
         if v is not None and v.shape[0] < v.shape[1]:
             lowest = float(np.linalg.eigvalsh(v @ v.conj().T).min())
             # min(0.0, nan) would be 0.0; a NaN must reach validate's comparison
             return 0.0 if lowest > 0.0 else lowest
-        return float(self.block_spectrum(q).min())
+        return float(np.linalg.eigvalsh(block).min())
+
+    def _checked_weight(self, q: int) -> float:
+        """Check sector q for ``validate``, from one read of a dense sector,
+        and return its weight with the bits ``block_weights`` gives."""
+        if not 0 <= q <= self.n:
+            raise InternalConsistencyError(f"block q={_int_text(q)} lies outside [0, {_int_text(self.n)}]")
+        dim = math.comb(self.n, q)
+        rank_one = self._rank_one(q)
+        if rank_one is None:
+            b = self.blocks[q]
+            if b.ndim != 2 or b.shape[0] != b.shape[1]:
+                raise InternalConsistencyError(f"block q={q} is not square: shape {b.shape}")
+            if b.shape[0] != dim:
+                raise InternalConsistencyError(
+                    f"block q={q} has {b.shape[0]} rows, not C({_int_text(self.n)}, {q}) = {_int_text(dim)}"
+                )
+            herm = _hermiticity_residual(b)
+            if not herm <= BLOCK_HERMITICITY_TOL:
+                raise InternalConsistencyError(f"block q={q} departs from Hermiticity by {herm:.3e}")
+            # a block that passed is finite, so its diagonal sums without a RuntimeWarning
+            weight = float(np.diag(b).sum().real)
+            lowest = self._lowest_eigenvalue(q, b)
+        else:
+            w, phi = rank_one
+            if phi.shape != (dim,):
+                raise InternalConsistencyError(f"rank-one block q={q} has a phase vector of shape {phi.shape}, not ({dim},)")
+            if not (math.isfinite(w) and np.isfinite(phi).all()):
+                raise InternalConsistencyError(f"rank-one block q={q} has a non-finite weight or phase")
+            weight = self._weight(q)
+            lowest = float(self.block_spectrum(q).min())
+        if not lowest >= NEGATIVE_EIGENVALUE_FLOOR:
+            raise InternalConsistencyError(f"block q={q} has eigenvalue {lowest:.3e} below the floor")
+        return weight
 
     def validate(self) -> "BlockDensityMatrix":
         """Check shapes, Hermiticity, positivity and unit trace; returns self.
@@ -288,53 +383,35 @@ class BlockDensityMatrix:
         rank-one sector w phi phi^H needs a phase vector of length
         C(n, q) and a finite w and phi; being real times a projector, it
         is Hermitian by construction and is never built densely here.
-        Hermiticity of a dense block is read off the block, which the
+        Every other sector is read once, in ascending q, and that one
+        block gives its shape, Hermiticity, positivity and weight before
+        the next is built.  Hermiticity is read off the block, which the
         constructor took through ``np.asarray``, so nested lists check
         like arrays.  The Hermiticity residual max |b - b^H| is taken
         over row tiles of the upper triangle, so it needs O(tile x d)
         scratch memory rather than three d x d temporaries; it is exact,
         not a bound, because entries (r, c) and (c, r) of b - b^H have the
-        same modulus to the last bit (see ``_hermiticity_residual``).  Only
-        ``reduce`` attaches Gram factors.  A factor V with fewer rows than
-        columns gives a sector's lowest eigenvalue as min(0, lowest
-        eigenvalue of V V^H): by the Schmidt decomposition V V^H carries
-        the block's nonzero spectrum, and the block has da - db zeros
-        besides.  Without such
-        a factor it is the least entry of ``block_spectrum``, in closed
-        form for a rank-one sector and from the dense block for any other.
-        Every comparison fails on NaN.  An operator that passes is marked,
-        so the coherence measures check it once, not on every call.
+        same modulus to the last bit (see ``_hermiticity_residual``).  A
+        sector's lowest eigenvalue comes from the smaller side of its Gram
+        factor where that is the row side (``_lowest_eigenvalue``), in
+        closed form for a rank-one sector, and from the dense block
+        otherwise.  Every comparison fails on NaN.  An operator that
+        passes is marked, and keeps the weights it summed, so the
+        coherence measures check it once, not on every call, and
+        ``block_weights`` reads no sector.
         """
-        for q in self.q_values:
-            if not 0 <= q <= self.n:
-                raise InternalConsistencyError(f"block q={_int_text(q)} lies outside [0, {_int_text(self.n)}]")
-            dim = math.comb(self.n, q)
-            rank_one = self._rank_one(q)
-            if rank_one is None:
-                b = self.blocks[q]
-                if b.ndim != 2 or b.shape[0] != b.shape[1]:
-                    raise InternalConsistencyError(f"block q={q} is not square: shape {b.shape}")
-                if b.shape[0] != dim:
-                    raise InternalConsistencyError(
-                        f"block q={q} has {b.shape[0]} rows, not C({_int_text(self.n)}, {q}) = {_int_text(dim)}"
-                    )
-                herm = _hermiticity_residual(b)
-                if not herm <= BLOCK_HERMITICITY_TOL:
-                    raise InternalConsistencyError(f"block q={q} departs from Hermiticity by {herm:.3e}")
-            else:
-                w, phi = rank_one
-                if phi.shape != (dim,):
-                    raise InternalConsistencyError(f"rank-one block q={q} has a phase vector of shape {phi.shape}, not ({dim},)")
-                if not (math.isfinite(w) and np.isfinite(phi).all()):
-                    raise InternalConsistencyError(f"rank-one block q={q} has a non-finite weight or phase")
-            lowest = self._lowest_eigenvalue(q)
-            if not lowest >= NEGATIVE_EIGENVALUE_FLOOR:
-                raise InternalConsistencyError(f"block q={q} has eigenvalue {lowest:.3e} below the floor")
-        off = abs(sum(self.block_weights.values()) - 1.0)
+        weights = {q: self._checked_weight(q) for q in self.q_values}
+        off = abs(sum(weights.values()) - 1.0)
         if not off <= TRACE_TOL:
             raise InternalConsistencyError(f"total trace departs from 1 by {off:.3e}")
+        object.__setattr__(self, "_weights", weights)
         object.__setattr__(self, "_validated", True)
         return self
+
+
+def _square_sum(b: np.ndarray) -> float:
+    """sum of |b_ij|^2, the trace of b^2 for a Hermitian b."""
+    return float(np.vdot(b, b).real)
 
 
 def _check_blocks(n: int, qs: range, budget: int) -> None:
@@ -365,7 +442,7 @@ def reduce(state: AmplitudeTable, sub: SubsystemSpec, budget: int | None = None)
     Groups the state amplitudes as a (complement rank) x (subsystem
     rank) matrix V per flip sector q; each block is then the Gram matrix
     V^T conj(V) of the columns, which keeps the cost at one pass over the
-    table plus one small matrix product per sector.
+    table plus one small matrix product per read of a sector.
 
     The split runs on arrays.  Small-int tables give each chain site its
     1-based position within the subsystem or the complement, 0 on the
@@ -380,13 +457,16 @@ def reduce(state: AmplitudeTable, sub: SubsystemSpec, budget: int | None = None)
     so a call costs one exactness pass and one probe of its LRU cache:
     a closed-form rank over the position arrays would drop those calls,
     and the benchmark counts them.  The position scratch is freed before
-    the Gram products.
+    the first Gram product.
 
-    The factors V are attached to the result before ``validate`` runs, so
-    it checks positivity on the smaller side of each sector (the
-    complement side whenever db < da).  Both budget refusals come before
-    any allocation.  A budget that is not an integer of at least 1 is a
-    DomainError.
+    The result keeps each sector as its factor V and builds the dense
+    block V^T conj(V) afresh, with the same bits, whenever it is read, so
+    a validated result holds no dense block: 0.65 MiB of factors at
+    (N, m, n) = (24, 5, 12), where the blocks take 14.1 MiB.  ``validate``
+    reads each block once and checks positivity on the smaller side of
+    each sector (the complement side whenever db < da).  Both budget
+    refusals come before any allocation.  A budget that is not an
+    integer of at least 1 is a DomainError.
     """
     budget = _resolve_budget(budget, AMPLITUDE_BUDGET)
     N, m = state.N, state.m
@@ -400,10 +480,7 @@ def reduce(state: AmplitudeTable, sub: SubsystemSpec, budget: int | None = None)
     # da x da block can outgrow the budget the table fits in
     _check_blocks(n, sector, budget)
 
-    buffers = _scatter(state, sub, sector)
-    rho = BlockDensityMatrix(n, {q: v.T @ v.conj() for q, v in buffers.items()})
-    object.__setattr__(rho, "_factors", buffers)
-    return rho.validate()
+    return BlockDensityMatrix(n, _GramBlocks(_scatter(state, sub, sector))).validate()
 
 
 def _scatter(state: AmplitudeTable, sub: SubsystemSpec, sector: range) -> dict[int, np.ndarray]:
@@ -411,7 +488,7 @@ def _scatter(state: AmplitudeTable, sub: SubsystemSpec, sector: range) -> dict[i
     half, rank of the subsystem half] = amplitude of the site list.
 
     Its scratch, the position tables over every row, is dropped on
-    return, before the Gram products and ``validate`` allocate theirs.
+    return, before ``validate`` builds the first Gram product.
     """
     N, m, n = state.N, state.m, sub.n
     nb = N - n

@@ -88,9 +88,9 @@ def internal_energy(N: int, n: int, m: int, epsilon0: float) -> float:
 
     N, n and m are read as Python integers, so a numpy integer's product
     n m cannot overflow.  Where n m, N or the float expression leaves the
-    float range, the mean is taken in exact integers; a mean past the
-    float range, or a nonzero one that rounds to 0, is an
-    InfeasibilityError.
+    float range, or the float expression underflows to 0 for n m > 0, the
+    mean is taken in exact integers; a mean past the float range, or a
+    nonzero one that rounds to 0, is an InfeasibilityError.
     """
     N, n, m = _as_int(N, "N"), _as_int(n, "n"), _as_int(m, "m")
     admissible_q(N, n, m)
@@ -103,10 +103,10 @@ def internal_energy(N: int, n: int, m: int, epsilon0: float) -> float:
             energy = n * m / N * epsilon0
     except OverflowError:
         energy = math.inf
-    if energy == math.inf:
-        # n m, N or n m / N past the float range: the mean as one correctly
-        # rounded integer quotient, eps0 = p / q exactly, refused where it
-        # overflows too or a nonzero mean rounds to 0
+    if energy == math.inf or energy == 0.0 < n * m:
+        # n m, N or n m / N past the float range, or a nonzero mean that
+        # underflowed: the mean as one correctly rounded integer quotient,
+        # eps0 = p / q exactly, refused where it overflows too or rounds to 0
         p, q = epsilon0.as_integer_ratio()
         try:
             energy = n * m * p / (N * q)

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ import magcoh
 from magcoh import coherence, combinat, reduced_density
 from magcoh.combinat import combination_array
 from magcoh.magnon_state import _DIRECT_PERMANENT_LIMIT, FULL_VECTOR_BUDGET, AmplitudeTable
-from magcoh.reduced_density import _HERMITICITY_TILE, _RankOneBlocks, _hermiticity_residual
+from magcoh.reduced_density import _HERMITICITY_TILE, _GramBlocks, _RankOneBlocks, _hermiticity_residual
 
 
 def random_state(rng, N, m):
@@ -227,27 +228,28 @@ class TestPositivityFromTheSmallerSide:
         rho = reduce(*scattered)
         wide = 0
         for q in rho.q_values:
-            v = rho._factors[q]
+            v = rho.blocks.sectors[q]
             dense = float(np.linalg.eigvalsh(rho.blocks[q]).min())
             if v.shape[0] >= v.shape[1]:
-                assert rho._lowest_eigenvalue(q) == dense
+                assert rho._lowest_eigenvalue(q, rho.blocks[q]) == dense
                 continue
             wide += 1
             rows, cols = v.shape
-            got = rho._lowest_eigenvalue(q)
+            # the factor is in charge: a block that is never read cannot matter
+            got = rho._lowest_eigenvalue(q, None)
             assert got <= 0.0
             assert abs(got - dense) <= gram_factor_bound(rows, cols, rho.block_weights[q])
         assert wide == 3
 
-    def test_hand_built_negative_block_is_still_rejected(self):
+    def test_hand_built_negative_block_is_still_rejected(self, monkeypatch):
         negative = {1: np.array([[0.9, 0.8], [0.8, 0.1]], dtype=complex)}
         with pytest.raises(InternalConsistencyError, match="below the floor"):
             BlockDensityMatrix(2, negative).validate()
-        # a factor with as many rows as columns leaves the dense block in charge
-        rho = BlockDensityMatrix(2, negative)
-        object.__setattr__(rho, "_factors", {1: np.eye(2, dtype=complex)})
+        # a factor with as many rows as columns leaves the dense block in
+        # charge: a Gram block read as the negative one is still refused
+        monkeypatch.setattr(_GramBlocks, "__getitem__", lambda self, q: negative[q])
         with pytest.raises(InternalConsistencyError, match="below the floor"):
-            rho.validate()
+            BlockDensityMatrix(2, _GramBlocks({1: np.eye(2, dtype=complex)})).validate()
 
     def test_no_caller_hands_over_a_gram_factor(self):
         # a wide factor whose Gram matrix is not the block would vouch for
@@ -340,12 +342,9 @@ def per_row_factors(state, sub):
 
 
 def per_row_reduce(state, sub):
-    """``reduce`` with the per-row scatter: Gram products and ``validate``
-    on the factors of ``per_row_factors``."""
-    factors = per_row_factors(state, sub)
-    rho = BlockDensityMatrix(sub.n, {q: v.T @ v.conj() for q, v in factors.items()})
-    object.__setattr__(rho, "_factors", factors)
-    return rho.validate()
+    """``reduce`` with the per-row scatter: the factored sectors of
+    ``per_row_factors``, validated."""
+    return BlockDensityMatrix(sub.n, _GramBlocks(per_row_factors(state, sub))).validate()
 
 
 def traced_peak(fn, *args):
@@ -360,12 +359,13 @@ def traced_peak(fn, *args):
 
 
 @st.composite
-def scatter_cases(draw):
-    """(N, momenta, sites) up to N = 14, with repeated or distinct momenta,
-    m up to N, and a prefix, scattered, single-site or whole-chain
-    subsystem; the end sectors q = max(0, m - N + n) and q = min(n, m)
-    have da = 1 or db = 1 whenever they reach an end of either side."""
-    N = draw(st.integers(1, 14))
+def scatter_cases(draw, max_N=14):
+    """(N, momenta, sites) up to N = max_N, with repeated or distinct
+    momenta, m up to N, and a prefix, scattered, single-site or
+    whole-chain subsystem; the end sectors q = max(0, m - N + n) and
+    q = min(n, m) have da = 1 or db = 1 whenever they reach an end of
+    either side."""
+    N = draw(st.integers(1, max_N))
     m = draw(st.integers(1, min(N, 7)) | st.just(N))
     k = draw(st.lists(st.integers(0, N - 1), min_size=m, max_size=m, unique=draw(st.booleans())))
     shape = draw(st.sampled_from(["prefix", "scattered", "single", "whole"]))
@@ -405,7 +405,7 @@ class TestArrayScatter:
         want = per_row_factors(state, sub)
         assert got.q_values == tuple(want)
         for q, v in want.items():
-            assert np.array_equal(got._factors[q], v)
+            assert np.array_equal(got.blocks.sectors[q], v)
             assert np.array_equal(got.blocks[q], v.T @ v.conj())
 
     def test_ranks_every_half_of_every_site_list_once(self, monkeypatch):
@@ -433,13 +433,15 @@ class TestArrayScatter:
             reduce(state, SubsystemSpec.prefix(12, 8), budget=budget)
 
     # Peaks of one call on the odd sites.  The per-row reference runs in
-    # the same process, so the 14.1 MiB of blocks that dominate (24, 5) and
-    # whatever numpy allocates internally weigh on both sides alike, and
-    # the comparison sees only the scratch of the scatter.  The fixed
-    # ceilings are the per-row scatter's peaks on one host (17.42 and
-    # 20.21 MiB, CPython 3.11, numpy 2) plus 10 % for other interpreter and
-    # numpy versions; they still refuse a scatter that keeps full int64
-    # gathers and per-sector lists alive (21.8 and 46.6 MiB).
+    # the same process and validates the same factored sectors, so the
+    # widest block validate builds (9.6 MiB at (24, 5)) and whatever numpy
+    # allocates internally weigh on both sides alike, and the comparison
+    # sees only the scratch of the scatter.  The fixed ceilings are the
+    # per-row scatter's peaks on one host while every dense block was kept
+    # (17.42 and 20.21 MiB, CPython 3.11, numpy 2) plus 10 % for other
+    # interpreter and numpy versions; they still refuse a scatter that
+    # keeps full int64 gathers and per-sector lists alive (21.8 and
+    # 46.6 MiB).
     @pytest.mark.parametrize("N,k,ceiling_mib", [(24, (1, 2, 5, 11, 17), 17.42 * 1.1), (22, (1, 3, 4, 8, 13, 19, 20), 20.21 * 1.1)])
     def test_peak_memory_stays_below_the_per_row_scatter(self, N, k, ceiling_mib):
         state = build_state(MagnonStateSpec(N, len(k), MomentumVector(N, k)))
@@ -456,6 +458,133 @@ class TestArrayScatter:
         for sites in [(2, 3, 7), (1, 2, 3, 4, 5, 6, 7), (4,)]:
             with pytest.raises(InternalConsistencyError, match="Hermiticity by nan"):
                 reduce(broken, SubsystemSpec(8, sites))
+
+
+def measure_bits(rho) -> dict:
+    """Every measure of an operator as bytes or hex, so -0.0 and NaN
+    compare by their bits; the report runs first, so it validates."""
+    report = coherence_report(rho)
+    return {
+        "report": [report.c_l1.hex(), report.c_r.hex(), report.basis_dimension],
+        "weights": {q: w.hex() for q, w in rho.block_weights.items()},
+        "diagonal": rho.diagonal().tobytes(),
+        "spectrum": rho.spectrum().tobytes(),
+        "purity": rho.purity().hex(),
+        "c_l1": c_l1(rho).hex(),
+        "c_r": c_r(rho).hex(),
+    }
+
+
+def dense_copy(rho) -> BlockDensityMatrix:
+    """The operator rebuilt from one read of each of its sectors."""
+    return BlockDensityMatrix(rho.n, {q: rho.blocks[q].copy() for q in rho.q_values})
+
+
+class TestFactoredSectors:
+    """``reduce`` keeps each sector as its Gram factor and builds the dense
+    block only when it is read."""
+
+    N, m, n = 24, 5, 12
+
+    @pytest.fixture(scope="class")
+    def scattered(self):
+        rng = np.random.default_rng(24)
+        state = build_state(MagnonStateSpec(self.N, self.m, MomentumVector(self.N, (1, 2, 5, 11, 17))))
+        return state, SubsystemSpec(self.N, random_sites(rng, self.N, self.n))
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """The q of every Gram sector read; a read while the memory of an
+        earlier block is still referenced, even by a view, fails."""
+        seen, alive = [], []
+        build = _GramBlocks.__getitem__
+
+        def count(self, q):
+            assert all(ref() is None for ref in alive), f"sector {q} read while another dense sector is alive"
+            b = build(self, q)
+            seen.append(q)
+            alive.append(weakref.ref(b if b.base is None else b.base))
+            return b
+
+        monkeypatch.setattr(_GramBlocks, "__getitem__", count)
+        return seen
+
+    def test_validate_and_the_report_read_each_sector_once(self, scattered, reads):
+        rho = reduce(*scattered)
+        assert reads == list(rho.q_values) == list(range(self.m + 1))
+        reads.clear()
+        coherence_report(rho)
+        assert reads == list(rho.q_values)
+        # the one-measure passes hold one dense sector at a time too
+        for measure in (c_l1, c_r, BlockDensityMatrix.diagonal, BlockDensityMatrix.spectrum, BlockDensityMatrix.purity):
+            reads.clear()
+            measure(rho)
+            assert sorted(set(reads)) == list(rho.q_values)
+
+    def test_block_weights_read_no_sector(self, scattered, reads):
+        rho = reduce(*scattered)
+        reads.clear()
+        weights = rho.block_weights
+        assert reads == []
+        weights[0] = 2.0
+        assert rho.block_weights[0] != 2.0 and reads == []
+        want = dense_copy(rho).validate()
+        assert {q: w.hex() for q, w in rho.block_weights.items()} == {q: w.hex() for q, w in want.block_weights.items()}
+
+    def test_a_warm_reduce_holds_its_factors_and_no_dense_block(self, scattered):
+        reduce(*scattered)
+        tracemalloc.start()
+        try:
+            rho = reduce(*scattered)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        factors = sum(v.nbytes for v in rho.blocks.sectors.values())
+        dense = sum(math.comb(self.n, q) ** 2 for q in rho.q_values) * np.dtype(np.complex128).itemsize
+        # 0.65 MiB of factors, where the dense blocks take 14.1 MiB
+        assert factors <= held < 2 * 2**20 < dense
+
+    @pytest.mark.parametrize(
+        "N,k,sites",
+        [
+            (10, (1, 2, 5), (2, 5, 7, 9)),
+            (10, (0, 1, 3, 6, 8), tuple(range(1, 11))),
+            (8, (1, 2, 5), (4,)),
+            (16, (0, 0, 1, 3, 3, 5, 7, 7, 9, 12), (1, 2, 3, 4, 5)),
+            (9, (0, 1, 3, 4, 5, 7, 8), (2, 3, 5)),
+        ],
+    )
+    def test_every_measure_is_the_dense_copy_bit_for_bit(self, N, k, sites):
+        rho = reduce(build_state(MagnonStateSpec(N, len(k), MomentumVector(N, k))), SubsystemSpec(N, sites))
+        assert measure_bits(rho) == measure_bits(dense_copy(rho))
+
+    def test_wide_sectors_keep_the_dense_copy_bits(self, scattered):
+        rho = reduce(*scattered)
+        assert sum(v.shape[0] < v.shape[1] for v in rho.blocks.sectors.values()) == 3
+        assert measure_bits(rho) == measure_bits(dense_copy(rho))
+
+    # tier-1 runs 100 examples; CI's factored-operator step runs 5000,
+    # derandomized, under --hypothesis-profile=ci
+    @seed(4701)
+    @settings(deadline=None, database=None)
+    @given(scatter_cases(max_N=12))
+    @example((12, (0, 1, 3, 4, 7, 9), tuple(range(1, 13))))
+    @example((12, (2, 3, 5, 8), (1, 4, 6, 7, 11)))
+    def test_reads_and_measures_match_the_dense_copy_and_the_per_row_factors(self, case):
+        N, k, sites = case
+        try:
+            state = build_state(MagnonStateSpec(N, len(k), MomentumVector(N, k)))
+        except NullStateError:
+            return
+        sub = SubsystemSpec(N, sites)
+        rho = reduce(state, sub)
+        dense = dense_copy(rho)
+        want = per_row_factors(state, sub)
+        assert rho.q_values == dense.q_values == tuple(want)
+        for q, v in want.items():
+            assert rho.blocks.sectors[q].tobytes() == v.tobytes()
+            assert rho.blocks[q].tobytes() == dense.blocks[q].tobytes() == (v.T @ v.conj()).tobytes()
+        assert measure_bits(rho) == measure_bits(dense)
 
 
 class TestSingleModeClosedForm:
@@ -693,15 +822,19 @@ class TestBlockDensityMatrix:
         with pytest.raises(InternalConsistencyError, match="eigenvalue -5.000e-01 below the floor"):
             BlockDensityMatrix(2, _RankOneBlocks({0: (1.5, np.ones(1)), 1: (-0.25, phi)})).validate()
 
-    def test_validation_rejects_nan(self):
+    def test_validation_rejects_nan(self, monkeypatch):
         nan_block = {0: np.array([[np.nan]], dtype=complex), 1: np.array([[0.5]], dtype=complex)}
         with pytest.raises(InternalConsistencyError, match="Hermiticity by nan"):
             BlockDensityMatrix(1, nan_block).validate()
-        # a wide Gram factor puts its own lowest eigenvalue in charge
-        flat = BlockDensityMatrix(2, {1: np.full((2, 2), 0.5, dtype=complex)})
-        object.__setattr__(flat, "_factors", {1: np.array([[np.nan, 0.5]])})
+        wide = _GramBlocks({1: np.array([[np.nan, 0.5]])})
+        # the block of a NaN factor is NaN too
+        with pytest.raises(InternalConsistencyError, match="Hermiticity by nan"):
+            BlockDensityMatrix(2, wide).validate()
+        # a wide Gram factor puts its own lowest eigenvalue in charge: read
+        # as a finite block, the NaN factor still reaches the floor check
+        monkeypatch.setattr(_GramBlocks, "__getitem__", lambda self, q: np.full((2, 2), 0.5, dtype=complex))
         with pytest.raises(InternalConsistencyError, match="eigenvalue nan"):
-            flat.validate()
+            BlockDensityMatrix(2, wide).validate()
 
     @pytest.mark.parametrize("entries", [{(0, 0): np.inf}, {(0, 1): np.inf, (1, 0): np.inf}, {(1, 1): -np.inf}])
     def test_infinite_entries_are_rejected_without_a_warning(self, entries):
@@ -726,6 +859,12 @@ class TestBlockDensityMatrix:
         assert np.shares_memory(rho.blocks[1], source[1]) and source[1].flags.writeable
         reduced = reduce(build_state(MagnonStateSpec(8, 2, MomentumVector(8, (1, 3)))), SubsystemSpec.prefix(8, 3))
         assert not any(reduced.blocks[q].flags.writeable for q in reduced.q_values)
+        with pytest.raises(TypeError):
+            reduced.blocks.sectors[1] = np.zeros((7, 3), dtype=complex)
+        with pytest.raises(ValueError, match="read-only"):
+            reduced.blocks.sectors[1][0, 0] = 2.0
+        # each read is a fresh block built from the factor
+        assert reduced.blocks[1] is not reduced.blocks[1]
         single = reduce_single_mode(10, 3, 4, 0.7)
         with pytest.raises(TypeError):
             single.blocks.sectors[1] = (0.0, np.zeros(3))
@@ -733,7 +872,8 @@ class TestBlockDensityMatrix:
             single.blocks.sectors[1][1][0] = 2.0
 
     @pytest.mark.parametrize(
-        "name, value", [("blocks", {1: 5 * np.eye(3)}), ("n", 2), ("off_block_residual", 0.0), ("_validated", False)]
+        "name, value",
+        [("blocks", {1: 5 * np.eye(3)}), ("n", 2), ("off_block_residual", 0.0), ("_validated", False), ("_weights", {})],
     )
     def test_no_field_of_a_validated_operator_can_be_rebound(self, name, value):
         rho = reduce(build_state(MagnonStateSpec(8, 3, MomentumVector(8, (1, 2, 5)))), SubsystemSpec(8, (2, 3, 7)))
@@ -835,7 +975,7 @@ def test_reduce_keeps_its_bits_with_the_rank_cache_cold_warm_and_bypassed(case):
         assert other.q_values == cold.q_values
         for q in cold.q_values:
             assert np.array_equal(other.blocks[q], cold.blocks[q])
-            assert np.array_equal(other._factors[q], cold._factors[q])
+            assert np.array_equal(other.blocks.sectors[q], cold.blocks.sectors[q])
 
 
 @st.composite

@@ -366,6 +366,12 @@ FLOAT_RANGE_EDGES = {
     # n m alone is past the float range, the mean is not
     "internal_energy-nm-past-the-range": (lambda: internal_energy(10**400, 10**400, 1, 1.0), 1.0),
     "internal_energy-nm-and-N-past-the-range": (lambda: internal_energy(10**400, 10**400, 10**400, 1e-300), 1e100),
+    # a nonzero mean below the float range is refused whether or not N
+    # itself leaves it; m = 0 and a subnormal mean keep their values
+    "internal_energy-mean-underflows": (lambda: internal_energy(10**300, 1, 1, 1e-300), "mean block energy at N=10{300}"),
+    "internal_energy-mean-underflows-past-the-range-N": (lambda: internal_energy(10**400, 1, 1, 1e-300), "mean block energy at N=10{400}"),
+    "internal_energy-m-0": (lambda: internal_energy(10**300, 1, 0, 1e-300), 0.0),
+    "internal_energy-subnormal-mean": (lambda: internal_energy(1, 1, 1, 1e-310), 1e-310),
     "beta_decomposition-huge-eps0": (lambda: beta_decomposition(10, 5, 4, 1e308), "mean block energy at N=10"),
     # an energy step that underflows to 0, and slopes past the range
     "beta_decomposition-subnormal-eps0": (lambda: beta_decomposition(10, 5, 4, 5e-324), "beta"),
