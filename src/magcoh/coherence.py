@@ -11,22 +11,23 @@ takes for that floor, so a plain matrix is diagonalised once per call.
 A block operator is checked by its own ``validate``, once in its life:
 the package routes return operators that have passed it, and one that
 has not (built by hand) is validated on entry, a refusal again being a
-DomainError.  Either kind of checked input answers the same reads
-(diagonal, descending spectrum, sum of |rho_ij|, and all three per
-sector from one read of it, which ``coherence_report`` takes so that a
-factored sector is built densely once), which the private helpers call
-without checking anything again.
-Logarithms are natural throughout, so entropic quantities are in nats.
+DomainError.
+Every measure is read off one ``coherence_report``: it reads each sector
+once, in ascending q, for its populations, its sum of |rho_ij| and its
+ascending spectrum (``BlockDensityMatrix._sector_reads``; a plain matrix
+is one sector), so a factored sector is built densely once per report.
+``c_l1`` and ``c_r`` are the report's two fields, and each costs one
+report.  Logarithms are natural throughout, so entropic quantities are
+in nats.
 The l1 measure sums |rho_ij| over all stored blocks and subtracts the
 trace; a rank-one sector w phi phi^H is summed from one complex row per
 distinct phase, with the dense block's bits and without building the
-block (``BlockDensityMatrix.block_abs_sum``).  The relative-entropy
-measure subtracts the von Neumann entropy from the Shannon entropy of
-the diagonal.  Two quantities follow from C_l1 and are read off a
-``CoherenceReport``, their one public name: the log measure
-C_ln = ln(1 + C_l1), which gives up the entropic reading in exchange
-for additivity and O(d^2) cost, and the effective dimension 1 + C_l1,
-the number of basis states the operator coherently explores.
+block.  The relative-entropy measure subtracts the von Neumann entropy
+from the Shannon entropy of the diagonal.  Two quantities follow from
+C_l1 and are read off a ``CoherenceReport``, their one public name: the
+log measure C_ln = ln(1 + C_l1), which gives up the entropic reading in
+exchange for additivity and O(d^2) cost, and the effective dimension
+1 + C_l1, the number of basis states the operator coherently explores.
 Eigenvalues below EIGENVALUE_FLOOR are treated as exact zeros inside
 x ln x.
 """
@@ -81,30 +82,22 @@ class CoherenceReport:
         return 1.0 + self.c_l1
 
 
-@dataclass(frozen=True)
-class _CheckedMatrix:
-    """A plain matrix that has passed the entry check, with the ascending
-    ``eigvalsh`` its positivity floor was read from; it answers the reads
-    a BlockDensityMatrix answers."""
+def _reads(rho) -> list[tuple[np.ndarray, float, np.ndarray]]:
+    """(populations, sum of |rho_ij|, ascending spectrum) of each sector of
+    a checked operator, in ascending q.
 
-    a: np.ndarray
-    ascending: np.ndarray
-
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self.a).real
-
-    def spectrum(self) -> np.ndarray:
-        return self.ascending[::-1]
-
-    def _abs_sum(self) -> float:
-        return float(np.abs(self.a).sum())
-
-    def _reads(self) -> list[tuple[np.ndarray, float, np.ndarray]]:
-        """The one "sector": populations, sum of |rho_ij|, ascending spectrum."""
-        return [(self.diagonal(), self._abs_sum(), self.ascending)]
-
-
-def _as_matrix(rho) -> _CheckedMatrix:
+    A BlockDensityMatrix that has passed ``validate`` answers its own
+    ``_reads``; one that has not is validated first, once in its life.  Any
+    other input is checked as a plain matrix and is its own one sector,
+    whose spectrum is the ``eigvalsh`` its positivity floor was read from.
+    """
+    if isinstance(rho, BlockDensityMatrix):
+        if not rho._validated:
+            try:
+                rho.validate()
+            except InternalConsistencyError as err:
+                raise DomainError(f"density operator {err}") from err
+        return rho._reads()
     a = np.asarray(rho, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"expected a square density matrix, got shape {a.shape}")
@@ -119,20 +112,7 @@ def _as_matrix(rho) -> _CheckedMatrix:
     lowest = float(ascending.min())
     if not lowest >= NEGATIVE_EIGENVALUE_FLOOR:
         raise DomainError(f"density matrix has eigenvalue {lowest:.3e} below the floor")
-    return _CheckedMatrix(a, ascending)
-
-
-def _checked(rho):
-    """A BlockDensityMatrix that has passed ``validate``, running it once on
-    one that has not; any other input through ``_as_matrix``."""
-    if not isinstance(rho, BlockDensityMatrix):
-        return _as_matrix(rho)
-    if not rho._validated:
-        try:
-            rho.validate()
-        except InternalConsistencyError as err:
-            raise DomainError(f"density operator {err}") from err
-    return rho
+    return [(np.diag(a).real, float(np.abs(a).sum()), ascending)]
 
 
 def _entropy(values) -> float:
@@ -142,23 +122,16 @@ def _entropy(values) -> float:
     return float(-(kept * np.log(kept)).sum()) if kept.size else 0.0
 
 
-def _c_l1(abs_sum: float) -> float:
-    return max(0.0, abs_sum - 1.0)
-
-
-def _c_r(diagonal: np.ndarray, spectrum: np.ndarray) -> float:
-    return max(0.0, _entropy(diagonal) - _entropy(spectrum))
-
-
 def c_l1(rho) -> float:
-    """Sum of |rho_ij| minus the trace; zero exactly on diagonal operators."""
-    return _c_l1(_checked(rho)._abs_sum())
+    """Sum of |rho_ij| minus the trace; zero exactly on diagonal operators.
+    The ``c_l1`` field of ``coherence_report``, whose cost it has."""
+    return coherence_report(rho).c_l1
 
 
 def c_r(rho) -> float:
-    """Relative entropy of coherence: S(diag(rho)) - S(rho), in nats."""
-    rho = _checked(rho)
-    return _c_r(rho.diagonal(), rho.spectrum())
+    """Relative entropy of coherence: S(diag(rho)) - S(rho), in nats.
+    The ``c_r`` field of ``coherence_report``, whose cost it has."""
+    return coherence_report(rho).c_r
 
 
 def max_coherence(d: int) -> tuple[float, float]:
@@ -223,18 +196,22 @@ def averaged_coherence_single_mode(N: int, n: int, m: int, k: float, measure: st
 
 
 def coherence_report(rho) -> CoherenceReport:
-    """Evaluate C_l1 and C_r once and package them together; the basis
-    dimension is the length of the diagonal C_r reads.
+    """Evaluate C_l1 and C_r from one pass over the sectors and package
+    them together; the basis dimension is the length of the diagonal C_r
+    reads.
 
     Each sector is read once, in ascending q, for its populations, its
     sum of |rho_ij| and its spectrum, so a factored sector is built
-    densely once and dropped before the next.  The parts are then
-    concatenated, sorted and summed in the order ``c_l1`` and ``c_r``
-    take them, so the report carries their bits.
+    densely once and dropped before the next.  C_l1 is the summed moduli
+    less the trace, and C_r the Shannon entropy of the concatenated
+    diagonal less that of the spectrum sorted descending, each clamped
+    at 0.
     """
-    diagonals, abs_sums, spectra = zip(*_checked(rho)._reads())
+    diagonals, abs_sums, spectra = zip(*_reads(rho))
     diagonal = np.concatenate(diagonals)
     spectrum = np.sort(np.concatenate(spectra))[::-1]
     return CoherenceReport(
-        c_l1=_c_l1(sum(abs_sums)), c_r=_c_r(diagonal, spectrum), basis_dimension=len(diagonal)
+        c_l1=max(0.0, sum(abs_sums) - 1.0),
+        c_r=max(0.0, _entropy(diagonal) - _entropy(spectrum)),
+        basis_dimension=len(diagonal),
     )

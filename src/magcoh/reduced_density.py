@@ -7,11 +7,14 @@ q-flip site lists in the canonical combination order, which (n, q)
 alone determines.  The general route keeps each block as its Gram
 factor and the single-mode route as its weight and phase vector, each
 building a dense block only when it is read, so at most one dense
-sector is alive at a time.  The pure projector of a whole-chain state
-is the reduction to every site.  A dense bitmask partial trace through
-the full 2^N product basis gives an independent check of the
-combinatorial route, and a closed form covers single-mode states, whose
-block weights follow the hypergeometric law.
+sector is alive at a time.  One private read of a sector,
+``BlockDensityMatrix._sector_reads``, gives its populations, sum of
+|b_ij| and spectrum together, and every coherence measure, the diagonal
+and the spectrum are taken from it.  The pure projector of a
+whole-chain state is the reduction to every site.  A dense bitmask
+partial trace through the full 2^N product basis gives an independent
+check of the combinatorial route, and a closed form covers single-mode
+states, whose block weights follow the hypergeometric law.
 """
 
 from __future__ import annotations
@@ -144,11 +147,17 @@ def _rank_one_rows(w: float, rows: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return w * np.outer(rows, phi.conj())
 
 
+def _rank_one_diagonal(w: float, phi: np.ndarray) -> np.ndarray:
+    """Diagonal w phi_i phi_i^* of a rank-one sector, complex, with the
+    bits of the dense block's diagonal."""
+    return w * (phi * phi.conj())
+
+
 class _LazyBlocks(Mapping):
     """Read-only sectors kept in a factored form, ``sectors[q]``, in a
     read-only mapping.  Each ``self[q]`` builds a fresh dense block and
     caches nothing, so a caller that reads one sector at a time holds one
-    dense block at a time."""
+    dense block at a time; a membership test reads no sector."""
 
     sectors: Mapping[int, object]
 
@@ -157,6 +166,9 @@ class _LazyBlocks(Mapping):
 
     def __len__(self) -> int:
         return len(self.sectors)
+
+    def __contains__(self, q) -> bool:
+        return q in self.sectors
 
 
 class _RankOneBlocks(_LazyBlocks):
@@ -208,18 +220,22 @@ class BlockDensityMatrix:
     The last two cache no dense block: the package reads their sectors one
     at a time, so at most one dense sector is alive at once, and a
     validated ``reduce`` operator holds only its factors (0.65 MiB where
-    the dense blocks take 14.1 MiB at (N, m, n) = (24, 5, 12)).  The
-    rank-one diagonal, block weights and checks read (w, phi) in
-    O(C(n, q)), and ``block_abs_sum`` reads it with one complex row per
-    distinct phase, so no coherence measure builds a dense rank-one block.
-    For operators obtained from the dense oracle, ``off_block_residual``
-    records the largest matrix element found between different flip
-    sectors (structurally zero for magnon states).  A rank-one sector's
-    spectrum is read off its weight; every other sector is diagonalised
-    when asked.  The constructor has no factor argument: a Gram sector
-    is handed over as its factor alone, so no caller can pair a block
-    with a factor it disagrees with.  A block has no tuple equality, so
-    operators compare by identity.
+    the dense blocks take 14.1 MiB at (N, m, n) = (24, 5, 12)).  Every
+    read of the sectors for a measure goes through ``_sector_reads``, one
+    per sector in ascending q: ``diagonal()``, ``spectrum()`` and each
+    coherence measure take all three of its reads (populations, sum of
+    |b_ij|, ascending spectrum), so each builds a Gram sector once and
+    diagonalises every dense sector.  A rank-one sector is read from
+    (w, phi): its diagonal and weight in O(C(n, q)), its moduli sum with
+    one complex row per distinct phase and its spectrum off its weight,
+    so no measure and no check builds a dense rank-one block.  A
+    membership test ``q in blocks`` reads no sector.  For operators
+    obtained from the dense oracle, ``off_block_residual`` records the
+    largest matrix element found between different flip sectors
+    (structurally zero for magnon states).  The constructor has no factor
+    argument: a Gram sector is handed over as its factor alone, so no
+    caller can pair a block with a factor it disagrees with.  A block has
+    no tuple equality, so operators compare by identity.
     """
 
     n: int
@@ -244,44 +260,12 @@ class BlockDensityMatrix:
         """(w, phi) of sector q if it is kept in that form, else None."""
         return self.blocks.sectors[q] if isinstance(self.blocks, _RankOneBlocks) else None
 
-    def block_diagonal(self, q: int) -> np.ndarray:
-        """Diagonal of sector q, complex, with the dense block's bits.
-
-        A dense block's diagonal is copied out, since ``np.diag`` returns a
-        view that would keep a freshly built block alive.
-        """
-        rank_one = self._rank_one(q)
-        if rank_one is None:
-            return np.diag(self.blocks[q]).copy()
-        w, phi = rank_one
-        return w * (phi * phi.conj())
-
-    def block_abs_sum(self, q: int) -> float:
-        """Sum of |b_ij| over sector q, with the dense block's bits.
-
-        A dense sector is summed as ``np.abs(block).sum()``.  A rank-one
-        sector w phi phi^H never builds its complex block: rows i and j
-        whose phases compare equal are equal entry for entry, since the
-        same scalar multiplies the same vector, and phi_l = exp(ik sum(l))
-        takes at most q (n - q) + 1 values, one per site sum.  So the
-        moduli of one row per distinct phase are gathered into the d x d
-        modulus array and summed in one ``.sum()``, the flat pairwise sum
-        the dense block gets; a running total of row sums would round
-        differently.
-        """
-        rank_one = self._rank_one(q)
-        if rank_one is None:
-            return float(np.abs(self.blocks[q]).sum())
-        w, phi = rank_one
-        _, first, row_of = np.unique(phi, return_index=True, return_inverse=True)
-        return float(np.abs(_rank_one_rows(w, phi[first], phi))[row_of].sum())
-
-    def _abs_sum(self) -> float:
-        """Sum of |rho_ij| over every sector, read one sector at a time."""
-        return sum(self.block_abs_sum(q) for q in self.q_values)
-
     def _weight(self, q: int) -> float:
-        return float(self.block_diagonal(q).sum().real)
+        """Trace of sector q: the complex sum of its diagonal, real part."""
+        rank_one = self._rank_one(q)
+        if rank_one is None:
+            return float(np.diag(self.blocks[q]).sum().real)
+        return float(_rank_one_diagonal(*rank_one).sum().real)
 
     @property
     def block_weights(self) -> dict[int, float]:
@@ -293,30 +277,38 @@ class BlockDensityMatrix:
 
     def diagonal(self) -> np.ndarray:
         """Populations in the canonical basis, blocks in ascending q."""
-        return np.concatenate([self.block_diagonal(q).real for q in self.q_values])
-
-    def block_spectrum(self, q: int) -> np.ndarray:
-        """Eigenvalues of sector q, ascending: for a rank-one sector, d - 1
-        zeros and then the weight ``block_weights`` gives; for any other,
-        a fresh ``eigvalsh`` of the dense block."""
-        if self._rank_one(q) is None:
-            return np.linalg.eigvalsh(self.blocks[q])
-        return np.append(np.zeros(math.comb(self.n, q) - 1), self._weight(q))
+        return np.concatenate([populations for populations, _, _ in self._reads()])
 
     def spectrum(self) -> np.ndarray:
         """All eigenvalues across blocks, sorted descending."""
-        parts = [self.block_spectrum(q) for q in self.q_values]
-        return np.sort(np.concatenate(parts))[::-1]
+        return np.sort(np.concatenate([ascending for _, _, ascending in self._reads()]))[::-1]
 
     def _sector_reads(self, q: int) -> tuple[np.ndarray, float, np.ndarray]:
         """The populations, sum of |b_ij| and ascending spectrum of sector
-        q, with the bits of ``block_diagonal(q).real``, ``block_abs_sum``
-        and ``block_spectrum``, from one read of a dense sector, which is
-        dropped on return."""
-        if self._rank_one(q) is not None:
-            return self.block_diagonal(q).real, self.block_abs_sum(q), self.block_spectrum(q)
-        b = self.blocks[q]
-        return np.diag(b).real.copy(), float(np.abs(b).sum()), np.linalg.eigvalsh(b)
+        q, the one read of a sector that every measure takes.
+
+        A dense sector is built once, read as ``np.diag(b).real``,
+        ``np.abs(b).sum()`` and ``eigvalsh(b)``, and dropped on return.  A
+        rank-one sector w phi phi^H is never built.  Its diagonal
+        w |phi_i|^2 is taken once.  Its moduli sum keeps the dense block's
+        bits: rows i and j whose phases compare equal are equal entry for
+        entry, since the same scalar multiplies the same vector, and
+        phi_l = exp(ik sum(l)) takes at most q (n - q) + 1 values, one per
+        site sum.  So the moduli of one row per distinct phase are
+        gathered into the d x d modulus array and summed in one ``.sum()``,
+        the flat pairwise sum the dense block gets; a running total of row
+        sums would round differently.  Its spectrum is d - 1 zeros and
+        then the weight, the diagonal's complex sum with ``_weight``'s bits.
+        """
+        rank_one = self._rank_one(q)
+        if rank_one is None:
+            b = self.blocks[q]
+            return np.diag(b).real.copy(), float(np.abs(b).sum()), np.linalg.eigvalsh(b)
+        w, phi = rank_one
+        diagonal = _rank_one_diagonal(w, phi)
+        _, first, row_of = np.unique(phi, return_index=True, return_inverse=True)
+        abs_sum = float(np.abs(_rank_one_rows(w, phi[first], phi))[row_of].sum())
+        return diagonal.real, abs_sum, np.append(np.zeros(math.comb(self.n, q) - 1), diagonal.sum().real)
 
     def _reads(self) -> list[tuple[np.ndarray, float, np.ndarray]]:
         """``_sector_reads`` of every sector, in ascending q."""
@@ -371,7 +363,8 @@ class BlockDensityMatrix:
             if not (math.isfinite(w) and np.isfinite(phi).all()):
                 raise InternalConsistencyError(f"rank-one block q={q} has a non-finite weight or phase")
             weight = self._weight(q)
-            lowest = float(self.block_spectrum(q).min())
+            # the least of d - 1 zeros and the weight; min(0.0, nan) would be 0.0
+            lowest = 0.0 if weight > 0.0 else weight
         if not lowest >= NEGATIVE_EIGENVALUE_FLOOR:
             raise InternalConsistencyError(f"block q={q} has eigenvalue {lowest:.3e} below the floor")
         return weight

@@ -315,9 +315,9 @@ def _fam_averaged_identity(N, m, rng):
     k = 2.0 * math.pi / N
     for n in {1, N // 2, N - 1, N}:
         for mm in {1, 2, max(1, N // 3)}:
-            reduced = reduce_single_mode(N, n, mm, k)
-            worst = max(worst, abs(coh.c_r(reduced) - coh.averaged_coherence_single_mode(N, n, mm, k, "r")))
-            worst = max(worst, abs(coh.c_l1(reduced) - coh.averaged_coherence_single_mode(N, n, mm, k, "l1")))
+            report = coh.coherence_report(reduce_single_mode(N, n, mm, k))
+            worst = max(worst, abs(report.c_r - coh.averaged_coherence_single_mode(N, n, mm, k, "r")))
+            worst = max(worst, abs(report.c_l1 - coh.averaged_coherence_single_mode(N, n, mm, k, "l1")))
     return _done(worst, 1e-10)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -385,10 +386,11 @@ class TestDistinctRowSum:
     def test_every_sector_and_measure_keeps_the_dense_bits(self, build):
         rho = build()
         dense = [float(np.abs(rho.blocks[q]).sum()) for q in rho.q_values]
-        assert [rho.block_abs_sum(q).hex() for q in rho.q_values] == [x.hex() for x in dense]
+        assert [rho._sector_reads(q)[1].hex() for q in rho.q_values] == [x.hex() for x in dense]
         want = max(0.0, sum(dense) - 1.0)
         report = coherence_report(rho)
         assert c_l1(rho).hex() == report.c_l1.hex() == want.hex()
+        assert c_r(rho).hex() == report.c_r.hex()
         assert report.c_ln.hex() == math.log1p(want).hex()
         assert report.effective_dimension.hex() == (1.0 + want).hex()
 
@@ -513,3 +515,61 @@ class TestReport:
         report = coherence_report(top_state(4))
         assert report.basis_dimension == 4
         assert abs(report.c_r - math.log(4)) < 1e-12
+
+
+def _plane_wave_report(N, m, indices):
+    """The prefix report of the n = N/2 sites for momentum indices, or
+    None for a null state."""
+    try:
+        state = build_state(MagnonStateSpec(N, m, MomentumVector(N, indices)))
+    except NullStateError:
+        return None
+    return coherence_report(reduce(state, SubsystemSpec.prefix(N, N // 2)))
+
+
+class TestSingleModeIsMaximal:
+    """The headline claim among plane-wave states: a single macroscopically
+    occupied mode carries the most prefix coherence.
+
+    The class is the plane-wave states, one per multiset of m momentum
+    indices.  Shifting every index by one is a diagonal unitary on the
+    subsystem and k -> -k conjugates, so neither moves a measure, and the
+    multisets with minimum index 0 cover every class.  The claim does not
+    hold among all m-flip states: a product of Dicke states
+    D_{n,q} (x) D_{N-n,m-q} has prefix C_r = ln C(n, q), which at
+    (N, m, n, q) = (12, 6, 6, 3) is ln 20 = 2.996, above single mode's 2.755.
+    """
+
+    # (N, m): single mode's (C_r, C_l1), and the largest over the other classes
+    MEASURED = {
+        (8, 2): ((1.176, 2.786), (0.766, 1.988)),
+        (8, 3): ((1.461, 3.643), (0.930, 2.488)),
+        (10, 3): ((1.822, 6.167), (1.305, 4.661)),
+    }
+
+    @pytest.mark.parametrize("N,m", list(MEASURED))
+    def test_single_mode_has_the_strictly_largest_prefix_coherence(self, N, m):
+        reports, worst = {}, 0.0
+        for rest in itertools.combinations_with_replacement(range(N), m - 1):
+            indices = (0, *rest)
+            report = _plane_wave_report(N, m, indices)
+            shifted = _plane_wave_report(N, m, tuple((i + 1) % N for i in indices))
+            negated = _plane_wave_report(N, m, tuple(-i % N for i in indices))
+            if report is None:
+                assert shifted is None and negated is None, indices
+                continue
+            for other in (shifted, negated):
+                worst = max(worst, abs(other.c_r - report.c_r), abs(other.c_l1 - report.c_l1))
+            reports[indices] = report
+        assert worst <= 1e-12
+        single = reports.pop((0,) * m)
+        runner_up = (max(r.c_r for r in reports.values()), max(r.c_l1 for r in reports.values()))
+        assert single.c_r > runner_up[0] and single.c_l1 > runner_up[1]
+        assert (single.c_r, single.c_l1) == pytest.approx(self.MEASURED[N, m][0], abs=5e-4)
+        assert runner_up == pytest.approx(self.MEASURED[N, m][1], abs=5e-4)
+
+    def test_a_dicke_product_beats_single_mode(self):
+        # the prefix of D_{6,3} (x) D_{6,3} is the pure Dicke state D_{6,3}
+        dicke = BlockDensityMatrix(6, {3: np.full((20, 20), 1.0 / 20)})
+        single = coherence_report(reduce_single_mode(12, 6, 6, 2.0 * math.pi / 12))
+        assert round(single.c_r, 3) == 2.755 and round(c_r(dicke), 3) == 2.996

@@ -3,6 +3,7 @@ import itertools
 import math
 import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -475,6 +476,17 @@ def measure_bits(rho) -> dict:
     }
 
 
+# each takes one pass over the sectors of an operator
+SECTOR_PASSES = (
+    coherence_report,
+    c_l1,
+    c_r,
+    BlockDensityMatrix.diagonal,
+    BlockDensityMatrix.spectrum,
+    BlockDensityMatrix.purity,
+)
+
+
 def dense_copy(rho) -> BlockDensityMatrix:
     """The operator rebuilt from one read of each of its sectors."""
     return BlockDensityMatrix(rho.n, {q: rho.blocks[q].copy() for q in rho.q_values})
@@ -512,14 +524,22 @@ class TestFactoredSectors:
     def test_validate_and_the_report_read_each_sector_once(self, scattered, reads):
         rho = reduce(*scattered)
         assert reads == list(rho.q_values) == list(range(self.m + 1))
-        reads.clear()
-        coherence_report(rho)
-        assert reads == list(rho.q_values)
-        # the one-measure passes hold one dense sector at a time too
-        for measure in (c_l1, c_r, BlockDensityMatrix.diagonal, BlockDensityMatrix.spectrum, BlockDensityMatrix.purity):
+        # every measure is one pass, one dense sector at a time, in ascending q
+        for measure in SECTOR_PASSES:
             reads.clear()
             measure(rho)
-            assert sorted(set(reads)) == list(rho.q_values)
+            assert reads == list(rho.q_values)
+
+    @pytest.mark.parametrize("single_mode", [False, True], ids=["reduce", "single-mode"])
+    def test_membership_reads_no_sector(self, scattered, single_mode):
+        rho = reduce_single_mode(20, 8, 3, 0.7) if single_mode else reduce(*scattered)
+        lazy, first, last = type(rho.blocks), rho.q_values[0], rho.q_values[-1]
+        # a q inside [0, n] that has no sector, and one outside
+        assert last < rho.n
+        with mock.patch.object(lazy, "__getitem__", autospec=True, side_effect=lazy.__getitem__) as read:
+            assert first in rho.blocks and last in rho.blocks
+            assert last + 1 not in rho.blocks and -1 not in rho.blocks
+        assert read.call_count == 0
 
     def test_block_weights_read_no_sector(self, scattered, reads):
         rho = reduce(*scattered)
@@ -585,6 +605,12 @@ class TestFactoredSectors:
             assert rho.blocks.sectors[q].tobytes() == v.tobytes()
             assert rho.blocks[q].tobytes() == dense.blocks[q].tobytes() == (v.T @ v.conj()).tobytes()
         assert measure_bits(rho) == measure_bits(dense)
+        # hypothesis refuses function-scoped fixtures, so the reads are counted here
+        build = _GramBlocks.__getitem__
+        for measure in SECTOR_PASSES:
+            with mock.patch.object(_GramBlocks, "__getitem__", autospec=True, side_effect=build) as read:
+                measure(rho)
+            assert [call.args[1] for call in read.call_args_list] == list(rho.q_values)
 
 
 class TestSingleModeClosedForm:
@@ -621,12 +647,12 @@ class TestSingleModeClosedForm:
         # eigvalsh is backward stable: by Weyl each eigenvalue moves by at
         # most gamma(4d) ||B|| <= gamma(4d) w.  The stored block is within
         # gamma(d + 8) w of the exact rank-one operator whose spectrum
-        # (0, ..., 0, trace) block_spectrum derives: phase products and the
+        # (0, ..., 0, trace) _sector_reads derives: phase products and the
         # weight scaling round each entry, and the trace sums d of them.
         reduced = reduce_single_mode(2 * n + 1, n, n, 0.9)
         for q in reduced.q_values:
             d, w = reduced.blocks[q].shape[0], reduced.block_weights[q]
-            derived = reduced.block_spectrum(q)
+            derived = reduced._sector_reads(q)[2]
             assert derived.tolist() == [0.0] * (d - 1) + [w]
             dense = np.linalg.eigvalsh(reduced.blocks[q])
             assert np.abs(derived - dense).max() <= (gamma(4 * d) + gamma(d + 8)) * w
