@@ -14,8 +14,8 @@ has not (built by hand) is validated on entry, a refusal again being a
 DomainError.
 Every measure is read off one ``coherence_report``: it reads each sector
 once, in ascending q, for its populations, its sum of |rho_ij| and its
-ascending spectrum (``BlockDensityMatrix._sector_reads``; a plain matrix
-is one sector), so a factored sector is built densely once per report.
+ascending spectrum (the ``reads`` of the operator's sector form; a plain
+matrix is one sector), so a factored sector is built densely once per report.
 ``c_l1`` and ``c_r`` are the report's two fields, and each costs one
 report.  Logarithms are natural throughout, so entropic quantities are
 in nats.

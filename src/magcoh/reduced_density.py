@@ -4,17 +4,19 @@ Tracing out the complement of an n-site subsystem never mixes site
 lists with different spin-up counts q, so the reduced operator is kept
 block by block: one Hermitian matrix per admissible q, over the C(n, q)
 q-flip site lists in the canonical combination order, which (n, q)
-alone determines.  The general route keeps each block as its Gram
-factor and the single-mode route as its weight and phase vector, each
-building a dense block only when it is read, so at most one dense
-sector is alive at a time.  One private read of a sector,
-``BlockDensityMatrix._sector_reads``, gives its populations, sum of
-|b_ij| and spectrum together, and every coherence measure, the diagonal
-and the spectrum are taken from it.  The pure projector of a
-whole-chain state is the reduction to every site.  A dense bitmask
-partial trace through the full 2^N product basis gives an independent
-check of the combinatorial route, and a closed form covers single-mode
-states, whose block weights follow the hypergeometric law.
+alone determines.  Each way a sector is stored is one private class, a
+sector form: ``_DenseBlocks`` for dense blocks, ``_GramBlocks`` for the
+general route's Gram factors and ``_RankOneBlocks`` for the single-mode
+route's weight and phase vector, the last two building a dense block
+only when it is read, so at most one dense sector is alive at a time.
+A form owns every read of its sectors: the weight, the check
+``validate`` asks of it, and the one read, ``reads(q)``, that gives the
+populations, sum of |b_ij| and spectrum together, from which every
+coherence measure, the diagonal and the spectrum are taken.  The pure
+projector of a whole-chain state is the reduction to every site.  A
+dense bitmask partial trace through the full 2^N product basis gives an
+independent check of the combinatorial route, and a closed form covers
+single-mode states, whose block weights follow the hypergeometric law.
 """
 
 from __future__ import annotations
@@ -141,25 +143,24 @@ def _read_only(b) -> np.ndarray:
     return view
 
 
-def _rank_one_rows(w: float, rows: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Rows w phi_i phi^H of a rank-one sector, one per entry phi_i of
-    ``rows``: the one expression every dense rank-one row comes from."""
-    return w * np.outer(rows, phi.conj())
+def _above_floor(q: int, lowest: float, weight: float) -> float:
+    """``weight``, once the lowest eigenvalue of sector q is found at or
+    above the floor; the comparison fails on NaN, so a NaN is refused."""
+    if not lowest >= NEGATIVE_EIGENVALUE_FLOOR:
+        raise InternalConsistencyError(f"block q={q} has eigenvalue {lowest:.3e} below the floor")
+    return weight
 
 
-def _rank_one_diagonal(w: float, phi: np.ndarray) -> np.ndarray:
-    """Diagonal w phi_i phi_i^* of a rank-one sector, complex, with the
-    bits of the dense block's diagonal."""
-    return w * (phi * phi.conj())
+class _Blocks(Mapping):
+    """The sectors of a ``BlockDensityMatrix``, kept in one of the forms
+    below as ``sectors[q]``, a read-only mapping.
 
-
-class _LazyBlocks(Mapping):
-    """Read-only sectors kept in a factored form, ``sectors[q]``, in a
-    read-only mapping.  Each ``self[q]`` builds a fresh dense block and
-    caches nothing, so a caller that reads one sector at a time holds one
-    dense block at a time; a membership test reads no sector."""
-
-    sectors: Mapping[int, object]
+    Iteration, ``len`` and ``q in blocks`` go to ``sectors``, so none of
+    them reads a sector.  ``self[q]`` is a dense read of sector q, and the
+    defaults of ``weight``, ``check`` and ``reads`` each take one such
+    read and drop it on return; a form overrides what it reads off its
+    own storage.  Every eigensolve is an ``np.linalg.eigvalsh`` call.
+    """
 
     def __iter__(self):
         return iter(self.sectors)
@@ -170,33 +171,159 @@ class _LazyBlocks(Mapping):
     def __contains__(self, q) -> bool:
         return q in self.sectors
 
+    def weight(self, q: int) -> float:
+        """Trace of sector q: the complex sum of its diagonal, real part."""
+        return float(np.diag(self[q]).sum().real)
 
-class _RankOneBlocks(_LazyBlocks):
-    """Sectors w phi phi^H, kept as their (w, phi) pairs: ``sectors[q]``
-    is the real weight w and a read-only view of the phase vector phi."""
+    def reads(self, q: int) -> tuple[np.ndarray, float, np.ndarray]:
+        """The populations, sum of |b_ij| and ascending spectrum of sector
+        q, the one read of a sector that every measure takes:
+        ``np.diag(b).real``, ``np.abs(b).sum()`` and ``eigvalsh(b)`` of
+        one dense read."""
+        b = self[q]
+        return np.diag(b).real.copy(), float(np.abs(b).sum()), np.linalg.eigvalsh(b)
 
-    def __init__(self, sectors: dict[int, tuple[float, np.ndarray]]):
-        self.sectors = MappingProxyType({q: (w, _read_only(phi)) for q, (w, phi) in sectors.items()})
+    def lowest(self, q: int, b: np.ndarray) -> float:
+        """Lowest eigenvalue of sector q, whose dense block is ``b``."""
+        return float(np.linalg.eigvalsh(b).min())
+
+    def check(self, q: int, n: int) -> float:
+        """Check sector q of an n-site operator from one dense read and
+        return its weight, with the bits ``weight`` gives.
+
+        The block must be square with C(n, q) rows, depart from
+        Hermiticity by at most BLOCK_HERMITICITY_TOL and have no
+        eigenvalue below the floor (``lowest``).  The Hermiticity
+        residual max |b - b^H| is taken over row tiles of the upper
+        triangle, so it needs O(tile x d) scratch memory rather than three
+        d x d temporaries; it is exact, not a bound, because entries
+        (r, c) and (c, r) of b - b^H have the same modulus to the last bit
+        (see ``_hermiticity_residual``).  Every comparison fails on NaN.
+        """
+        b, dim = self[q], math.comb(n, q)
+        if b.ndim != 2 or b.shape[0] != b.shape[1]:
+            raise InternalConsistencyError(f"block q={q} is not square: shape {b.shape}")
+        if len(b) != dim:
+            raise InternalConsistencyError(f"block q={q} has {len(b)} rows, not C({_int_text(n)}, {q}) = {_int_text(dim)}")
+        herm = _hermiticity_residual(b)
+        if not herm <= BLOCK_HERMITICITY_TOL:
+            raise InternalConsistencyError(f"block q={q} departs from Hermiticity by {herm:.3e}")
+        # a block that passed is finite, so its diagonal sums without a RuntimeWarning
+        return _above_floor(q, self.lowest(q, b), float(np.diag(b).sum().real))
+
+
+class _DenseBlocks(_Blocks):
+    """Sectors kept as dense blocks: ``sectors[q]`` and ``self[q]`` are one
+    read-only view of the block handed over, taken through ``np.asarray``,
+    so nested lists check like arrays and no entry is copied.  The blocks
+    must come as a mapping, each key must be an integer sector q (read by
+    ``combinat._as_int``, so 1.0 and ``np.int64(1)`` are the sector 1) and
+    each block must have an integer, float or complex dtype; anything else
+    is a DomainError.  A bool block is refused too: numpy has no bool
+    subtraction, so its Hermiticity residual could not be taken."""
+
+    def __init__(self, blocks: Mapping):
+        if not isinstance(blocks, Mapping):
+            raise DomainError(f"blocks must be a mapping from sector q to block, got {type(blocks).__name__}")
+        self.sectors = MappingProxyType({_as_int(q, "sector q"): _read_only(b) for q, b in blocks.items()})
+        for q, b in self.sectors.items():
+            if b.dtype.kind not in "iufc":
+                raise DomainError(f"block q={_int_text(q)} has dtype {b.dtype}, not a number type")
 
     def __getitem__(self, q: int) -> np.ndarray:
-        w, phi = self.sectors[q]
-        return _rank_one_rows(w, phi, phi)
+        return self.sectors[q]
 
 
-class _GramBlocks(_LazyBlocks):
+class _GramBlocks(_Blocks):
     """Sectors V^T conj(V), kept as their Gram factors: ``sectors[q]`` is
     a read-only view of the db x da factor V, and ``self[q]`` a fresh,
     read-only ``V.T @ V.conj()``, so a block cannot disagree with its
-    factor."""
+    factor.  Only positivity is read off the factor itself."""
 
     def __init__(self, factors: dict[int, np.ndarray]):
         self.sectors = MappingProxyType({q: _read_only(v) for q, v in factors.items()})
 
     def __getitem__(self, q: int) -> np.ndarray:
         v = self.sectors[q]
-        b = v.T @ v.conj()
-        b.flags.writeable = False
-        return b
+        return _read_only(v.T @ v.conj())
+
+    def lowest(self, q: int, b: np.ndarray) -> float:
+        """Lowest eigenvalue of sector q, from the smaller side of V.
+
+        A factor V with fewer rows than columns gives it as min(0, lowest
+        eigenvalue of V V^H): by the Schmidt decomposition V V^H carries
+        the block's nonzero spectrum, and the block has da - db zeros
+        besides.  Otherwise it is the least entry of the block's
+        ``eigvalsh``.
+        """
+        v = self.sectors[q]
+        if v.shape[0] >= v.shape[1]:
+            return super().lowest(q, b)
+        lowest = float(np.linalg.eigvalsh(v @ v.conj().T).min())
+        # min(0.0, nan) would be 0.0; a NaN must reach the floor comparison
+        return 0.0 if lowest > 0.0 else lowest
+
+
+class _RankOneBlocks(_Blocks):
+    """Sectors w phi phi^H, kept as their (w, phi) pairs: ``sectors[q]``
+    is the real weight w and a read-only view of the phase vector phi.
+    Each ``self[q]`` builds a fresh dense block, w phi phi^H, the one
+    expression every dense rank-one row comes from; the weight, the check
+    and the reads come from (w, phi), so none of them builds one."""
+
+    def __init__(self, sectors: dict[int, tuple[float, np.ndarray]]):
+        self.sectors = MappingProxyType({q: (w, _read_only(phi)) for q, (w, phi) in sectors.items()})
+
+    def __getitem__(self, q: int) -> np.ndarray:
+        w, phi = self.sectors[q]
+        return w * np.outer(phi, phi.conj())
+
+    def weight(self, q: int) -> float:
+        """The complex sum of the diagonal w phi_i phi_i^*, real part, with
+        the bits of the dense block's trace."""
+        w, phi = self.sectors[q]
+        return float((w * (phi * phi.conj())).sum().real)
+
+    def reads(self, q: int) -> tuple[np.ndarray, float, np.ndarray]:
+        """The dense reads' bits, from (w, phi).
+
+        The diagonal w |phi_i|^2 is taken once, by ``weight``'s
+        expression.  The moduli sum keeps the dense block's bits: rows i
+        and j whose phases compare equal are equal entry for entry, since
+        the same scalar multiplies the same vector, and
+        phi_l = exp(ik sum(l)) takes at most q (n - q) + 1 values, one per
+        site sum.  So the moduli of one row per distinct phase are
+        gathered into the d x d modulus array and summed in one
+        ``.sum()``, the flat pairwise sum the dense block gets; a running
+        total of row sums would round differently.  The spectrum is d - 1
+        zeros and then the weight, the diagonal's complex sum with
+        ``weight``'s bits.
+        """
+        w, phi = self.sectors[q]
+        diagonal = w * (phi * phi.conj())
+        _, first, row_of = np.unique(phi, return_index=True, return_inverse=True)
+        # the rows of self[q] whose phases are distinct, by the same expression
+        abs_sum = float(np.abs(w * np.outer(phi[first], phi.conj()))[row_of].sum())
+        return diagonal.real, abs_sum, np.append(np.zeros(phi.size - 1), diagonal.sum().real)
+
+    def check(self, q: int, n: int) -> float:
+        """A phase vector of length C(n, q) and a finite w and phi: real
+        times a projector, the sector is Hermitian by construction, and
+        its lowest eigenvalue is the least of d - 1 zeros and the weight."""
+        w, phi = self.sectors[q]
+        if phi.shape != (dim := math.comb(n, q),):
+            raise InternalConsistencyError(f"rank-one block q={q} has a phase vector of shape {phi.shape}, not ({dim},)")
+        if not (math.isfinite(w) and np.isfinite(phi).all()):
+            raise InternalConsistencyError(f"rank-one block q={q} has a non-finite weight or phase")
+        weight = self.weight(q)
+        # min(0.0, nan) would be 0.0
+        return _above_floor(q, 0.0 if weight > 0.0 else weight, weight)
+
+
+def _form(blocks) -> _Blocks:
+    """``blocks`` itself when it is a sector form, else the dense form of
+    the mapping it should be."""
+    return blocks if isinstance(blocks, _Blocks) else _DenseBlocks(blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,35 +334,40 @@ class BlockDensityMatrix:
     q-flip site lists of the subsystem, ``enumerate_combinations(n, q)``,
     which (n, q) determines, so no block stores them.  The operator is
     frozen, so no field can be rebound after ``validate`` has passed it,
-    and ``blocks`` is a read-only mapping of one of three kinds, so no
-    entry can be edited either:
+    and ``blocks`` is a read-only mapping in one of three sector forms,
+    one class per way a sector is stored, so no entry can be edited
+    either:
 
-    - read-only views of the dense matrices it was built from;
-    - for ``reduce``, each sector V^T conj(V) kept as its read-only db x da
-      Gram factor V, with every read building a fresh, read-only
-      ``V.T @ V.conj()``, so a block cannot disagree with its factor;
-    - for ``reduce_single_mode``, each rank-one sector w phi phi^H kept as
-      its (w, phi) pair, with every read building a fresh dense block.
+    - ``_DenseBlocks``: read-only views of the dense matrices a plain
+      mapping hands over; a non-mapping, a key that is no integer or a
+      block of a non-number dtype is a DomainError here;
+    - ``_GramBlocks``, for ``reduce``: each sector V^T conj(V) kept as its
+      read-only db x da Gram factor V, with every read building a fresh,
+      read-only ``V.T @ V.conj()``, so a block cannot disagree with its
+      factor;
+    - ``_RankOneBlocks``, for ``reduce_single_mode``: each rank-one sector
+      w phi phi^H kept as its (w, phi) pair, with every read building a
+      fresh dense block.
 
     The last two cache no dense block: the package reads their sectors one
     at a time, so at most one dense sector is alive at once, and a
     validated ``reduce`` operator holds only its factors (0.65 MiB where
-    the dense blocks take 14.1 MiB at (N, m, n) = (24, 5, 12)).  Every
-    read of the sectors for a measure goes through ``_sector_reads``, one
-    per sector in ascending q: ``diagonal()``, ``spectrum()`` and each
-    coherence measure take all three of its reads (populations, sum of
-    |b_ij|, ascending spectrum), so each builds a Gram sector once and
-    diagonalises every dense sector.  A rank-one sector is read from
-    (w, phi): its diagonal and weight in O(C(n, q)), its moduli sum with
-    one complex row per distinct phase and its spectrum off its weight,
-    so no measure and no check builds a dense rank-one block.  A
-    membership test ``q in blocks`` reads no sector.  For operators
-    obtained from the dense oracle, ``off_block_residual`` records the
-    largest matrix element found between different flip sectors
-    (structurally zero for magnon states).  The constructor has no factor
-    argument: a Gram sector is handed over as its factor alone, so no
-    caller can pair a block with a factor it disagrees with.  A block has
-    no tuple equality, so operators compare by identity.
+    the dense blocks take 14.1 MiB at (N, m, n) = (24, 5, 12)).  The
+    operator checks each q against [0, n] and the total trace, keeps the
+    weights ``validate`` summed, and asks the form for everything else:
+    ``blocks.weight(q)``, ``blocks.check(q, n)`` and ``blocks.reads(q)``
+    (populations, sum of |b_ij|, ascending spectrum), so a new way to
+    store a sector is a new form and no change here.  ``diagonal()``,
+    ``spectrum()`` and each coherence measure take one ``reads`` per
+    sector in ascending q, so each builds a Gram sector once and no
+    rank-one sector at all.  A membership test ``q in blocks`` reads no
+    sector.  For operators obtained from the dense oracle,
+    ``off_block_residual`` records the largest matrix element found
+    between different flip sectors (structurally zero for magnon states).
+    The constructor has no factor argument: a Gram sector is handed over
+    as its factor alone, so no caller can pair a block with a factor it
+    disagrees with.  A block has no tuple equality, so operators compare
+    by identity.
     """
 
     n: int
@@ -249,23 +381,11 @@ class BlockDensityMatrix:
         object.__setattr__(self, "n", _as_int(self.n, "n"))
         if self.off_block_residual is not None:
             object.__setattr__(self, "off_block_residual", _as_real(self.off_block_residual, "off_block_residual"))
-        if not isinstance(self.blocks, _LazyBlocks):
-            object.__setattr__(self, "blocks", MappingProxyType({q: _read_only(b) for q, b in self.blocks.items()}))
+        object.__setattr__(self, "blocks", _form(self.blocks))
 
     @property
     def q_values(self) -> tuple[int, ...]:
         return tuple(sorted(self.blocks))
-
-    def _rank_one(self, q: int) -> tuple[float, np.ndarray] | None:
-        """(w, phi) of sector q if it is kept in that form, else None."""
-        return self.blocks.sectors[q] if isinstance(self.blocks, _RankOneBlocks) else None
-
-    def _weight(self, q: int) -> float:
-        """Trace of sector q: the complex sum of its diagonal, real part."""
-        rank_one = self._rank_one(q)
-        if rank_one is None:
-            return float(np.diag(self.blocks[q]).sum().real)
-        return float(_rank_one_diagonal(*rank_one).sum().real)
 
     @property
     def block_weights(self) -> dict[int, float]:
@@ -273,7 +393,7 @@ class BlockDensityMatrix:
         it summed, so no sector is read again."""
         if self._validated:
             return dict(self._weights)
-        return {q: self._weight(q) for q in self.q_values}
+        return {q: self.blocks.weight(q) for q in self.q_values}
 
     def diagonal(self) -> np.ndarray:
         """Populations in the canonical basis, blocks in ascending q."""
@@ -283,117 +403,36 @@ class BlockDensityMatrix:
         """All eigenvalues across blocks, sorted descending."""
         return np.sort(np.concatenate([ascending for _, _, ascending in self._reads()]))[::-1]
 
-    def _sector_reads(self, q: int) -> tuple[np.ndarray, float, np.ndarray]:
-        """The populations, sum of |b_ij| and ascending spectrum of sector
-        q, the one read of a sector that every measure takes.
-
-        A dense sector is built once, read as ``np.diag(b).real``,
-        ``np.abs(b).sum()`` and ``eigvalsh(b)``, and dropped on return.  A
-        rank-one sector w phi phi^H is never built.  Its diagonal
-        w |phi_i|^2 is taken once.  Its moduli sum keeps the dense block's
-        bits: rows i and j whose phases compare equal are equal entry for
-        entry, since the same scalar multiplies the same vector, and
-        phi_l = exp(ik sum(l)) takes at most q (n - q) + 1 values, one per
-        site sum.  So the moduli of one row per distinct phase are
-        gathered into the d x d modulus array and summed in one ``.sum()``,
-        the flat pairwise sum the dense block gets; a running total of row
-        sums would round differently.  Its spectrum is d - 1 zeros and
-        then the weight, the diagonal's complex sum with ``_weight``'s bits.
-        """
-        rank_one = self._rank_one(q)
-        if rank_one is None:
-            b = self.blocks[q]
-            return np.diag(b).real.copy(), float(np.abs(b).sum()), np.linalg.eigvalsh(b)
-        w, phi = rank_one
-        diagonal = _rank_one_diagonal(w, phi)
-        _, first, row_of = np.unique(phi, return_index=True, return_inverse=True)
-        abs_sum = float(np.abs(_rank_one_rows(w, phi[first], phi))[row_of].sum())
-        return diagonal.real, abs_sum, np.append(np.zeros(math.comb(self.n, q) - 1), diagonal.sum().real)
-
     def _reads(self) -> list[tuple[np.ndarray, float, np.ndarray]]:
-        """``_sector_reads`` of every sector, in ascending q."""
-        return [self._sector_reads(q) for q in self.q_values]
+        """The form's ``reads`` of every sector, in ascending q."""
+        return [self.blocks.reads(q) for q in self.q_values]
 
     def purity(self) -> float:
         # map hands each block on and drops it before the next is built,
         # where a generator's loop variable would keep two alive
         return sum(map(_square_sum, self.blocks.values()))
 
-    def _lowest_eigenvalue(self, q: int, block: np.ndarray) -> float:
-        """Lowest eigenvalue of the dense sector q, whose block is ``block``.
-
-        A Gram factor V with fewer rows than columns gives it as min(0,
-        lowest eigenvalue of V V^H): by the Schmidt decomposition V V^H
-        carries the block's nonzero spectrum, and the block has da - db
-        zeros besides.  Otherwise it is the least entry of the block's
-        ``eigvalsh``.
-        """
-        v = self.blocks.sectors[q] if isinstance(self.blocks, _GramBlocks) else None
-        if v is not None and v.shape[0] < v.shape[1]:
-            lowest = float(np.linalg.eigvalsh(v @ v.conj().T).min())
-            # min(0.0, nan) would be 0.0; a NaN must reach validate's comparison
-            return 0.0 if lowest > 0.0 else lowest
-        return float(np.linalg.eigvalsh(block).min())
-
-    def _checked_weight(self, q: int) -> float:
-        """Check sector q for ``validate``, from one read of a dense sector,
-        and return its weight with the bits ``block_weights`` gives."""
-        if not 0 <= q <= self.n:
-            raise InternalConsistencyError(f"block q={_int_text(q)} lies outside [0, {_int_text(self.n)}]")
-        dim = math.comb(self.n, q)
-        rank_one = self._rank_one(q)
-        if rank_one is None:
-            b = self.blocks[q]
-            if b.ndim != 2 or b.shape[0] != b.shape[1]:
-                raise InternalConsistencyError(f"block q={q} is not square: shape {b.shape}")
-            if b.shape[0] != dim:
-                raise InternalConsistencyError(
-                    f"block q={q} has {b.shape[0]} rows, not C({_int_text(self.n)}, {q}) = {_int_text(dim)}"
-                )
-            herm = _hermiticity_residual(b)
-            if not herm <= BLOCK_HERMITICITY_TOL:
-                raise InternalConsistencyError(f"block q={q} departs from Hermiticity by {herm:.3e}")
-            # a block that passed is finite, so its diagonal sums without a RuntimeWarning
-            weight = float(np.diag(b).sum().real)
-            lowest = self._lowest_eigenvalue(q, b)
-        else:
-            w, phi = rank_one
-            if phi.shape != (dim,):
-                raise InternalConsistencyError(f"rank-one block q={q} has a phase vector of shape {phi.shape}, not ({dim},)")
-            if not (math.isfinite(w) and np.isfinite(phi).all()):
-                raise InternalConsistencyError(f"rank-one block q={q} has a non-finite weight or phase")
-            weight = self._weight(q)
-            # the least of d - 1 zeros and the weight; min(0.0, nan) would be 0.0
-            lowest = 0.0 if weight > 0.0 else weight
-        if not lowest >= NEGATIVE_EIGENVALUE_FLOOR:
-            raise InternalConsistencyError(f"block q={q} has eigenvalue {lowest:.3e} below the floor")
-        return weight
-
     def validate(self) -> "BlockDensityMatrix":
         """Check shapes, Hermiticity, positivity and unit trace; returns self.
 
-        Each sector q must lie in [0, n] and be C(n, q) x C(n, q).  A
-        rank-one sector w phi phi^H needs a phase vector of length
-        C(n, q) and a finite w and phi; being real times a projector, it
-        is Hermitian by construction and is never built densely here.
-        Every other sector is read once, in ascending q, and that one
-        block gives its shape, Hermiticity, positivity and weight before
-        the next is built.  Hermiticity is read off the block, which the
-        constructor took through ``np.asarray``, so nested lists check
-        like arrays.  The Hermiticity residual max |b - b^H| is taken
-        over row tiles of the upper triangle, so it needs O(tile x d)
-        scratch memory rather than three d x d temporaries; it is exact,
-        not a bound, because entries (r, c) and (c, r) of b - b^H have the
-        same modulus to the last bit (see ``_hermiticity_residual``).  A
-        sector's lowest eigenvalue comes from the smaller side of its Gram
-        factor where that is the row side (``_lowest_eigenvalue``), in
-        closed form for a rank-one sector, and from the dense block
-        otherwise.  Every comparison fails on NaN.  An operator that
-        passes is marked, and keeps the weights it summed, so the
-        coherence measures check it once, not on every call, and
-        ``block_weights`` reads no sector.
+        Each sector q must lie in [0, n]; its form then checks it with
+        ``blocks.check(q, n)`` and returns its weight.  Sectors are
+        checked in ascending q, and a dense read of one is dropped before
+        the next is built.  A dense or Gram sector is read once and must
+        be C(n, q) x C(n, q), Hermitian and above the eigenvalue floor; a
+        Gram sector takes its lowest eigenvalue from the smaller side of
+        its factor where that is the row side.  A rank-one sector
+        w phi phi^H needs a phase vector of length C(n, q) and a finite w
+        and phi, and is never built densely here.  Every comparison fails
+        on NaN.  An operator that passes is marked, and keeps the weights
+        it summed, so the coherence measures check it once, not on every
+        call, and ``block_weights`` reads no sector.
         """
-        weights = {q: self._checked_weight(q) for q in self.q_values}
+        weights = {}
+        for q in self.q_values:
+            if not 0 <= q <= self.n:
+                raise InternalConsistencyError(f"block q={_int_text(q)} lies outside [0, {_int_text(self.n)}]")
+            weights[q] = self.blocks.check(q, self.n)
         off = abs(sum(weights.values()) - 1.0)
         if not off <= TRACE_TOL:
             raise InternalConsistencyError(f"total trace departs from 1 by {off:.3e}")

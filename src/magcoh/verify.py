@@ -266,9 +266,9 @@ def _fam_single_mode_contiguity(N, m, rng):
 def _fam_zero_iff_diagonal(N, m, rng):
     diag = np.diag(rng.random(6) + 0.1)
     diag = diag / np.trace(diag)
-    flat = max(coh.c_l1(diag), coh.c_r(diag), math.log1p(coh.c_l1(diag)))
-    rho = _random_density(rng, 6)
-    alive = min(coh.c_l1(rho), coh.c_r(rho), math.log1p(coh.c_l1(rho)))
+    # one report per matrix, whose c_ln is math.log1p(c_l1)
+    flat, alive = coh.coherence_report(diag), coh.coherence_report(_random_density(rng, 6))
+    flat, alive = max(flat.c_l1, flat.c_r, flat.c_ln), min(alive.c_l1, alive.c_r, alive.c_ln)
     ok = flat <= 1e-14 and alive > 1e-10
     return ok, flat, f"smallest off-diagonal response {alive:.3e}"
 
@@ -276,10 +276,9 @@ def _fam_zero_iff_diagonal(N, m, rng):
 def _fam_coherence_upper_bounds(N, m, rng):
     worst = 0.0
     for d in (4, 5, 6):
-        rho = _random_density(rng, d)
-        worst = max(worst, coh.c_r(rho) - math.log(d), coh.c_l1(rho) - (d - 1.0))
-        top = np.full((d, d), 1.0 / d, dtype=np.complex128)
-        worst = max(worst, abs(coh.c_r(top) - math.log(d)), abs(coh.c_l1(top) - (d - 1.0)))
+        r = coh.coherence_report(_random_density(rng, d))
+        top = coh.coherence_report(np.full((d, d), 1.0 / d, dtype=np.complex128))
+        worst = max(worst, r.c_r - math.log(d), r.c_l1 - (d - 1.0), abs(top.c_r - math.log(d)), abs(top.c_l1 - (d - 1.0)))
     return _done(worst, 1e-10)
 
 
@@ -302,11 +301,12 @@ def _fam_partial_trace_contractivity(N, m, rng):
 def _fam_convexity(N, m, rng):
     worst = 0.0
     for _ in range(4):
-        a, b = _random_density(rng, 6), _random_density(rng, 6)
+        x, y = _random_density(rng, 6), _random_density(rng, 6)
+        # one report per distinct matrix
+        a, b = coh.coherence_report(x), coh.coherence_report(y)
         for lam in (0.25, 0.5, 0.75):
-            mix = lam * a + (1.0 - lam) * b
-            worst = max(worst, coh.c_l1(mix) - (lam * coh.c_l1(a) + (1 - lam) * coh.c_l1(b)))
-            worst = max(worst, coh.c_r(mix) - (lam * coh.c_r(a) + (1 - lam) * coh.c_r(b)))
+            mix = coh.coherence_report(lam * x + (1.0 - lam) * y)
+            worst = max(worst, mix.c_l1 - (lam * a.c_l1 + (1 - lam) * b.c_l1), mix.c_r - (lam * a.c_r + (1 - lam) * b.c_r))
     return _done(max(0.0, worst), 1e-10)
 
 

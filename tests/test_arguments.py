@@ -69,6 +69,8 @@ SPEC = MagnonStateSpec(8, 2, MomentumVector(8, (1, 3)))
 STATE = build_state(SPEC)
 SUB = SubsystemSpec.prefix(8, 3)
 RHO = reduce(STATE, SUB)
+# the q = 1 sector of two sites, a pure state of unit trace
+FLAT = [[0.5, 0.5], [0.5, 0.5]]
 
 # values outside each kind; 2.5 is a real, so only integer slots refuse it
 BAD = {
@@ -137,6 +139,7 @@ SLOTS = [
     Slot("SubsystemSpec.prefix.parent_N", INT, 8, lambda x: SubsystemSpec.prefix(x, 3).sites),
     Slot("SubsystemSpec.prefix.n", INT, 3, lambda x: SubsystemSpec.prefix(8, x).sites),
     Slot("BlockDensityMatrix.n", INT, 3, lambda x: _blocks(BlockDensityMatrix(x, dict(RHO.blocks)).validate())),
+    Slot("BlockDensityMatrix.blocks.q", INT, 1, lambda x: _blocks(BlockDensityMatrix(2, {x: FLAT}).validate())),
     Slot(
         "BlockDensityMatrix.off_block_residual",
         REAL,
@@ -200,6 +203,16 @@ ONCE_ACCEPTED = {
     "heat_capacity-beta-complex": lambda: heat_capacity(1 + 0j, 1.0),
     "energy_from_beta-beta-str": lambda: energy_from_beta("1", 1.0),
     "internal_energy-epsilon0-complex128": lambda: internal_energy(8, 4, 2, np.complex128(1)),
+    # hand-built operators whose validate raised a bare TypeError, or whose
+    # constructor an AttributeError, and a block whose dtype leaked numpy's
+    # UFuncTypeError out of validate
+    "BlockDensityMatrix-q-none": lambda: BlockDensityMatrix(2, {None: FLAT}),
+    "BlockDensityMatrix-q-mixed-types": lambda: BlockDensityMatrix(1, {0: [[0.5]], "1": [[0.5]]}),
+    "BlockDensityMatrix-blocks-list": lambda: BlockDensityMatrix(2, [FLAT]),
+    "BlockDensityMatrix-blocks-none": lambda: BlockDensityMatrix(2, None),
+    "BlockDensityMatrix-block-object-dtype": lambda: BlockDensityMatrix(2, {1: np.array(FLAT, dtype=object)}),
+    "BlockDensityMatrix-block-str-dtype": lambda: BlockDensityMatrix(1, {1: [["1"]]}),
+    "BlockDensityMatrix-block-bool-dtype": lambda: BlockDensityMatrix(1, {1: [[True]]}),
 }
 
 

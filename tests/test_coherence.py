@@ -386,7 +386,7 @@ class TestDistinctRowSum:
     def test_every_sector_and_measure_keeps_the_dense_bits(self, build):
         rho = build()
         dense = [float(np.abs(rho.blocks[q]).sum()) for q in rho.q_values]
-        assert [rho._sector_reads(q)[1].hex() for q in rho.q_values] == [x.hex() for x in dense]
+        assert [rho.blocks.reads(q)[1].hex() for q in rho.q_values] == [x.hex() for x in dense]
         want = max(0.0, sum(dense) - 1.0)
         report = coherence_report(rho)
         assert c_l1(rho).hex() == report.c_l1.hex() == want.hex()

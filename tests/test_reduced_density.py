@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 import weakref
 from unittest import mock
@@ -38,7 +39,7 @@ import magcoh
 from magcoh import coherence, combinat, reduced_density
 from magcoh.combinat import combination_array
 from magcoh.magnon_state import _DIRECT_PERMANENT_LIMIT, FULL_VECTOR_BUDGET, AmplitudeTable
-from magcoh.reduced_density import _HERMITICITY_TILE, _GramBlocks, _RankOneBlocks, _hermiticity_residual
+from magcoh.reduced_density import _HERMITICITY_TILE, _DenseBlocks, _GramBlocks, _RankOneBlocks, _hermiticity_residual
 
 
 def random_state(rng, N, m):
@@ -232,12 +233,12 @@ class TestPositivityFromTheSmallerSide:
             v = rho.blocks.sectors[q]
             dense = float(np.linalg.eigvalsh(rho.blocks[q]).min())
             if v.shape[0] >= v.shape[1]:
-                assert rho._lowest_eigenvalue(q, rho.blocks[q]) == dense
+                assert rho.blocks.lowest(q, rho.blocks[q]) == dense
                 continue
             wide += 1
             rows, cols = v.shape
             # the factor is in charge: a block that is never read cannot matter
-            got = rho._lowest_eigenvalue(q, None)
+            got = rho.blocks.lowest(q, None)
             assert got <= 0.0
             assert abs(got - dense) <= gram_factor_bound(rows, cols, rho.block_weights[q])
         assert wide == 3
@@ -613,6 +614,92 @@ class TestFactoredSectors:
             assert [call.args[1] for call in read.call_args_list] == list(rho.q_values)
 
 
+@st.composite
+def sector_form_cases(draw):
+    """(form, route, arguments) of an operator in one of the three sector
+    forms: the Gram sectors of ``reduce`` on a chain of up to 10 sites,
+    the rank-one sectors of ``reduce_single_mode`` with n up to 10, or
+    the dense copy of either."""
+    form = draw(st.sampled_from(["dense", "gram", "rank-one"]))
+    route = {"gram": "reduce", "rank-one": "single-mode"}.get(form) or draw(st.sampled_from(["reduce", "single-mode"]))
+    if route == "reduce":
+        return form, route, draw(scatter_cases(max_N=10))
+    N = draw(st.integers(1, 40))
+    n, m = draw(st.integers(1, min(N, 10))), draw(st.integers(0, N))
+    k = draw(st.sampled_from([0.0, math.pi, 2.0 * math.pi / N]) | st.floats(-7.0, 7.0))
+    return form, route, (N, n, m, k)
+
+
+def sector_form(form, route, args):
+    """The validated operator of a ``sector_form_cases`` case, or None
+    for a null state."""
+    if route == "single-mode":
+        rho = reduce_single_mode(*args)
+    else:
+        N, k, sites = args
+        try:
+            rho = reduce(build_state(MagnonStateSpec(N, len(k), MomentumVector(N, k))), SubsystemSpec(N, sites))
+        except NullStateError:
+            return None
+    return dense_copy(rho).validate() if form == "dense" else rho
+
+
+SECTOR_FORMS = {"dense": _DenseBlocks, "gram": _GramBlocks, "rank-one": _RankOneBlocks}
+
+# each pass reads every sector once: validate through the form's check,
+# the others through its reads; validate runs on a fresh operator
+FORM_PASSES = {
+    "validate": ("check", lambda rho: BlockDensityMatrix(rho.n, rho.blocks).validate()),
+    "coherence_report": ("reads", coherence_report),
+    "diagonal": ("reads", BlockDensityMatrix.diagonal),
+    "spectrum": ("reads", BlockDensityMatrix.spectrum),
+}
+
+
+class TestSectorForms:
+    """Each way a sector is stored is one class that owns its reads: the
+    dense blocks, ``reduce``'s Gram factors and ``reduce_single_mode``'s
+    (w, phi) pairs."""
+
+    # tier-1 runs 100 examples; CI's factored-operator step runs 5000,
+    # derandomized, under --hypothesis-profile=ci
+    @seed(5101)
+    @settings(deadline=None, database=None)
+    @given(sector_form_cases())
+    @example(("dense", "reduce", (10, (1, 2, 5), (2, 5, 7, 9))))
+    @example(("gram", "reduce", (12, (0, 1, 3, 4, 7, 9), tuple(range(1, 13)))))
+    @example(("rank-one", "single-mode", (30, 10, 15, 0.6)))
+    @example(("dense", "single-mode", (21, 7, 10, math.pi)))
+    def test_each_pass_reads_every_sector_once_and_keeps_the_dense_bits(self, case):
+        form, route, args = case
+        rho = sector_form(form, route, args)
+        if rho is None:
+            return
+        blocks = type(rho.blocks)
+        assert blocks is SECTOR_FORMS[form]
+        # a dense form built from this form's own dense reads
+        dense = _DenseBlocks({q: rho.blocks[q] for q in rho.q_values})
+        for q in rho.q_values:
+            (populations, abs_sum, ascending), want = rho.blocks.reads(q), dense.reads(q)
+            assert populations.tobytes() == want[0].tobytes() and abs_sum.hex() == want[1].hex()
+            weight = rho.blocks.weight(q)
+            assert weight.hex() == dense.weight(q).hex() == rho.blocks.check(q, rho.n).hex() == rho.block_weights[q].hex()
+            if form == "rank-one":
+                assert ascending.tolist() == [0.0] * (math.comb(rho.n, q) - 1) + [weight]
+            else:
+                assert ascending.tobytes() == want[2].tobytes()
+        for name, (method, run) in FORM_PASSES.items():
+            with (
+                mock.patch.object(blocks, "__getitem__", autospec=True, side_effect=blocks.__getitem__) as read,
+                mock.patch.object(blocks, method, autospec=True, side_effect=getattr(blocks, method)) as form_read,
+            ):
+                run(rho)
+            assert [call.args[1] for call in form_read.call_args_list] == list(rho.q_values), name
+            # a rank-one sector is never read densely
+            want = [] if form == "rank-one" else list(rho.q_values)
+            assert [call.args[1] for call in read.call_args_list] == want, name
+
+
 class TestSingleModeClosedForm:
     def test_block_weights_follow_the_sector_law(self):
         w = reduce_single_mode(4, 2, 2, 0.0).block_weights
@@ -647,12 +734,12 @@ class TestSingleModeClosedForm:
         # eigvalsh is backward stable: by Weyl each eigenvalue moves by at
         # most gamma(4d) ||B|| <= gamma(4d) w.  The stored block is within
         # gamma(d + 8) w of the exact rank-one operator whose spectrum
-        # (0, ..., 0, trace) _sector_reads derives: phase products and the
+        # (0, ..., 0, trace) the rank-one reads derive: phase products and the
         # weight scaling round each entry, and the trace sums d of them.
         reduced = reduce_single_mode(2 * n + 1, n, n, 0.9)
         for q in reduced.q_values:
             d, w = reduced.blocks[q].shape[0], reduced.block_weights[q]
-            derived = reduced._sector_reads(q)[2]
+            derived = reduced.blocks.reads(q)[2]
             assert derived.tolist() == [0.0] * (d - 1) + [w]
             dense = np.linalg.eigvalsh(reduced.blocks[q])
             assert np.abs(derived - dense).max() <= (gamma(4 * d) + gamma(d + 8)) * w
@@ -931,6 +1018,32 @@ class TestBlockDensityMatrix:
         assert np.array_equal(good.blocks[1], [[0.5, -0.5j], [0.5j, 0.5]])
         with pytest.raises(InternalConsistencyError, match=message):
             BlockDensityMatrix(2, _RankOneBlocks({1: (w, phi)})).validate()
+
+    def test_hand_built_keys_are_integer_sectors(self):
+        for key in (1.0, np.int64(1), True, np.True_):
+            rho = BlockDensityMatrix(1, {key: [[1.0]]}).validate()
+            assert rho.q_values == (1,) and type(rho.q_values[0]) is int
+        assert BlockDensityMatrix(1, {0: [[0.5]], 1.0: [[0.5]]}).validate().q_values == (0, 1)
+        for key in (1.5, "1", None):
+            with pytest.raises(DomainError, match=rf"^sector q must be an integer, got {re.escape(repr(key))}$"):
+                BlockDensityMatrix(1, {key: [[1.0]]})
+
+    @pytest.mark.parametrize("blocks", [[[[1.0]]], None, ((1, [[1.0]]),)], ids=["list", "none", "pairs"])
+    def test_hand_built_blocks_must_be_a_mapping(self, blocks):
+        with pytest.raises(DomainError, match=rf"^blocks must be a mapping from sector q to block, got {type(blocks).__name__}$"):
+            BlockDensityMatrix(1, blocks)
+
+    @pytest.mark.parametrize(
+        "block, dtype",
+        [(np.array([[1.0]], dtype=object), "object"), ([["1"]], "<U1"), ([[None]], "object"), ([[True]], "bool")],
+    )
+    def test_hand_built_blocks_must_hold_numbers(self, block, dtype):
+        # numpy has no bool subtraction, so a bool block would escape the
+        # Hermiticity residual as a TypeError
+        with pytest.raises(DomainError, match=rf"^block q=1 has dtype {dtype}, not a number type$"):
+            BlockDensityMatrix(1, {1: block})
+        for kind in (np.int8, np.uint8, np.float32, np.complex64):
+            assert BlockDensityMatrix(1, {1: np.ones((1, 1), dtype=kind)}).validate().block_weights == {1: 1.0}
 
     def test_validation_checks_each_sector_against_its_binomial(self):
         # a unit-trace, Hermitian, positive 2 x 2 block is no q = 1 sector of 3 sites
